@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from chevalley.autos import GraphData, graph_data
 from chevalley.group import (
     GroupElement,
@@ -56,16 +58,20 @@ from chevalley.linalg import (
     Matrix,
     identity,
     is_identity,
+    local_nullspace,
     mat_map,
     mat_mul,
+    mat_pow,
     mat_scale,
     mat_sub,
     matrix,
+    residue_dtype,
     ring_invert,
 )
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import (
     Ring,
+    ZMod,
     crt_split,
     is_ring_automorphism,
     ring_automorphisms,
@@ -129,17 +135,6 @@ def _additive_coords(ring: Ring, t) -> List[Tuple[object, int]]:
             v //= ring.p
         return digits
     return [(ring.one, t)]
-
-
-def _mat_pow_int(ring: Ring, m: Matrix, k: int) -> Matrix:
-    out = identity(ring, len(m))
-    base = m
-    while k:
-        if k & 1:
-            out = mat_mul(ring, out, base)
-        base = mat_mul(ring, base, base)
-        k >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +266,8 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
             acc = ident
             for g, c in _additive_coords(ring, t):
                 if c:
-                    p = _mat_pow_int(ring, base[(root, g)].mat, c)
-                    pi = _mat_pow_int(ring, base[(root, g)].inv_mat, c)
+                    p = mat_pow(ring, base[(root, g)].mat, c)
+                    pi = mat_pow(ring, base[(root, g)].inv_mat, c)
                     acc = acc.mul(GroupElement(ring, p, pi, None))
             table[(root, t)] = acc
             if acc.mat in seen:
@@ -415,40 +410,39 @@ def _reshape(vec, n: int) -> Matrix:
 
 
 def _intertwiner_basis(ring: Ring, pairs: List[Tuple[Matrix, Matrix]]) -> List[Tuple]:
-    """Basis of {M : M X = Y M for every supplied pair}, as flat vectors."""
-    from chevalley.linalg import local_nullspace
+    """Basis of {M : M X = Y M for every supplied pair}, as flat vectors.
 
+    Over Z/p^k the basis is a (b, n*n) array and each pair's residuals
+    B_c X - Y B_c come from one batched product; field tables use scalar
+    arithmetic.
+    """
     n = len(pairs[0][0])
     nn = n * n
-    basis: List[Tuple] = []
-    for a in range(nn):
-        vec = [ring.zero] * nn
-        vec[a] = ring.one
-        basis.append(tuple(vec))
+    arrays = isinstance(ring, ZMod)
+    if arrays:
+        mod = ring.n
+        dtype = residue_dtype(mod, nn)
+        basis = np.eye(nn, dtype=dtype)
+    else:
+        basis = identity(ring, nn)
     for x_mat, y_mat in pairs:
-        cols = []
-        for vec in basis:
-            mb = _reshape(vec, n)
-            resid = mat_sub(ring, mat_mul(ring, mb, x_mat), mat_mul(ring, y_mat, mb))
-            cols.append(_flatten(resid))
-        rows = tuple(tuple(col[i] for col in cols) for i in range(nn))
+        if arrays:
+            mb = basis.reshape(-1, n, n)
+            x, y = np.array(x_mat, dtype=dtype), np.array(y_mat, dtype=dtype)
+            resid = (mb @ x - y @ mb) % mod
+            rows = list(resid.reshape(len(basis), nn).T)   # a row per entry of M
+        else:
+            cols = [_flatten(mat_sub(ring, mat_mul(ring, mb, x_mat), mat_mul(ring, y_mat, mb)))
+                    for mb in (_reshape(vec, n) for vec in basis)]
+            rows = tuple(zip(*cols))
         coords = local_nullspace(ring, rows)
         if not coords:
             return []
-        new_basis = []
-        for coord in coords:
-            acc = [ring.zero] * nn
-            for c, vec in zip(coord, basis):
-                if c == ring.zero:
-                    continue
-                for i, v in enumerate(vec):
-                    if v != ring.zero:
-                        acc[i] = ring.add(acc[i], ring.mul(c, v))
-            new_basis.append(tuple(acc))
-        basis = new_basis
-        if not basis:
-            return []
-    return basis
+        if arrays:
+            basis = (np.array(coords, dtype=dtype) @ basis) % mod
+        else:
+            basis = mat_mul(ring, coords, basis)
+    return [tuple(v) for v in basis.tolist()] if arrays else list(basis)
 
 
 def _invertible_candidates(ring: Ring, basis: List[Tuple], n: int,

@@ -3,10 +3,17 @@
 Matrices are tuples of row tuples of ring elements, so they hash and compare
 exactly.  Generic operations go through the ring handle; solving, kernels and
 inversion first split the ring into local factors, then run a Smith-style
-diagonalization per factor.  Over Z/p^k the pivot of minimal p-valuation keeps
-every elimination step exact, and the inner loops run on numpy int64 arrays.
-Field tables get a plain Gaussian pass in Python; they only appear at sizes
-where that is cheap.
+diagonalization per factor.
+
+Over Z/p^k the work is array-native: the elimination keeps A and Q (and P
+only when a caller needs it) as numpy arrays, finds the row-major first entry
+of least p-valuation with a vectorised scan, and updates only the rows and
+columns a pivot changes; results turn into tuples once, on return.  The
+pivot of least valuation keeps every step exact.  int64 is used only where
+no intermediate sum can reach 2**63 (see ``residue_dtype``); larger moduli run
+the same code on numpy object arrays of Python ints, and ``mat_mul`` falls
+back to its scalar loop.  Field tables get a plain Gaussian pass in Python;
+they only appear at sizes where that is cheap.
 """
 
 from __future__ import annotations
@@ -48,20 +55,22 @@ def mat_sub(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(ring.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(ring: Ring, a: Matrix) -> Matrix:
-    return tuple(tuple(ring.neg(x) for x in row) for row in a)
-
-
 def mat_scale(ring: Ring, c, a: Matrix) -> Matrix:
     return tuple(tuple(ring.mul(c, x) for x in row) for row in a)
 
 
+def residue_dtype(mod: int, inner: int):
+    """int64 when a sum of ``inner`` products of residues mod ``mod`` stays
+    below 2**63, else object (exact Python ints)."""
+    return np.int64 if inner * (mod - 1) ** 2 < 2 ** 63 else object
+
+
 def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
-    if isinstance(ring, ZMod) and len(a) >= 6:
+    if isinstance(ring, ZMod) and len(a) >= 6 and residue_dtype(ring.n, len(b)) is np.int64:
         an = np.array(a, dtype=np.int64)
         bn = np.array(b, dtype=np.int64)
         cn = (an @ bn) % ring.n
-        return tuple(tuple(int(x) for x in row) for row in cn)
+        return tuple(map(tuple, cn.tolist()))
     n = len(b)
     bt = tuple(zip(*b))
     out = []
@@ -176,75 +185,76 @@ class LocalDiag:
     shape: tuple
 
 
-def _local_diag_zmod(ring: ZMod, a: Matrix) -> LocalDiag:
+def _first_least_valuation(sub, p: int, k: int):
+    """(row, col, v): the row-major first entry of least p-valuation v in
+    ``sub``, whose entries lie in [0, p^k); None when ``sub`` is zero."""
+    m, n = sub.shape
+    step = max(1, 4096 // max(n, 1))   # scan a few thousand entries at a time
+    for v in range(k):
+        # no entry has valuation < v, so the first entry not divisible by
+        # p^(v+1) has valuation exactly v
+        for r in range(0, m, step):
+            block = sub[r:r + step]
+            hits = np.flatnonzero(block % p ** (v + 1) if v + 1 < k else block)
+            if hits.size:
+                i, j = divmod(int(hits[0]), n)
+                return r + i, j, v
+    return None
+
+
+def _eliminate_zmod(ring: ZMod, a, with_p: bool):
+    """Diagonalize the rows ``a`` over Z/p^k: (P or None, Q, pivots, diag).
+
+    P, Q are arrays with P @ A @ Q = D.  Q never depends on P, so callers
+    that only need kernels skip P.
+    """
     p, k = ring.residue_char, ring.nil_degree
     mod = ring.n
-    m, n = len(a), len(a[0]) if a else 0
-    A = np.array([[int(x) for x in row] for row in a], dtype=np.int64) % mod
-    P = np.eye(m, dtype=np.int64)
-    Q = np.eye(n, dtype=np.int64)
-
-    def val(x: int) -> int:
-        if x == 0:
-            return k
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
+    m = len(a)
+    n = len(a[0]) if m else 0
+    dtype = residue_dtype(mod, 1)
+    A = np.array(a, dtype=dtype).reshape(m, n) % mod
+    P = np.eye(m, dtype=dtype) if with_p else None
+    Q = np.eye(n, dtype=dtype)
     pivots = []
-    t = 0
-    while t < min(m, n):
-        best, bv = None, k
-        for i in range(t, m):
-            for j in range(t, n):
-                v = val(int(A[i, j]))
-                if v < bv:
-                    best, bv = (i, j), v
-                    if v == 0:
-                        break
-            if bv == 0:
-                break
-        if best is None:
+    for t in range(min(m, n)):
+        found = _first_least_valuation(A[t:, t:], p, k)
+        if found is None:
             break
-        bi, bj = best
+        bi, bj, bv = found[0] + t, found[1] + t, found[2]
         if bi != t:
             A[[t, bi]] = A[[bi, t]]
-            P[[t, bi]] = P[[bi, t]]
+            if with_p:
+                P[[t, bi]] = P[[bi, t]]
         if bj != t:
             A[:, [t, bj]] = A[:, [bj, t]]
             Q[:, [t, bj]] = Q[:, [bj, t]]
-        piv = int(A[t, t])
-        unit = piv // (p ** bv)
-        u_inv = pow(unit, -1, mod)
-        A[t] = (A[t] * u_inv) % mod
-        P[t] = (P[t] * u_inv) % mod
-        # clear the column below/above with exact multipliers
         pv = p ** bv
-        col = A[:, t].copy()
-        col[t] = 0
-        mult = col // pv
-        if mult.any():
-            A -= np.outer(mult, A[t])
-            A %= mod
-            P -= np.outer(mult, P[t])
-            P %= mod
-        row = A[t].copy()
-        row[t] = 0
-        multc = row // pv
-        if multc.any():
-            A -= np.outer(A[:, t], multc)
-            A %= mod
-            Q -= np.outer(Q[:, t], multc)
-            Q %= mod
+        u_inv = pow(int(A[t, t]) // pv, -1, mod)
+        A[t] = (A[t] * u_inv) % mod
+        if with_p:
+            P[t] = (P[t] * u_inv) % mod
+        # clear column t with exact multipliers; rows above t and columns
+        # left of t are already zero, and rows with a zero multiplier stay
+        mult = A[:, t] // pv
+        mult[t] = 0
+        rows = np.flatnonzero(mult)
+        if rows.size:
+            A[rows, t:] = (A[rows, t:] - np.outer(mult[rows], A[t, t:])) % mod
+            if with_p:
+                P[rows] = (P[rows] - np.outer(mult[rows], P[t])) % mod
+        # clear row t: column t of A is now p^bv e_t, so in A only row t
+        # changes, to p^bv e_t (p^bv divides the whole row); Q takes the
+        # full column update
+        multc = A[t] // pv
+        multc[t] = 0
+        cols = np.flatnonzero(multc)
+        if cols.size:
+            A[t, cols] = 0
+            Q[:, cols] = (Q[:, cols] - np.outer(Q[:, t], multc[cols])) % mod
         pivots.append((t, bv))
-        t += 1
     diag = tuple(int(A[i, i]) for i, _ in pivots)
-    return LocalDiag(ring,
-                     tuple(tuple(int(x) for x in r) for r in P),
-                     tuple(tuple(int(x) for x in r) for r in Q),
-                     diag, tuple(pivots), (m, n))
+    return P, Q, tuple(pivots), diag
 
 
 def _local_diag_field(ring: Ring, a: Matrix) -> LocalDiag:
@@ -291,7 +301,9 @@ def _local_diag_field(ring: Ring, a: Matrix) -> LocalDiag:
 
 def local_diag(ring: Ring, a: Matrix) -> LocalDiag:
     if isinstance(ring, ZMod) and ring.is_local:
-        return _local_diag_zmod(ring, a)
+        P, Q, pivots, diag = _eliminate_zmod(ring, a, with_p=True)
+        return LocalDiag(ring, tuple(map(tuple, P.tolist())), tuple(map(tuple, Q.tolist())),
+                         diag, pivots, (len(P), len(Q)))
     if isinstance(ring, FieldTable):
         return _local_diag_field(ring, a)
     raise ValueError(f"{ring.descriptor} is not a supported local ring")
@@ -321,23 +333,23 @@ def local_solve(ring: Ring, a: Matrix, b: Sequence):
 
 
 def local_nullspace(ring: Ring, a: Matrix) -> list:
-    """Generators of {x : A x = 0} over a local ring."""
-    d = local_diag(ring, a)
-    n = d.shape[1]
-    qt = tuple(zip(*d.q_mat))  # columns of Q
-    gens = []
-    pivot_cols = {}
-    for (i, v) in d.pivots:
-        pivot_cols[i] = v
-    for j in range(n):
-        if j not in pivot_cols:
-            gens.append(tuple(qt[j]))
-        else:
-            v = pivot_cols[j]
-            if v > 0:
-                scale = ring.from_int(ring.residue_char ** (ring.nil_degree - v))
-                gens.append(tuple(ring.mul(scale, x) for x in qt[j]))
-    return gens
+    """Generators of {x : A x = 0} over a local ring, for any sequence of rows.
+
+    With P A Q = D, they are the columns of Q past the pivots and, for a
+    pivot of valuation v > 0, p^(k-v) times its column.
+    """
+    if not (isinstance(ring, ZMod) and ring.is_local):
+        d = local_diag(ring, a)   # a field: every pivot is a unit
+        qt = tuple(zip(*d.q_mat))
+        return [tuple(qt[j]) for j in range(len(d.pivots), d.shape[1])]
+    p, k = ring.residue_char, ring.nil_degree
+    _, q, pivots, _ = _eliminate_zmod(ring, a, with_p=False)
+    scale = np.ones(q.shape[1], dtype=q.dtype)
+    for i, v in pivots:
+        scale[i] = p ** (k - v)   # p^k = 0: a unit pivot gives no generator
+    keep = np.flatnonzero(scale % ring.n)
+    gens = (q[:, keep] * scale[keep]) % ring.n
+    return [tuple(g) for g in gens.T.tolist()]
 
 
 def local_invert(ring: Ring, a: Matrix):
@@ -356,15 +368,10 @@ def local_invert(ring: Ring, a: Matrix):
 # composite rings via CRT
 
 
-def _per_factor(ring: Ring):
-    split = crt_split(ring)
-    return split
-
-
 def ring_solve(ring: Ring, a: Matrix, b: Sequence):
     if isinstance(ring, ZRing):
         raise ValueError("solving over Z is not supported; use a finite ring")
-    split = _per_factor(ring)
+    split = crt_split(ring)
     if len(split.factors) == 1 and split.factors[0].ring == ring:
         return local_solve(ring, a, b)
     parts = []
@@ -376,20 +383,13 @@ def ring_solve(ring: Ring, a: Matrix, b: Sequence):
             return None
         parts.append(sol)
     n = len(a[0])
-    return tuple(_recombine(ring, split, [p[i] for p in parts]) for i in range(n))
-
-
-def _recombine(ring: Ring, split, values):
-    out = ring.zero
-    for f, v in zip(split.factors, values):
-        out = ring.add(out, f.embed(v))
-    return out
+    return tuple(split.from_factors([p[i] for p in parts]) for i in range(n))
 
 
 def ring_nullspace(ring: Ring, a: Matrix) -> list:
     if isinstance(ring, ZRing):
         raise ValueError("kernels over Z are not supported; use a finite ring")
-    split = _per_factor(ring)
+    split = crt_split(ring)
     if len(split.factors) == 1 and split.factors[0].ring == ring:
         return local_nullspace(ring, a)
     gens = []
@@ -403,7 +403,7 @@ def ring_nullspace(ring: Ring, a: Matrix) -> list:
 def ring_invert(ring: Ring, a: Matrix):
     if isinstance(ring, ZRing):
         return invert_z(a)
-    split = _per_factor(ring)
+    split = crt_split(ring)
     if len(split.factors) == 1 and split.factors[0].ring == ring:
         return local_invert(ring, a)
     parts = []
@@ -414,7 +414,7 @@ def ring_invert(ring: Ring, a: Matrix):
             return None
         parts.append(inv)
     n = len(a)
-    return tuple(tuple(_recombine(ring, split, [p[i][j] for p in parts])
+    return tuple(tuple(split.from_factors([p[i][j] for p in parts])
                        for j in range(n)) for i in range(n))
 
 

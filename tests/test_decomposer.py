@@ -75,6 +75,15 @@ def test_round_trip_recovers_planted_components(system, ring_name):
         assert cert.report["generators_replayed"] > 0
 
 
+@pytest.mark.parametrize("system,ring_name", [("B3", "Z/3"), ("C3", "Z/3")])
+def test_rank3_round_trip_recovers_planted_components(system, ring_name):
+    for seed in range(3):
+        spec, planted = forge_random_parts(system, ring_name, seed)
+        cert = certify(spec)
+        assert cert.lambda_mat == planted["lambda"], (system, ring_name, seed)
+        assert cert.rho == planted["rho"], (system, ring_name, seed)
+
+
 @pytest.mark.parametrize("system,ring_name", [
     ("A2", "Z/4"), ("A2", "Z/2"), ("B2", "Z/2"), ("A2", "Z/9"),
 ])

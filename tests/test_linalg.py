@@ -2,7 +2,9 @@
 
 The oracle for solving, kernels and invertibility is exhaustive enumeration
 of R^n over tiny rings, so every answer the elimination gives is checked
-against the full solution set.
+against the full solution set.  The array elimination over Z/p^k is also
+pinned to a scalar copy of its pivot rule, and its kernel ranks over GF(p) to
+sympy's.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ import itertools
 import random
 
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
+from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
     det_bareiss,
     identity,
@@ -245,3 +250,151 @@ def test_ring_nullspace_split():
 def test_solve_rejects_z():
     with pytest.raises(ValueError):
         ring_solve(ring_make("Z"), matrix([[1]]), (1,))
+
+
+# --- the Z/p^k elimination against a scalar oracle ---------------------------
+
+def oracle_local_diag(p, k, a):
+    """Scalar Z/p^k diagonalization: a row-major scan for the first entry of
+    least p-valuation, then full row and column updates of A, P and Q."""
+    mod = p ** k
+    m, n = len(a), len(a[0]) if a else 0
+    A = [[x % mod for x in row] for row in a]
+    P = [[int(i == j) for j in range(m)] for i in range(m)]
+    Q = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def val(x):
+        if x == 0:
+            return k
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    pivots = []
+    for t in range(min(m, n)):
+        best, bv = None, k
+        for i in range(t, m):
+            for j in range(t, n):
+                if val(A[i][j]) < bv:
+                    best, bv = (i, j), val(A[i][j])
+        if best is None:
+            break
+        bi, bj = best
+        A[t], A[bi] = A[bi], A[t]
+        P[t], P[bi] = P[bi], P[t]
+        for rows in (A, Q):
+            for row in rows:
+                row[t], row[bj] = row[bj], row[t]
+        pv = p ** bv
+        u_inv = pow(A[t][t] // pv, -1, mod)
+        A[t] = [x * u_inv % mod for x in A[t]]
+        P[t] = [x * u_inv % mod for x in P[t]]
+        mult = [A[i][t] // pv if i != t else 0 for i in range(m)]
+        A = [[(x - c * y) % mod for x, y in zip(A[i], A[t])] for i, c in enumerate(mult)]
+        P = [[(x - c * y) % mod for x, y in zip(P[i], P[t])] for i, c in enumerate(mult)]
+        multc = [A[t][j] // pv if j != t else 0 for j in range(n)]
+        A = [[(x - row[t] * c) % mod for x, c in zip(row, multc)] for row in A]
+        Q = [[(x - row[t] * c) % mod for x, c in zip(row, multc)] for row in Q]
+        pivots.append((t, bv))
+    return matrix(P), matrix(Q), tuple(pivots), tuple(A[i][i] for i, _ in pivots)
+
+
+def oracle_nullspace(p, k, a):
+    _, q, pivots, _ = oracle_local_diag(p, k, a)
+    n = len(a[0]) if a else 0
+    val = dict(pivots)
+    gens = []
+    for j in range(n):
+        if j not in val or val[j] > 0:
+            scale = p ** (k - val[j]) if j in val else 1
+            gens.append(tuple(row[j] * scale % p ** k for row in q))
+    return gens
+
+
+def rand_valued_matrix(rng, p, k, m, n):
+    """Entries of every valuation, with zero rows and zero columns mixed in."""
+    def entry():
+        v = rng.choice([0, 0, 1, k])
+        return (p ** v * rng.randrange(1, p ** k)) % p ** k
+    zero_rows = {i for i in range(m) if rng.random() < 0.2}
+    zero_cols = {j for j in range(n) if rng.random() < 0.2}
+    return tuple(tuple(0 if i in zero_rows or j in zero_cols else entry()
+                       for j in range(n)) for i in range(m))
+
+
+ORACLE_RINGS = ["Z/3", "Z/4", "Z/8", "Z/9", "Z/25", "Z/27"]
+ORACLE_SHAPES = [(1, 4), (4, 1), (3, 5), (5, 3), (6, 6), (7, 4), (4, 9), (3, 0)]
+
+
+@pytest.mark.parametrize("name", ORACLE_RINGS)
+def test_local_diag_matches_scalar_oracle(name):
+    ring = ring_make(name)
+    p, k = ring.residue_char, ring.nil_degree
+    rng = random.Random(name)
+    for m, n in ORACLE_SHAPES:
+        for _ in range(6):
+            a = rand_valued_matrix(rng, p, k, m, n)
+            want_p, want_q, want_pivots, want_diag = oracle_local_diag(p, k, a)
+            d = local_diag(ring, a)
+            assert (d.p_mat, d.q_mat, d.pivots, d.diag) == (
+                want_p, want_q, want_pivots, want_diag), (name, a)
+            assert local_nullspace(ring, a) == oracle_nullspace(p, k, a), (name, a)
+
+
+@pytest.mark.parametrize("name", ["Z/2", "Z/3", "Z/5", "Z/7"])
+def test_kernel_rank_matches_sympy_over_gf_p(name):
+    ring = ring_make(name)
+    p = ring.n
+    rng = random.Random(name)
+    for m, n in [(3, 5), (5, 3), (6, 6), (8, 7), (4, 9)]:
+        for _ in range(6):
+            a = rand_valued_matrix(rng, p, 1, m, n)
+            rank = DomainMatrix.from_list([list(row) for row in a], GF(p)).rank()
+            assert len(local_nullspace(ring, a)) == n - rank
+
+
+# --- the int64 guard -----------------------------------------------------------
+
+def scalar_product(mod, a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % mod for col in zip(*b))
+                 for row in a)
+
+
+@pytest.mark.parametrize("mod", [1_000_000_007, 4_294_967_311])
+def test_mat_mul_is_exact_near_and_past_int64(mod):
+    ring = ring_make(f"Z/{mod}")
+    rng = random.Random(mod)
+    for _ in range(4):
+        a = rand_matrix(ring, rng, 6, 6)
+        b = rand_matrix(ring, rng, 6, 6)
+        assert mat_mul(ring, a, b) == scalar_product(mod, a, b)
+    top = ((mod - 1,) * 6,) * 6
+    assert mat_mul(ring, top, top) == scalar_product(mod, top, top)
+
+
+def test_elimination_and_intertwiners_exact_past_int64():
+    mod = 4_294_967_311
+    ring = ring_make(f"Z/{mod}")
+    rng = random.Random(7)
+    for m, n in [(3, 5), (6, 6)]:
+        a = rand_matrix(ring, rng, m, n - 2)
+        a = tuple(row + (sum(row) % mod, (2 * row[0]) % mod) for row in a)
+        gens = local_nullspace(ring, a)
+        assert len(gens) >= 2
+        for g in gens:
+            assert mat_vec(ring, a, g) == (0,) * m
+        d = local_diag(ring, a)
+        expect = [[0] * n for _ in range(m)]
+        for (i, _), dv in zip(d.pivots, d.diag):
+            expect[i][i] = dv
+        assert scalar_product(mod, scalar_product(mod, d.p_mat, a), d.q_mat) == matrix(expect)
+    x = ((1, mod - 1, 5), (0, 1, mod - 2), (0, 0, 1))
+    z = scalar_product(mod, x, x)
+    basis = _intertwiner_basis(ring, [(x, x), (z, z)])
+    assert len(basis) >= 3     # the centralizer of x holds 1, x and x^2
+    for vec in basis:
+        mb = tuple(vec[i * 3:(i + 1) * 3] for i in range(3))
+        for y in (x, z):
+            assert scalar_product(mod, mb, y) == scalar_product(mod, y, mb)
