@@ -26,7 +26,6 @@ from chevalley.decomposer import (
 )
 from chevalley.group import (
     chain_coefficients,
-    chain_pairs,
     commutator_identity_holds,
     from_word,
     group_for,
@@ -34,7 +33,7 @@ from chevalley.group import (
     unipotent,
     weyl,
 )
-from chevalley.linalg import identity, mat_mul
+from chevalley.linalg import mat_mul
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name

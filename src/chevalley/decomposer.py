@@ -70,6 +70,7 @@ from chevalley.linalg import (
 )
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import (
+    ProductRing,
     Ring,
     ZMod,
     crt_split,
@@ -166,6 +167,12 @@ class AutomorphismSpec:
 
 
 def spec_from_json(data: dict) -> AutomorphismSpec:
+    """Parse a spec document strictly: every refusal is a precheck error.
+
+    Roots and elements are JSON integers, never bools or floats (an element
+    of a product ring is a list of one per factor); elements lie in the
+    ring, each matrix is dim x dim, and no (root, param) pair appears twice.
+    """
     try:
         system = data["system"]
         ring_name = data["ring"]
@@ -173,28 +180,49 @@ def spec_from_json(data: dict) -> AutomorphismSpec:
         if not getattr(ring, "size", None):
             raise CertifyError("precheck", "decomposition needs a finite ring, "
                                f"got {ring_name}")
-        sysm, _ = group_for(system)
+        _, alg = group_for(system)
         valid = set(ring.elements())
-        images = []
+
+        def element(raw, what, witness):
+            if not _is_int_json(ring, raw):
+                raise CertifyError("precheck", f"{what} is not an integer element",
+                                   dict(witness, value=raw))
+            v = ring.element_from_json(raw)
+            if v not in valid:
+                raise CertifyError("precheck", f"{what} outside the ring")
+            return v
+
+        images = {}
         for entry in data["images"]:
             root = tuple(entry["root"])
-            if not sysm.is_root(root):
+            if not (all(type(c) is int for c in root) and alg.system.is_root(root)):
                 raise CertifyError("precheck", f"{root} is not a root of {system}")
-            t = ring.element_from_json(entry["param"])
-            rows = []
-            for raw in entry["matrix"]:
-                row = tuple(ring.element_from_json(v) for v in raw)
-                if any(v not in valid for v in row):
-                    raise CertifyError("precheck", "matrix entry outside the ring")
-                rows.append(row)
-            if t not in valid:
-                raise CertifyError("precheck", "parameter outside the ring")
-            images.append(((root, t), matrix(rows)))
-        return AutomorphismSpec(system, ring_name, tuple(images))
+            t = element(entry["param"], "parameter", {"root": list(root)})
+            key = _key_json(ring, (root, t))
+            if (root, t) in images:
+                raise CertifyError("precheck", "duplicate image for a (root, param) pair",
+                                   {"key": key})
+            raw = entry["matrix"]
+            lengths = [len(row) if isinstance(row, list) else None
+                       for row in raw] if isinstance(raw, list) else None
+            if lengths != [alg.dim] * alg.dim:
+                raise CertifyError("precheck", f"image matrix is not {alg.dim}x{alg.dim}",
+                                   {"key": key, "row_lengths": lengths})
+            images[(root, t)] = matrix(
+                tuple(element(v, "matrix entry", {"key": key}) for v in row) for row in raw)
+        return AutomorphismSpec(system, ring_name, tuple(images.items()))
     except CertifyError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CertifyError("precheck", f"malformed spec: {exc}") from exc
+
+
+def _is_int_json(ring: Ring, raw) -> bool:
+    """raw is a JSON integer, or over a product ring a list of one per factor."""
+    if isinstance(ring, ProductRing):
+        return (isinstance(raw, list) and len(raw) == len(ring.factors)
+                and all(_is_int_json(f, x) for f, x in zip(ring.factors, raw)))
+    return type(raw) is int
 
 
 def spec_from_elements(system: str, ring: Ring,
@@ -293,7 +321,7 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
             continue
         lhs = commutator(table[(r, one)], table[(s, one)])
         rhs = ident
-        coeffs = _chain_table(alg, r, s)
+        coeffs = chain_coefficients(alg, r, s)
         for (i, j) in chain_pairs(sysm, r, s):
             gamma = tuple(i * a + j * b for a, b in zip(r, s))
             rhs = rhs.mul(table[(gamma, ring.from_int(coeffs[(i, j)]))])
@@ -315,16 +343,6 @@ def _matrix_order(ring: Ring, m: Matrix, cap: int) -> int:
 def _key_json(ring: Ring, key) -> dict:
     root, t = key
     return {"root": list(root), "param": ring.element_to_json(t)}
-
-
-_CHAIN_CACHE: Dict[Tuple[str, Root, Root], dict] = {}
-
-
-def _chain_table(alg: AdjointAlgebra, r: Root, s: Root) -> dict:
-    key = (alg.system.name, r, s)
-    if key not in _CHAIN_CACHE:
-        _CHAIN_CACHE[key] = chain_coefficients(alg, r, s)
-    return _CHAIN_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -728,23 +746,6 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag):
     raise deepest
 
 
-def match_graph_and_conjugator(alg: AdjointAlgebra, ring: Ring, table):
-    """The (delta, sign data, conjugator) of one local factor's images."""
-    delta, gd, conj, _rho = _match_local(alg, ring, table, 0)
-    eps = dict(gd.eps) if gd is not None else {root: 1 for root in alg.system.roots}
-    return delta, eps, conj
-
-
-def extract_ring_map(alg: AdjointAlgebra, ring: Ring, table,
-                     delta: DiagramSymmetry, conj: GroupElement):
-    """The residual parameter map once delta and the conjugator are fixed."""
-    gd = None if delta.is_identity else graph_data(alg, delta)
-    rho, err = _residual_rho(alg, ring, conj, _twist_table(alg, ring, table, gd))
-    if rho is None:
-        raise CertifyError("ringmap", err.pop("reason"), err)
-    return rho
-
-
 # ---------------------------------------------------------------------------
 # the certificate
 
@@ -823,6 +824,13 @@ def _token_json(ring: Ring, token) -> list:
     return [kind, list(root), ring.element_to_json(t)]
 
 
+def _combine(split, parts: List[Matrix]) -> Matrix:
+    """Entrywise CRT recombination of one local matrix per factor."""
+    n = len(parts[0])
+    return tuple(tuple(split.from_factors([p[i][j] for p in parts]) for j in range(n))
+                 for i in range(n))
+
+
 def certify(spec: AutomorphismSpec) -> Certificate:
     """Decompose the spec or raise a stage-tagged CertifyError."""
     sysm, alg = group_for(spec.system)
@@ -841,48 +849,26 @@ def certify(spec: AutomorphismSpec) -> Certificate:
 
     # reassemble over the whole ring through the idempotents; factor data is
     # indexed by source, placed at its target slot
-    by_target = {res.target: res for res in results}
+    by_target = sorted(results, key=lambda res: res.target)
     n = alg.dim
-
-    def combine(per_factor):
-        """per_factor: target index -> local matrix; entrywise recombination."""
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ring.zero
-                for k, lf in enumerate(factors):
-                    acc = ring.add(acc, lf.embed(per_factor[k][i][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return matrix(rows)
-
-    lam_parts, lam_inv_parts, conj_parts, conj_inv_parts = {}, {}, {}, {}
-    for k, lf in enumerate(factors):
-        res = by_target[k]
+    lam_parts, lam_inv_parts = [], []
+    for lf, res in zip(factors, by_target):
         if res.graph is not None:
             lam_k, lam_inv_k = res.graph.matrices(lf.ring)
         else:
             lam_k = lam_inv_k = identity(lf.ring, n)
-        lam_parts[k] = lam_k
-        lam_inv_parts[k] = lam_inv_k
-        conj_parts[k] = res.conjugator.mat
-        conj_inv_parts[k] = res.conjugator.inv_mat
+        lam_parts.append(lam_k)
+        lam_inv_parts.append(lam_inv_k)
+    lam = _combine(split, lam_parts)
+    lam_inv = _combine(split, lam_inv_parts)
+    conj = _combine(split, [res.conjugator.mat for res in by_target])
+    conj_inv = _combine(split, [res.conjugator.inv_mat for res in by_target])
 
-    lam = combine(lam_parts)
-    lam_inv = combine(lam_inv_parts)
-    conj = combine(conj_parts)
-    conj_inv = combine(conj_inv_parts)
-
+    rho_locals = [dict(res.rho) for res in by_target]
     rho_global = []
     for t in ring.elements():
-        parts = {}
-        for res in results:
-            local = dict(res.rho)[factors[res.index].project(t)]
-            parts[res.target] = local
-        value = ring.zero
-        for k, lf in enumerate(factors):
-            value = ring.add(value, lf.embed(parts[k]))
+        value = split.from_factors(
+            [rho[factors[res.index].project(t)] for res, rho in zip(by_target, rho_locals)])
         rho_global.append((t, value))
     rho_global.sort(key=lambda kv: _sort_key(kv[0]))
     rho_dict = dict(rho_global)
@@ -942,20 +928,8 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
             lam_parts.append(a)
             lam_inv_parts.append(b)
 
-    def combine(parts):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ring.zero
-                for lf, part in zip(factors, parts):
-                    acc = ring.add(acc, lf.embed(part[i][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return matrix(rows)
-
-    lam = combine(lam_parts)
-    lam_inv = combine(lam_inv_parts)
+    lam = _combine(split, lam_parts)
+    lam_inv = _combine(split, lam_inv_parts)
 
     rho = rng.choice(ring_automorphisms(ring))
     units = [u for u in ring.units()]

@@ -13,16 +13,23 @@ The chi token exists because the adjoint torus is bigger than the span of the
 h_root elements; conjugator words coming out of big-cell factorizations need
 it.  Words are what certificates replay and what pushes through residue maps;
 the matrix is what equality means.
+
+x_root(t) is 1 + sum_k t^k D_k over the divided powers D_k of ad e_root.
+Each D_k is cached per (system, ring, root) as its nonzero (i, j, value)
+entries only, so building x_root(t) costs O(nnz) per power.  The chain
+constants of the commutator formula are extracted over Z once per (system,
+r, s) and shared read-only by the precheck and the verify suites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from chevalley.liealg import AdjointAlgebra, algebra_for, build_algebra
+from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import Matrix, identity, mat_map, mat_mul, matrix, ring_invert
-from chevalley.rings import Ideal, Ring, RingMorphism, ZRing, ring_make
+from chevalley.rings import Ideal, Ring, RingMorphism, ring_make
 from chevalley.roots import Root
 
 Token = Tuple
@@ -62,12 +69,7 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        ring = self.ring
-        for i, row in enumerate(self.mat):
-            for j, v in enumerate(row):
-                if v != (ring.one if i == j else ring.zero):
-                    return False
-        return True
+        return self.mat == identity(self.ring, len(self.mat))
 
 
 def _invert_token(ring: Ring, token: Token) -> Token:
@@ -90,10 +92,16 @@ _DP_CACHE: dict = {}
 
 
 def _divided_powers_over(alg: AdjointAlgebra, ring: Ring, root: Root):
+    """Per divided power of ad e_root, its nonzero entries as (i, j, value)
+    with the value in ring form."""
     key = (alg.system.name, ring.descriptor, root)
     cached = _DP_CACHE.get(key)
     if cached is None:
-        cached = tuple(mat_map(ring.from_int, dp) for dp in alg.divided_powers(root))
+        zero = ring.zero
+        cached = tuple(
+            tuple((i, j, v) for i, row in enumerate(mat_map(ring.from_int, dp))
+                  for j, v in enumerate(row) if v != zero)
+            for dp in alg.divided_powers(root))
         _DP_CACHE[key] = cached
     return cached
 
@@ -105,20 +113,16 @@ def unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
 
 
 def _unipotent_matrix(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> Matrix:
-    n = alg.dim
-    rows = [list(row) for row in identity(ring, n)]
+    """sum_k t^k D_k over the sparse divided powers D_k (D_0 = 1)."""
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    rows = [list(row) for row in identity(ring, alg.dim)]
     power = ring.one
-    for dp in _divided_powers_over(alg, ring, root):
-        power = ring.mul(power, t)
-        if power == ring.zero:
+    for entries in _divided_powers_over(alg, ring, root):
+        power = mul(power, t)
+        if power == zero:
             break
-        for i in range(n):
-            drow = dp[i]
-            rrow = rows[i]
-            for j in range(n):
-                v = drow[j]
-                if v != ring.zero:
-                    rrow[j] = ring.add(rrow[j], ring.mul(power, v))
+        for i, j, v in entries:
+            rows[i][j] = add(rows[i][j], mul(power, v))
     return matrix(rows)
 
 
@@ -249,12 +253,18 @@ class ChainExtractionError(RuntimeError):
     pass
 
 
-def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> dict:
+_CHAIN_CACHE: Dict[Tuple[str, Root, Root], Mapping[Tuple[int, int], int]] = {}
+
+
+def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[int, int], int]:
     """Integer constants C_ij with [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j),
-    factors ordered by (i+j, i).  Extracted over Z at t = u = 1 by peeling."""
+    factors ordered by (i+j, i).  Extracted over Z at t = u = 1 by peeling,
+    once per (system, r, s); the mapping is read-only."""
+    key = (alg.system.name, r, s)
+    if key in _CHAIN_CACHE:
+        return _CHAIN_CACHE[key]
     ring = ring_make("Z")
-    sysm = alg.system
-    pairs = chain_pairs(sysm, r, s)
+    pairs = chain_pairs(alg.system, r, s)
     resid = commutator(unipotent(alg, ring, r, 1), unipotent(alg, ring, s, 1))
     out = {}
     for i, j in pairs:
@@ -265,11 +275,12 @@ def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> dict:
         resid = unipotent(alg, ring, gamma, -c).mul(resid)
     if not resid.is_identity:
         raise ChainExtractionError(f"peel did not close for {r}, {s}")
-    return out
+    _CHAIN_CACHE[key] = MappingProxyType(out)
+    return _CHAIN_CACHE[key]
 
 
 def commutator_identity_holds(alg: AdjointAlgebra, ring: Ring, r: Root, s: Root,
-                              t, u, coeffs: dict | None = None) -> bool:
+                              t, u, coeffs: Mapping | None = None) -> bool:
     """Check [x_r(t), x_s(u)] against the chain product at given parameters."""
     if coeffs is None:
         coeffs = chain_coefficients(alg, r, s)

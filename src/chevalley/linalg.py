@@ -11,15 +11,21 @@ of least p-valuation with a vectorised scan, and updates only the rows and
 columns a pivot changes; results turn into tuples once, on return.  The
 pivot of least valuation keeps every step exact.  int64 is used only where
 no intermediate sum can reach 2**63 (see ``residue_dtype``); larger moduli run
-the same code on numpy object arrays of Python ints, and ``mat_mul`` falls
-back to its scalar loop.  Field tables get a plain Gaussian pass in Python;
-they only appear at sizes where that is cheap.
+the same code on numpy object arrays of Python ints.  ``mat_mul`` from 6 rows
+up takes int64 over Z/n and over Z, where the same guard is fed the largest
+|entry| of both factors, read off the Python ints before any cast; past the
+guard, and for field tables and product rings, it runs its scalar loop with
+the ring operations bound once per call.  ``identity`` is built once per
+(ring, n).  Field tables get a plain Gaussian pass in Python; they only
+appear at sizes where that is cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +43,9 @@ def matrix(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
+@lru_cache(maxsize=None)
 def identity(ring: Ring, n: int) -> Matrix:
+    """The n x n identity, built once per (ring, n); matrices are immutable."""
     z, o = ring.zero, ring.one
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
@@ -59,40 +67,58 @@ def mat_scale(ring: Ring, c, a: Matrix) -> Matrix:
     return tuple(tuple(ring.mul(c, x) for x in row) for row in a)
 
 
-def residue_dtype(mod: int, inner: int):
-    """int64 when a sum of ``inner`` products of residues mod ``mod`` stays
-    below 2**63, else object (exact Python ints)."""
-    return np.int64 if inner * (mod - 1) ** 2 < 2 ** 63 else object
+def residue_dtype(bound: int, inner: int):
+    """int64 when a sum of ``inner`` products of integers of absolute value
+    below ``bound`` stays below 2**63, else object (exact Python ints).
+
+    ``bound`` is the modulus over Z/n and max|entry| + 1 over Z.
+    """
+    return np.int64 if inner * (bound - 1) ** 2 < 2 ** 63 else object
+
+
+def _int64_bound(ring: Ring, a: Matrix, b: Matrix):
+    """The ``residue_dtype`` bound of a @ b when it may run on int64, else None.
+
+    Over Z the maximum is taken on the Python ints, before any cast.
+    """
+    if isinstance(ring, ZMod):
+        return ring.n
+    if isinstance(ring, ZRing):
+        return max(map(abs, chain.from_iterable(chain(a, b))), default=0) + 1
+    return None
 
 
 def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
-    if isinstance(ring, ZMod) and len(a) >= 6 and residue_dtype(ring.n, len(b)) is np.int64:
-        an = np.array(a, dtype=np.int64)
-        bn = np.array(b, dtype=np.int64)
-        cn = (an @ bn) % ring.n
-        return tuple(map(tuple, cn.tolist()))
-    n = len(b)
+    if len(a) >= 6 and b:
+        bound = _int64_bound(ring, a, b)
+        if bound is not None and residue_dtype(bound, len(b)) is np.int64:
+            cn = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
+            if isinstance(ring, ZMod):
+                cn %= ring.n
+            return tuple(map(tuple, cn.tolist()))
+    zero, add, mul = ring.zero, ring.add, ring.mul
     bt = tuple(zip(*b))
     out = []
     for row in a:
         out_row = []
         for col in bt:
-            acc = ring.zero
+            acc = zero
             for x, y in zip(row, col):
-                if x != ring.zero and y != ring.zero:
-                    acc = ring.add(acc, ring.mul(x, y))
+                if x != zero and y != zero:
+                    acc = add(acc, mul(x, y))
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
 
 
 def mat_vec(ring: Ring, a: Matrix, v: Sequence) -> tuple:
+    zero, add, mul = ring.zero, ring.add, ring.mul
     out = []
     for row in a:
-        acc = ring.zero
+        acc = zero
         for x, y in zip(row, v):
-            if x != ring.zero and y != ring.zero:
-                acc = ring.add(acc, ring.mul(x, y))
+            if x != zero and y != zero:
+                acc = add(acc, mul(x, y))
         out.append(acc)
     return tuple(out)
 

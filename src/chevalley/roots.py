@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Tuple
 
 Root = Tuple[int, ...]
 
@@ -204,16 +204,6 @@ class RootSystem:
             cur = tuple(b + a for b, a in zip(cur, alpha))
         assert p - q == self.pairing(beta, alpha)
         return p, q
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rank": self.rank,
-            "cartan": [list(row) for row in self.cartan],
-            "roots": [list(r) for r in self.roots],
-            "positive_count": len(self.positives),
-            "symmetries": [list(s.perm) for s in diagram_symmetries(self)],
-        }
 
 
 def _enumerate_positives(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:

@@ -95,6 +95,27 @@ def test_decompose_refusal_exit_1_with_stage_tag(tmp_path):
                                           "ringmap", "replay"}
 
 
+@pytest.mark.parametrize("defect", ["duplicate", "ragged", "bool-param"])
+def test_decompose_bad_intake_exits_1_at_precheck(tmp_path, defect):
+    spec_file = tmp_path / "spec.json"
+    main(["forge-random", "--system", "A2", "--ring", "Z/5",
+          "--seed", "1", "--out", str(spec_file)])
+    data = json.loads(spec_file.read_text())
+    first = data["images"][0]
+    if defect == "duplicate":
+        data["images"].insert(0, dict(first, matrix=data["images"][1]["matrix"]))
+    elif defect == "ragged":
+        first["matrix"][4] = first["matrix"][4][:5]
+    else:
+        first["param"] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    cert_file = tmp_path / "cert.json"
+    assert main(["decompose", "--spec", str(bad), "--out", str(cert_file)]) == 1
+    error = json.loads(cert_file.read_text())["error"]
+    assert error["stage"] == "precheck" and error["witness"]
+
+
 def test_decompose_unreadable_spec_exits_2(tmp_path, capsys):
     code = main(["decompose", "--spec", str(tmp_path / "missing.json")])
     assert code == 2

@@ -84,6 +84,13 @@ def test_rank3_round_trip_recovers_planted_components(system, ring_name):
         assert cert.rho == planted["rho"], (system, ring_name, seed)
 
 
+def test_d4_round_trip_recovers_planted_components():
+    spec, planted = forge_random_parts("D4", "Z/2", 0)
+    cert = certify(spec)
+    assert cert.lambda_mat == planted["lambda"]
+    assert cert.rho == planted["rho"]
+
+
 @pytest.mark.parametrize("system,ring_name", [
     ("A2", "Z/4"), ("A2", "Z/2"), ("B2", "Z/2"), ("A2", "Z/9"),
 ])
@@ -335,6 +342,72 @@ def test_malformed_spec_is_a_precheck_refusal():
     assert err.value.stage == "precheck"
     with pytest.raises(CertifyError):
         spec_from_json({"system": "A2", "ring": "Z", "images": []})
+
+
+def spec_doc(system="A2", ring_name="Z/5", seed=1):
+    return json.loads(json.dumps(forge_random(system, ring_name, seed).to_json()))
+
+
+def intake_refusal(data):
+    with pytest.raises(CertifyError) as err:
+        spec_from_json(data)
+    assert err.value.stage == "precheck"
+    return err.value
+
+
+def test_duplicate_image_is_refused_even_when_the_wrong_one_comes_first():
+    data = spec_doc()
+    entry = data["images"][0]
+    wrong = dict(entry, matrix=[list(row) for row in identity(ring_make("Z/5"), 8)])
+    data["images"].insert(0, wrong)
+    err = intake_refusal(data)
+    assert "duplicate" in err.detail
+    assert err.witness["key"] == {"root": entry["root"], "param": entry["param"]}
+
+
+@pytest.mark.parametrize("mutate", ["short_row", "long_row", "missing_row", "not_a_list"])
+def test_non_square_matrix_is_refused(mutate):
+    data = spec_doc()
+    m = data["images"][2]["matrix"]
+    if mutate == "short_row":
+        m[3].pop()
+    elif mutate == "long_row":
+        m[5].append(0)
+    elif mutate == "missing_row":
+        m.pop()
+    else:
+        m[0] = 7
+    err = intake_refusal(data)
+    assert "8x8" in err.detail
+    assert err.witness["key"]["root"] == data["images"][2]["root"]
+    assert err.witness["row_lengths"] != [8] * 8
+
+
+@pytest.mark.parametrize("where,value", [
+    ("param", True), ("param", 1.0), ("entry", True), ("entry", 1.0), ("entry", "1"),
+    ("root", 1.0),
+])
+def test_bool_and_float_elements_are_refused(where, value):
+    data = spec_doc()
+    entry = data["images"][0]
+    if where == "param":
+        entry["param"] = value
+    elif where == "entry":
+        entry["matrix"][1][1] = value
+    else:
+        entry["root"] = [value * c for c in entry["root"]]
+    err = intake_refusal(data)
+    if where != "root":
+        assert "not an integer" in err.detail and err.witness["value"] == value
+
+
+def test_product_ring_elements_need_one_integer_per_factor():
+    data = spec_doc("A2", "Z/6xF4", 0)
+    assert spec_from_json(data).images
+    for bad in ([1, 0, 0], [1], 1, [1, True]):
+        mutated = json.loads(json.dumps(data))
+        mutated["images"][0]["param"] = bad
+        intake_refusal(mutated)
 
 
 def test_certificate_json_has_stable_shape():

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from chevalley.group import (
+    _unipotent_matrix,
     chain_coefficients,
     chain_pairs,
     commutator,
@@ -272,3 +273,80 @@ def test_element_from_matrix_requires_invertibility():
                            for j in range(alg.dim)) for i in range(alg.dim))
     with pytest.raises(ValueError):
         element_from_matrix(ring, singular)
+
+
+# ---------------------------------------------------------------------------
+# kernels against dense scalar oracles
+
+
+def dense_unipotent(alg, ring, root, t):
+    """1 + sum_k t^k D_k with every entry of every divided power D_k visited."""
+    n = alg.dim
+    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    power = ring.one
+    for dp in alg.divided_powers(root):
+        power = ring.mul(power, t)
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = ring.add(rows[i][j], ring.mul(power, ring.from_int(dp[i][j])))
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_sparse_unipotent_matches_dense_sum(name):
+    sysm, alg = group_for(name)
+    for ring_name in ("Z", "Z/4", "F4", "Z/3xZ/3"):
+        ring = ring_make(ring_name)
+        params = (-2, -1, 0, 1, 3, 2 ** 40) if ring_name == "Z" else tuple(ring.elements())
+        for root in sysm.roots:
+            for t in params:
+                assert _unipotent_matrix(alg, ring, root, t) == \
+                    dense_unipotent(alg, ring, root, t), (ring_name, root, t)
+
+
+def scalar_product(a, b):
+    """Exact product on Python ints, skipping the zero entries of a."""
+    n = len(b[0])
+    out = []
+    for row in a:
+        acc = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def scalar_chain_table(alg, r, s):
+    """The peel of chain_coefficients, on dense unipotents and scalar products."""
+    def x(root, t):
+        return dense_unipotent(alg, ZZ, root, t)
+
+    resid = scalar_product(scalar_product(x(r, 1), x(s, 1)),
+                           scalar_product(x(r, -1), x(s, -1)))
+    out = {}
+    for i, j in chain_pairs(alg.system, r, s):
+        gamma = tuple(i * a + j * b for a, b in zip(r, s))
+        (row, col), unit = alg._slot(gamma)
+        out[(i, j)] = resid[row][col] * unit
+        resid = scalar_product(x(gamma, -out[(i, j)]), resid)
+    assert resid == x(r, 0)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+def test_chain_tables_match_scalar_products(name):
+    sysm, alg = group_for(name)
+    for r, s in itertools.permutations(sysm.roots, 2):
+        if r != sysm.negate(s):
+            assert chain_coefficients(alg, r, s) == scalar_chain_table(alg, r, s), (r, s)
+
+
+def test_chain_table_is_cached_and_read_only():
+    sysm, alg = group_for("B2")
+    r, s = sysm.simple(0), sysm.simple(1)
+    table = chain_coefficients(alg, r, s)
+    assert chain_coefficients(alg, r, s) is table
+    with pytest.raises(TypeError):
+        table[(1, 1)] = 0

@@ -398,3 +398,46 @@ def test_elimination_and_intertwiners_exact_past_int64():
         mb = tuple(vec[i * 3:(i + 1) * 3] for i in range(3))
         for y in (x, z):
             assert scalar_product(mod, mb, y) == scalar_product(mod, y, mb)
+
+
+# --- products over Z ---------------------------------------------------------
+
+def python_product(a, b):
+    """The exact product on Python ints, the oracle for mat_mul over Z."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+@pytest.mark.parametrize("top", [1, 3, 2 ** 20, 2 ** 29, 2 ** 31, 2 ** 62, 2 ** 70])
+def test_mat_mul_over_z_matches_python_product(top):
+    ring = ring_make("Z")
+    rng = random.Random(top)
+    for m, k, n in [(6, 6, 6), (8, 8, 8), (7, 5, 9), (15, 15, 15), (3, 4, 2)]:
+        a = tuple(tuple(rng.randint(-top, top) for _ in range(k)) for _ in range(m))
+        b = tuple(tuple(rng.randint(-top, top) for _ in range(n)) for _ in range(k))
+        got = mat_mul(ring, a, b)
+        assert got == python_product(a, b)
+        assert all(type(x) is int for row in got for x in row)
+
+
+def test_mat_mul_over_z_takes_the_exact_path_past_int64():
+    ring = ring_make("Z")
+    big = 2 ** 32             # 6 * big^2 passes 2^63; an int64 product would wrap
+    a = ((big,) * 6,) * 6
+    assert mat_mul(ring, a, a) == ((6 * big * big,) * 6,) * 6
+    # one entry past 2^63 in either factor, the other factor small
+    huge = 2 ** 64 + 3
+    a = tuple(tuple(huge if (i, j) == (2, 3) else i - j for j in range(6)) for i in range(6))
+    b = tuple(tuple((i * j) % 5 - 2 for j in range(6)) for i in range(6))
+    assert mat_mul(ring, a, b) == python_product(a, b)
+    assert mat_mul(ring, b, a) == python_product(b, a)
+    # max|a| * max|b| * inner stays below 2^63 only just
+    edge = 1_239_850_262       # 6 * edge^2 < 2^63 <= 6 * (edge + 1)^2
+    a = ((edge, -edge) * 3,) * 6
+    assert mat_mul(ring, a, a) == python_product(a, a)
+
+
+@pytest.mark.parametrize("name", ["Z", "Z/4", "F4"])
+def test_mat_mul_with_empty_inner_dimension(name):
+    ring = ring_make(name)
+    assert mat_mul(ring, ((),) * 6, ()) == ((),) * 6
