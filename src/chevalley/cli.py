@@ -3,8 +3,8 @@ random spec generation, and decomposition.
 
 Artifacts are JSON with sorted keys, so identical flags and seeds produce
 byte-identical output.  Wall-clock timings go to stderr, never into the
-artifact.  The CHEV_THREADS environment variable bounds the worker pool for
-verification suites; results are assembled in case order either way.
+artifact.  Verification suites run their cases one after another, in case
+order.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from chevalley.decomposer import (
     CertifyError,
@@ -359,12 +357,7 @@ def cmd_verify(args) -> int:
                 "status": "pass" if not failures else "fail",
                 "checks": checks, "failures": failures}, time.monotonic() - t0
 
-    workers = int(os.environ.get("CHEV_THREADS", "1") or "1")
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cases))
-    else:
-        results = [run(c) for c in cases]
+    results = [run(c) for c in cases]
 
     unsupported = [r for r, _ in results if r["status"] == "unsupported"]
     if unsupported and args.system and args.ring:

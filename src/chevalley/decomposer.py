@@ -37,7 +37,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,24 +46,22 @@ from chevalley.group import (
     GroupElement,
     chain_coefficients,
     chain_pairs,
-    commutator,
     from_word,
     group_for,
-    identity_element,
     torus_chi,
     unipotent,
 )
 from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import (
     Matrix,
+    field_matmul,
+    field_tables,
     identity,
     is_identity,
     local_nullspace,
     mat_map,
     mat_mul,
-    mat_pow,
     mat_scale,
-    mat_sub,
     matrix,
     residue_dtype,
     ring_invert,
@@ -102,40 +100,10 @@ class CertifyError(Exception):
 def spanning_params(ring: Ring) -> Tuple:
     """1 together with the additive generators of the ring."""
     out = [ring.one]
-    for g in _additive_generators(ring):
+    for g in ring.additive_generators():
         if g not in out:
             out.append(g)
     return tuple(out)
-
-
-def _additive_generators(ring: Ring) -> List:
-    if hasattr(ring, "additive_generators"):
-        return list(ring.additive_generators())
-    if hasattr(ring, "factors"):
-        out = []
-        for i, f in enumerate(ring.factors):
-            for g in _additive_generators(f):
-                out.append(ring.embed(i, g))
-        return out
-    return [ring.one]
-
-
-def _additive_coords(ring: Ring, t) -> List[Tuple[object, int]]:
-    """t as an integer combination of the spanning generators."""
-    if hasattr(ring, "factors"):
-        out = []
-        for i, f in enumerate(ring.factors):
-            for g, c in _additive_coords(f, t[i]):
-                out.append((ring.embed(i, g), c))
-        return out
-    if hasattr(ring, "p"):
-        digits = []
-        v = t
-        for g in ring.additive_generators():
-            digits.append((g, v % ring.p))
-            v //= ring.p
-        return digits
-    return [(ring.one, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +137,18 @@ class AutomorphismSpec:
 def spec_from_json(data: dict) -> AutomorphismSpec:
     """Parse a spec document strictly: every refusal is a precheck error.
 
-    Roots and elements are JSON integers, never bools or floats (an element
-    of a product ring is a list of one per factor); elements lie in the
-    ring, each matrix is dim x dim, and no (root, param) pair appears twice.
+    The system and ring are JSON strings.  Roots and elements are JSON
+    integers, never bools or floats (an element of a product ring is a list
+    of one per factor); elements lie in the ring, each matrix is dim x dim,
+    and no (root, param) pair appears twice.
     """
     try:
         system = data["system"]
         ring_name = data["ring"]
+        for field, value in (("system", system), ("ring", ring_name)):
+            if not isinstance(value, str):
+                raise CertifyError("precheck", f"{field} is not a string",
+                                   {field: value})
         ring = ring_make(ring_name)
         if not getattr(ring, "size", None):
             raise CertifyError("precheck", "decomposition needs a finite ring, "
@@ -251,7 +224,8 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     """Validate the supplied images and extend them to every parameter.
 
     Returns the extended table mapping (root, t) for every t in the ring to
-    GroupElements.  Raises CertifyError("precheck", ...) on any violation.
+    its image matrix.  Raises CertifyError("precheck", ...) on any violation.
+    Only matrices are built: no check reads an inverse.
     """
     if alg is None:
         _, alg = group_for(spec.system)
@@ -274,70 +248,77 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
             {"missing": [_key_json(ring, k) for k in missing],
              "extra": [_key_json(ring, k) for k in extra]})
 
-    base: Dict[Tuple[Root, object], GroupElement] = {}
+    # powers[(root, t)][c] is the c-th power of the image, up to its order
+    powers: Dict[Tuple[Root, object], List[Matrix]] = {}
     for (root, t), m in provided.items():
-        inv = ring_invert(ring, m)
-        if inv is None:
+        pw = _powers(ring, m, ring.size)
+        if pw is None and ring_invert(ring, m) is None:
             raise CertifyError("precheck", "image matrix is not invertible",
                                {"key": _key_json(ring, (root, t))})
-        if _additive_order(ring, t) != _matrix_order(ring, m, ring.size):
+        if pw is None or _additive_order(ring, t) != len(pw):
             raise CertifyError("precheck", "not bijective on parameters",
                                {"key": _key_json(ring, (root, t))})
-        base[(root, t)] = GroupElement(ring, m, inv, None)
+        powers[(root, t)] = pw
 
     # extend additively over the spanning generators, in a fixed order
-    table: Dict[Tuple[Root, object], GroupElement] = {}
-    ident = identity_element(alg, ring)
+    table: Dict[Tuple[Root, object], Matrix] = {}
     for root in sysm.roots:
         seen = {}
         for t in ring.elements():
-            acc = ident
-            for g, c in _additive_coords(ring, t):
+            acc = None
+            for g, c in ring.additive_coords(t):
                 if c:
-                    p = mat_pow(ring, base[(root, g)].mat, c)
-                    pi = mat_pow(ring, base[(root, g)].inv_mat, c)
-                    acc = acc.mul(GroupElement(ring, p, pi, None))
+                    p = powers[(root, g)][c]
+                    acc = p if acc is None else mat_mul(ring, acc, p)
+            if acc is None:
+                acc = identity(ring, alg.dim)
             table[(root, t)] = acc
-            if acc.mat in seen:
+            if acc in seen:
                 raise CertifyError("precheck", "not bijective on parameters",
                                    {"root": list(root),
-                                    "params": [ring.element_to_json(seen[acc.mat]),
+                                    "params": [ring.element_to_json(seen[acc]),
                                                ring.element_to_json(t)]})
-            seen[acc.mat] = t
+            seen[acc] = t
 
     # one-parameter law inside the provided set
     for root in sysm.roots:
         for s, t in itertools.product(span, repeat=2):
-            got = base[(root, s)].mul(base[(root, t)])
+            got = mat_mul(ring, provided[(root, s)], provided[(root, t)])
             if got != table[(root, ring.add(s, t))]:
                 raise CertifyError("precheck", "one-parameter law fails",
                                    {"key": _key_json(ring, (root, s)),
                                     "other": ring.element_to_json(t)})
 
-    # commutator pattern at parameter 1
-    one = ring.one
+    # commutator pattern at parameter 1; the law makes t -> table[(root, t)]
+    # a homomorphism, so the image at -1 is the inverse of the image at 1
+    one, minus_one = ring.one, ring.neg(ring.one)
     for r, s in itertools.permutations(sysm.roots, 2):
         if r == sysm.negate(s):
             continue
-        lhs = commutator(table[(r, one)], table[(s, one)])
-        rhs = ident
+        lhs = mat_mul(ring, mat_mul(ring, mat_mul(ring, table[(r, one)], table[(s, one)]),
+                                    table[(r, minus_one)]), table[(s, minus_one)])
         coeffs = chain_coefficients(alg, r, s)
+        rhs = None
         for (i, j) in chain_pairs(sysm, r, s):
             gamma = tuple(i * a + j * b for a, b in zip(r, s))
-            rhs = rhs.mul(table[(gamma, ring.from_int(coeffs[(i, j)]))])
-        if lhs != rhs:
+            factor = table[(gamma, ring.from_int(coeffs[(i, j)]))]
+            rhs = factor if rhs is None else mat_mul(ring, rhs, factor)
+        if lhs != (identity(ring, alg.dim) if rhs is None else rhs):
             raise CertifyError("precheck", "commutator pattern fails",
                                {"roots": [list(r), list(s)]})
     return table
 
 
-def _matrix_order(ring: Ring, m: Matrix, cap: int) -> int:
+def _powers(ring: Ring, m: Matrix, cap: int) -> Optional[List[Matrix]]:
+    """[1, m, ..., m^(k-1)] for the order k <= cap of m, else None."""
+    out = [identity(ring, len(m))]
     acc = m
-    for k in range(1, cap + 1):
+    for _ in range(cap):
         if is_identity(ring, acc):
-            return k
+            return out
+        out.append(acc)
         acc = mat_mul(ring, acc, m)
-    return cap + 1
+    return None
 
 
 def _key_json(ring: Ring, key) -> dict:
@@ -354,7 +335,7 @@ class FactorProblem:
     index: int                  # position in crt_split(ring).factors
     target: int                 # factor index the images land in
     ring: Ring                  # the local ring (source and target agree)
-    table: Dict[Tuple[Root, object], GroupElement]
+    table: Dict[Tuple[Root, object], Matrix]
 
 
 def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProblem]:
@@ -379,7 +360,7 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
                 continue
             lifted = lf.embed(t)
             for root in sysm.roots:
-                m = spec_table[(root, lifted)].mat
+                m = spec_table[(root, lifted)]
                 for k, other in enumerate(factors):
                     proj = mat_map(other.project, m)
                     if not is_identity(other.ring, proj):
@@ -401,26 +382,17 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
     problems = []
     for j, lf in enumerate(factors):
         target = factors[sigma[j]]
-        local: Dict[Tuple[Root, object], GroupElement] = {}
+        local: Dict[Tuple[Root, object], Matrix] = {}
         for t in lf.ring.elements():
             lifted = lf.embed(t)
             for root in sysm.roots:
-                g = spec_table[(root, lifted)]
-                local[(root, t)] = GroupElement(
-                    target.ring,
-                    mat_map(target.project, g.mat),
-                    mat_map(target.project, g.inv_mat),
-                    None)
+                local[(root, t)] = mat_map(target.project, spec_table[(root, lifted)])
         problems.append(FactorProblem(j, sigma[j], lf.ring, local))
     return problems
 
 
 # ---------------------------------------------------------------------------
 # intertwining equations
-
-
-def _flatten(m: Matrix) -> Tuple:
-    return tuple(v for row in m for v in row)
 
 
 def _reshape(vec, n: int) -> Matrix:
@@ -430,74 +402,77 @@ def _reshape(vec, n: int) -> Matrix:
 def _intertwiner_basis(ring: Ring, pairs: List[Tuple[Matrix, Matrix]]) -> List[Tuple]:
     """Basis of {M : M X = Y M for every supplied pair}, as flat vectors.
 
-    Over Z/p^k the basis is a (b, n*n) array and each pair's residuals
-    B_c X - Y B_c come from one batched product; field tables use scalar
-    arithmetic.
+    The basis is a (b, n*n) array, and each pair's residuals B_c X - Y B_c
+    come from one batched product: int64 (or exact object) products mod p^k
+    over Z/p^k, digit-plane products and the sub table over GF(q).
     """
     n = len(pairs[0][0])
     nn = n * n
-    arrays = isinstance(ring, ZMod)
-    if arrays:
+    if isinstance(ring, ZMod):
         mod = ring.n
         dtype = residue_dtype(mod, nn)
-        basis = np.eye(nn, dtype=dtype)
+
+        def residual(mb, x, y):
+            return (mb @ x - y @ mb) % mod
+
+        def combine(coords, basis):
+            return (coords @ basis) % mod
     else:
-        basis = identity(ring, nn)
+        dtype, sub = np.int64, field_tables(ring)[1]
+
+        def residual(mb, x, y):
+            return sub[field_matmul(ring, mb, x), field_matmul(ring, y, mb)]
+
+        def combine(coords, basis):
+            return field_matmul(ring, coords, basis)
+    basis = np.eye(nn, dtype=dtype)
     for x_mat, y_mat in pairs:
-        if arrays:
-            mb = basis.reshape(-1, n, n)
-            x, y = np.array(x_mat, dtype=dtype), np.array(y_mat, dtype=dtype)
-            resid = (mb @ x - y @ mb) % mod
-            rows = list(resid.reshape(len(basis), nn).T)   # a row per entry of M
-        else:
-            cols = [_flatten(mat_sub(ring, mat_mul(ring, mb, x_mat), mat_mul(ring, y_mat, mb)))
-                    for mb in (_reshape(vec, n) for vec in basis)]
-            rows = tuple(zip(*cols))
+        mb = basis.reshape(-1, n, n)
+        x, y = np.array(x_mat, dtype=dtype), np.array(y_mat, dtype=dtype)
+        rows = list(residual(mb, x, y).reshape(len(basis), nn).T)   # a row per entry of M
         coords = local_nullspace(ring, rows)
         if not coords:
             return []
-        if arrays:
-            basis = (np.array(coords, dtype=dtype) @ basis) % mod
-        else:
-            basis = mat_mul(ring, coords, basis)
-    return [tuple(v) for v in basis.tolist()] if arrays else list(basis)
+        basis = combine(np.array(coords, dtype=dtype), basis)
+    return [tuple(v) for v in basis.tolist()]
 
 
 def _invertible_candidates(ring: Ring, basis: List[Tuple], n: int,
-                           cap: int = 24) -> List[Tuple[Matrix, Matrix]]:
-    out: List[Tuple[Matrix, Matrix]] = []
-    seen = set()
+                           cap: int = 24) -> Iterator[Matrix]:
+    """Invertible matrices of the intertwiner module, at most ``cap``, built
+    and tested only as the caller asks for them: the basis vectors, their
+    pairwise sums and differences, then seeded random unit combinations."""
 
-    def consider(vec):
-        if len(out) >= cap:
-            return
+    def pairs():
+        for a, b in itertools.combinations(range(len(basis)), 2):
+            yield tuple(ring.add(x, y) for x, y in zip(basis[a], basis[b]))
+            yield tuple(ring.sub(x, y) for x, y in zip(basis[a], basis[b]))
+
+    def probes():
+        rng = random.Random(9173)
+        units = [u for u in ring.units()] if ring.size and ring.size <= 16 else [ring.one]
+        for _ in range(40 if basis else 0):
+            vec = [ring.zero] * len(basis[0])
+            for b in basis:
+                c = units[rng.randrange(len(units))] if rng.random() < 0.7 else ring.zero
+                if c == ring.zero:
+                    continue
+                for i, v in enumerate(b):
+                    vec[i] = ring.add(vec[i], ring.mul(c, v))
+            yield tuple(vec)
+
+    seen = set()
+    found = 0
+    for vec in itertools.chain(basis, pairs(), probes()):
         m = _reshape(vec, n)
         if m in seen:
-            return
+            continue
         seen.add(m)
-        inv = ring_invert(ring, m)
-        if inv is not None:
-            out.append((m, inv))
-
-    for vec in basis:
-        consider(vec)
-    for a, b in itertools.combinations(range(len(basis)), 2):
-        consider(tuple(ring.add(x, y) for x, y in zip(basis[a], basis[b])))
-        consider(tuple(ring.sub(x, y) for x, y in zip(basis[a], basis[b])))
-    rng = random.Random(9173)
-    units = [u for u in ring.units()] if ring.size and ring.size <= 16 else [ring.one]
-    for _ in range(40):
-        if len(out) >= cap or not basis:
-            break
-        vec = [ring.zero] * len(basis[0])
-        for b in basis:
-            c = units[rng.randrange(len(units))] if rng.random() < 0.7 else ring.zero
-            if c == ring.zero:
-                continue
-            for i, v in enumerate(b):
-                vec[i] = ring.add(vec[i], ring.mul(c, v))
-        consider(tuple(vec))
-    return out
+        if ring_invert(ring, m) is not None:
+            yield m
+            found += 1
+            if found == cap:
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -675,16 +650,11 @@ class FactorResult:
 
 
 def _twist_table(alg, ring, table, gd):
+    """lam^-1 m lam for every image matrix m; the table itself for no twist."""
     if gd is None:
         return table
     lam, lam_inv = gd.matrices(ring)
-    out = {}
-    for key, g in table.items():
-        out[key] = GroupElement(ring,
-                                mat_mul(ring, mat_mul(ring, lam_inv, g.mat), lam),
-                                mat_mul(ring, mat_mul(ring, lam_inv, g.inv_mat), lam),
-                                None)
-    return out
+    return {key: mat_mul(ring, mat_mul(ring, lam_inv, m), lam) for key, m in table.items()}
 
 
 def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table):
@@ -694,8 +664,7 @@ def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table):
     for t in ring.elements():
         value = None
         for root in sysm.roots:
-            resid = mat_mul(ring, mat_mul(ring, conj.inv_mat, table[(root, t)].mat),
-                            conj.mat)
+            resid = mat_mul(ring, mat_mul(ring, conj.inv_mat, table[(root, t)]), conj.mat)
             (i, j), unit = alg._slot(root)
             s = ring.mul(resid[i][j], ring.from_int(unit))
             if resid != unipotent(alg, ring, root, s).mat:
@@ -726,14 +695,14 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag):
         twisted = _twist_table(alg, ring, table, gd)
         if regime is not None:
             lie_images = recover_family(
-                alg, ring, {root: twisted[(root, one)].mat for root in sysm.roots})
+                alg, ring, {root: twisted[(root, one)] for root in sysm.roots})
             pairs = [(alg.x_matrix(root, ring), lie_images[root])
                      for root in sysm.roots]
         else:
-            pairs = [(unipotent(alg, ring, root, one).mat, twisted[(root, one)].mat)
+            pairs = [(unipotent(alg, ring, root, one).mat, twisted[(root, one)])
                      for root in sysm.roots]
         basis = _intertwiner_basis(ring, pairs)
-        for m, _m_inv in _invertible_candidates(ring, basis, alg.dim):
+        for m in _invertible_candidates(ring, basis, alg.dim):
             conj = strictly_inner_element(alg, ring, m)
             if conj is None:
                 continue
@@ -873,14 +842,14 @@ def certify(spec: AutomorphismSpec) -> Certificate:
     rho_global.sort(key=lambda kv: _sort_key(kv[0]))
     rho_dict = dict(rho_global)
 
+    # every image is (lam conj) x_root(rho t) (conj^-1 lam^-1)
+    left, right = mat_mul(ring, lam, conj), mat_mul(ring, conj_inv, lam_inv)
     replayed = 0
     for root in sysm.roots:
         for t in ring.elements():
             inner = unipotent(alg, ring, root, rho_dict[t]).mat
-            expected = mat_mul(ring, mat_mul(ring, lam,
-                               mat_mul(ring, mat_mul(ring, conj, inner), conj_inv)),
-                               lam_inv)
-            if expected != table[(root, t)].mat:
+            expected = mat_mul(ring, mat_mul(ring, left, inner), right)
+            if expected != table[(root, t)]:
                 raise CertifyError("replay", "assembled automorphism does not "
                                    "reproduce an image",
                                    {"key": _key_json(ring, (root, t))})

@@ -5,19 +5,20 @@ exactly.  Generic operations go through the ring handle; solving, kernels and
 inversion first split the ring into local factors, then run a Smith-style
 diagonalization per factor.
 
-Over Z/p^k the work is array-native: the elimination keeps A and Q (and P
-only when a caller needs it) as numpy arrays, finds the row-major first entry
-of least p-valuation with a vectorised scan, and updates only the rows and
-columns a pivot changes; results turn into tuples once, on return.  The
-pivot of least valuation keeps every step exact.  int64 is used only where
-no intermediate sum can reach 2**63 (see ``residue_dtype``); larger moduli run
-the same code on numpy object arrays of Python ints.  ``mat_mul`` from 6 rows
-up takes int64 over Z/n and over Z, where the same guard is fed the largest
-|entry| of both factors, read off the Python ints before any cast; past the
-guard, and for field tables and product rings, it runs its scalar loop with
-the ring operations bound once per call.  ``identity`` is built once per
-(ring, n).  Field tables get a plain Gaussian pass in Python; they only
-appear at sizes where that is cheap.
+Over Z/p^k and GF(q) the elimination is array-native: it keeps A and Q (and
+P only when a caller needs it) as numpy arrays, finds the row-major first
+entry of least p-valuation with a vectorised scan (over a field, the first
+nonzero entry), and updates only the rows and columns a pivot changes;
+results turn into tuples once, on return.  The pivot of least valuation keeps
+every step exact.  Z/p^k reduces mod p^k; GF(q) indexes numpy ``mul``/``sub``
+tables built once per field.  int64 is used only where no intermediate sum
+can reach 2**63 (see ``residue_dtype``); larger moduli run the same code on
+numpy object arrays of Python ints.  ``mat_mul`` from 6 rows up takes int64
+over Z/n and over Z, where the same guard is fed the largest |entry| of both
+factors, read off the Python ints before any cast, and over GF(p^k) it takes
+``field_matmul``, k^2 int64 products of base-p digit planes; past the guard,
+and for product rings, it runs its scalar loop with the ring operations bound
+once per call.  ``identity`` is built once per (ring, n).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from chevalley.rings import FieldTable, Ring, ZMod, ZRing, crt_split
+from chevalley.rings import _IRREDUCIBLE, FieldTable, Ring, ZMod, ZRing, crt_split
 
 Matrix = tuple  # tuple of row tuples
 
@@ -88,8 +89,46 @@ def _int64_bound(ring: Ring, a: Matrix, b: Matrix):
     return None
 
 
+@lru_cache(maxsize=None)
+def field_tables(ring: FieldTable):
+    """The mul and sub tables of a field as int64 arrays, built once per field."""
+    els = range(ring.size)
+    return (np.array([[ring.mul(x, y) for y in els] for x in els], dtype=np.int64),
+            np.array([[ring.sub(x, y) for y in els] for x in els], dtype=np.int64))
+
+
+def field_matmul(ring: FieldTable, a, b):
+    """a @ b over GF(p^k) on int64 arrays of element indices (any shapes that
+    ``@`` accepts).
+
+    An index is the base-p digit vector of a polynomial of degree < k, so the
+    product is k^2 int64 products of digit planes, one per pair of degrees,
+    then a reduction mod p and by the field's irreducible polynomial.
+    """
+    p, k = ring.p, ring.k
+    poly = _IRREDUCIBLE[(p, k)]
+    da = [a // p ** i % p for i in range(k)]
+    db = [b // p ** i % p for i in range(k)]
+    coeff = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            coeff[i + j] = coeff[i + j] + da[i] @ db[j]
+    for d in range(2 * k - 2, k - 1, -1):   # x^k = -(poly[0] + ... + poly[k-1] x^(k-1))
+        c = coeff[d] % p
+        for j in range(k):
+            if poly[j]:
+                coeff[d - k + j] = coeff[d - k + j] - c * poly[j]
+    out = coeff[k - 1] % p
+    for d in range(k - 2, -1, -1):
+        out = out * p + coeff[d] % p
+    return out
+
+
 def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
     if len(a) >= 6 and b:
+        if isinstance(ring, FieldTable):
+            cn = field_matmul(ring, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+            return tuple(map(tuple, cn.tolist()))
         bound = _int64_bound(ring, a, b)
         if bound is not None and residue_dtype(bound, len(b)) is np.int64:
             cn = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
@@ -228,18 +267,31 @@ def _first_least_valuation(sub, p: int, k: int):
     return None
 
 
-def _eliminate_zmod(ring: ZMod, a, with_p: bool):
-    """Diagonalize the rows ``a`` over Z/p^k: (P or None, Q, pivots, diag).
+def _row_ops(ring: Ring):
+    """(scale, sub_mul): x * c and x - c * y on arrays of elements of Z/p^k or
+    GF(q), with numpy broadcasting."""
+    if isinstance(ring, ZMod):
+        mod = ring.n
+        return (lambda x, c: (x * c) % mod), (lambda x, c, y: (x - c * y) % mod)
+    mul, sub = field_tables(ring)
+    return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
+
+
+def _eliminate(ring: Ring, a, with_p: bool):
+    """Diagonalize the rows ``a`` over Z/p^k or GF(q): (P or None, Q, pivots, diag).
 
     P, Q are arrays with P @ A @ Q = D.  Q never depends on P, so callers
-    that only need kernels skip P.
+    that only need kernels skip P.  Over GF(q), where k = 1, the pivot is the
+    first nonzero entry and every valuation is 0.
     """
+    if not (isinstance(ring, FieldTable) or isinstance(ring, ZMod) and ring.is_local):
+        raise ValueError(f"{ring.descriptor} is not a supported local ring")
     p, k = ring.residue_char, ring.nil_degree
-    mod = ring.n
+    scale, sub_mul = _row_ops(ring)
     m = len(a)
     n = len(a[0]) if m else 0
-    dtype = residue_dtype(mod, 1)
-    A = np.array(a, dtype=dtype).reshape(m, n) % mod
+    dtype = residue_dtype(ring.size, 1)
+    A = np.array(a, dtype=dtype).reshape(m, n) % ring.size
     P = np.eye(m, dtype=dtype) if with_p else None
     Q = np.eye(n, dtype=dtype)
     pivots = []
@@ -256,19 +308,19 @@ def _eliminate_zmod(ring: ZMod, a, with_p: bool):
             A[:, [t, bj]] = A[:, [bj, t]]
             Q[:, [t, bj]] = Q[:, [bj, t]]
         pv = p ** bv
-        u_inv = pow(int(A[t, t]) // pv, -1, mod)
-        A[t] = (A[t] * u_inv) % mod
+        u_inv = ring.inv(int(A[t, t]) // pv)
+        A[t] = scale(A[t], u_inv)
         if with_p:
-            P[t] = (P[t] * u_inv) % mod
+            P[t] = scale(P[t], u_inv)
         # clear column t with exact multipliers; rows above t and columns
         # left of t are already zero, and rows with a zero multiplier stay
         mult = A[:, t] // pv
         mult[t] = 0
         rows = np.flatnonzero(mult)
         if rows.size:
-            A[rows, t:] = (A[rows, t:] - np.outer(mult[rows], A[t, t:])) % mod
+            A[rows, t:] = sub_mul(A[rows, t:], mult[rows, None], A[t, t:])
             if with_p:
-                P[rows] = (P[rows] - np.outer(mult[rows], P[t])) % mod
+                P[rows] = sub_mul(P[rows], mult[rows, None], P[t])
         # clear row t: column t of A is now p^bv e_t, so in A only row t
         # changes, to p^bv e_t (p^bv divides the whole row); Q takes the
         # full column update
@@ -277,62 +329,16 @@ def _eliminate_zmod(ring: ZMod, a, with_p: bool):
         cols = np.flatnonzero(multc)
         if cols.size:
             A[t, cols] = 0
-            Q[:, cols] = (Q[:, cols] - np.outer(Q[:, t], multc[cols])) % mod
+            Q[:, cols] = sub_mul(Q[:, cols], Q[:, t, None], multc[cols])
         pivots.append((t, bv))
     diag = tuple(int(A[i, i]) for i, _ in pivots)
     return P, Q, tuple(pivots), diag
 
 
-def _local_diag_field(ring: Ring, a: Matrix) -> LocalDiag:
-    m, n = len(a), len(a[0]) if a else 0
-    A = [list(row) for row in a]
-    P = [list(row) for row in identity(ring, m)]
-    Q = [list(row) for row in identity(ring, n)]
-    zero = ring.zero
-    pivots = []
-    t = 0
-    while t < min(m, n):
-        best = next(((i, j) for i in range(t, m) for j in range(t, n)
-                     if A[i][j] != zero), None)
-        if best is None:
-            break
-        bi, bj = best
-        A[t], A[bi] = A[bi], A[t]
-        P[t], P[bi] = P[bi], P[t]
-        if bj != t:
-            for row in A:
-                row[t], row[bj] = row[bj], row[t]
-            for row in Q:
-                row[t], row[bj] = row[bj], row[t]
-        u_inv = ring.inv(A[t][t])
-        A[t] = [ring.mul(u_inv, x) for x in A[t]]
-        P[t] = [ring.mul(u_inv, x) for x in P[t]]
-        for i in range(m):
-            if i != t and A[i][t] != zero:
-                f = A[i][t]
-                A[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(A[i], A[t])]
-                P[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(P[i], P[t])]
-        for j in range(n):
-            if j != t and A[t][j] != zero:
-                f = A[t][j]
-                for row in A:
-                    row[j] = ring.sub(row[j], ring.mul(row[t], f))
-                for row in Q:
-                    row[j] = ring.sub(row[j], ring.mul(row[t], f))
-        pivots.append((t, 0))
-        t += 1
-    diag = tuple(A[i][i] for i, _ in pivots)
-    return LocalDiag(ring, matrix(P), matrix(Q), diag, tuple(pivots), (m, n))
-
-
 def local_diag(ring: Ring, a: Matrix) -> LocalDiag:
-    if isinstance(ring, ZMod) and ring.is_local:
-        P, Q, pivots, diag = _eliminate_zmod(ring, a, with_p=True)
-        return LocalDiag(ring, tuple(map(tuple, P.tolist())), tuple(map(tuple, Q.tolist())),
-                         diag, pivots, (len(P), len(Q)))
-    if isinstance(ring, FieldTable):
-        return _local_diag_field(ring, a)
-    raise ValueError(f"{ring.descriptor} is not a supported local ring")
+    P, Q, pivots, diag = _eliminate(ring, a, with_p=True)
+    return LocalDiag(ring, tuple(map(tuple, P.tolist())), tuple(map(tuple, Q.tolist())),
+                     diag, pivots, (len(P), len(Q)))
 
 
 def local_solve(ring: Ring, a: Matrix, b: Sequence):
@@ -364,17 +370,13 @@ def local_nullspace(ring: Ring, a: Matrix) -> list:
     With P A Q = D, they are the columns of Q past the pivots and, for a
     pivot of valuation v > 0, p^(k-v) times its column.
     """
-    if not (isinstance(ring, ZMod) and ring.is_local):
-        d = local_diag(ring, a)   # a field: every pivot is a unit
-        qt = tuple(zip(*d.q_mat))
-        return [tuple(qt[j]) for j in range(len(d.pivots), d.shape[1])]
+    _, q, pivots, _ = _eliminate(ring, a, with_p=False)
     p, k = ring.residue_char, ring.nil_degree
-    _, q, pivots, _ = _eliminate_zmod(ring, a, with_p=False)
     scale = np.ones(q.shape[1], dtype=q.dtype)
     for i, v in pivots:
-        scale[i] = p ** (k - v)   # p^k = 0: a unit pivot gives no generator
-    keep = np.flatnonzero(scale % ring.n)
-    gens = (q[:, keep] * scale[keep]) % ring.n
+        scale[i] = p ** (k - v) if v else 0   # p^k = 0: a unit pivot gives none
+    keep = np.flatnonzero(scale)
+    gens = _row_ops(ring)[0](q[:, keep], scale[keep])
     return [tuple(g) for g in gens.T.tolist()]
 
 

@@ -111,6 +111,16 @@ class Ring:
         """n * a for an integer n."""
         return self.mul(self.from_int(n), a)
 
+    # additive structure -------------------------------------------------
+    def additive_generators(self) -> list:
+        """Generators of the additive group: 1 alone for Z and Z/n, which are
+        cyclic; field tables and products override it."""
+        return [self.one]
+
+    def additive_coords(self, t) -> list:
+        """t as (generator, integer coefficient) pairs over additive_generators."""
+        return [(self.one, t)]
+
     def rand(self, rng):
         raise NotImplementedError
 
@@ -292,6 +302,10 @@ class FieldTable(Ring):
         """The polynomial basis 1, x, x^2, ... as indices."""
         return [self.p ** i for i in range(self.k)]
 
+    def additive_coords(self, t) -> list:
+        """The base-p digits of t, one per basis polynomial."""
+        return [(g, (t // g) % self.p) for g in self.additive_generators()]
+
     def rand(self, rng):
         return rng.randrange(self.size)
 
@@ -335,6 +349,14 @@ class ProductRing(Ring):
     def embed(self, i: int, x):
         """x in factor i, zero elsewhere."""
         return tuple(x if j == i else f.zero for j, f in enumerate(self.factors))
+
+    def additive_generators(self) -> list:
+        return [self.embed(i, g) for i, f in enumerate(self.factors)
+                for g in f.additive_generators()]
+
+    def additive_coords(self, t) -> list:
+        return [(self.embed(i, g), c) for i, f in enumerate(self.factors)
+                for g, c in f.additive_coords(t[i])]
 
     def rand(self, rng):
         return tuple(f.rand(rng) for f in self.factors)

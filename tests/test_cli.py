@@ -95,7 +95,8 @@ def test_decompose_refusal_exit_1_with_stage_tag(tmp_path):
                                           "ringmap", "replay"}
 
 
-@pytest.mark.parametrize("defect", ["duplicate", "ragged", "bool-param"])
+@pytest.mark.parametrize("defect", ["duplicate", "ragged", "bool-param",
+                                    "ring-not-a-string", "system-not-a-string"])
 def test_decompose_bad_intake_exits_1_at_precheck(tmp_path, defect):
     spec_file = tmp_path / "spec.json"
     main(["forge-random", "--system", "A2", "--ring", "Z/5",
@@ -106,6 +107,10 @@ def test_decompose_bad_intake_exits_1_at_precheck(tmp_path, defect):
         data["images"].insert(0, dict(first, matrix=data["images"][1]["matrix"]))
     elif defect == "ragged":
         first["matrix"][4] = first["matrix"][4][:5]
+    elif defect == "ring-not-a-string":
+        data["ring"] = 5
+    elif defect == "system-not-a-string":
+        data["system"] = ["A2"]
     else:
         first["param"] = True
     bad = tmp_path / "bad.json"

@@ -1,11 +1,15 @@
 """End-to-end decomposition: round trips, transport, and refusals."""
 
+import itertools
 import json
+import random
 
 import pytest
 
+import chevalley.decomposer as decomposer
 from chevalley.autos import standard
 from chevalley.decomposer import (
+    _invertible_candidates,
     AutomorphismSpec,
     CertifyError,
     certify,
@@ -50,6 +54,9 @@ def test_spanning_params():
     assert spanning_params(ring_make("F4")) == (1, 2)
     span = spanning_params(ring_make("Z/3xZ/3"))
     assert (1, 1) in span and (1, 0) in span and (0, 1) in span
+    assert spanning_params(ring_make("Z")) == (1,)
+    assert spanning_params(ring_make("F16")) == (1, 2, 4, 8)
+    assert spanning_params(ring_make("Z/6xF4")) == ((1, 1), (1, 0), (0, 1), (0, 2))
 
 
 def test_identity_spec_gives_trivial_components():
@@ -466,3 +473,88 @@ def test_forge_is_deterministic():
     c = forge_random("A2", "Z/5", 6)
     assert a == b
     assert a != c
+
+
+# --- lazy conjugator candidates ------------------------------------------------
+
+def eager_candidates(ring, basis, n, cap=24):
+    """The candidate rule built in full before any is tried: the basis
+    vectors, pairwise sums and differences, then 40 seeded unit combinations,
+    keeping the first ``cap`` distinct invertible matrices."""
+    out, seen = [], set()
+
+    def consider(vec):
+        if len(out) >= cap:
+            return
+        m = tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
+        if m in seen:
+            return
+        seen.add(m)
+        if ring_invert(ring, m) is not None:
+            out.append(m)
+
+    for vec in basis:
+        consider(vec)
+    for a, b in itertools.combinations(range(len(basis)), 2):
+        consider(tuple(ring.add(x, y) for x, y in zip(basis[a], basis[b])))
+        consider(tuple(ring.sub(x, y) for x, y in zip(basis[a], basis[b])))
+    rng = random.Random(9173)
+    units = [u for u in ring.units()] if ring.size and ring.size <= 16 else [ring.one]
+    for _ in range(40):
+        if len(out) >= cap or not basis:
+            break
+        vec = [ring.zero] * len(basis[0])
+        for b in basis:
+            c = units[rng.randrange(len(units))] if rng.random() < 0.7 else ring.zero
+            if c == ring.zero:
+                continue
+            for i, v in enumerate(b):
+                vec[i] = ring.add(vec[i], ring.mul(c, v))
+        consider(tuple(vec))
+    return out
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/9", "F4"])
+def test_lazy_candidates_match_the_eager_rule(name):
+    ring = ring_make(name)
+    rng = random.Random(name)
+    lengths = set()
+    for n in (2, 3):
+        singular = (ring.one,) * (n * n)
+        for size in range(4):
+            for trial in range(9):
+                basis = [tuple(ring.rand(rng) for _ in range(n * n)) for _ in range(size)]
+                if trial % 3 == 1 and size >= 2:
+                    basis[1] = basis[0]
+                if trial % 3 == 2 and size:
+                    basis[-1] = singular
+                want = eager_candidates(ring, basis, n)
+                assert list(_invertible_candidates(ring, basis, n)) == want, (basis, n)
+                lengths.add(len(want))
+    assert 0 in lengths and (24 in lengths or name == "Z/4")   # Z/4 never fills the cap
+
+
+def test_round_trip_inverts_candidates_only_up_to_the_first_hit(monkeypatch):
+    inverted, tried = [], []
+    real_invert, real_inner = decomposer.ring_invert, decomposer.strictly_inner_element
+
+    def counting_invert(ring, m):
+        inv = real_invert(ring, m)
+        inverted.append(inv is not None)
+        return inv
+
+    def counting_inner(alg, ring, m):
+        tried.append(m)
+        return real_inner(alg, ring, m)
+
+    monkeypatch.setattr(decomposer, "ring_invert", counting_invert)
+    monkeypatch.setattr(decomposer, "strictly_inner_element", counting_inner)
+    for seed in range(3):
+        inverted.clear()
+        tried.clear()
+        spec, planted = forge_random_parts("A3", "Z/4", seed)
+        assert certify(spec).lambda_mat == planted["lambda"]
+        # every invertible candidate built was tried, and none was built after
+        # the one that hit
+        assert inverted and inverted[-1], (seed, inverted)
+        assert inverted.count(True) == len(tried), (seed, inverted, len(tried))

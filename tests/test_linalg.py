@@ -2,9 +2,10 @@
 
 The oracle for solving, kernels and invertibility is exhaustive enumeration
 of R^n over tiny rings, so every answer the elimination gives is checked
-against the full solution set.  The array elimination over Z/p^k is also
-pinned to a scalar copy of its pivot rule, and its kernel ranks over GF(p) to
-sympy's.
+against the full solution set.  The array elimination is also pinned to
+scalar copies of its pivot rule over Z/p^k and over the field tables, its
+kernel ranks over GF(p) to sympy's, and the GF(p^k) array product to
+entrywise table products.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -19,6 +21,7 @@ from sympy.polys.matrices import DomainMatrix
 from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
     det_bareiss,
+    field_matmul,
     identity,
     invert_z,
     is_identity,
@@ -441,3 +444,145 @@ def test_mat_mul_over_z_takes_the_exact_path_past_int64():
 def test_mat_mul_with_empty_inner_dimension(name):
     ring = ring_make(name)
     assert mat_mul(ring, ((),) * 6, ()) == ((),) * 6
+
+
+# --- the field tables against a scalar Gaussian pass ---------------------------
+
+def oracle_local_diag_field(ring, a):
+    """Scalar diagonalization over a field table: the row-major first nonzero
+    entry is the pivot, then full row and column updates of A, P and Q."""
+    m, n = len(a), len(a[0]) if a else 0
+    A = [list(row) for row in a]
+    P = [list(row) for row in identity(ring, m)]
+    Q = [list(row) for row in identity(ring, n)]
+    zero = ring.zero
+    pivots = []
+    t = 0
+    while t < min(m, n):
+        best = next(((i, j) for i in range(t, m) for j in range(t, n)
+                     if A[i][j] != zero), None)
+        if best is None:
+            break
+        bi, bj = best
+        A[t], A[bi] = A[bi], A[t]
+        P[t], P[bi] = P[bi], P[t]
+        if bj != t:
+            for row in A:
+                row[t], row[bj] = row[bj], row[t]
+            for row in Q:
+                row[t], row[bj] = row[bj], row[t]
+        u_inv = ring.inv(A[t][t])
+        A[t] = [ring.mul(u_inv, x) for x in A[t]]
+        P[t] = [ring.mul(u_inv, x) for x in P[t]]
+        for i in range(m):
+            if i != t and A[i][t] != zero:
+                f = A[i][t]
+                A[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(A[i], A[t])]
+                P[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(P[i], P[t])]
+        for j in range(n):
+            if j != t and A[t][j] != zero:
+                f = A[t][j]
+                for row in A:
+                    row[j] = ring.sub(row[j], ring.mul(row[t], f))
+                for row in Q:
+                    row[j] = ring.sub(row[j], ring.mul(row[t], f))
+        pivots.append((t, 0))
+        t += 1
+    return matrix(P), matrix(Q), tuple(pivots), tuple(A[i][i] for i, _ in pivots)
+
+
+def table_product(ring, a, b):
+    """a @ b entry by entry through the ring's add and mul tables."""
+    out = []
+    for row in a:
+        out_row = []
+        for col in zip(*b):
+            acc = ring.zero
+            for x, y in zip(row, col):
+                acc = ring.add(acc, ring.mul(x, y))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def rand_field_matrix(ring, rng, m, n):
+    """Zero rows and columns, and rows that are multiples of earlier rows."""
+    rows = []
+    zero_cols = {j for j in range(n) if rng.random() < 0.2}
+    for i in range(m):
+        r = rng.random()
+        if r < 0.15:
+            rows.append((ring.zero,) * n)
+        elif r < 0.35 and rows:
+            c = ring.rand(rng)
+            rows.append(tuple(ring.mul(c, x) for x in rng.choice(rows)))
+        else:
+            rows.append(tuple(ring.zero if j in zero_cols else ring.rand(rng)
+                              for j in range(n)))
+    return tuple(rows)
+
+
+FIELD_RINGS = ["F4", "F8", "F9", "F16"]
+FIELD_SHAPES = [(1, 4), (4, 1), (3, 5), (5, 3), (6, 6), (7, 4), (4, 9), (3, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("name", FIELD_RINGS)
+def test_field_elimination_matches_scalar_oracle(name):
+    ring = ring_make(name)
+    rng = random.Random(name)
+    for m, n in FIELD_SHAPES:
+        for _ in range(6):
+            a = rand_field_matrix(ring, rng, m, n)
+            want_p, want_q, want_pivots, want_diag = oracle_local_diag_field(ring, a)
+            d = local_diag(ring, a)
+            assert (d.p_mat, d.q_mat, d.pivots, d.diag) == (
+                want_p, want_q, want_pivots, want_diag), (name, a)
+            want_kernel = [tuple(row[j] for row in want_q)
+                           for j in range(len(want_pivots), len(want_q))]
+            assert local_nullspace(ring, a) == want_kernel, (name, a)
+
+
+@pytest.mark.parametrize("name", FIELD_RINGS)
+def test_field_inverse_matches_scalar_oracle(name):
+    ring = ring_make(name)
+    rng = random.Random(name + "inv")
+    seen = {True: 0, False: 0}
+    for n in range(1, 7):
+        for _ in range(6):
+            a = rand_field_matrix(ring, rng, n, n)
+            p_mat, q_mat, pivots, diag = oracle_local_diag_field(ring, a)
+            want = None
+            if len(pivots) == n:
+                dinv = tuple(tuple(ring.inv(diag[i]) if i == j else ring.zero
+                                   for j in range(n)) for i in range(n))
+                want = table_product(ring, table_product(ring, q_mat, dinv), p_mat)
+            assert ring_invert(ring, a) == want, (name, a)
+            seen[want is None] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("name", FIELD_RINGS)
+def test_field_products_match_table_products(name):
+    ring = ring_make(name)
+    rng = random.Random(name + "mul")
+    els = list(ring.elements())
+    # every entry of the mul table, and every entry of the add table
+    column, row = tuple((x,) for x in els), (tuple(els),)
+    assert field_matmul(ring, np.array(column), np.array(row)).tolist() == [
+        [ring.mul(x, y) for y in els] for x in els]
+    pairs = tuple((x, y) for x in els for y in els)
+    assert field_matmul(ring, np.array(pairs), np.array(((1,), (1,)))).tolist() == [
+        [ring.add(x, y)] for x, y in pairs]
+    for m, k, n in [(6, 6, 6), (8, 8, 8), (7, 5, 9), (15, 15, 15), (3, 4, 2), (6, 1, 3)]:
+        a = rand_matrix(ring, rng, m, k)
+        b = rand_matrix(ring, rng, k, n)
+        want = table_product(ring, a, b)
+        assert mat_mul(ring, a, b) == want
+        assert field_matmul(ring, np.array(a), np.array(b)).tolist() == [list(r) for r in want]
+    # a stack of matrices against one matrix on either side, as in the intertwiner
+    stack = [rand_matrix(ring, rng, 4, 4) for _ in range(3)]
+    x = rand_matrix(ring, rng, 4, 4)
+    assert field_matmul(ring, np.array(stack), np.array(x)).tolist() == [
+        [list(r) for r in table_product(ring, s, x)] for s in stack]
+    assert field_matmul(ring, np.array(x), np.array(stack)).tolist() == [
+        [list(r) for r in table_product(ring, x, s)] for s in stack]

@@ -307,6 +307,20 @@ def test_product_embed_project():
     assert len(list(r.elements())) == 24
 
 
+@pytest.mark.parametrize("name", ["Z/5", "Z/6", "F4", "F8", "F9", "F16",
+                                  "Z/3xZ/3", "Z/6xF4"])
+def test_additive_coords_rebuild_every_element(name):
+    ring = ring_make(name)
+    gens = ring.additive_generators()
+    for t in ring.elements():
+        coords = ring.additive_coords(t)
+        assert [g for g, _ in coords] == gens
+        acc = ring.zero
+        for g, c in coords:
+            acc = ring.add(acc, ring.scale(c, g))
+        assert acc == t
+
+
 def test_element_json_roundtrip():
     r = ring_make("Z/6xF4")
     x = (4, 3)
