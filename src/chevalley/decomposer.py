@@ -45,7 +45,7 @@ from chevalley.autos import GraphData, graph_data
 from chevalley.group import (
     GroupElement,
     chain_coefficients,
-    chain_pairs,
+    commutator_pattern_holds,
     from_word,
     group_for,
     torus_chi,
@@ -291,19 +291,11 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
 
     # commutator pattern at parameter 1; the law makes t -> table[(root, t)]
     # a homomorphism, so the image at -1 is the inverse of the image at 1
-    one, minus_one = ring.one, ring.neg(ring.one)
     for r, s in itertools.permutations(sysm.roots, 2):
         if r == sysm.negate(s):
             continue
-        lhs = mat_mul(ring, mat_mul(ring, mat_mul(ring, table[(r, one)], table[(s, one)]),
-                                    table[(r, minus_one)]), table[(s, minus_one)])
-        coeffs = chain_coefficients(alg, r, s)
-        rhs = None
-        for (i, j) in chain_pairs(sysm, r, s):
-            gamma = tuple(i * a + j * b for a, b in zip(r, s))
-            factor = table[(gamma, ring.from_int(coeffs[(i, j)]))]
-            rhs = factor if rhs is None else mat_mul(ring, rhs, factor)
-        if lhs != (identity(ring, alg.dim) if rhs is None else rhs):
+        if not commutator_pattern_holds(ring, table, r, s, ring.one, ring.one,
+                                        chain_coefficients(alg, r, s)):
             raise CertifyError("precheck", "commutator pattern fails",
                                {"roots": [list(r), list(s)]})
     return table

@@ -19,6 +19,13 @@ Each D_k is cached per (system, ring, root) as its nonzero (i, j, value)
 entries only, so building x_root(t) costs O(nnz) per power.  The chain
 constants of the commutator formula are extracted over Z once per (system,
 r, s) and shared read-only by the precheck and the verify suites.
+
+Over a finite ring, root_table maps (root, t) to the matrix of x_root(t) for
+every root and every element t; a verify suite builds it once per call and
+drops it on return.  commutator_pattern_holds is the one check of the
+commutator formula: it reads every factor, and the inverses at -t and -u,
+from such a table, so it multiplies matrices and builds no x_root.  The
+precheck runs it on its own table of the supplied images at t = u = 1.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import Matrix, identity, mat_map, mat_mul, matrix, ring_invert
+from chevalley.linalg import (Matrix, identity, is_identity, mat_map, mat_mul,
+                              matrix, ring_invert)
 from chevalley.rings import Ideal, Ring, RingMorphism, ring_make
 from chevalley.roots import Root
 
@@ -279,19 +287,31 @@ def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[i
     return _CHAIN_CACHE[key]
 
 
-def commutator_identity_holds(alg: AdjointAlgebra, ring: Ring, r: Root, s: Root,
-                              t, u, coeffs: Mapping | None = None) -> bool:
-    """Check [x_r(t), x_s(u)] against the chain product at given parameters."""
-    if coeffs is None:
-        coeffs = chain_coefficients(alg, r, s)
-    lhs = commutator(unipotent(alg, ring, r, t), unipotent(alg, ring, s, u))
-    rhs = identity_element(alg, ring)
-    for i, j in chain_pairs(alg.system, r, s):
+def root_table(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], Matrix]:
+    """(root, t) -> the matrix of x_root(t), for every root and every element
+    t of a finite ring."""
+    elems = list(ring.elements())
+    return {(root, t): _unipotent_matrix(alg, ring, root, t)
+            for root in alg.system.roots for t in elems}
+
+
+def commutator_pattern_holds(ring: Ring, table: Mapping, r: Root, s: Root,
+                             t, u, coeffs: Mapping) -> bool:
+    """[x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j) on a table of x_root
+    matrices keyed (root, parameter), with the inverses read at -t and -u.
+
+    The factors are taken in the order of coeffs, which chain_coefficients
+    gives in peel order; a chain of k factors costs 3 + (k - 1) products.
+    """
+    lhs = mat_mul(ring, mat_mul(ring, mat_mul(ring, table[(r, t)], table[(s, u)]),
+                                table[(r, ring.neg(t))]), table[(s, ring.neg(u))])
+    rhs = None
+    for (i, j), c in coeffs.items():
         gamma = tuple(i * a + j * b for a, b in zip(r, s))
-        param = ring.mul(ring.from_int(coeffs[(i, j)]),
-                         ring.mul(ring.power(t, i), ring.power(u, j)))
-        rhs = rhs.mul(unipotent(alg, ring, gamma, param))
-    return lhs == rhs
+        param = ring.mul(ring.from_int(c), ring.mul(ring.power(t, i), ring.power(u, j)))
+        factor = table[(gamma, param)]
+        rhs = factor if rhs is None else mat_mul(ring, rhs, factor)
+    return is_identity(ring, lhs) if rhs is None else lhs == rhs
 
 
 # ---------------------------------------------------------------------------

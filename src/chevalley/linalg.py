@@ -16,9 +16,11 @@ can reach 2**63 (see ``residue_dtype``); larger moduli run the same code on
 numpy object arrays of Python ints.  ``mat_mul`` from 6 rows up takes int64
 over Z/n and over Z, where the same guard is fed the largest |entry| of both
 factors, read off the Python ints before any cast, and over GF(p^k) it takes
-``field_matmul``, k^2 int64 products of base-p digit planes; past the guard,
-and for product rings, it runs its scalar loop with the ring operations bound
-once per call.  ``identity`` is built once per (ring, n).
+``field_matmul``, k^2 int64 products of base-p digit planes; over a product
+ring it multiplies the projections onto each factor, each on that factor's
+path, and zips the entries back into tuples; past the guard it runs its
+scalar loop with the ring operations bound once per call.  ``identity`` is
+built once per (ring, n).
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from chevalley.rings import _IRREDUCIBLE, FieldTable, Ring, ZMod, ZRing, crt_split
+from chevalley.rings import (_IRREDUCIBLE, FieldTable, ProductRing, Ring, ZMod,
+                             ZRing, crt_split)
 
 Matrix = tuple  # tuple of row tuples
 
@@ -125,6 +128,11 @@ def field_matmul(ring: FieldTable, a, b):
 
 
 def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
+    if isinstance(ring, ProductRing):
+        k = len(ring.factors)
+        parts = [mat_mul(f, fa, fb) for f, fa, fb in
+                 zip(ring.factors, _factor_matrices(a, k), _factor_matrices(b, k))]
+        return tuple(tuple(zip(*rows)) for rows in zip(*parts))
     if len(a) >= 6 and b:
         if isinstance(ring, FieldTable):
             cn = field_matmul(ring, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
@@ -148,6 +156,12 @@ def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def _factor_matrices(a: Matrix, k: int) -> list:
+    """The k factor matrices of a matrix over a product of k rings."""
+    per_row = [tuple(zip(*row)) or ((),) * k for row in a]
+    return [tuple(rows) for rows in zip(*per_row)] if per_row else [()] * k
 
 
 def mat_vec(ring: Ring, a: Matrix, v: Sequence) -> tuple:

@@ -164,6 +164,7 @@ class ZMod(Ring):
 
     def add(self, a, b): return (a + b) % self.n
     def neg(self, a): return (-a) % self.n
+    def sub(self, a, b): return (a - b) % self.n
     def mul(self, a, b): return (a * b) % self.n
     def from_int(self, n): return n % self.n
     def is_unit(self, a): return gcd(a, self.n) == 1

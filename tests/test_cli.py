@@ -1,12 +1,17 @@
 """CLI contract: artifacts, exit codes, determinism, golden files."""
 
+import hashlib
+import itertools
 import json
 import os
 import pathlib
 
 import pytest
 
+from chevalley import cli, group
 from chevalley.cli import main
+from chevalley.group import group_for
+from chevalley.liealg import AdjointAlgebra
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -160,3 +165,104 @@ def test_format_flag_only_accepts_json():
     with pytest.raises(SystemExit) as exc:
         main(["roots", "--system", "A2", "--format", "xml"])
     assert exc.value.code == 2
+
+
+# sha256 of the stdout of `chevalley verify <suite> --seed 7` over the default
+# matrix; the artifacts hold check counts and failure payloads, not timings
+VERIFY_SEED7_SHA256 = {
+    "commutator": "d4ea6f8644fd57d7400419b608e7174011c3a4455f877627b7df2fe98b4d8813",
+    "eq1": "dbd01616d00745e157ca63cec229a4712e69c30d6a0958ad6f879889a491d053",
+    "jacobi": "f983cab955c32f9f33378747bf85d744e0a8572d474e18596da2fc3e49ab648f",
+    "laws": "8ab8db6bb0d1739d2e22e1ef77e1637f34eb6e144aaeabfc4f8f92e9ee2dd99b",
+    "recover": "b64537154dfaf959c1c1cda043af365f9553da05c0c3631009fa265cff4d2154",
+    "weyl": "71b1092f56ed7f06e780d8de8e3be85c9d6650583d9f07d8e7356b55d45ab4ef",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SEED7_SHA256))
+def test_verify_artifact_matches_golden_hash(suite, capsys):
+    assert main(["verify", suite, "--seed", "7"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == VERIFY_SEED7_SHA256[suite]
+
+
+# --- the failure path of the suites, under planted defects ---------------------
+
+def corrupt_x_root(monkeypatch):
+    """x_(1,0)(1) over Z/4 with 1 added to its (0, 0) entry."""
+    clean = group._unipotent_matrix
+
+    def corrupted(alg, ring, root, t):
+        m = clean(alg, ring, root, t)
+        if ring.descriptor == "Z/4" and root == (1, 0) and t == ring.one:
+            rows = [list(row) for row in m]
+            rows[0][0] = ring.add(rows[0][0], ring.one)
+            m = tuple(map(tuple, rows))
+        return m
+    monkeypatch.setattr(group, "_unipotent_matrix", corrupted)
+
+
+def wrong_chain_coefficient(monkeypatch):
+    """C_12 of ((1, 0), (0, 1)) off by one, as the commutator suite reads it."""
+    clean = cli.chain_coefficients
+
+    def wrong(alg, r, s):
+        coeffs = dict(clean(alg, r, s))
+        if (r, s) == ((1, 0), (0, 1)):
+            coeffs[(1, 2)] += 1
+        return coeffs
+    monkeypatch.setattr(cli, "chain_coefficients", wrong)
+
+
+def wrong_bracket_constant(monkeypatch):
+    """[e_(1,0), e_(0,1)] with its constant off by one."""
+    clean = AdjointAlgebra.bracket_basis
+
+    def wrong(self, a, b):
+        out = clean(self, a, b)
+        if (a, b) == ((1, 0), (0, 1)):
+            out = {k: v + 1 for k, v in out.items()}
+        return out
+    monkeypatch.setattr(AdjointAlgebra, "bracket_basis", wrong)
+
+
+# (defect, suite, system, ring) -> (checks, failures, sha256 of the failures
+# as sorted-key JSON), recorded with the suites that built every x_root(t)
+# as a group element and checked the commutator on group elements
+PLANTED_FAILURES = [
+    (corrupt_x_root, "laws", "A2", "Z/4", 108, 7,
+     "b1ad1bcca2b310f970fcba60bc41833304622567859418d5d7a26c8cfb5340a7"),
+    (corrupt_x_root, "eq1", "A2", "Z/4", 288, 8,
+     "08db3e3ed1e10a738e6e9506659b629994938af97aea6df83a0ad3559345baaf"),
+    (corrupt_x_root, "weyl", "A2", "Z/4", 172, 50,
+     "a41162397c5f5262fc7d19b6e91985428e8d86ab216b6d4153b21a48a039238c"),
+    (corrupt_x_root, "commutator", "A2", "Z/4", 384, 68,
+     "0cfbbae3a93b581752d0350d515c769f05832a5738f3ae4706bc57d3a68dad85"),
+    (wrong_chain_coefficient, "commutator", "B2", "Z/4", 768, 6,
+     "d51a295ec29afc0ec207b435862e87dcd763f5356febdf5b7e0fbaa27686539b"),
+    (wrong_bracket_constant, "jacobi", "A2", "Z", 530, 27,
+     "2b39509237abafeba1ed83e110dfa12b9e23882fff63e095bbbf8caa03138882"),
+]
+
+
+@pytest.mark.parametrize("defect, suite, system, ring, checks, count, digest",
+                         PLANTED_FAILURES)
+def test_suite_reports_planted_defect(monkeypatch, defect, suite, system, ring,
+                                      checks, count, digest):
+    defect(monkeypatch)
+    got_checks, failures = cli.SUITES[suite](system, ring, 0)
+    assert (got_checks, len(failures)) == (checks, count)
+    text = json.dumps(failures, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_jacobi_table_sum_matches_bracket_dict(name):
+    sysm, alg = group_for(name)
+    keys = list(sysm.roots) + list(range(sysm.rank))
+    brackets = {(u, v): alg.bracket_basis(u, v)
+                for u, v in itertools.product(keys, repeat=2)}
+    for u, v, w in itertools.product(keys, repeat=3):
+        got = cli._add_nested_bracket(brackets, u, v, w, {})
+        want = alg.bracket_dict(alg.bracket_basis(u, v), {w: 1})
+        assert {k: c for k, c in got.items() if c} == want, (u, v, w)

@@ -1,7 +1,9 @@
 """Group element tests: generator relations, torus action, words, pushforward.
 
 The two diagonal matrices frozen at the top anchor the basis order and sign
-conventions; everything else is law-checking across several rings.
+conventions; everything else is law-checking across several rings.  The
+commutator formula is checked on group elements by ``commutator_identity_holds``
+here, the oracle for ``group.commutator_pattern_holds`` on a root table.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from chevalley.group import (
     chain_coefficients,
     chain_pairs,
     commutator,
-    commutator_identity_holds,
+    commutator_pattern_holds,
     element_from_matrix,
     from_word,
     group_for,
     identity_element,
     is_identity_mod,
     push_element,
+    root_table,
     torus_alpha,
     torus_chi,
     unipotent,
@@ -188,6 +191,19 @@ def test_chain_coefficients_frozen_values():
     assert {abs(cg[(1, 2)]), abs(cg[(2, 3)])} <= {1, 2, 3}
 
 
+def commutator_identity_holds(alg, ring, r, s, t, u, coeffs):
+    """Check [x_r(t), x_s(u)] against the chain product on group elements,
+    building every x_root and taking the factors in chain_pairs order."""
+    lhs = commutator(unipotent(alg, ring, r, t), unipotent(alg, ring, s, u))
+    rhs = identity_element(alg, ring)
+    for i, j in chain_pairs(alg.system, r, s):
+        gamma = tuple(i * a + j * b for a, b in zip(r, s))
+        param = ring.mul(ring.from_int(coeffs[(i, j)]),
+                         ring.mul(ring.power(t, i), ring.power(u, j)))
+        rhs = rhs.mul(unipotent(alg, ring, gamma, param))
+    return lhs == rhs
+
+
 def test_commutator_identity_across_rings():
     for name in ("A2", "B2", "G2"):
         sysm, alg = group_for(name)
@@ -201,6 +217,53 @@ def test_commutator_identity_across_rings():
                 for _ in range(3):
                     t, u = ring.rand(rng), ring.rand(rng)
                     assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs)
+
+
+def test_root_table_holds_every_unipotent():
+    sysm, alg = group_for("B2")
+    for ring_name in ("Z/4", "F4", "Z/3xZ/3"):
+        ring = ring_make(ring_name)
+        table = root_table(alg, ring)
+        assert len(table) == len(sysm.roots) * ring.size
+        for root in sysm.roots:
+            for t in ring.elements():
+                assert table[(root, t)] == unipotent(alg, ring, root, t).mat
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("ring_name", ["Z/4", "Z/5", "F4", "Z/3xZ/3"])
+def test_commutator_pattern_agrees_with_element_oracle(name, ring_name):
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    table = root_table(alg, ring)
+    elems = list(ring.elements())
+    for r, s in itertools.permutations(sysm.roots, 2):
+        if r == sysm.negate(s):
+            continue
+        coeffs = chain_coefficients(alg, r, s)
+        for t, u in itertools.product(elems, repeat=2):
+            assert commutator_pattern_holds(ring, table, r, s, t, u, coeffs)
+            assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs), (r, s, t, u)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("ring_name", ["Z/4", "Z/5", "F4", "Z/3xZ/3"])
+def test_perturbed_chain_is_rejected_at_the_same_parameters(name, ring_name):
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    table = root_table(alg, ring)
+    elems = list(ring.elements())
+    r, s = sysm.simple(0), sysm.simple(1)
+    for key in chain_coefficients(alg, r, s):
+        coeffs = dict(chain_coefficients(alg, r, s))
+        coeffs[key] += 1
+        got, want = set(), set()
+        for t, u in itertools.product(elems, repeat=2):
+            if not commutator_pattern_holds(ring, table, r, s, t, u, coeffs):
+                got.add((t, u))
+            if not commutator_identity_holds(alg, ring, r, s, t, u, coeffs):
+                want.add((t, u))
+        assert got == want and got, (key, sorted(got))
 
 
 def test_commuting_roots_give_trivial_commutator():

@@ -4,8 +4,8 @@ The oracle for solving, kernels and invertibility is exhaustive enumeration
 of R^n over tiny rings, so every answer the elimination gives is checked
 against the full solution set.  The array elimination is also pinned to
 scalar copies of its pivot rule over Z/p^k and over the field tables, its
-kernel ranks over GF(p) to sympy's, and the GF(p^k) array product to
-entrywise table products.
+kernel ranks over GF(p) to sympy's, and the GF(p^k) array product and the
+per-factor product over product rings to entrywise table products.
 """
 
 from __future__ import annotations
@@ -586,3 +586,21 @@ def test_field_products_match_table_products(name):
         [list(r) for r in table_product(ring, s, x)] for s in stack]
     assert field_matmul(ring, np.array(x), np.array(stack)).tolist() == [
         [list(r) for r in table_product(ring, x, s)] for s in stack]
+
+
+@pytest.mark.parametrize("name", ["Z/3xZ/3", "Z/6xF4", "F4xZ/2xZ/3"])
+def test_product_ring_mat_mul_matches_scalar_loop(name):
+    # each factor takes its own path (scalar below 6 rows, int64 or field
+    # tables from 6 up); the zipped entries must equal the tuple-entry loop
+    ring = ring_make(name)
+    rng = random.Random(name + "mul")
+    for n in range(1, 16):
+        a = rand_matrix(ring, rng, n, n)
+        b = rand_matrix(ring, rng, n, n)
+        assert mat_mul(ring, a, b) == table_product(ring, a, b), (name, n)
+    for m, k, n in [(7, 3, 9), (2, 8, 1), (6, 1, 6)]:
+        a = rand_matrix(ring, rng, m, k)
+        b = rand_matrix(ring, rng, k, n)
+        assert mat_mul(ring, a, b) == table_product(ring, a, b), (name, m, k, n)
+    for m in (1, 6):
+        assert mat_mul(ring, ((),) * m, ()) == ((),) * m

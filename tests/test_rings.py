@@ -59,6 +59,13 @@ def test_basic_arithmetic_mod_6():
         r.inv(2)
 
 
+def test_zmod_sub_is_add_of_negation():
+    for n in range(1, 13):
+        r = ring_make(f"Z/{n}")
+        for a, b in itertools.product(r.elements(), repeat=2):
+            assert r.sub(a, b) == r.add(a, r.neg(b)), (n, a, b)
+
+
 def test_unit_flags():
     assert ring_make("Z/5").has_half and ring_make("Z/5").has_third
     assert not ring_make("Z/4").has_half and ring_make("Z/4").has_third
