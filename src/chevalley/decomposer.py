@@ -37,7 +37,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +66,6 @@ from chevalley.linalg import (
     residue_dtype,
     ring_invert,
 )
-from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import (
     ProductRing,
     Ring,
@@ -76,7 +75,12 @@ from chevalley.rings import (
     ring_automorphisms,
     ring_make,
 )
-from chevalley.roots import DiagramSymmetry, Root, diagram_symmetries
+from chevalley.roots import (
+    DiagramSymmetry,
+    Root,
+    diagram_symmetries,
+    system_from_name,
+)
 
 
 class CertifyError(Exception):
@@ -418,53 +422,16 @@ def _intertwiner_basis(ring: Ring, pairs: List[Tuple[Matrix, Matrix]]) -> List[T
         def combine(coords, basis):
             return field_matmul(ring, coords, basis)
     basis = np.eye(nn, dtype=dtype)
-    for x_mat, y_mat in pairs:
+    for step, (x_mat, y_mat) in enumerate(pairs):
         mb = basis.reshape(-1, n, n)
         x, y = np.array(x_mat, dtype=dtype), np.array(y_mat, dtype=dtype)
         rows = list(residual(mb, x, y).reshape(len(basis), nn).T)   # a row per entry of M
         coords = local_nullspace(ring, rows)
         if not coords:
             return []
-        basis = combine(np.array(coords, dtype=dtype), basis)
+        coords = np.array(coords, dtype=dtype)
+        basis = combine(coords, basis) if step else coords   # coords @ identity
     return [tuple(v) for v in basis.tolist()]
-
-
-def _invertible_candidates(ring: Ring, basis: List[Tuple], n: int,
-                           cap: int = 24) -> Iterator[Matrix]:
-    """Invertible matrices of the intertwiner module, at most ``cap``, built
-    and tested only as the caller asks for them: the basis vectors, their
-    pairwise sums and differences, then seeded random unit combinations."""
-
-    def pairs():
-        for a, b in itertools.combinations(range(len(basis)), 2):
-            yield tuple(ring.add(x, y) for x, y in zip(basis[a], basis[b]))
-            yield tuple(ring.sub(x, y) for x, y in zip(basis[a], basis[b]))
-
-    def probes():
-        rng = random.Random(9173)
-        units = [u for u in ring.units()] if ring.size and ring.size <= 16 else [ring.one]
-        for _ in range(40 if basis else 0):
-            vec = [ring.zero] * len(basis[0])
-            for b in basis:
-                c = units[rng.randrange(len(units))] if rng.random() < 0.7 else ring.zero
-                if c == ring.zero:
-                    continue
-                for i, v in enumerate(b):
-                    vec[i] = ring.add(vec[i], ring.mul(c, v))
-            yield tuple(vec)
-
-    seen = set()
-    found = 0
-    for vec in itertools.chain(basis, pairs(), probes()):
-        m = _reshape(vec, n)
-        if m in seen:
-            continue
-        seen.add(m)
-        if ring_invert(ring, m) is not None:
-            yield m
-            found += 1
-            if found == cap:
-                return
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +440,6 @@ def _invertible_candidates(ring: Ring, basis: List[Tuple], n: int,
 
 @lru_cache(maxsize=None)
 def _weight_perm(system_name: str) -> Tuple[int, ...]:
-    from chevalley.roots import system_from_name
-
     sysm = system_from_name(system_name)
     nroots = len(sysm.roots)
 
@@ -487,8 +452,6 @@ def _weight_perm(system_name: str) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _weyl_words(system_name: str) -> Tuple[Tuple[int, ...], ...]:
     """Words in simple reflections for every Weyl group element, BFS order."""
-    from chevalley.roots import system_from_name
-
     sysm = system_from_name(system_name)
     nroots = len(sysm.roots)
     ident = tuple(range(nroots))
@@ -676,25 +639,25 @@ def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table):
 
 
 def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag):
-    """Search (delta, conjugator, rho) for one local factor."""
+    """Search (delta, conjugator, rho) for one local factor.
+
+    The conjugator intertwines each x_root(1) with its untwisted image.  The
+    intertwiners reduce to a line over the residue field, and over a local
+    ring a matrix is invertible exactly when its residue is, so the candidates
+    are the invertible basis vectors in basis order.
+    """
     sysm = alg.system
-    one = ring.one
-    regime = recovery_regime(sysm, ring)
     deepest = CertifyError("match", "no diagram symmetry admits a strictly "
                            "inner intertwiner", {"factor": problem_tag})
     for delta in diagram_symmetries(sysm):
         gd = None if delta.is_identity else graph_data(alg, delta)
         twisted = _twist_table(alg, ring, table, gd)
-        if regime is not None:
-            lie_images = recover_family(
-                alg, ring, {root: twisted[(root, one)] for root in sysm.roots})
-            pairs = [(alg.x_matrix(root, ring), lie_images[root])
-                     for root in sysm.roots]
-        else:
-            pairs = [(unipotent(alg, ring, root, one).mat, twisted[(root, one)])
-                     for root in sysm.roots]
-        basis = _intertwiner_basis(ring, pairs)
-        for m in _invertible_candidates(ring, basis, alg.dim):
+        pairs = [(unipotent(alg, ring, root, ring.one).mat, twisted[(root, ring.one)])
+                 for root in sysm.roots]
+        for vec in _intertwiner_basis(ring, pairs):
+            m = _reshape(vec, alg.dim)
+            if ring_invert(ring, m) is None:
+                continue
             conj = strictly_inner_element(alg, ring, m)
             if conj is None:
                 continue

@@ -10,10 +10,10 @@ matrix of x depends on what the ring can divide by.  Three regimes:
              elements, so subtraction needs no division at all.
   None       nothing applies (A2 without 1/2, doubly laced without 1/2).
 
-recover_family maps a whole family of parameter-1 images at once, which is
-the shape the decomposition pipeline consumes.  The formulas are built from
-products and ring-scalings only, so they commute with conjugation; the tests
-rely on that equivariance.
+recover_family maps a whole family of parameter-1 images at once; the
+`verify recover` suite and the acceptance gate check it against the integer
+adjoint matrices.  The formulas are built from products and ring-scalings
+only, so they commute with conjugation; the tests rely on that equivariance.
 """
 
 from __future__ import annotations

@@ -471,8 +471,6 @@ def residue_map(ring: Ring, ideal: Ideal) -> RingMorphism:
     if isinstance(ring, (ZRing, ZMod)):
         d = ideal.data
         if d == 0:
-            if isinstance(ring, ZRing):
-                return RingMorphism(ring, ring, lambda x: x)
             return RingMorphism(ring, ring, lambda x: x)
         dst = ring_make(f"Z/{d}")
         return RingMorphism(ring, dst, lambda x, m=d: x % m)

@@ -1,15 +1,12 @@
 """End-to-end decomposition: round trips, transport, and refusals."""
 
-import itertools
 import json
-import random
 
 import pytest
 
 import chevalley.decomposer as decomposer
-from chevalley.autos import standard
+from chevalley.autos import graph_data, standard
 from chevalley.decomposer import (
-    _invertible_candidates,
     AutomorphismSpec,
     CertifyError,
     certify,
@@ -21,7 +18,15 @@ from chevalley.decomposer import (
     strictly_inner_element,
 )
 from chevalley.group import GroupElement, from_word, group_for, unipotent
-from chevalley.linalg import identity, is_identity, mat_mul, matrix, ring_invert
+from chevalley.linalg import (
+    identity,
+    is_identity,
+    local_diag,
+    mat_mul,
+    mat_scale,
+    matrix,
+    ring_invert,
+)
 from chevalley.rings import ring_automorphisms, ring_make
 from chevalley.roots import diagram_symmetries
 
@@ -461,7 +466,6 @@ def test_strictly_inner_rejects_outside_matrices():
         m[0][1] = ring.one
         m[3][6] = ring.one
         assert strictly_inner_element(alg, ring, matrix(m)) is None
-        from chevalley.autos import graph_data
         gd = graph_data(alg, diagram_symmetries(sysm)[1])
         lam, _ = gd.matrices(ring)
         assert strictly_inner_element(alg, ring, lam) is None
@@ -475,63 +479,77 @@ def test_forge_is_deterministic():
     assert a != c
 
 
-# --- lazy conjugator candidates ------------------------------------------------
-
-def eager_candidates(ring, basis, n, cap=24):
-    """The candidate rule built in full before any is tried: the basis
-    vectors, pairwise sums and differences, then 40 seeded unit combinations,
-    keeping the first ``cap`` distinct invertible matrices."""
-    out, seen = [], set()
-
-    def consider(vec):
-        if len(out) >= cap:
-            return
-        m = tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
-        if m in seen:
-            return
-        seen.add(m)
-        if ring_invert(ring, m) is not None:
-            out.append(m)
-
-    for vec in basis:
-        consider(vec)
-    for a, b in itertools.combinations(range(len(basis)), 2):
-        consider(tuple(ring.add(x, y) for x, y in zip(basis[a], basis[b])))
-        consider(tuple(ring.sub(x, y) for x, y in zip(basis[a], basis[b])))
-    rng = random.Random(9173)
-    units = [u for u in ring.units()] if ring.size and ring.size <= 16 else [ring.one]
-    for _ in range(40):
-        if len(out) >= cap or not basis:
-            break
-        vec = [ring.zero] * len(basis[0])
-        for b in basis:
-            c = units[rng.randrange(len(units))] if rng.random() < 0.7 else ring.zero
-            if c == ring.zero:
-                continue
-            for i, v in enumerate(b):
-                vec[i] = ring.add(vec[i], ring.mul(c, v))
-        consider(tuple(vec))
-    return out
-
+# --- conjugator candidates ------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["Z/4", "Z/9", "F4"])
-def test_lazy_candidates_match_the_eager_rule(name):
+def test_candidates_are_the_invertible_basis_vectors_in_order(name, monkeypatch):
     ring = ring_make(name)
-    rng = random.Random(name)
-    lengths = set()
-    for n in (2, 3):
-        singular = (ring.one,) * (n * n)
-        for size in range(4):
-            for trial in range(9):
-                basis = [tuple(ring.rand(rng) for _ in range(n * n)) for _ in range(size)]
-                if trial % 3 == 1 and size >= 2:
-                    basis[1] = basis[0]
-                if trial % 3 == 2 and size:
-                    basis[-1] = singular
-                want = eager_candidates(ring, basis, n)
-                assert list(_invertible_candidates(ring, basis, n)) == want, (basis, n)
-                lengths.add(len(want))
-    assert 0 in lengths and (24 in lengths or name == "Z/4")   # Z/4 never fills the cap
+    sysm, alg = group_for("A2")
+    n = alg.dim
+    unit = ring.units()[-1]
+
+    def flat(m):
+        return tuple(v for row in m for v in row)
+
+    eye = identity(ring, n)
+    shear = [list(row) for row in eye]
+    shear[0][1] = unit
+    shear = matrix(shear)
+    singular = [list(row) for row in eye]
+    singular[2][2] = ring.zero
+    singular = matrix(singular)
+    basis = [flat(singular), flat(shear), (ring.zero,) * (n * n),
+             flat(mat_scale(ring, unit, eye)), flat(shear)]
+    if not ring.is_field:
+        basis.insert(0, flat(mat_scale(ring, ring.from_int(ring.residue_char), eye)))
+    tried = []
+
+    def never_inner(alg, ring, m):
+        tried.append(m)
+        return None
+
+    monkeypatch.setattr(decomposer, "_intertwiner_basis", lambda ring, pairs: basis)
+    monkeypatch.setattr(decomposer, "strictly_inner_element", never_inner)
+    with pytest.raises(CertifyError) as err:
+        decomposer._match_local(alg, ring, honest_table("A2", ring), 0)
+    assert err.value.stage == "match"
+    # per diagram symmetry: the invertible vectors in basis order, a repeat
+    # included, and no sum, difference or other combination of them
+    want = [shear, mat_scale(ring, unit, eye), shear]
+    assert tried == want * len(diagram_symmetries(sysm))
+
+
+@pytest.mark.parametrize("system,ring_name", [
+    ("A2", "Z/4"), ("A3", "Z/4"), ("B2", "Z/4"), ("A2", "Z/9"), ("A2", "F9"),
+    ("A2", "Z/3xZ/3"),
+])
+def test_intertwiners_reduce_to_a_line_for_every_diagram_symmetry(system, ring_name):
+    """The premise of the candidate rule: with the planted symmetry or a wrong
+    one (B2 has none), the intertwiners of the x_root(1) are not empty and
+    reduce to rank 1 over the residue field, so every invertible intertwiner
+    is, mod the maximal ideal, a unit times an invertible basis vector."""
+    sysm, alg = group_for(system)
+    ring = ring_make(ring_name)
+    symmetries = diagram_symmetries(sysm)
+    assert len(symmetries) == (1 if system == "B2" else 2)
+    for seed in range(2):
+        spec, _ = forge_random_parts(system, ring_name, seed)
+        table = decomposer.precheck(spec, alg)
+        for problem in decomposer.split_local(table, alg, ring):
+            local = problem.ring
+            p = local.residue_char
+            residue = local if local.is_field else ring_make(f"Z/{p}")
+            for delta in symmetries:
+                gd = None if delta.is_identity else graph_data(alg, delta)
+                twisted = decomposer._twist_table(alg, local, problem.table, gd)
+                pairs = [(unipotent(alg, local, root, local.one).mat,
+                          twisted[(root, local.one)]) for root in sysm.roots]
+                basis = decomposer._intertwiner_basis(local, pairs)
+                assert basis, (seed, problem.index, delta.perm)
+                reduced = basis if local.is_field else [
+                    tuple(x % p for x in vec) for vec in basis]
+                assert len(local_diag(residue, reduced).pivots) == 1, \
+                    (seed, problem.index, delta.perm)
 
 
 def test_round_trip_inverts_candidates_only_up_to_the_first_hit(monkeypatch):

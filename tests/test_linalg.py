@@ -15,8 +15,6 @@ import random
 
 import numpy as np
 import pytest
-from sympy import GF
-from sympy.polys.matrices import DomainMatrix
 
 from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
@@ -348,14 +346,53 @@ def test_local_diag_matches_scalar_oracle(name):
 
 @pytest.mark.parametrize("name", ["Z/2", "Z/3", "Z/5", "Z/7"])
 def test_kernel_rank_matches_sympy_over_gf_p(name):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
     ring = ring_make(name)
     p = ring.n
     rng = random.Random(name)
     for m, n in [(3, 5), (5, 3), (6, 6), (8, 7), (4, 9)]:
         for _ in range(6):
             a = rand_valued_matrix(rng, p, 1, m, n)
-            rank = DomainMatrix.from_list([list(row) for row in a], GF(p)).rank()
+            rank = DomainMatrix.from_list([list(row) for row in a], sympy.GF(p)).rank()
             assert len(local_nullspace(ring, a)) == n - rank
+
+
+def p_valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/8", "Z/9", "Z/25"])
+def test_local_diag_valuations_match_sympy_smith_form(name):
+    """The Smith form over Z of an integer lift, reduced mod p^k, is a Smith
+    form over Z/p^k, so its diagonal entries that stay nonzero have the
+    valuations of local_diag's pivots."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    ring = ring_make(name)
+    p, k = ring.residue_char, ring.nil_degree
+    mod = p ** k
+    rng = random.Random(name)
+    for m, n in [(3, 5), (5, 3), (4, 4), (6, 6), (7, 2)]:
+        for trial in range(6):
+            if trial % 2:       # rank at most 2 over Z
+                left = [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(m)]
+                right = [[rng.randrange(mod) for _ in range(n)] for _ in range(2)]
+                lift = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                        for row in left]
+            else:
+                lift = [list(row) for row in rand_valued_matrix(rng, p, k, m, n)]
+            snf = smith_normal_form(sympy.Matrix(lift), domain=sympy.ZZ)
+            diag = [int(snf[i, i]) for i in range(min(m, n))]
+            want = sorted(p_valuation(d, p) for d in diag if d % mod)
+            d = local_diag(ring, tuple(tuple(x % mod for x in row) for row in lift))
+            assert sorted(v for _, v in d.pivots) == want, (name, lift)
 
 
 # --- the int64 guard -----------------------------------------------------------
