@@ -8,7 +8,6 @@ into graph, inner and ring components and emits machine-checkable
 certificates.
 """
 
-from chevalley.autos import StandardAutomorphism, graph_auto, inner, ring_twist, standard
 from chevalley.decomposer import (
     AutomorphismSpec,
     Certificate,
@@ -32,21 +31,15 @@ from chevalley.group import (
 )
 from chevalley.liealg import AdjointAlgebra, algebra_for, build_algebra
 from chevalley.recover import recover_family, recovery_regime
-from chevalley.rings import (
-    Ideal,
-    crt_split,
-    ring_automorphisms,
-    ring_make,
-)
+from chevalley.rings import crt_split, ring_automorphisms, ring_make
 from chevalley.roots import RootSystem, build_root_system, diagram_symmetries
 
 __all__ = [
     "AdjointAlgebra", "AutomorphismSpec", "Certificate", "CertifyError",
-    "GroupElement", "Ideal", "RootSystem", "StandardAutomorphism",
-    "algebra_for", "build_algebra", "build_root_system", "certify",
-    "commutator", "crt_split", "diagram_symmetries", "forge_random",
-    "forge_random_parts", "from_word", "graph_auto", "group_for", "inner",
-    "recover_family", "recovery_regime", "ring_automorphisms", "ring_make",
-    "ring_twist", "spanning_params", "spec_from_elements", "spec_from_json",
-    "standard", "torus_alpha", "torus_chi", "unipotent", "weyl",
+    "GroupElement", "RootSystem", "algebra_for", "build_algebra",
+    "build_root_system", "certify", "commutator", "crt_split",
+    "diagram_symmetries", "forge_random", "forge_random_parts", "from_word",
+    "group_for", "recover_family", "recovery_regime", "ring_automorphisms",
+    "ring_make", "spanning_params", "spec_from_elements", "spec_from_json",
+    "torus_alpha", "torus_chi", "unipotent", "weyl",
 ]

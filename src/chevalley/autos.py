@@ -1,4 +1,4 @@
-"""Standard automorphisms: ring twists, inner conjugations, graph symmetries.
+"""Graph automorphisms: diagram symmetries realized on the adjoint basis.
 
 A graph symmetry of the diagram lifts to the Lie algebra as a signed basis
 permutation.  Signs are fixed by sending every simple root vector to its
@@ -11,22 +11,20 @@ A standard automorphism in normal form acts as
     x  |->  L ( g rho(x) g^-1 ) L^-1
 
 with rho a ring automorphism applied entrywise, g a group element, and L the
-matrix of a graph symmetry.  Ring twists commute past integer matrices, and
-conjugations absorb, so every composition of standard pieces can be brought
-to this shape.
+matrix of a graph symmetry built here; the decomposer's certificates carry
+the three parts and compose them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
-from chevalley.group import GroupElement, from_word
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import Matrix, mat_map, mat_mul, matrix
-from chevalley.rings import Ring, RingAut, ring_make
-from chevalley.roots import DiagramSymmetry, Root
+from chevalley.rings import Ring, ring_make
+from chevalley.roots import DiagramSymmetry
 
 
 @dataclass(eq=False)
@@ -37,18 +35,6 @@ class GraphData:
     eps: dict
     lambda_z: Matrix
     lambda_z_inv: Matrix
-
-    def map_token(self, ring: Ring, token) -> tuple:
-        kind, root, t = token
-        if kind == "chi":
-            units = [ring.one] * len(root)
-            for i, u in enumerate(root):
-                units[self.delta.perm[i]] = u
-            return ("chi", tuple(units), None)
-        image = self.delta.apply_root(root)
-        if kind in ("x", "w"):
-            return (kind, image, ring.mul(ring.from_int(self.eps[root]), t))
-        return ("h", image, t)
 
     def matrices(self, ring: Ring) -> Tuple[Matrix, Matrix]:
         return (mat_map(ring.from_int, self.lambda_z),
@@ -102,61 +88,3 @@ def _graph_data_cached(kind: str, rank: int, perm: tuple) -> GraphData:
 
 def graph_data(alg: AdjointAlgebra, delta: DiagramSymmetry) -> GraphData:
     return _graph_data_cached(alg.system.kind, alg.system.rank, delta.perm)
-
-
-@dataclass(eq=False)
-class StandardAutomorphism:
-    """Normal form graph * inner * ring-twist over a fixed ring."""
-
-    alg: AdjointAlgebra
-    ring: Ring
-    graph: Optional[GraphData]
-    conjugator: Optional[GroupElement]
-    ring_aut: Optional[RingAut]
-
-    def apply(self, elem: GroupElement) -> GroupElement:
-        out = elem
-        if self.ring_aut is not None and not self.ring_aut.is_identity:
-            rho = self.ring_aut
-            word = None
-            if out.word is not None:
-                word = tuple(
-                    ("chi", tuple(rho(u) for u in r), None) if k == "chi"
-                    else (k, r, rho(t))
-                    for k, r, t in out.word)
-            out = GroupElement(self.ring, mat_map(rho, out.mat),
-                               mat_map(rho, out.inv_mat), word)
-        if self.conjugator is not None:
-            out = out.conj_by(self.conjugator)
-        if self.graph is not None and not self.graph.delta.is_identity:
-            lam, lam_inv = self.graph.matrices(self.ring)
-            word = None
-            if out.word is not None:
-                word = tuple(self.graph.map_token(self.ring, t) for t in out.word)
-            mat = mat_mul(self.ring, mat_mul(self.ring, lam, out.mat), lam_inv)
-            inv = mat_mul(self.ring, mat_mul(self.ring, lam, out.inv_mat), lam_inv)
-            out = GroupElement(self.ring, mat, inv, word)
-        return out
-
-    def apply_word(self, word) -> GroupElement:
-        return self.apply(from_word(self.alg, self.ring, word))
-
-
-def inner(alg: AdjointAlgebra, g: GroupElement) -> StandardAutomorphism:
-    return StandardAutomorphism(alg, g.ring, None, g, None)
-
-
-def ring_twist(alg: AdjointAlgebra, ring: Ring, rho: RingAut) -> StandardAutomorphism:
-    return StandardAutomorphism(alg, ring, None, None, rho)
-
-
-def graph_auto(alg: AdjointAlgebra, ring: Ring, delta: DiagramSymmetry) -> StandardAutomorphism:
-    return StandardAutomorphism(alg, ring, graph_data(alg, delta), None, None)
-
-
-def standard(alg: AdjointAlgebra, ring: Ring,
-             delta: Optional[DiagramSymmetry] = None,
-             conjugator: Optional[GroupElement] = None,
-             rho: Optional[RingAut] = None) -> StandardAutomorphism:
-    gd = graph_data(alg, delta) if delta is not None and not delta.is_identity else None
-    return StandardAutomorphism(alg, ring, gd, conjugator, rho)

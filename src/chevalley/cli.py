@@ -444,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ring descriptor, e.g. Z/6, F4, Z/3xZ/3, Z")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json",), default="json",
-                       help="artifact format (only json)")
         p.add_argument("--out", default=None, help="write the artifact here")
 
     p = sub.add_parser("roots", help="dump a root system")
@@ -469,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose",
                        help="decompose a spec into a certificate")
     p.add_argument("--spec", required=True, help="spec JSON file")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_decompose)
 

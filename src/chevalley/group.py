@@ -11,8 +11,7 @@ of generators that produced it.  Words use three token kinds:
 
 The chi token exists because the adjoint torus is bigger than the span of the
 h_root elements; conjugator words coming out of big-cell factorizations need
-it.  Words are what certificates replay and what pushes through residue maps;
-the matrix is what equality means.
+it.  Words are what certificates replay; the matrix is what equality means.
 
 x_root(t) is 1 + sum_k t^k D_k over the divided powers D_k of ad e_root.
 Each D_k is cached per (system, ring, root) as its nonzero (i, j, value)
@@ -35,9 +34,8 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import (Matrix, identity, is_identity, mat_map, mat_mul,
-                              matrix, ring_invert)
-from chevalley.rings import Ideal, Ring, RingMorphism, ring_make
+from chevalley.linalg import Matrix, identity, is_identity, mat_map, mat_mul, matrix
+from chevalley.rings import Ring, ring_make
 from chevalley.roots import Root
 
 Token = Tuple
@@ -205,40 +203,8 @@ def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> Group
     return out
 
 
-def element_from_matrix(ring: Ring, mat: Matrix) -> GroupElement:
-    inv = ring_invert(ring, mat)
-    if inv is None:
-        raise ValueError("matrix is not invertible over the ring")
-    return GroupElement(ring, mat, inv, None)
-
-
-def _push_token(hom: RingMorphism, token: Token) -> Token:
-    kind, root, t = token
-    if kind == "chi":
-        return ("chi", tuple(hom(u) for u in root), None)
-    return (kind, root, hom(t))
-
-
-def push_element(alg: AdjointAlgebra, hom: RingMorphism, elem: GroupElement) -> GroupElement:
-    """Apply a ring map entrywise; words push token by token."""
-    if elem.word is not None:
-        return from_word(alg, hom.dst, tuple(_push_token(hom, t) for t in elem.word))
-    return GroupElement(hom.dst, mat_map(hom, elem.mat), mat_map(hom, elem.inv_mat), None)
-
-
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     return a.mul(b).mul(a.inv()).mul(b.inv())
-
-
-def is_identity_mod(ideal: Ideal, elem: GroupElement) -> bool:
-    ring = elem.ring
-    n = len(elem.mat)
-    for i in range(n):
-        for j, v in enumerate(elem.mat[i]):
-            target = ring.one if i == j else ring.zero
-            if not ideal.contains(ring.sub(v, target)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Optional, Tuple
 
-from chevalley.linalg import Matrix, mat_map, mat_mul, mat_sub, matrix, ring_nullspace, ring_solve
+from chevalley.linalg import Matrix, mat_map, mat_mul, mat_sub, matrix
 from chevalley.rings import Ring, ZRing, ring_make
 from chevalley.roots import Root, RootSystem, build_root_system
 
@@ -244,48 +244,6 @@ class AdjointAlgebra:
         self._slots[root] = found
         return found
 
-    def span_coordinates(self, ring: Ring, m: Matrix):
-        """Write m as a combination of basis matrices over ring.
-
-        Returns (coeffs, exact) where coeffs maps basis keys (roots and
-        h indices) to ring elements, or None when m is not in the span.
-        exact is False when the Cartan part was only determined up to the
-        kernel of the pairing matrix.
-        """
-        sysm = self.system
-        coeffs = {}
-        for root in sysm.roots:
-            (i, j), unit = self._slot(root)
-            val = m[i][j]
-            coeffs[root] = ring.mul(val, ring.from_int(unit))  # unit is +-1
-        residue = m
-        for root in sysm.roots:
-            c = coeffs[root]
-            if c != ring.zero:
-                residue = mat_sub(ring, residue,
-                                  mat_map(lambda v: ring.mul(c, ring.from_int(v)),
-                                          self.x_mats[root]))
-        pair_rows = matrix([[sysm.pairing(beta, sysm.simple(j)) for j in range(sysm.rank)]
-                            for beta in sysm.roots])
-        target = tuple(residue[sysm.root_index(beta)][sysm.root_index(beta)]
-                       for beta in sysm.roots)
-        if isinstance(ring, ZRing):
-            sol = _solve_z(pair_rows, target)
-            exact = True
-        else:
-            pr = mat_map(ring.from_int, pair_rows)
-            sol = ring_solve(ring, pr, target)
-            exact = sol is not None and not any(
-                any(v != ring.zero for v in g) for g in ring_nullspace(ring, pr))
-        if sol is None:
-            return None
-        for j in range(sysm.rank):
-            coeffs[j] = sol[j]
-        rebuilt = self.combination(ring, coeffs)
-        if rebuilt != m:
-            return None
-        return coeffs, exact
-
     def combination(self, ring: Ring, coeffs: dict) -> Matrix:
         n = self.dim
         rows = [[ring.zero] * n for _ in range(n)]
@@ -330,40 +288,6 @@ class AdjointAlgebra:
                 elif k in out:
                     del out[k]
         return out
-
-
-def _solve_z(a: Matrix, b) -> Optional[tuple]:
-    """Exact integer solution of a full-column-rank system, or None."""
-    m, n = len(a), len(a[0])
-    work = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a, b)]
-    row = 0
-    pivots = []
-    for c in range(n):
-        piv = next((r for r in range(row, m) if work[r][c] != 0), None)
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        scale = work[row][c]
-        work[row] = [x / scale for x in work[row]]
-        for r in range(m):
-            if r != row and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[row])]
-        pivots.append(c)
-        row += 1
-    sol = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        sol[c] = work[r][n]
-    for r in range(row, m):
-        if work[r][n] != 0:
-            return None
-    # consistency on all rows
-    for orig, v in zip(a, b):
-        if sum(Fraction(x) * s for x, s in zip(orig, sol)) != v:
-            return None
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return tuple(int(s) for s in sol)
 
 
 def _coroot_coords(system: RootSystem, alpha: Root) -> Tuple[int, ...]:
@@ -415,67 +339,3 @@ def build_algebra(kind: str, rank: int) -> AdjointAlgebra:
 
 def algebra_for(system: RootSystem) -> AdjointAlgebra:
     return build_algebra(system.kind, system.rank)
-
-
-# --------------------------------------------------------------------------
-# the (l+1) by (l+1) model of the A series, used to tell inner from outer
-
-
-@dataclass(frozen=True)
-class ASeriesModel:
-    """x for a positive root with support a..b maps to the matrix unit
-    (a, b+1), its negative to (b+1, a), and h_j to E_jj - E_(j+1)(j+1)."""
-
-    system: RootSystem
-    size: int
-    places: dict  # root -> (i, j)
-
-    def basis_matrix(self, ring: Ring, key) -> Matrix:
-        n = self.size
-        rows = [[ring.zero] * n for _ in range(n)]
-        if isinstance(key, tuple):
-            i, j = self.places[key]
-            rows[i][j] = ring.one
-        else:
-            rows[key][key] = ring.one
-            rows[key + 1][key + 1] = ring.neg(ring.one)
-        return matrix(rows)
-
-    def combination(self, ring: Ring, coeffs: dict) -> Matrix:
-        n = self.size
-        rows = [[ring.zero] * n for _ in range(n)]
-        for key, c in coeffs.items():
-            if isinstance(key, tuple):
-                i, j = self.places[key]
-                rows[i][j] = ring.add(rows[i][j], c)
-            else:
-                rows[key][key] = ring.add(rows[key][key], c)
-                rows[key + 1][key + 1] = ring.sub(rows[key + 1][key + 1], c)
-        return matrix(rows)
-
-
-@lru_cache(maxsize=None)
-def a_series_model(rank: int) -> ASeriesModel:
-    system = build_root_system("A", rank)
-    alg = algebra_for(system)
-    places = {}
-    for root in system.roots:
-        support = [i for i, c in enumerate(root) if c != 0]
-        a, b = min(support), max(support)
-        if root[support[0]] > 0:
-            places[root] = (a, b + 1)
-        else:
-            places[root] = (b + 1, a)
-    model = ASeriesModel(system, rank + 1, places)
-    # the map must transport the bracket exactly, including all signs
-    def as_mat(key):
-        return model.basis_matrix(ZZ, key)
-    keys = list(system.roots) + list(range(rank))
-    for a in keys:
-        for b in keys:
-            ma, mb = as_mat(a), as_mat(b)
-            lhs = mat_sub(ZZ, mat_mul(ZZ, ma, mb), mat_mul(ZZ, mb, ma))
-            expect = alg.bracket_basis(a, b)
-            rhs = model.combination(ZZ, {k: v for k, v in expect.items()})
-            assert lhs == rhs, (a, b)
-    return model

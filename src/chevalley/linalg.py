@@ -1,9 +1,9 @@
 """Exact matrix arithmetic over ring handles.
 
 Matrices are tuples of row tuples of ring elements, so they hash and compare
-exactly.  Generic operations go through the ring handle; solving, kernels and
-inversion first split the ring into local factors, then run a Smith-style
-diagonalization per factor.
+exactly.  Generic operations go through the ring handle; inversion first
+splits the ring into local factors, then runs a Smith-style diagonalization
+per factor, and kernels are taken over one local factor at a time.
 
 Over Z/p^k and GF(q) the elimination is array-native: it keeps A and Q (and
 P only when a caller needs it) as numpy arrays, finds the row-major first
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -52,15 +51,6 @@ def identity(ring: Ring, n: int) -> Matrix:
     """The n x n identity, built once per (ring, n); matrices are immutable."""
     z, o = ring.zero, ring.one
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def zero_matrix(ring: Ring, m: int, n: int) -> Matrix:
-    z = ring.zero
-    return tuple((z,) * n for _ in range(m))
-
-
-def mat_add(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(ring.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
@@ -164,18 +154,6 @@ def _factor_matrices(a: Matrix, k: int) -> list:
     return [tuple(rows) for rows in zip(*per_row)] if per_row else [()] * k
 
 
-def mat_vec(ring: Ring, a: Matrix, v: Sequence) -> tuple:
-    zero, add, mul = ring.zero, ring.add, ring.mul
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x != zero and y != zero:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
 def mat_pow(ring: Ring, a: Matrix, n: int) -> Matrix:
     out = identity(ring, len(a))
     base = a
@@ -197,27 +175,6 @@ def is_identity(ring: Ring, a: Matrix) -> bool:
 
 # --------------------------------------------------------------------------
 # integer matrices
-
-
-def det_bareiss(a: Matrix) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(a)
-    m = [list(map(int, row)) for row in a]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def invert_z(a: Matrix) -> Matrix:
@@ -355,29 +312,6 @@ def local_diag(ring: Ring, a: Matrix) -> LocalDiag:
                      diag, pivots, (len(P), len(Q)))
 
 
-def local_solve(ring: Ring, a: Matrix, b: Sequence):
-    """One solution of A x = b over a local ring, or None."""
-    d = local_diag(ring, a)
-    m, n = d.shape
-    pb = mat_vec(ring, d.p_mat, b)
-    y = [ring.zero] * n
-    pivot_rows = {i for i, _ in d.pivots}
-    if isinstance(ring, ZMod):
-        p, k = ring.residue_char, ring.nil_degree
-        for (i, v), dv in zip(d.pivots, d.diag):
-            c = int(pb[i])
-            if c % (p ** v) != 0:
-                return None
-            y[i] = (c // (p ** v)) % ring.n
-    else:
-        for (i, _), dv in zip(d.pivots, d.diag):
-            y[i] = ring.mul(ring.inv(dv), pb[i])
-    for i in range(m):
-        if i not in pivot_rows and pb[i] != ring.zero:
-            return None
-    return mat_vec(ring, d.q_mat, y)
-
-
 def local_nullspace(ring: Ring, a: Matrix) -> list:
     """Generators of {x : A x = 0} over a local ring, for any sequence of rows.
 
@@ -410,38 +344,6 @@ def local_invert(ring: Ring, a: Matrix):
 # composite rings via CRT
 
 
-def ring_solve(ring: Ring, a: Matrix, b: Sequence):
-    if isinstance(ring, ZRing):
-        raise ValueError("solving over Z is not supported; use a finite ring")
-    split = crt_split(ring)
-    if len(split.factors) == 1 and split.factors[0].ring == ring:
-        return local_solve(ring, a, b)
-    parts = []
-    for f in split.factors:
-        af = mat_map(f.project, a)
-        bf = tuple(f.project(x) for x in b)
-        sol = local_solve(f.ring, af, bf)
-        if sol is None:
-            return None
-        parts.append(sol)
-    n = len(a[0])
-    return tuple(split.from_factors([p[i] for p in parts]) for i in range(n))
-
-
-def ring_nullspace(ring: Ring, a: Matrix) -> list:
-    if isinstance(ring, ZRing):
-        raise ValueError("kernels over Z are not supported; use a finite ring")
-    split = crt_split(ring)
-    if len(split.factors) == 1 and split.factors[0].ring == ring:
-        return local_nullspace(ring, a)
-    gens = []
-    for f in split.factors:
-        af = mat_map(f.project, a)
-        for g in local_nullspace(f.ring, af):
-            gens.append(tuple(f.embed(x) for x in g))
-    return gens
-
-
 def ring_invert(ring: Ring, a: Matrix):
     if isinstance(ring, ZRing):
         return invert_z(a)
@@ -458,9 +360,3 @@ def ring_invert(ring: Ring, a: Matrix):
     n = len(a)
     return tuple(tuple(split.from_factors([p[i][j] for p in parts])
                        for j in range(n)) for i in range(n))
-
-
-def is_invertible(ring: Ring, a: Matrix) -> bool:
-    if isinstance(ring, ZRing):
-        return det_bareiss(a) in (1, -1)
-    return ring_invert(ring, a) is not None

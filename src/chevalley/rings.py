@@ -62,9 +62,6 @@ class Ring:
     def one(self):
         return self.from_int(1)
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     # units --------------------------------------------------------------
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -399,102 +396,6 @@ def ring_make(descriptor: str) -> Ring:
 
 
 # ---------------------------------------------------------------------------
-# ideals and quotients
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """An ideal given by generators; supported for Z, Z/n and products."""
-
-    ring: Ring
-    data: object  # int divisor for Z and Z/n; tuple of Ideals for products
-
-    @staticmethod
-    def of(ring: Ring, gen) -> "Ideal":
-        if isinstance(ring, ZRing):
-            return Ideal(ring, abs(int(gen)))
-        if isinstance(ring, ZMod):
-            return Ideal(ring, gcd(int(gen), ring.n))
-        if isinstance(ring, ProductRing) and isinstance(gen, tuple):
-            return Ideal(ring, tuple(Ideal.of(f, g) for f, g in zip(ring.factors, gen)))
-        if isinstance(ring, FieldTable):
-            return Ideal(ring, 0 if gen == 0 else 1)
-        raise RingError(f"cannot form an ideal of {ring.descriptor} from {gen!r}")
-
-    def contains(self, x) -> bool:
-        if isinstance(self.ring, ZRing):
-            return x == 0 if self.data == 0 else x % self.data == 0
-        if isinstance(self.ring, ZMod):
-            # data is gcd(gen, n), so always a positive divisor of n
-            return x % self.data == 0
-        if isinstance(self.ring, ProductRing):
-            return all(i.contains(v) for i, v in zip(self.data, x))
-        if isinstance(self.ring, FieldTable):
-            return x == 0 if self.data == 0 else True
-        raise RingError("unsupported ideal")
-
-    @property
-    def is_proper(self) -> bool:
-        if isinstance(self.ring, (ZRing, ZMod)):
-            return self.data != 1
-        if isinstance(self.ring, ProductRing):
-            return any(i.is_proper for i in self.data)
-        if isinstance(self.ring, FieldTable):
-            return self.data == 0
-        raise RingError("unsupported ideal")
-
-    def elements(self) -> list:
-        if isinstance(self.ring, ZMod):
-            return list(range(0, self.ring.n, self.data))
-        if isinstance(self.ring, ProductRing):
-            return [x for x in self.ring.elements()
-                    if all(i.contains(v) for i, v in zip(self.data, x))]
-        if isinstance(self.ring, FieldTable):
-            return [0] if self.data == 0 else list(self.ring.elements())
-        raise RingError(f"cannot enumerate an ideal of {self.ring.descriptor}")
-
-
-@dataclass(frozen=True)
-class RingMorphism:
-    src: Ring
-    dst: Ring
-    fn: Callable
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-def residue_map(ring: Ring, ideal: Ideal) -> RingMorphism:
-    """The quotient map ring -> ring/ideal with a concrete quotient handle."""
-    if ideal.ring != ring:
-        raise RingError("ideal belongs to a different ring")
-    if isinstance(ring, (ZRing, ZMod)):
-        d = ideal.data
-        if d == 0:
-            return RingMorphism(ring, ring, lambda x: x)
-        dst = ring_make(f"Z/{d}")
-        return RingMorphism(ring, dst, lambda x, m=d: x % m)
-    if isinstance(ring, FieldTable):
-        if ideal.data == 0:
-            return RingMorphism(ring, ring, lambda x: x)
-        dst = ring_make("Z/1")
-        return RingMorphism(ring, dst, lambda x: 0)
-    if isinstance(ring, ProductRing):
-        maps = [residue_map(f, i) for f, i in zip(ring.factors, ideal.data)]
-        keep = [j for j, m in enumerate(maps) if m.dst.size != 1]
-        if not keep:
-            dst = ring_make("Z/1")
-            return RingMorphism(ring, dst, lambda x: 0)
-        if len(keep) == 1:
-            j = keep[0]
-            return RingMorphism(ring, maps[j].dst, lambda x, j=j, m=maps[j]: m(x[j]))
-        dst = ProductRing(tuple(maps[j].dst for j in keep))
-        return RingMorphism(ring, dst,
-                            lambda x, ks=tuple(keep), ms=tuple(maps): tuple(ms[j](x[j]) for j in ks))
-    raise RingError(f"no residue map for {ring.descriptor}")
-
-
-# ---------------------------------------------------------------------------
 # CRT splitting into local factors
 
 
@@ -504,7 +405,6 @@ class LocalFactor:
     project: Callable              # parent element -> factor element
     embed: Callable                # factor element -> parent element (idempotent slot)
     idempotent: object             # the idempotent of the parent supporting this factor
-    maximal_ideal: Ideal           # the maximal ideal of the parent over this factor
 
 
 @dataclass(frozen=True)
@@ -527,9 +427,8 @@ def crt_split(ring: Ring) -> CrtSplit:
     if isinstance(ring, ZMod):
         fac = sorted(_factorize(ring.n).items())
         if len(fac) == 1:
-            ideal = Ideal.of(ring, fac[0][0])
             return CrtSplit(ring, (LocalFactor(ring, lambda x: x, lambda x: x,
-                                               ring.one, ideal),))
+                                               ring.one),))
         factors = []
         for p, k in fac:
             q = p ** k
@@ -542,12 +441,11 @@ def crt_split(ring: Ring) -> CrtSplit:
                 project=lambda x, q=q: x % q,
                 embed=lambda x, e=e, n=ring.n: (x * e) % n,
                 idempotent=e,
-                maximal_ideal=Ideal.of(ring, p),
             ))
         return CrtSplit(ring, tuple(factors))
     if isinstance(ring, FieldTable):
         return CrtSplit(ring, (LocalFactor(ring, lambda x: x, lambda x: x,
-                                           ring.one, Ideal.of(ring, 0)),))
+                                           ring.one),))
     if isinstance(ring, ProductRing):
         factors = []
         for i, f in enumerate(ring.factors):
@@ -559,17 +457,10 @@ def crt_split(ring: Ring) -> CrtSplit:
                 def embed(x, i=i, lf=lf):
                     return ring.embed(i, lf.embed(x))
 
-                max_ideal = Ideal(ring, tuple(
-                    lf.maximal_ideal if j == i else Ideal.of(g, g.one)
-                    for j, g in enumerate(ring.factors)))
                 factors.append(LocalFactor(lf.ring, project, embed,
-                                           ring.embed(i, lf.idempotent), max_ideal))
+                                           ring.embed(i, lf.idempotent)))
         return CrtSplit(ring, tuple(factors))
     raise RingError(f"cannot CRT-split {ring.descriptor}")
-
-
-def maximal_ideals(ring: Ring) -> list[Ideal]:
-    return [f.maximal_ideal for f in crt_split(ring).factors]
 
 
 # ---------------------------------------------------------------------------
@@ -666,44 +557,3 @@ def ring_automorphisms(ring: Ring) -> tuple[RingAut, ...]:
         dedup.sort(key=lambda a: (not a.is_identity, a.table))
         return tuple(dedup)
     raise RingError(f"no automorphism enumeration for {ring.descriptor}")
-
-
-# ---------------------------------------------------------------------------
-# localization oracle (validation only)
-
-
-def localize_at_prime(ring: ZMod, p: int):
-    """Fraction construction S^-1(Z/n) at S = complement of (p).
-
-    Returns (classes, canonical) where classes is the list of equivalence
-    classes of pairs (a, s) and canonical maps x in Z/n to its class index.
-    Used only as an oracle to validate crt_split.
-    """
-    if not isinstance(ring, ZMod):
-        raise RingError("localization oracle is for Z/n only")
-    if ring.n % p != 0:
-        raise RingError(f"{p} does not divide {ring.n}")
-    s_set = [s for s in ring.elements() if s % p != 0]
-    pairs = [(a, s) for a in ring.elements() for s in s_set]
-
-    def equivalent(x, y):
-        a, s = x
-        b, t = y
-        return any((a * t - b * s) * u % ring.n == 0 for u in s_set)
-
-    classes: list[list[tuple[int, int]]] = []
-    index: dict[tuple[int, int], int] = {}
-    for pair in pairs:
-        for ci, cls in enumerate(classes):
-            if equivalent(pair, cls[0]):
-                cls.append(pair)
-                index[pair] = ci
-                break
-        else:
-            index[pair] = len(classes)
-            classes.append([pair])
-
-    def canonical(x):
-        return index[(x % ring.n, 1)]
-
-    return classes, canonical

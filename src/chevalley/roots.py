@@ -119,12 +119,6 @@ class DiagramSymmetry:
             n += 1
         return n
 
-    def inverse(self) -> "DiagramSymmetry":
-        inv = [0] * len(self.perm)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return DiagramSymmetry(tuple(inv))
-
     def apply_root(self, root: Root) -> Root:
         out = [0] * len(root)
         for i, c in enumerate(root):
@@ -187,23 +181,6 @@ class RootSystem:
 
     def simple(self, i: int) -> Root:
         return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    def root_chain(self, beta: Root, alpha: Root) -> tuple[int, int]:
-        """(p, q) with beta - p alpha ... beta + q alpha the alpha-chain through beta."""
-        if beta in (alpha, self.negate(alpha)):
-            raise ValueError("chain through +/-alpha itself is not defined")
-        p = 0
-        cur = tuple(b - a for b, a in zip(beta, alpha))
-        while cur in self._index:
-            p += 1
-            cur = tuple(b - a for b, a in zip(cur, alpha))
-        q = 0
-        cur = tuple(b + a for b, a in zip(beta, alpha))
-        while cur in self._index:
-            q += 1
-            cur = tuple(b + a for b, a in zip(cur, alpha))
-        assert p - q == self.pairing(beta, alpha)
-        return p, q
 
 
 def _enumerate_positives(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:

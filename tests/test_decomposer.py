@@ -5,7 +5,7 @@ import json
 import pytest
 
 import chevalley.decomposer as decomposer
-from chevalley.autos import graph_data, standard
+from chevalley.autos import graph_data
 from chevalley.decomposer import (
     AutomorphismSpec,
     CertifyError,
@@ -17,11 +17,12 @@ from chevalley.decomposer import (
     spec_from_json,
     strictly_inner_element,
 )
-from chevalley.group import GroupElement, from_word, group_for, unipotent
+from chevalley.group import from_word, group_for, unipotent
 from chevalley.linalg import (
     identity,
     is_identity,
     local_diag,
+    mat_map,
     mat_mul,
     mat_scale,
     matrix,
@@ -44,6 +45,19 @@ def honest_table(system, ring):
     sysm, alg = group_for(system)
     return {(r, t): unipotent(alg, ring, r, t).mat
             for r in sysm.roots for t in spanning_params(ring)}
+
+
+def standard_image(alg, ring, m, delta=None, g=None, rho=None):
+    """L (g rho(m) g^-1) L^-1 on one matrix: rho entrywise, then conjugation
+    by the group element g, then by the graph matrix L of delta."""
+    if rho is not None:
+        m = mat_map(rho, m)
+    if g is not None:
+        m = mat_mul(ring, mat_mul(ring, g.mat, m), g.inv_mat)
+    if delta is not None:
+        lam, lam_inv = graph_data(alg, delta).matrices(ring)
+        m = mat_mul(ring, mat_mul(ring, lam, m), lam_inv)
+    return m
 
 
 def refusal(system, ring, table, stages):
@@ -134,9 +148,8 @@ def test_fully_loaded_standard_automorphism_over_f4():
     frob = next(a for a in ring_automorphisms(ring) if not a.is_identity)
     g = from_word(alg, ring, (("x", (1, 1), 3), ("w", (1, 0), 1),
                               ("h", (0, 1), 2), ("x", (0, -1), 2)))
-    phi = standard(alg, ring, delta=diagram_symmetries(sysm)[1],
-                   conjugator=g, rho=frob)
-    table = {(r, t): phi.apply(unipotent(alg, ring, r, t)).mat
+    table = {(r, t): standard_image(alg, ring, unipotent(alg, ring, r, t).mat,
+                                    delta=diagram_symmetries(sysm)[1], g=g, rho=frob)
              for r in sysm.roots for t in spanning_params(ring)}
     cert = certify(spec_from_elements("A2", ring, table))
     fc = cert.factors[0]
@@ -148,8 +161,8 @@ def test_fully_loaded_standard_automorphism_over_f4():
 def test_pure_graph_swap_detected():
     sysm, alg = group_for("A2")
     ring = ring_make("Z/5")
-    phi = standard(alg, ring, delta=diagram_symmetries(sysm)[1])
-    table = {(r, t): phi.apply(unipotent(alg, ring, r, t)).mat
+    table = {(r, t): standard_image(alg, ring, unipotent(alg, ring, r, t).mat,
+                                    delta=diagram_symmetries(sysm)[1])
              for r in sysm.roots for t in spanning_params(ring)}
     cert = certify(spec_from_elements("A2", ring, table))
     assert cert.factors[0].delta == (1, 0)
@@ -163,11 +176,8 @@ def test_recomposition_stability():
     certify(spec)
     g = from_word(alg, ring, (("x", (1, 0), 2), ("w", (0, 1), 1),
                               ("x", (-1, -1), 3)))
-    phi = standard(alg, ring, delta=diagram_symmetries(sysm)[1], conjugator=g)
-    table = {}
-    for (root, t), m in spec.images:
-        ge = GroupElement(ring, m, ring_invert(ring, m), None)
-        table[(root, t)] = phi.apply(ge).mat
+    table = {key: standard_image(alg, ring, m, delta=diagram_symmetries(sysm)[1], g=g)
+             for key, m in spec.images}
     cert = certify(spec_from_elements("A2", ring, table))
     assert cert.report["generators_replayed"] > 0
 

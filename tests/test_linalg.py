@@ -1,8 +1,8 @@
 """Matrix layer tests.
 
-The oracle for solving, kernels and invertibility is exhaustive enumeration
-of R^n over tiny rings, so every answer the elimination gives is checked
-against the full solution set.  The array elimination is also pinned to
+The oracle for kernels and invertibility is exhaustive enumeration of R^n
+over tiny rings, so every answer the elimination gives is checked against
+the full solution set.  The array elimination is also pinned to
 scalar copies of its pivot rule over Z/p^k and over the field tables, its
 kernel ranks over GF(p) to sympy's, and the GF(p^k) array product and the
 per-factor product over product rings to entrywise table products.
@@ -18,27 +18,20 @@ import pytest
 
 from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
-    det_bareiss,
     field_matmul,
     identity,
     invert_z,
     is_identity,
-    is_invertible,
     local_diag,
     local_invert,
     local_nullspace,
-    local_solve,
-    mat_add,
     mat_mul,
     mat_pow,
-    mat_vec,
     matrix,
     ring_invert,
-    ring_nullspace,
-    ring_solve,
-    zero_matrix,
 )
 from chevalley.rings import ring_make
+from oracles import det_bareiss, mat_vec
 
 LOCAL_RINGS = ["Z/4", "Z/8", "Z/9", "Z/5", "F4"]
 SPLIT_RINGS = ["Z/6", "Z/12", "Z/6xF4"]
@@ -90,7 +83,6 @@ def test_identity_and_shapes():
     a = rand_matrix(r, random.Random(1), 3, 3)
     assert mat_mul(r, e, a) == a == mat_mul(r, a, e)
     assert is_identity(r, e)
-    assert zero_matrix(r, 2, 3) == ((0, 0, 0), (0, 0, 0))
 
 
 def test_mat_pow():
@@ -98,12 +90,6 @@ def test_mat_pow():
     a = matrix([[1, 1], [0, 1]])
     assert mat_pow(r, a, 9) == ((1, 2), (0, 1))
     assert mat_pow(r, a, 0) == identity(r, 2)
-
-
-def test_mat_add_neg():
-    r = ring_make("Z/4")
-    a = matrix([[1, 2], [3, 0]])
-    assert mat_add(r, a, a) == ((2, 0), (2, 0))
 
 
 # --- integer path -----------------------------------------------------------
@@ -137,10 +123,8 @@ def test_invert_z_unimodular():
     a = matrix([[2, 1], [1, 1]])
     inv = invert_z(a)
     assert inv == ((1, -1), (-1, 2))
-    assert is_invertible(ring_make("Z"), a)
     with pytest.raises(ValueError):
         invert_z(matrix([[2, 0], [0, 1]]))
-    assert not is_invertible(ring_make("Z"), matrix([[2, 0], [0, 1]]))
 
 
 # --- local diagonalization ---------------------------------------------------
@@ -161,22 +145,6 @@ def test_local_diag_factorization(name):
             assert paq == matrix(expect)
             assert brute_injective(ring, d.p_mat)
             assert brute_injective(ring, d.q_mat)
-
-
-@pytest.mark.parametrize("name", LOCAL_RINGS)
-def test_local_solve_against_enumeration(name):
-    ring = ring_make(name)
-    rng = random.Random(len(name))
-    for m, n in [(2, 2), (3, 2), (2, 3)]:
-        for _ in range(10):
-            a = rand_matrix(ring, rng, m, n)
-            b = tuple(ring.rand(rng) for _ in range(m))
-            sol = local_solve(ring, a, b)
-            solutions = {v for v in all_vectors(ring, n) if mat_vec(ring, a, v) == b}
-            if sol is None:
-                assert not solutions
-            else:
-                assert sol in solutions
 
 
 @pytest.mark.parametrize("name", LOCAL_RINGS)
@@ -226,31 +194,11 @@ def test_ring_solve_and_invert_split(name):
     rng = random.Random(5)
     for _ in range(10):
         a = rand_matrix(ring, rng, 2, 2)
-        b = tuple(ring.rand(rng) for _ in range(2))
-        sol = ring_solve(ring, a, b)
-        if sol is not None:
-            assert mat_vec(ring, a, sol) == b
-        else:
-            assert all(mat_vec(ring, a, v) != b for v in all_vectors(ring, 2))
         inv = ring_invert(ring, a)
         if inv is not None:
             assert mat_mul(ring, a, inv) == identity(ring, 2)
         else:
             assert not brute_injective(ring, a)
-
-
-def test_ring_nullspace_split():
-    ring = ring_make("Z/6")
-    rng = random.Random(11)
-    for _ in range(10):
-        a = rand_matrix(ring, rng, 2, 2)
-        gens = ring_nullspace(ring, a)
-        assert brute_span(ring, gens, 2) == brute_kernel(ring, a)
-
-
-def test_solve_rejects_z():
-    with pytest.raises(ValueError):
-        ring_solve(ring_make("Z"), matrix([[1]]), (1,))
 
 
 # --- the Z/p^k elimination against a scalar oracle ---------------------------
