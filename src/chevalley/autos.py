@@ -12,7 +12,8 @@ A standard automorphism in normal form acts as
 
 with rho a ring automorphism applied entrywise, g a group element, and L the
 matrix of a graph symmetry built here; the decomposer's certificates carry
-the three parts and compose them.
+the three parts and compose them.  graph_data builds each GraphData once
+per (algebra, symmetry).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
-from chevalley.liealg import AdjointAlgebra, build_algebra
+from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import Matrix, mat_map, mat_mul, matrix
 from chevalley.rings import Ring, ring_make
 from chevalley.roots import DiagramSymmetry
@@ -42,10 +43,8 @@ class GraphData:
 
 
 @lru_cache(maxsize=None)
-def _graph_data_cached(kind: str, rank: int, perm: tuple) -> GraphData:
-    alg = build_algebra(kind, rank)
-    system = alg.system
-    delta = DiagramSymmetry(perm)
+def graph_data(alg: AdjointAlgebra, delta: DiagramSymmetry) -> GraphData:
+    system, rank, perm = alg.system, alg.system.rank, delta.perm
     eps = {}
     for gamma in system.positives:
         if sum(gamma) == 1:
@@ -84,7 +83,3 @@ def _graph_data_cached(kind: str, rank: int, perm: tuple) -> GraphData:
         lhs = zz_mul(zz_mul(lam, alg.h_mats[j]), lam_inv)
         assert lhs == alg.h_mats[perm[j]], j
     return GraphData(delta, eps, lam, lam_inv)
-
-
-def graph_data(alg: AdjointAlgebra, delta: DiagramSymmetry) -> GraphData:
-    return _graph_data_cached(alg.system.kind, alg.system.rank, delta.perm)

@@ -78,8 +78,8 @@ from chevalley.rings import (
 from chevalley.roots import (
     DiagramSymmetry,
     Root,
+    RootSystem,
     diagram_symmetries,
-    system_from_name,
 )
 
 
@@ -439,8 +439,7 @@ def _intertwiner_basis(ring: Ring, pairs: List[Tuple[Matrix, Matrix]]) -> List[T
 
 
 @lru_cache(maxsize=None)
-def _weight_perm(system_name: str) -> Tuple[int, ...]:
-    sysm = system_from_name(system_name)
+def _weight_perm(sysm: RootSystem) -> Tuple[int, ...]:
     nroots = len(sysm.roots)
 
     def h(i: int) -> int:
@@ -450,9 +449,8 @@ def _weight_perm(system_name: str) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weyl_words(system_name: str) -> Tuple[Tuple[int, ...], ...]:
+def _weyl_words(sysm: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """Words in simple reflections for every Weyl group element, BFS order."""
-    sysm = system_from_name(system_name)
     nroots = len(sysm.roots)
     ident = tuple(range(nroots))
     simple_maps = []
@@ -478,18 +476,13 @@ def _weyl_words(system_name: str) -> Tuple[Tuple[int, ...], ...]:
     return tuple(order)
 
 
-_WEYL_ELEMS: Dict[Tuple[str, str], Tuple[GroupElement, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _weyl_elements(alg: AdjointAlgebra, ring: Ring) -> Tuple[GroupElement, ...]:
-    key = (alg.system.name, ring.descriptor)
-    if key not in _WEYL_ELEMS:
-        elems = []
-        for word in _weyl_words(alg.system.name):
-            tokens = tuple(("w", alg.system.simple(i), ring.one) for i in word)
-            elems.append(from_word(alg, ring, tokens))
-        _WEYL_ELEMS[key] = tuple(elems)
-    return _WEYL_ELEMS[key]
+    elems = []
+    for word in _weyl_words(alg.system):
+        tokens = tuple(("w", alg.system.simple(i), ring.one) for i in word)
+        elems.append(from_word(alg, ring, tokens))
+    return tuple(elems)
 
 
 def _lu_unit_diag(ring: Ring, m: Matrix):
@@ -534,7 +527,7 @@ def _fit_unipotent(alg: AdjointAlgebra, ring: Ring, target: Matrix, sign: int):
 def _big_cell(alg: AdjointAlgebra, ring: Ring, m: Matrix):
     """m = c * (u^- chi u^+) for a unit scalar c; the element, or None."""
     sysm = alg.system
-    perm = _weight_perm(sysm.name)
+    perm = _weight_perm(sysm)
     n = alg.dim
     permuted = tuple(tuple(m[perm[i]][perm[j]] for j in range(n)) for i in range(n))
     lu = _lu_unit_diag(ring, permuted)

@@ -14,9 +14,9 @@ h_root elements; conjugator words coming out of big-cell factorizations need
 it.  Words are what certificates replay; the matrix is what equality means.
 
 x_root(t) is 1 + sum_k t^k D_k over the divided powers D_k of ad e_root.
-Each D_k is cached per (system, ring, root) as its nonzero (i, j, value)
+Each D_k is memoised per (algebra, ring, root) as its nonzero (i, j, value)
 entries only, so building x_root(t) costs O(nnz) per power.  The chain
-constants of the commutator formula are extracted over Z once per (system,
+constants of the commutator formula are extracted over Z once per (algebra,
 r, s) and shared read-only by the precheck and the verify suites.
 
 Over a finite ring, root_table maps (root, t) to the matrix of x_root(t) for
@@ -30,6 +30,7 @@ precheck runs it on its own table of the supplied images at t = u = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -63,10 +64,6 @@ class GroupElement:
             w = tuple(_invert_token(self.ring, t) for t in reversed(self.word))
         return GroupElement(self.ring, self.inv_mat, self.mat, w)
 
-    def conj_by(self, g: "GroupElement") -> "GroupElement":
-        """g * self * g^-1."""
-        return g.mul(self).mul(g.inv())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.mat == other.mat
 
@@ -94,22 +91,15 @@ def identity_element(alg: AdjointAlgebra, ring: Ring) -> GroupElement:
     return GroupElement(ring, e, e, ())
 
 
-_DP_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _divided_powers_over(alg: AdjointAlgebra, ring: Ring, root: Root):
     """Per divided power of ad e_root, its nonzero entries as (i, j, value)
     with the value in ring form."""
-    key = (alg.system.name, ring.descriptor, root)
-    cached = _DP_CACHE.get(key)
-    if cached is None:
-        zero = ring.zero
-        cached = tuple(
-            tuple((i, j, v) for i, row in enumerate(mat_map(ring.from_int, dp))
-                  for j, v in enumerate(row) if v != zero)
-            for dp in alg.divided_powers(root))
-        _DP_CACHE[key] = cached
-    return cached
+    zero = ring.zero
+    return tuple(
+        tuple((i, j, v) for i, row in enumerate(mat_map(ring.from_int, dp))
+              for j, v in enumerate(row) if v != zero)
+        for dp in alg.divided_powers(root))
 
 
 def unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
@@ -227,16 +217,11 @@ class ChainExtractionError(RuntimeError):
     pass
 
 
-_CHAIN_CACHE: Dict[Tuple[str, Root, Root], Mapping[Tuple[int, int], int]] = {}
-
-
+@lru_cache(maxsize=None)
 def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[int, int], int]:
     """Integer constants C_ij with [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j),
     factors ordered by (i+j, i).  Extracted over Z at t = u = 1 by peeling,
-    once per (system, r, s); the mapping is read-only."""
-    key = (alg.system.name, r, s)
-    if key in _CHAIN_CACHE:
-        return _CHAIN_CACHE[key]
+    once per (algebra, r, s); the mapping is read-only."""
     ring = ring_make("Z")
     pairs = chain_pairs(alg.system, r, s)
     resid = commutator(unipotent(alg, ring, r, 1), unipotent(alg, ring, s, 1))
@@ -249,8 +234,7 @@ def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[i
         resid = unipotent(alg, ring, gamma, -c).mul(resid)
     if not resid.is_identity:
         raise ChainExtractionError(f"peel did not close for {r}, {s}")
-    _CHAIN_CACHE[key] = MappingProxyType(out)
-    return _CHAIN_CACHE[key]
+    return MappingProxyType(out)
 
 
 def root_table(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], Matrix]:

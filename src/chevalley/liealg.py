@@ -15,12 +15,11 @@ by the Cartan elements h_1..h_l, so dimension is |roots| + rank.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from chevalley.linalg import Matrix, mat_map, mat_mul, mat_sub, matrix
 from chevalley.rings import Ring, ZRing, ring_make
@@ -47,7 +46,6 @@ class StructureConstants:
     def __init__(self, system: RootSystem):
         self.system = system
         self._pos_order = {r: i for i, r in enumerate(system.positives)}
-        self._memo: Dict[Tuple[Root, Root], int] = {}
         self._extraspecial: Dict[Root, Tuple[Root, Root]] = {}
         for gamma in system.positives:
             pairs = self._special_pairs(gamma)
@@ -74,16 +72,12 @@ class StructureConstants:
             else:
                 return p
 
+    @lru_cache(maxsize=None)
     def value(self, r: Root, s: Root) -> int:
         total = _add(r, s)
         if _is_zero(total) or not self.system.is_root(total):
             return 0
-        key = (r, s)
-        if key in self._memo:
-            return self._memo[key]
-        out = self._compute(r, s, total)
-        self._memo[key] = out
-        return out
+        return self._compute(r, s, total)
 
     def _norm(self, r: Root) -> int:
         return self.system.norm2(r)
@@ -125,9 +119,10 @@ class StructureConstants:
         return int(out)
 
 
-@dataclass
+@dataclass(eq=False)
 class AdjointAlgebra:
-    """Adjoint basis matrices over Z plus lookup helpers."""
+    """Adjoint basis matrices over Z plus lookup helpers; build_algebra makes
+    one per system, so it hashes by identity and memoises on its methods."""
 
     system: RootSystem
     constants: StructureConstants
@@ -135,9 +130,6 @@ class AdjointAlgebra:
     x_mats: Dict[Root, Matrix]
     h_mats: Tuple[Matrix, ...]
     dim: int
-    _divided: Dict[Root, Tuple[Matrix, ...]] = field(default_factory=dict)
-    _witness: Dict[Root, Optional[Tuple[Root, Root, int]]] = field(default_factory=dict)
-    _slots: Dict[Root, Tuple[Tuple[int, int], int]] = field(default_factory=dict)
 
     # --- basic lookups ----------------------------------------------------
 
@@ -158,10 +150,9 @@ class AdjointAlgebra:
 
     # --- divided powers -----------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def divided_powers(self, root: Root) -> Tuple[Matrix, ...]:
         """(X, X^2/2, ...) up to nilpotency, exact over Z."""
-        if root in self._divided:
-            return self._divided[root]
         x = self.x_mats[root]
         out = [x]
         power = x
@@ -175,8 +166,7 @@ class AdjointAlgebra:
             assert all(v % f == 0 for row in power for v in row), root
             out.append(tuple(tuple(v // f for v in row) for row in power))
             assert k <= 3, root
-        self._divided[root] = tuple(out)
-        return self._divided[root]
+        return tuple(out)
 
     def nilpotency(self, root: Root) -> int:
         return len(self.divided_powers(root)) + 1
@@ -193,12 +183,11 @@ class AdjointAlgebra:
 
     # --- recovery witness for rings without 1/2 -----------------------------
 
+    @lru_cache(maxsize=None)
     def half_square_witness(self, root: Root):
         """A pair (gamma, beta, c) with gamma + beta = root and
         c * ((exp X_gamma - E)(exp X_beta - E))^2 = X_root^2 / 2 over Z,
         or None when no such pair exists."""
-        if root in self._witness:
-            return self._witness[root]
         target = self.divided_powers(root)[1] if self.nilpotency(root) > 2 else None
         found = None
         if target is not None:
@@ -217,15 +206,13 @@ class AdjointAlgebra:
                         break
                 if found:
                     break
-        self._witness[root] = found
         return found
 
     # --- coordinates ---------------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def _slot(self, root: Root):
         """A matrix slot where only ad(x_root) has a nonzero entry, unit-valued."""
-        if root in self._slots:
-            return self._slots[root]
         sysm = self.system
         found = None
         for beta in sysm.roots:
@@ -241,22 +228,7 @@ class AdjointAlgebra:
                     found = ((sysm.root_index(root), len(sysm.roots) + j), -p)
                     break
         assert found is not None, root
-        self._slots[root] = found
         return found
-
-    def combination(self, ring: Ring, coeffs: dict) -> Matrix:
-        n = self.dim
-        rows = [[ring.zero] * n for _ in range(n)]
-        for key, c in coeffs.items():
-            if c == ring.zero:
-                continue
-            base = self.x_mats[key] if isinstance(key, tuple) else self.h_mats[key]
-            for i in range(n):
-                for j in range(n):
-                    v = base[i][j]
-                    if v:
-                        rows[i][j] = ring.add(rows[i][j], ring.mul(c, ring.from_int(v)))
-        return matrix(rows)
 
     # --- abstract bracket, for the Jacobi checks ------------------------------
 
@@ -277,17 +249,6 @@ class AdjointAlgebra:
             p = sysm.pairing(b, sysm.simple(a))
             return {b: p} if p else {}
         return {}
-
-    def bracket_dict(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for (ka, ca), (kb, cb) in itertools.product(u.items(), v.items()):
-            for k, c in self.bracket_basis(ka, kb).items():
-                val = out.get(k, 0) + ca * cb * c
-                if val:
-                    out[k] = val
-                elif k in out:
-                    del out[k]
-        return out
 
 
 def _coroot_coords(system: RootSystem, alpha: Root) -> Tuple[int, ...]:

@@ -2,13 +2,14 @@
 
 Elements are plain hashable values (int for Z and Z/n, int index for field
 tables, tuples for products), so matrices over a ring are just nested tuples.
-Every handle is immutable and cached by canonical descriptor.
+Every handle is immutable, and ring_make builds one per descriptor.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -104,10 +105,6 @@ class Ring:
             n >>= 1
         return out
 
-    def scale(self, n: int, a):
-        """n * a for an integer n."""
-        return self.mul(self.from_int(n), a)
-
     # additive structure -------------------------------------------------
     def additive_generators(self) -> list:
         """Generators of the additive group: 1 alone for Z and Z/n, which are
@@ -152,8 +149,8 @@ class ZRing(Ring):
 
 class ZMod(Ring):
     def __init__(self, n: int):
-        if n < 1:
-            raise RingError("modulus must be positive")
+        if n < 2:
+            raise RingError(f"modulus must be at least 2, not {n}; Z/1 is the zero ring")
         self.n = n
         self.descriptor = f"Z/{n}"
         self.size = n
@@ -176,7 +173,7 @@ class ZMod(Ring):
 
     @property
     def is_field(self):
-        return len(self._factors) == 1 and max(self._factors.values()) == 1 and self.n > 1
+        return len(self._factors) == 1 and max(self._factors.values()) == 1
 
     @property
     def is_local(self):
@@ -293,9 +290,6 @@ class FieldTable(Ring):
     def nil_degree(self) -> int:
         return 1
 
-    def frobenius(self, a):
-        return self.power(a, self.p)
-
     def additive_generators(self) -> list:
         """The polynomial basis 1, x, x^2, ... as indices."""
         return [self.p ** i for i in range(self.k)]
@@ -360,14 +354,10 @@ class ProductRing(Ring):
         return tuple(f.rand(rng) for f in self.factors)
 
 
-_RING_CACHE: dict[str, Ring] = {}
-
-
+@lru_cache(maxsize=None)
 def ring_make(descriptor: str) -> Ring:
     """Build a ring handle from a descriptor like "Z", "Z/6", "F4", "Z/3xZ/3"."""
     text = descriptor.strip()
-    if text in _RING_CACHE:
-        return _RING_CACHE[text]
     if "x" in text:
         parts = text.split("x")
         ring: Ring = ProductRing(tuple(ring_make(p) for p in parts))
@@ -391,7 +381,6 @@ def ring_make(descriptor: str) -> Ring:
         ring = ZMod(p) if k == 1 else FieldTable(p, k)
     else:
         raise RingError(f"unknown ring descriptor {descriptor!r}")
-    _RING_CACHE[text] = ring
     return ring
 
 
@@ -411,9 +400,6 @@ class LocalFactor:
 class CrtSplit:
     ring: Ring
     factors: tuple[LocalFactor, ...]
-
-    def to_factors(self, x) -> tuple:
-        return tuple(f.project(x) for f in self.factors)
 
     def from_factors(self, xs: Iterable) -> object:
         out = self.ring.zero
@@ -482,15 +468,6 @@ class RingAut:
             m = dict(self.table)
             object.__setattr__(self, "_map", m)
         return m[x]
-
-    def compose(self, other: "RingAut") -> "RingAut":
-        """self after other."""
-        pairs = tuple(sorted((x, self(y)) for x, y in other.table))
-        return RingAut(self.ring, pairs, f"{self.name}*{other.name}")
-
-    def inverse(self) -> "RingAut":
-        pairs = tuple(sorted((y, x) for x, y in self.table))
-        return RingAut(self.ring, pairs, f"{self.name}^-1")
 
     @property
     def is_identity(self) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 Root = Tuple[int, ...]
@@ -126,7 +127,7 @@ class DiagramSymmetry:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     kind: str
     rank: int
@@ -210,14 +211,9 @@ def _enumerate_positives(cartan: tuple[tuple[int, ...], ...]) -> list[Root]:
     return sorted(out, key=lambda r: (sum(r), tuple(-c for c in r)))
 
 
-_SYSTEM_CACHE: dict[tuple[str, int], RootSystem] = {}
-
-
+@lru_cache(maxsize=None)
 def build_root_system(kind: str, rank: int) -> RootSystem:
     """Construct the root system of the given type in the frozen order."""
-    key = (kind, rank)
-    if key in _SYSTEM_CACHE:
-        return _SYSTEM_CACHE[key]
     if kind not in _SUPPORTED:
         raise ValueError(f"unsupported kind {kind!r}")
     lo, hi = _SUPPORTED[kind]
@@ -238,7 +234,6 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         roots=tuple(roots),
     )
     object.__setattr__(system, "_index", {r: i for i, r in enumerate(system.roots)})
-    _SYSTEM_CACHE[key] = system
     return system
 
 
@@ -246,14 +241,9 @@ def system_from_name(name: str) -> RootSystem:
     return build_root_system(*parse_system(name))
 
 
-_SYMMETRY_CACHE: dict[tuple[str, int], tuple[DiagramSymmetry, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def diagram_symmetries(system: RootSystem) -> tuple[DiagramSymmetry, ...]:
     """All Cartan-matrix preserving permutations of the simple roots, identity first."""
-    key = (system.kind, system.rank)
-    if key in _SYMMETRY_CACHE:
-        return _SYMMETRY_CACHE[key]
     rank = system.rank
     found = []
     for perm in itertools.permutations(range(rank)):
@@ -261,6 +251,4 @@ def diagram_symmetries(system: RootSystem) -> tuple[DiagramSymmetry, ...]:
                for i in range(rank) for j in range(rank)):
             found.append(perm)
     found.sort(key=lambda p: (p != tuple(range(rank)), p))
-    out = tuple(DiagramSymmetry(p) for p in found)
-    _SYMMETRY_CACHE[key] = out
-    return out
+    return tuple(DiagramSymmetry(p) for p in found)

@@ -2,7 +2,9 @@
 
 Each one is a slow or independent construction of something the library
 computes another way: the localization of Z/n at a prime (for crt_split),
-the (l+1) by (l+1) model of the A series (for the bracket table), the
+the (l+1) by (l+1) model of the A series (for the bracket table), linear
+combinations of the adjoint basis matrices and the bracket of two elements
+read from the table alone (for the matrices and the Jacobi checks), the
 fraction-free determinant and the matrix-vector product (for the
 elimination), and root chains walked through the enumeration (for the
 pairing).
@@ -10,11 +12,12 @@ pairing).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from chevalley.liealg import algebra_for
+from chevalley.liealg import AdjointAlgebra, algebra_for
 from chevalley.linalg import Matrix, mat_mul, mat_sub, matrix
 from chevalley.rings import Ring, RingError, ZMod, ring_make
 from chevalley.roots import Root, RootSystem, build_root_system
@@ -125,6 +128,39 @@ def a_series_model(rank: int) -> ASeriesModel:
             rhs = model.combination(ZZ, {k: v for k, v in expect.items()})
             assert lhs == rhs, (a, b)
     return model
+
+
+# ---------------------------------------------------------------------------
+# the adjoint bracket, from the basis matrices and from the table
+
+
+def combination(alg: AdjointAlgebra, ring: Ring, coeffs: dict) -> Matrix:
+    """sum c * e_key over the adjoint basis matrices; keys are roots or h indices."""
+    n = alg.dim
+    rows = [[ring.zero] * n for _ in range(n)]
+    for key, c in coeffs.items():
+        if c == ring.zero:
+            continue
+        base = alg.x_mats[key] if isinstance(key, tuple) else alg.h_mats[key]
+        for i in range(n):
+            for j in range(n):
+                v = base[i][j]
+                if v:
+                    rows[i][j] = ring.add(rows[i][j], ring.mul(c, ring.from_int(v)))
+    return matrix(rows)
+
+
+def bracket_dict(alg: AdjointAlgebra, u: dict, v: dict) -> dict:
+    """[u, v] for u, v given as dicts over basis keys, through bracket_basis."""
+    out: dict = {}
+    for (ka, ca), (kb, cb) in itertools.product(u.items(), v.items()):
+        for k, c in alg.bracket_basis(ka, kb).items():
+            val = out.get(k, 0) + ca * cb * c
+            if val:
+                out[k] = val
+            elif k in out:
+                del out[k]
+    return out
 
 
 # --------------------------------------------------------------------------

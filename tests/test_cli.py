@@ -12,6 +12,7 @@ from chevalley import cli, group
 from chevalley.cli import main
 from chevalley.group import group_for
 from chevalley.liealg import AdjointAlgebra
+from oracles import bracket_dict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -124,6 +125,31 @@ def test_decompose_bad_intake_exits_1_at_precheck(tmp_path, defect):
     assert main(["decompose", "--spec", str(bad), "--out", str(cert_file)]) == 1
     error = json.loads(cert_file.read_text())["error"]
     assert error["stage"] == "precheck" and error["witness"]
+
+
+@pytest.mark.parametrize("ring,param", [("Z/1", 0), ("Z/4xZ/1", [0, 0])],
+                         ids=["Z/1", "Z/4xZ/1"])
+def test_decompose_zero_ring_exits_1_at_precheck(tmp_path, ring, param):
+    # six zero images at parameter 0: every check before the CRT split holds
+    zero = [[0] * 8 for _ in range(8)]
+    roots = group_for("A2")[0].roots
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"system": "A2", "ring": ring, "images": [
+        {"root": list(root), "param": param, "matrix": zero} for root in roots]}))
+    cert_file = tmp_path / "cert.json"
+    assert main(["decompose", "--spec", str(spec_file), "--out", str(cert_file)]) == 1
+    error = json.loads(cert_file.read_text())["error"]
+    assert error["stage"] == "precheck" and "zero ring" in error["detail"]
+
+
+@pytest.mark.parametrize("ring", ["Z/1", "Z/4xZ/1"])
+@pytest.mark.parametrize("argv", [["forge-random"], ["verify", "laws"], ["adjoint"]],
+                         ids=["forge-random", "verify", "adjoint"])
+def test_zero_ring_is_a_usage_error(tmp_path, capsys, argv, ring):
+    out = tmp_path / "never.json"
+    assert main(argv + ["--system", "A2", "--ring", ring, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "zero ring" in capsys.readouterr().err
 
 
 def test_decompose_unreadable_spec_exits_2(tmp_path, capsys):
@@ -264,5 +290,5 @@ def test_jacobi_table_sum_matches_bracket_dict(name):
                 for u, v in itertools.product(keys, repeat=2)}
     for u, v, w in itertools.product(keys, repeat=3):
         got = cli._add_nested_bracket(brackets, u, v, w, {})
-        want = alg.bracket_dict(alg.bracket_basis(u, v), {w: 1})
+        want = bracket_dict(alg, alg.bracket_basis(u, v), {w: 1})
         assert {k: c for k, c in got.items() if c} == want, (u, v, w)

@@ -13,7 +13,10 @@ import random
 
 import pytest
 
+from chevalley.autos import graph_data
+from chevalley.decomposer import _weyl_elements
 from chevalley.group import (
+    _divided_powers_over,
     _unipotent_matrix,
     chain_coefficients,
     chain_pairs,
@@ -28,8 +31,10 @@ from chevalley.group import (
     unipotent,
     weyl,
 )
+from chevalley.liealg import algebra_for, build_algebra
 from chevalley.linalg import mat_map
 from chevalley.rings import ring_make
+from chevalley.roots import DiagramSymmetry, diagram_symmetries, system_from_name
 from oracles import det_bareiss
 
 ZZ = ring_make("Z")
@@ -89,7 +94,7 @@ def test_torus_conjugation_formula():
             h = torus_chi(alg, ring, chi)
             beta = rng.choice(sysm.roots)
             xi = ring.rand(rng)
-            lhs = unipotent(alg, ring, beta, xi).conj_by(h)
+            lhs = h.mul(unipotent(alg, ring, beta, xi)).mul(h.inv())
             val = ring.one
             for j, c in enumerate(beta):
                 base = chi[j] if c >= 0 else ring.inv(chi[j])
@@ -147,8 +152,8 @@ def test_weyl_conjugation_sign_is_parameter_free():
                 target = sysm.reflect(beta, alpha)
                 pair = sysm.pairing(beta, alpha)
                 # read the sign once at t = 1
-                conj = unipotent(alg, ring, beta, ring.one).conj_by(
-                    weyl(alg, ring, alpha, ring.one))
+                w = weyl(alg, ring, alpha, ring.one)
+                conj = w.mul(unipotent(alg, ring, beta, ring.one)).mul(w.inv())
                 eta = None
                 for cand in (1, -1):
                     if conj == unipotent(alg, ring, target, ring.from_int(cand)):
@@ -157,8 +162,8 @@ def test_weyl_conjugation_sign_is_parameter_free():
                 assert eta is not None, (name, alpha, beta)
                 for t in units[:3]:
                     for u in (1, 3):
-                        got = unipotent(alg, ring, beta, ring.from_int(u)).conj_by(
-                            weyl(alg, ring, alpha, t))
+                        w = weyl(alg, ring, alpha, t)
+                        got = w.mul(unipotent(alg, ring, beta, ring.from_int(u))).mul(w.inv())
                         scale = ring.power(t, -pair) if pair <= 0 \
                             else ring.power(ring.inv(t), pair)
                         expect = unipotent(alg, ring, target,
@@ -389,3 +394,16 @@ def test_chain_table_is_cached_and_read_only():
     assert chain_coefficients(alg, r, s) is table
     with pytest.raises(TypeError):
         table[(1, 1)] = 0
+
+
+def test_tables_are_built_once_per_owner():
+    # the memos key on the algebra and the ring handle, one of each per name
+    sysm, alg = group_for("A2")
+    assert alg is build_algebra("A", 2) is algebra_for(system_from_name("A2"))
+    ring = ring_make("Z/4")
+    assert diagram_symmetries(sysm) is diagram_symmetries(sysm)
+    flip = diagram_symmetries(sysm)[1]
+    assert graph_data(alg, flip) is graph_data(alg, DiagramSymmetry(flip.perm))
+    assert _weyl_elements(alg, ring) is _weyl_elements(alg, ring)
+    root = sysm.roots[0]
+    assert _divided_powers_over(alg, ring, root) is _divided_powers_over(alg, ring, root)

@@ -1,12 +1,15 @@
-"""What the benchmark harness and the package exports reach must exist.
+"""What the benchmark harness and the package exports reach must exist, and
+every import in src and tests must be read.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
-a deletion in src that the harness depends on is caught here instead.
+a deletion in src that the harness depends on is caught here instead.  No
+linter is installed, so an import that a deletion orphans is caught here too.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -16,7 +19,9 @@ import chevalley
 from chevalley.decomposer import Certificate
 from chevalley.roots import RootSystem
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "perfbench"
+SRC = TESTS.parent / "src" / "chevalley"
 
 
 def load_bench_module(monkeypatch, name):
@@ -40,3 +45,26 @@ def test_benchmark_and_exports_resolve(monkeypatch):
     assert callable(Certificate.apply)
     assert callable(RootSystem.height)
     assert [name for name in chevalley.__all__ if not hasattr(chevalley, name)] == []
+
+
+def unused_imports(path: Path) -> list:
+    """Names bound by an import in the module at path and never read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in sorted(bound.items())
+            if name not in read]
+
+
+def test_no_unused_imports():
+    # the package __init__ imports in order to export
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    assert [hit for path in paths for hit in unused_imports(path)] == []

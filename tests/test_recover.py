@@ -7,8 +7,6 @@ two regimes both apply they must agree on arbitrary conjugated inputs.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from chevalley.group import group_for, torus_alpha, unipotent, weyl
