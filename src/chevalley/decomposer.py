@@ -23,6 +23,12 @@ A certificate is only ever emitted after the replay, so a bad input can
 waste time but cannot produce a false certificate.  Failures carry the stage
 name and a witness.
 
+Tables are stacks (see linalg), one image per root and ring element in the
+rows of ``group.stack_rows``, built per certify and dropped.  The precheck's
+checks, the twist, the residual ring map and the replay are each a few
+batched products on them, and report the first failure an image-by-image
+loop would have met.
+
 Big-cell factorization notes: in the basis ordered by descending coweight
 height, elements of U^- are unit lower triangular and T U^+ is upper
 triangular with unit diagonal entries, so a plain LU split either recovers
@@ -48,23 +54,24 @@ from chevalley.group import (
     commutator_pattern_holds,
     from_word,
     group_for,
+    root_stack,
+    stack_rows,
     torus_chi,
     unipotent,
 )
 from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import (
     Matrix,
-    field_matmul,
-    field_tables,
     identity,
-    is_identity,
     local_nullspace,
-    mat_map,
     mat_mul,
     mat_scale,
     matrix,
     residue_dtype,
     ring_invert,
+    row_ops,
+    stack_dtype,
+    stack_mul,
 )
 from chevalley.rings import (
     ProductRing,
@@ -227,9 +234,12 @@ def _additive_order(ring: Ring, t) -> int:
 def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     """Validate the supplied images and extend them to every parameter.
 
-    Returns the extended table mapping (root, t) for every t in the ring to
-    its image matrix.  Raises CertifyError("precheck", ...) on any violation.
-    Only matrices are built: no check reads an inverse.
+    Returns the extended table: a stack of arrays of elements (see
+    ``linalg.stack_mul``) with the image of x_root(t) for every root and
+    every t in the ring, in the rows of ``group.stack_rows``.  Raises
+    CertifyError("precheck", ...) on any violation.  Only matrices are built:
+    no check reads an inverse.  Every check runs on all images at once and
+    reports its first failure in the order of the loop it replaces.
     """
     if alg is None:
         _, alg = group_for(spec.system)
@@ -252,69 +262,82 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
             {"missing": [_key_json(ring, k) for k in missing],
              "extra": [_key_json(ring, k) for k in extra]})
 
-    # powers[(root, t)][c] is the c-th power of the image, up to its order
-    powers: Dict[Tuple[Root, object], List[Matrix]] = {}
-    for (root, t), m in provided.items():
-        pw = _powers(ring, m, ring.size)
-        if pw is None and ring_invert(ring, m) is None:
+    # the supplied images, root-major in span order, and their powers until
+    # each is the identity (its order) or the ring size is reached
+    keys = [(root, g) for root in sysm.roots for g in span]
+    at = {key: i for i, key in enumerate(keys)}
+    images = np.array([provided[key] for key in keys], dtype=stack_dtype(ring, alg.dim))
+    eye = np.array(identity(ring, alg.dim), dtype=images.dtype)
+    powers = [np.broadcast_to(eye, images.shape), images]
+    order = np.zeros(len(keys), dtype=int)
+    for c in range(1, ring.size + 1):
+        order[(order == 0) & _equal(powers[c], eye)] = c
+        if order.all() or c == ring.size:
+            break
+        powers.append(stack_mul(ring, powers[c], images))
+    for key, m in provided.items():
+        c = order[at[key]]
+        if not c and ring_invert(ring, m) is None:
             raise CertifyError("precheck", "image matrix is not invertible",
-                               {"key": _key_json(ring, (root, t))})
-        if pw is None or _additive_order(ring, t) != len(pw):
+                               {"key": _key_json(ring, key)})
+        if not c or _additive_order(ring, key[1]) != c:
             raise CertifyError("precheck", "not bijective on parameters",
-                               {"key": _key_json(ring, (root, t))})
-        powers[(root, t)] = pw
+                               {"key": _key_json(ring, key)})
 
-    # extend additively over the spanning generators, in a fixed order
-    table: Dict[Tuple[Root, object], Matrix] = {}
-    for root in sysm.roots:
+    # extend additively: the image at t is the product of the powers of the
+    # generators in additive_coords order, the same product for every root;
+    # layer j holds each t's j-th factor, or the identity past its last
+    elems = list(ring.elements())
+    coords = [[(span.index(g), c) for g, c in ring.additive_coords(t) if c] for t in elems]
+
+    def factor(f, j):
+        g, c = f[j] if j < len(f) else (0, 0)
+        return powers[c][g::len(span)]          # every root's image at g, to the c
+
+    table = None
+    for j in range(max(map(len, coords))):
+        layer = np.stack([factor(f, j) for f in coords], axis=1)
+        table = layer if table is None else stack_mul(ring, table, layer)
+    for root, mats in zip(sysm.roots, table):
         seen = {}
-        for t in ring.elements():
-            acc = None
-            for g, c in ring.additive_coords(t):
-                if c:
-                    p = powers[(root, g)][c]
-                    acc = p if acc is None else mat_mul(ring, acc, p)
-            if acc is None:
-                acc = identity(ring, alg.dim)
-            table[(root, t)] = acc
-            if acc in seen:
+        for t, m in zip(elems, map(repr, mats.tolist())):   # exact for any dtype
+            if m in seen:
                 raise CertifyError("precheck", "not bijective on parameters",
                                    {"root": list(root),
-                                    "params": [ring.element_to_json(seen[acc]),
+                                    "params": [ring.element_to_json(seen[m]),
                                                ring.element_to_json(t)]})
-            seen[acc] = t
+            seen[m] = t
+    table = table.reshape(-1, *images.shape[1:])
+    rows = stack_rows(alg, ring)
 
     # one-parameter law inside the provided set
-    for root in sysm.roots:
-        for s, t in itertools.product(span, repeat=2):
-            got = mat_mul(ring, provided[(root, s)], provided[(root, t)])
-            if got != table[(root, ring.add(s, t))]:
-                raise CertifyError("precheck", "one-parameter law fails",
-                                   {"key": _key_json(ring, (root, s)),
-                                    "other": ring.element_to_json(t)})
+    laws = [(root, s, t) for root in sysm.roots for s, t in itertools.product(span, repeat=2)]
+    got = stack_mul(ring, images[[at[(root, s)] for root, s, _ in laws]],
+                    images[[at[(root, t)] for root, _, t in laws]])
+    held = _equal(got, table[[rows[(root, ring.add(s, t))] for root, s, t in laws]])
+    if not held.all():
+        root, s, t = laws[int(np.argmin(held))]
+        raise CertifyError("precheck", "one-parameter law fails",
+                           {"key": _key_json(ring, (root, s)),
+                            "other": ring.element_to_json(t)})
 
     # commutator pattern at parameter 1; the law makes t -> table[(root, t)]
     # a homomorphism, so the image at -1 is the inverse of the image at 1
-    for r, s in itertools.permutations(sysm.roots, 2):
-        if r == sysm.negate(s):
-            continue
-        if not commutator_pattern_holds(ring, table, r, s, ring.one, ring.one,
-                                        chain_coefficients(alg, r, s)):
-            raise CertifyError("precheck", "commutator pattern fails",
-                               {"roots": [list(r), list(s)]})
+    pairs = [(r, s) for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s)]
+    held = commutator_pattern_holds(
+        ring, table, rows,
+        [(r, s, ring.one, ring.one, chain_coefficients(alg, r, s)) for r, s in pairs])
+    if not held.all():
+        r, s = pairs[int(np.argmin(held))]
+        raise CertifyError("precheck", "commutator pattern fails",
+                           {"roots": [list(r), list(s)]})
     return table
 
 
-def _powers(ring: Ring, m: Matrix, cap: int) -> Optional[List[Matrix]]:
-    """[1, m, ..., m^(k-1)] for the order k <= cap of m, else None."""
-    out = [identity(ring, len(m))]
-    acc = m
-    for _ in range(cap):
-        if is_identity(ring, acc):
-            return out
-        out.append(acc)
-        acc = mat_mul(ring, acc, m)
-    return None
+def _equal(a, b) -> np.ndarray:
+    """Per matrix of two stacks (or a stack and one matrix), whether they agree."""
+    same = a == b
+    return same.reshape(len(same), -1).all(axis=1)
 
 
 def _key_json(ring: Ring, key) -> dict:
@@ -331,7 +354,7 @@ class FactorProblem:
     index: int                  # position in crt_split(ring).factors
     target: int                 # factor index the images land in
     ring: Ring                  # the local ring (source and target agree)
-    table: Dict[Tuple[Root, object], Matrix]
+    table: np.ndarray           # a precheck table over the local ring
 
 
 def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProblem]:
@@ -340,27 +363,30 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
     The transport test is the generator-level shadow of the fact that an
     automorphism maps the kernel of reduction at one maximal ideal onto the
     kernel at another: every image of a generator supported on one idempotent
-    must be trivial in all but one factor.
+    must be trivial in all but one factor.  A factor's projection is a lookup
+    of every entry's position in ring.elements().
     """
-    split = crt_split(ring)
-    factors = split.factors
+    factors = crt_split(ring).factors
     if len(factors) == 1:
-        return [FactorProblem(0, 0, factors[0].ring, dict(spec_table))]
+        return [FactorProblem(0, 0, factors[0].ring, spec_table)]
 
-    sysm = alg.system
+    n = alg.dim
+    elems = list(ring.elements())
+    where = {t: i for i, t in enumerate(elems)}
+    codes = spec_table.reshape(len(alg.system.roots), len(elems), *spec_table.shape[1:])
+    if isinstance(ring, ProductRing):   # elements() is itertools.product order
+        codes = np.ravel_multi_index(tuple(np.moveaxis(codes, -1, 0)),
+                                     [f.size for f in ring.factors])
+    projections = [np.array([lf.project(t) for t in elems]) for lf in factors]
+    eye = np.eye(n, dtype=np.int64)
+
+    def lifted(lf, ts):     # every root's image at lf.embed(t), for t in ts
+        return codes[:, [where[lf.embed(t)] for t in ts]]
+
     sigma: Dict[int, int] = {}
     for j, lf in enumerate(factors):
-        hit = set()
-        for t in lf.ring.elements():
-            if t == lf.ring.zero:
-                continue
-            lifted = lf.embed(t)
-            for root in sysm.roots:
-                m = spec_table[(root, lifted)]
-                for k, other in enumerate(factors):
-                    proj = mat_map(other.project, m)
-                    if not is_identity(other.ring, proj):
-                        hit.add(k)
+        images = lifted(lf, [t for t in lf.ring.elements() if t != lf.ring.zero])
+        hit = {k for k, project in enumerate(projections) if (project[images] != eye).any()}
         if len(hit) != 1:
             raise CertifyError(
                 "split", "factor images do not land in a single factor",
@@ -375,16 +401,9 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
             raise CertifyError("split", "factor mapped to a non-isomorphic factor",
                                {"factor": j, "target": k})
 
-    problems = []
-    for j, lf in enumerate(factors):
-        target = factors[sigma[j]]
-        local: Dict[Tuple[Root, object], Matrix] = {}
-        for t in lf.ring.elements():
-            lifted = lf.embed(t)
-            for root in sysm.roots:
-                local[(root, t)] = mat_map(target.project, spec_table[(root, lifted)])
-        problems.append(FactorProblem(j, sigma[j], lf.ring, local))
-    return problems
+    return [FactorProblem(j, sigma[j], lf.ring,
+                          projections[sigma[j]][lifted(lf, lf.ring.elements())].reshape(-1, n, n))
+            for j, lf in enumerate(factors)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,42 +414,37 @@ def _reshape(vec, n: int) -> Matrix:
     return tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
 
 
-def _intertwiner_basis(ring: Ring, pairs: List[Tuple[Matrix, Matrix]]) -> List[Tuple]:
-    """Basis of {M : M X = Y M for every supplied pair}, as flat vectors.
+def _intertwiner_basis(ring: Ring, xs, ys) -> List[Tuple]:
+    """Basis of {M : M X = Y M for every pair X, Y of the stacks xs, ys}, as
+    flat vectors.
 
-    The basis is a (b, n*n) array, and each pair's residuals B_c X - Y B_c
-    come from one batched product: int64 (or exact object) products mod p^k
-    over Z/p^k, digit-plane products and the sub table over GF(q).
+    The first pair's equations are the rows of I (x) X^T - Y (x) I, written
+    into one array.  After it the basis is a (b, n*n) array, and each pair's
+    residuals B_c X - Y B_c are two batched products.
     """
-    n = len(pairs[0][0])
+    n = xs.shape[-1]
     nn = n * n
-    if isinstance(ring, ZMod):
-        mod = ring.n
-        dtype = residue_dtype(mod, nn)
-
-        def residual(mb, x, y):
-            return (mb @ x - y @ mb) % mod
-
-        def combine(coords, basis):
-            return (coords @ basis) % mod
-    else:
-        dtype, sub = np.int64, field_tables(ring)[1]
-
-        def residual(mb, x, y):
-            return sub[field_matmul(ring, mb, x), field_matmul(ring, y, mb)]
-
-        def combine(coords, basis):
-            return field_matmul(ring, coords, basis)
-    basis = np.eye(nn, dtype=dtype)
-    for step, (x_mat, y_mat) in enumerate(pairs):
+    dtype = residue_dtype(ring.n, nn) if isinstance(ring, ZMod) else np.int64
+    sub_mul = row_ops(ring)[1]
+    # entry (i, j) of E_ab X - Y E_ab is [i = a] X[b, j] - Y[i, a] [b = j],
+    # held in the smallest type that holds a difference of two elements
+    first = np.zeros((n, n, n, n), dtype=np.min_scalar_type(-2 * ring.size))   # [i, j, a, b]
+    x, y = xs[0].astype(first.dtype), ys[0].astype(first.dtype)
+    for i in range(n):
+        first[i, :, i, :] = x.T
+    for j in range(n):
+        first[:, j, :, j] = sub_mul(first[:, j, :, j], 1, y)
+    basis = np.array(local_nullspace(ring, list(first.reshape(nn, nn))), dtype=dtype)
+    del first
+    for x, y in zip(xs[1:], ys[1:]):
+        if not len(basis):
+            return []
         mb = basis.reshape(-1, n, n)
-        x, y = np.array(x_mat, dtype=dtype), np.array(y_mat, dtype=dtype)
-        rows = list(residual(mb, x, y).reshape(len(basis), nn).T)   # a row per entry of M
-        coords = local_nullspace(ring, rows)
+        residual = sub_mul(stack_mul(ring, mb, x), 1, stack_mul(ring, y, mb))
+        coords = local_nullspace(ring, list(residual.reshape(len(basis), nn).T))
         if not coords:
             return []
-        coords = np.array(coords, dtype=dtype)
-        basis = combine(coords, basis) if step else coords   # coords @ identity
+        basis = stack_mul(ring, np.array(coords, dtype=dtype), basis)
     return [tuple(v) for v in basis.tolist()]
 
 
@@ -598,29 +612,40 @@ class FactorResult:
 
 
 def _twist_table(alg, ring, table, gd):
-    """lam^-1 m lam for every image matrix m; the table itself for no twist."""
+    """lam^-1 m lam for every image matrix m of a stack; the stack itself for
+    no twist."""
     if gd is None:
         return table
-    lam, lam_inv = gd.matrices(ring)
-    return {key: mat_mul(ring, mat_mul(ring, lam_inv, m), lam) for key, m in table.items()}
+    lam, lam_inv = (np.array(m, dtype=table.dtype) for m in gd.matrices(ring))
+    return stack_mul(ring, stack_mul(ring, lam_inv, table), lam)
 
 
-def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table):
-    """Parameter map of the residual, or an error detail dict."""
+def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table, units):
+    """Parameter map of the residual, or an error detail dict.
+
+    The residuals conj^-1 m conj of every image of the table are two batched
+    products; each must be the root element of ``units`` (a root_stack) at
+    the parameter read off its slot.  The first failure is reported in
+    (t, root) order.
+    """
     sysm = alg.system
+    rows = stack_rows(alg, ring)
+    inv, mat = (np.array(m, dtype=table.dtype) for m in (conj.inv_mat, conj.mat))
+    resid = stack_mul(ring, stack_mul(ring, inv, table), mat)
+    slots = [alg._slot(root) for root, _ in rows]
+    entries = resid[np.arange(len(rows)), [i for (i, _), _ in slots],
+                    [j for (_, j), _ in slots]].tolist()
+    params = [ring.mul(x, ring.from_int(unit)) for x, (_, unit) in zip(entries, slots)]
+    is_root = _equal(resid, units[[rows[(root, s)] for (root, _), s in zip(rows, params)]])
     rho: Dict[object, object] = {}
     for t in ring.elements():
-        value = None
+        value = params[rows[(sysm.roots[0], t)]]
         for root in sysm.roots:
-            resid = mat_mul(ring, mat_mul(ring, conj.inv_mat, table[(root, t)]), conj.mat)
-            (i, j), unit = alg._slot(root)
-            s = ring.mul(resid[i][j], ring.from_int(unit))
-            if resid != unipotent(alg, ring, root, s).mat:
+            q = rows[(root, t)]
+            if not is_root[q]:
                 return None, {"reason": "residual is not a root element",
                               "key": _key_json(ring, (root, t))}
-            if value is None:
-                value = s
-            elif value != s:
+            if params[q] != value:
                 return None, {"reason": "parameter image differs across roots",
                               "key": _key_json(ring, (root, t))}
         rho[t] = value
@@ -640,21 +665,21 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag):
     are the invertible basis vectors in basis order.
     """
     sysm = alg.system
+    units = root_stack(alg, ring)
+    at_one = [stack_rows(alg, ring)[(root, ring.one)] for root in sysm.roots]
     deepest = CertifyError("match", "no diagram symmetry admits a strictly "
                            "inner intertwiner", {"factor": problem_tag})
     for delta in diagram_symmetries(sysm):
         gd = None if delta.is_identity else graph_data(alg, delta)
         twisted = _twist_table(alg, ring, table, gd)
-        pairs = [(unipotent(alg, ring, root, ring.one).mat, twisted[(root, ring.one)])
-                 for root in sysm.roots]
-        for vec in _intertwiner_basis(ring, pairs):
+        for vec in _intertwiner_basis(ring, units[at_one], twisted[at_one]):
             m = _reshape(vec, alg.dim)
             if ring_invert(ring, m) is None:
                 continue
             conj = strictly_inner_element(alg, ring, m)
             if conj is None:
                 continue
-            rho, err = _residual_rho(alg, ring, conj, twisted)
+            rho, err = _residual_rho(alg, ring, conj, twisted, units)
             if rho is None:
                 err["factor"] = problem_tag
                 deepest = CertifyError("ringmap", err.pop("reason"), err)
@@ -742,15 +767,34 @@ def _token_json(ring: Ring, token) -> list:
 
 
 def _combine(split, parts: List[Matrix]) -> Matrix:
-    """Entrywise CRT recombination of one local matrix per factor."""
+    """Entrywise CRT recombination of one local matrix per factor; over a
+    local ring, where from_factors is the identity, the matrix itself."""
+    if len(parts) == 1:
+        return parts[0]
     n = len(parts[0])
     return tuple(tuple(split.from_factors([p[i][j] for p in parts]) for j in range(n))
                  for i in range(n))
 
 
+def _replay(alg: AdjointAlgebra, ring: Ring, table, left: Matrix, right: Matrix,
+            rho: dict) -> int:
+    """Check that every image of the table is left x_root(rho t) right: two
+    batched products over a root_stack.  Returns the number of images
+    replayed, or raises at the first mismatch in (root, t) order."""
+    rows = stack_rows(alg, ring)
+    left, right = (np.array(m, dtype=table.dtype) for m in (left, right))
+    inner = root_stack(alg, ring)[[rows[(root, rho[t])] for root, t in rows]]
+    held = _equal(stack_mul(ring, stack_mul(ring, left, inner), right), table)
+    if not held.all():
+        raise CertifyError("replay", "assembled automorphism does not "
+                           "reproduce an image",
+                           {"key": _key_json(ring, list(rows)[int(np.argmin(held))])})
+    return len(held)
+
+
 def certify(spec: AutomorphismSpec) -> Certificate:
     """Decompose the spec or raise a stage-tagged CertifyError."""
-    sysm, alg = group_for(spec.system)
+    _, alg = group_for(spec.system)
     ring = ring_make(spec.ring)
     table = precheck(spec, alg)
     problems = split_local(table, alg, ring)
@@ -767,17 +811,9 @@ def certify(spec: AutomorphismSpec) -> Certificate:
     # reassemble over the whole ring through the idempotents; factor data is
     # indexed by source, placed at its target slot
     by_target = sorted(results, key=lambda res: res.target)
-    n = alg.dim
-    lam_parts, lam_inv_parts = [], []
-    for lf, res in zip(factors, by_target):
-        if res.graph is not None:
-            lam_k, lam_inv_k = res.graph.matrices(lf.ring)
-        else:
-            lam_k = lam_inv_k = identity(lf.ring, n)
-        lam_parts.append(lam_k)
-        lam_inv_parts.append(lam_inv_k)
-    lam = _combine(split, lam_parts)
-    lam_inv = _combine(split, lam_inv_parts)
+    graphs = [res.graph.matrices(lf.ring) if res.graph is not None
+              else (identity(lf.ring, alg.dim),) * 2 for lf, res in zip(factors, by_target)]
+    lam, lam_inv = (_combine(split, parts) for parts in zip(*graphs))
     conj = _combine(split, [res.conjugator.mat for res in by_target])
     conj_inv = _combine(split, [res.conjugator.inv_mat for res in by_target])
 
@@ -791,17 +827,8 @@ def certify(spec: AutomorphismSpec) -> Certificate:
     rho_dict = dict(rho_global)
 
     # every image is (lam conj) x_root(rho t) (conj^-1 lam^-1)
-    left, right = mat_mul(ring, lam, conj), mat_mul(ring, conj_inv, lam_inv)
-    replayed = 0
-    for root in sysm.roots:
-        for t in ring.elements():
-            inner = unipotent(alg, ring, root, rho_dict[t]).mat
-            expected = mat_mul(ring, mat_mul(ring, left, inner), right)
-            if expected != table[(root, t)]:
-                raise CertifyError("replay", "assembled automorphism does not "
-                                   "reproduce an image",
-                                   {"key": _key_json(ring, (root, t))})
-            replayed += 1
+    replayed = _replay(alg, ring, table, mat_mul(ring, lam, conj),
+                       mat_mul(ring, conj_inv, lam_inv), rho_dict)
 
     factor_certs = tuple(
         FactorCertificate(

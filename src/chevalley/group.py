@@ -20,22 +20,29 @@ constants of the commutator formula are extracted over Z once per (algebra,
 r, s) and shared read-only by the precheck and the verify suites.
 
 Over a finite ring, root_table maps (root, t) to the matrix of x_root(t) for
-every root and every element t; a verify suite builds it once per call and
-drops it on return.  commutator_pattern_holds is the one check of the
-commutator formula: it reads every factor, and the inverses at -t and -u,
-from such a table, so it multiplies matrices and builds no x_root.  The
-precheck runs it on its own table of the supplied images at t = u = 1.
+every root and every element t, and root_stack is the same matrices as one
+stack (see linalg), in the rows of stack_rows: root-major, the elements in
+ring.elements() order.  Both are built per call and dropped on return.
+commutator_pattern_holds is the one check of the commutator formula: it
+takes a batch of (r, s, t, u) and reads every factor, and the inverses at -t
+and -u, from such a stack, so it multiplies stacks and builds no x_root.
+The precheck runs it on its own table of the supplied images at t = u = 1,
+and the verify commutator suite on a root_stack at every (t, u).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
+import numpy as np
+
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import Matrix, identity, is_identity, mat_map, mat_mul, matrix
+from chevalley.linalg import (Matrix, identity, mat_map, mat_mul, matrix, stack_dtype,
+                              stack_mul)
 from chevalley.rings import Ring, ring_make
 from chevalley.roots import Root
 
@@ -245,23 +252,51 @@ def root_table(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], Mat
             for root in alg.system.roots for t in elems}
 
 
-def commutator_pattern_holds(ring: Ring, table: Mapping, r: Root, s: Root,
-                             t, u, coeffs: Mapping) -> bool:
-    """[x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j) on a table of x_root
-    matrices keyed (root, parameter), with the inverses read at -t and -u.
+def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], int]:
+    """(root, t) -> row, for stacks of one matrix per root and element of a
+    finite ring: root-major, the elements in ring.elements() order."""
+    return {key: i for i, key in
+            enumerate(itertools.product(alg.system.roots, ring.elements()))}
 
-    The factors are taken in the order of coeffs, which chain_coefficients
-    gives in peel order; a chain of k factors costs 3 + (k - 1) products.
+
+def root_stack(alg: AdjointAlgebra, ring: Ring):
+    """The matrices of root_table as one stack of arrays of elements (see
+    ``linalg.stack_mul``), in the row order of stack_rows."""
+    return np.array(list(root_table(alg, ring).values()),
+                    dtype=stack_dtype(ring, alg.dim))
+
+
+def commutator_pattern_holds(ring: Ring, stack, rows: Mapping, checks) -> np.ndarray:
+    """Per (r, s, t, u, coeffs) in checks, whether
+    [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j), as a boolean array.
+
+    ``stack`` holds x_root matrices as arrays of elements (see
+    ``linalg.stack_mul``), x_root(t) at row ``rows[(root, t)]`` for every
+    root and element; the inverses are read at -t and -u, and x_r(0) is the
+    identity.  The left sides of all checks are three batched products.  The
+    factors are taken in the order of coeffs, which chain_coefficients gives
+    in peel order, and the right sides of all chains of one length multiply
+    together, one batched product per factor past the first.
     """
-    lhs = mat_mul(ring, mat_mul(ring, mat_mul(ring, table[(r, t)], table[(s, u)]),
-                                table[(r, ring.neg(t))]), table[(s, ring.neg(u))])
-    rhs = None
-    for (i, j), c in coeffs.items():
-        gamma = tuple(i * a + j * b for a, b in zip(r, s))
-        param = ring.mul(ring.from_int(c), ring.mul(ring.power(t, i), ring.power(u, j)))
-        factor = table[(gamma, param)]
-        rhs = factor if rhs is None else mat_mul(ring, rhs, factor)
-    return is_identity(ring, lhs) if rhs is None else lhs == rhs
+    def take(keys):
+        return stack[[rows[key] for key in keys]]
+
+    lhs = take((r, t) for r, s, t, u, _ in checks)
+    for keys in (((s, u) for r, s, t, u, _ in checks),
+                 ((r, ring.neg(t)) for r, s, t, u, _ in checks),
+                 ((s, ring.neg(u)) for r, s, t, u, _ in checks)):
+        lhs = stack_mul(ring, lhs, take(keys))
+    chains = [[(tuple(i * a + j * b for a, b in zip(r, s)),
+                ring.mul(ring.from_int(c), ring.mul(ring.power(t, i), ring.power(u, j))))
+               for (i, j), c in coeffs.items()] for r, s, t, u, coeffs in checks]
+    holds = np.empty(len(checks), dtype=bool)
+    for length in set(map(len, chains)):
+        picked = [q for q, chain in enumerate(chains) if len(chain) == length]
+        rhs = take(chains[q][0] if length else (checks[q][0], ring.zero) for q in picked)
+        for j in range(1, length):
+            rhs = stack_mul(ring, rhs, take(chains[q][j] for q in picked))
+        holds[picked] = (lhs[picked] == rhs).reshape(len(picked), -1).all(axis=1)
+    return holds
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,26 @@
 """Exact matrix arithmetic over ring handles.
 
 Matrices are tuples of row tuples of ring elements, so they hash and compare
-exactly.  Generic operations go through the ring handle; inversion first
-splits the ring into local factors, then runs a Smith-style diagonalization
-per factor, and kernels are taken over one local factor at a time.
+exactly.  A stack is the array form that batched code works on: a numpy
+array of elements with leading batch axes (over a product ring an element is
+the last axis, one entry per factor).  ``stack_mul`` is the one product
+kernel: int64 under ``residue_dtype`` over Z/n and over Z (exact object
+arrays past the guard), ``field_matmul`` over GF(p^k), k^2 int64 products of
+base-p digit planes, and over a product ring one product per factor, each on
+that factor's path.  ``mat_mul`` turns tuple matrices into arrays and calls
+it; over Z it feeds the guard the largest |entry| of both factors, read off
+the Python ints before any cast.  ``identity`` is built once per (ring, n).
 
-Over Z/p^k and GF(q) the elimination is array-native: it keeps A and Q (and
-P only when a caller needs it) as numpy arrays, finds the row-major first
-entry of least p-valuation with a vectorised scan (over a field, the first
-nonzero entry), and updates only the rows and columns a pivot changes;
-results turn into tuples once, on return.  The pivot of least valuation keeps
-every step exact.  Z/p^k reduces mod p^k; GF(q) indexes numpy ``mul``/``sub``
-tables built once per field.  int64 is used only where no intermediate sum
-can reach 2**63 (see ``residue_dtype``); larger moduli run the same code on
-numpy object arrays of Python ints.  ``mat_mul`` from 6 rows up takes int64
-over Z/n and over Z, where the same guard is fed the largest |entry| of both
-factors, read off the Python ints before any cast, and over GF(p^k) it takes
-``field_matmul``, k^2 int64 products of base-p digit planes; over a product
-ring it multiplies the projections onto each factor, each on that factor's
-path, and zips the entries back into tuples; past the guard it runs its
-scalar loop with the ring operations bound once per call.  ``identity`` is
-built once per (ring, n).
+Inversion first splits the ring into local factors, then runs a Smith-style
+diagonalization per factor, and kernels are taken over one local factor at
+a time.  Over Z/p^k and GF(q) the elimination is array-native: it keeps A
+and Q (and P only when a caller needs it) as numpy arrays and updates only
+the rows and columns a pivot changes; results turn into tuples once, on
+return.  The pivot is the row-major first entry of least p-valuation (over a
+field, the first nonzero entry), which keeps every step exact: a mask of the
+rows that still hold a unit finds it while one does, and a vectorised scan
+after that.  Z/p^k reduces mod p^k; GF(q) indexes numpy ``mul``/``sub``
+tables built once per field.
 """
 
 from __future__ import annotations
@@ -70,18 +70,6 @@ def residue_dtype(bound: int, inner: int):
     return np.int64 if inner * (bound - 1) ** 2 < 2 ** 63 else object
 
 
-def _int64_bound(ring: Ring, a: Matrix, b: Matrix):
-    """The ``residue_dtype`` bound of a @ b when it may run on int64, else None.
-
-    Over Z the maximum is taken on the Python ints, before any cast.
-    """
-    if isinstance(ring, ZMod):
-        return ring.n
-    if isinstance(ring, ZRing):
-        return max(map(abs, chain.from_iterable(chain(a, b))), default=0) + 1
-    return None
-
-
 @lru_cache(maxsize=None)
 def field_tables(ring: FieldTable):
     """The mul and sub tables of a field as int64 arrays, built once per field."""
@@ -117,41 +105,48 @@ def field_matmul(ring: FieldTable, a, b):
     return out
 
 
-def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
+def stack_dtype(ring: Ring, inner: int):
+    """The dtype of exact arrays of elements of a finite ring whose products
+    sum ``inner`` terms: ``residue_dtype`` over Z/n, int64 over GF(p^k), and
+    over a product ring object if any factor needs it."""
     if isinstance(ring, ProductRing):
-        k = len(ring.factors)
-        parts = [mat_mul(f, fa, fb) for f, fa, fb in
-                 zip(ring.factors, _factor_matrices(a, k), _factor_matrices(b, k))]
-        return tuple(tuple(zip(*rows)) for rows in zip(*parts))
-    if len(a) >= 6 and b:
-        if isinstance(ring, FieldTable):
-            cn = field_matmul(ring, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            return tuple(map(tuple, cn.tolist()))
-        bound = _int64_bound(ring, a, b)
-        if bound is not None and residue_dtype(bound, len(b)) is np.int64:
-            cn = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
-            if isinstance(ring, ZMod):
-                cn %= ring.n
-            return tuple(map(tuple, cn.tolist()))
-    zero, add, mul = ring.zero, ring.add, ring.mul
-    bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                if x != zero and y != zero:
-                    acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+        kinds = {stack_dtype(f, inner) for f in ring.factors}
+        return object if object in kinds else np.int64
+    return residue_dtype(ring.n, inner) if isinstance(ring, ZMod) else np.int64
 
 
-def _factor_matrices(a: Matrix, k: int) -> list:
-    """The k factor matrices of a matrix over a product of k rings."""
-    per_row = [tuple(zip(*row)) or ((),) * k for row in a]
-    return [tuple(rows) for rows in zip(*per_row)] if per_row else [()] * k
+def stack_mul(ring: Ring, a, b):
+    """a @ b over the ring on arrays of elements with leading batch axes
+    (numpy broadcasting): mod n over Z/n, ``field_matmul`` over GF(p^k),
+    plain over Z.  Over a product ring an element is its last axis, one entry
+    per factor, and each factor multiplies its own stack on its own path."""
+    if isinstance(ring, ProductRing):
+        return np.stack([stack_mul(f, a[..., i], b[..., i])
+                         for i, f in enumerate(ring.factors)], axis=-1)
+    if isinstance(ring, FieldTable):
+        return field_matmul(ring, a, b)
+    out = a @ b
+    if isinstance(ring, ZMod):
+        out %= ring.n
+    return out
+
+
+def to_matrix(ring: Ring, a) -> Matrix:
+    """One array of elements back to a tuple matrix."""
+    if isinstance(ring, ProductRing):
+        return tuple(tuple(map(tuple, row)) for row in a.tolist())
+    return tuple(map(tuple, a.tolist()))
+
+
+def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
+    if not (a and b):
+        return tuple(() for _ in a)
+    if isinstance(ring, ZRing):   # the bound is read off the Python ints
+        bound = max(map(abs, chain.from_iterable(chain(a, b))), default=0) + 1
+        dtype = residue_dtype(bound, len(b))
+    else:
+        dtype = stack_dtype(ring, len(b))
+    return to_matrix(ring, stack_mul(ring, np.array(a, dtype=dtype), np.array(b, dtype=dtype)))
 
 
 def mat_pow(ring: Ring, a: Matrix, n: int) -> Matrix:
@@ -167,10 +162,6 @@ def mat_pow(ring: Ring, a: Matrix, n: int) -> Matrix:
 
 def mat_map(fn, a: Matrix) -> Matrix:
     return tuple(tuple(fn(x) for x in row) for row in a)
-
-
-def is_identity(ring: Ring, a: Matrix) -> bool:
-    return a == identity(ring, len(a))
 
 
 # --------------------------------------------------------------------------
@@ -224,26 +215,27 @@ class LocalDiag:
 def _first_least_valuation(sub, p: int, k: int):
     """(row, col, v): the row-major first entry of least p-valuation v in
     ``sub``, whose entries lie in [0, p^k); None when ``sub`` is zero."""
-    m, n = sub.shape
-    step = max(1, 4096 // max(n, 1))   # scan a few thousand entries at a time
     for v in range(k):
         # no entry has valuation < v, so the first entry not divisible by
         # p^(v+1) has valuation exactly v
-        for r in range(0, m, step):
-            block = sub[r:r + step]
-            hits = np.flatnonzero(block % p ** (v + 1) if v + 1 < k else block)
-            if hits.size:
-                i, j = divmod(int(hits[0]), n)
-                return r + i, j, v
+        hits = np.flatnonzero(sub % p ** (v + 1) if v + 1 < k else sub)
+        if hits.size:
+            return (*divmod(int(hits[0]), sub.shape[1]), v)
     return None
 
 
-def _row_ops(ring: Ring):
+def row_ops(ring: Ring):
     """(scale, sub_mul): x * c and x - c * y on arrays of elements of Z/p^k or
-    GF(q), with numpy broadcasting."""
+    GF(q), with numpy broadcasting.  Over Z/p^k sub_mul overwrites x, so
+    callers pass a copy or the very array to update."""
     if isinstance(ring, ZMod):
         mod = ring.n
-        return (lambda x, c: (x * c) % mod), (lambda x, c, y: (x - c * y) % mod)
+
+        def sub_mul(x, c, y):
+            x -= c * y
+            x %= mod
+            return x
+        return (lambda x, c: (x * c) % mod), sub_mul
     mul, sub = field_tables(ring)
     return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
 
@@ -254,25 +246,43 @@ def _eliminate(ring: Ring, a, with_p: bool):
     P, Q are arrays with P @ A @ Q = D.  Q never depends on P, so callers
     that only need kernels skip P.  Over GF(q), where k = 1, the pivot is the
     first nonzero entry and every valuation is 0.
+
+    Rows at or past t are zero left of column t, so while some row there
+    holds a unit, the row-major first entry of least valuation is the first
+    unit of the first such row.  A mask of the rows that hold a unit follows
+    the row swaps and is recomputed only for the rows a pivot updates; the
+    full scan runs only once no unit is left.
     """
     if not (isinstance(ring, FieldTable) or isinstance(ring, ZMod) and ring.is_local):
         raise ValueError(f"{ring.descriptor} is not a supported local ring")
     p, k = ring.residue_char, ring.nil_degree
-    scale, sub_mul = _row_ops(ring)
+    scale, sub_mul = row_ops(ring)
+
+    def units(block):
+        return block % p != 0 if k > 1 else block != 0
+
     m = len(a)
     n = len(a[0]) if m else 0
     dtype = residue_dtype(ring.size, 1)
-    A = np.array(a, dtype=dtype).reshape(m, n) % ring.size
+    A = np.array(a, dtype=dtype).reshape(m, n)
+    A %= ring.size
+    has_unit = units(A).any(axis=1)
     P = np.eye(m, dtype=dtype) if with_p else None
     Q = np.eye(n, dtype=dtype)
     pivots = []
     for t in range(min(m, n)):
-        found = _first_least_valuation(A[t:, t:], p, k)
-        if found is None:
-            break
-        bi, bj, bv = found[0] + t, found[1] + t, found[2]
+        held = np.flatnonzero(has_unit[t:])
+        if held.size:
+            bi = t + int(held[0])
+            bj, bv = t + int(np.flatnonzero(units(A[bi, t:]))[0]), 0
+        else:   # over a field a row without a unit is zero
+            found = _first_least_valuation(A[t:, t:], p, k) if k > 1 else None
+            if found is None:
+                break
+            bi, bj, bv = found[0] + t, found[1] + t, found[2]
         if bi != t:
             A[[t, bi]] = A[[bi, t]]
+            has_unit[[t, bi]] = has_unit[[bi, t]]
             if with_p:
                 P[[t, bi]] = P[[bi, t]]
         if bj != t:
@@ -290,6 +300,7 @@ def _eliminate(ring: Ring, a, with_p: bool):
         rows = np.flatnonzero(mult)
         if rows.size:
             A[rows, t:] = sub_mul(A[rows, t:], mult[rows, None], A[t, t:])
+            has_unit[rows] = units(A[rows, t + 1:]).any(axis=1)
             if with_p:
                 P[rows] = sub_mul(P[rows], mult[rows, None], P[t])
         # clear row t: column t of A is now p^bv e_t, so in A only row t
@@ -324,7 +335,10 @@ def local_nullspace(ring: Ring, a: Matrix) -> list:
     for i, v in pivots:
         scale[i] = p ** (k - v) if v else 0   # p^k = 0: a unit pivot gives none
     keep = np.flatnonzero(scale)
-    gens = _row_ops(ring)[0](q[:, keep], scale[keep])
+    gens, scale = q[:, keep], scale[keep]
+    del q            # Q is n x n; only the kept columns are read past here
+    if (scale != 1).any():
+        gens = row_ops(ring)[0](gens, scale)
     return [tuple(g) for g in gens.T.tolist()]
 
 

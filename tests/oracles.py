@@ -8,6 +8,12 @@ read from the table alone (for the matrices and the Jacobi checks), the
 fraction-free determinant and the matrix-vector product (for the
 elimination), and root chains walked through the enumeration (for the
 pairing).
+
+The last section keeps the loop forms that the batched code replaced: the
+elimination that scans the whole remaining block for every pivot, and the
+precheck, residual ring map and replay of ``certify`` one image at a time on
+dicts of tuple matrices.  The batched code must agree with them exactly,
+down to the stage, detail and witness of a refusal.
 """
 
 from __future__ import annotations
@@ -17,9 +23,35 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
+from chevalley.decomposer import (
+    CertifyError,
+    _additive_order,
+    _key_json,
+    _sort_key,
+    spanning_params,
+)
+from chevalley.group import chain_coefficients, unipotent
 from chevalley.liealg import AdjointAlgebra, algebra_for
-from chevalley.linalg import Matrix, mat_mul, mat_sub, matrix
-from chevalley.rings import Ring, RingError, ZMod, ring_make
+from chevalley.linalg import (
+    Matrix,
+    field_tables,
+    identity,
+    mat_mul,
+    mat_sub,
+    matrix,
+    residue_dtype,
+    ring_invert,
+)
+from chevalley.rings import (
+    FieldTable,
+    Ring,
+    RingError,
+    ZMod,
+    is_ring_automorphism,
+    ring_make,
+)
 from chevalley.roots import Root, RootSystem, build_root_system
 
 ZZ = ring_make("Z")
@@ -167,6 +199,10 @@ def bracket_dict(alg: AdjointAlgebra, u: dict, v: dict) -> dict:
 # integer and ring matrices
 
 
+def is_identity(ring: Ring, a: Matrix) -> bool:
+    return a == identity(ring, len(a))
+
+
 def mat_vec(ring: Ring, a: Matrix, v: Sequence) -> tuple:
     zero, add, mul = ring.zero, ring.add, ring.mul
     out = []
@@ -220,3 +256,240 @@ def root_chain(system: RootSystem, beta: Root, alpha: Root) -> tuple[int, int]:
         cur = tuple(b + a for b, a in zip(cur, alpha))
     assert p - q == system.pairing(beta, alpha)
     return p, q
+
+
+# --------------------------------------------------------------------------
+# the elimination and the certify stages as they ran before the stacks
+
+
+def first_least_valuation(sub, p: int, k: int):
+    """(row, col, v): the row-major first entry of least p-valuation v in
+    ``sub``, whose entries lie in [0, p^k); None when ``sub`` is zero."""
+    m, n = sub.shape
+    step = max(1, 4096 // max(n, 1))   # scan a few thousand entries at a time
+    for v in range(k):
+        # no entry has valuation < v, so the first entry not divisible by
+        # p^(v+1) has valuation exactly v
+        for r in range(0, m, step):
+            block = sub[r:r + step]
+            hits = np.flatnonzero(block % p ** (v + 1) if v + 1 < k else block)
+            if hits.size:
+                i, j = divmod(int(hits[0]), n)
+                return r + i, j, v
+    return None
+
+
+def row_ops(ring: Ring):
+    """(scale, sub_mul): x * c and x - c * y on arrays of elements of Z/p^k or
+    GF(q), with numpy broadcasting."""
+    if isinstance(ring, ZMod):
+        mod = ring.n
+        return (lambda x, c: (x * c) % mod), (lambda x, c, y: (x - c * y) % mod)
+    mul, sub = field_tables(ring)
+    return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
+
+
+def eliminate_scan(ring: Ring, a, with_p: bool):
+    """``linalg._eliminate`` as it was before the unit mask: every pivot scans
+    the whole remaining block for its row-major first entry of least
+    valuation.  (P or None, Q, pivots, diag) over Z/p^k or GF(q).
+
+    P, Q are arrays with P @ A @ Q = D.  Q never depends on P, so callers
+    that only need kernels skip P.  Over GF(q), where k = 1, the pivot is the
+    first nonzero entry and every valuation is 0.
+    """
+    if not (isinstance(ring, FieldTable) or isinstance(ring, ZMod) and ring.is_local):
+        raise ValueError(f"{ring.descriptor} is not a supported local ring")
+    p, k = ring.residue_char, ring.nil_degree
+    scale, sub_mul = row_ops(ring)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    dtype = residue_dtype(ring.size, 1)
+    A = np.array(a, dtype=dtype).reshape(m, n) % ring.size
+    P = np.eye(m, dtype=dtype) if with_p else None
+    Q = np.eye(n, dtype=dtype)
+    pivots = []
+    for t in range(min(m, n)):
+        found = first_least_valuation(A[t:, t:], p, k)
+        if found is None:
+            break
+        bi, bj, bv = found[0] + t, found[1] + t, found[2]
+        if bi != t:
+            A[[t, bi]] = A[[bi, t]]
+            if with_p:
+                P[[t, bi]] = P[[bi, t]]
+        if bj != t:
+            A[:, [t, bj]] = A[:, [bj, t]]
+            Q[:, [t, bj]] = Q[:, [bj, t]]
+        pv = p ** bv
+        u_inv = ring.inv(int(A[t, t]) // pv)
+        A[t] = scale(A[t], u_inv)
+        if with_p:
+            P[t] = scale(P[t], u_inv)
+        # clear column t with exact multipliers; rows above t and columns
+        # left of t are already zero, and rows with a zero multiplier stay
+        mult = A[:, t] // pv
+        mult[t] = 0
+        rows = np.flatnonzero(mult)
+        if rows.size:
+            A[rows, t:] = sub_mul(A[rows, t:], mult[rows, None], A[t, t:])
+            if with_p:
+                P[rows] = sub_mul(P[rows], mult[rows, None], P[t])
+        # clear row t: column t of A is now p^bv e_t, so in A only row t
+        # changes, to p^bv e_t (p^bv divides the whole row); Q takes the
+        # full column update
+        multc = A[t] // pv
+        multc[t] = 0
+        cols = np.flatnonzero(multc)
+        if cols.size:
+            A[t, cols] = 0
+            Q[:, cols] = sub_mul(Q[:, cols], Q[:, t, None], multc[cols])
+        pivots.append((t, bv))
+    diag = tuple(int(A[i, i]) for i, _ in pivots)
+    return P, Q, tuple(pivots), diag
+
+
+def precheck_loop(spec, alg: AdjointAlgebra):
+    """``decomposer.precheck`` as one loop per image: the same checks in the
+    same order, on tuple matrices; returns the table as a dict (root, t) ->
+    matrix."""
+    sysm = alg.system
+    ring = ring_make(spec.ring)
+    if not getattr(ring, "size", None):
+        raise CertifyError("precheck", "decomposition needs a finite ring, "
+                           f"got {spec.ring}")
+    span = spanning_params(ring)
+    provided = spec.image_dict()
+
+    want = {(root, t) for root in sysm.roots for t in span}
+    have = set(provided)
+    if have != want:
+        missing = sorted(want - have)[:3]
+        extra = sorted(have - want)[:3]
+        raise CertifyError(
+            "precheck",
+            "images must cover exactly the roots times the spanning parameters",
+            {"missing": [_key_json(ring, k) for k in missing],
+             "extra": [_key_json(ring, k) for k in extra]})
+
+    # powers[(root, t)][c] is the c-th power of the image, up to its order
+    powers = {}
+    for (root, t), m in provided.items():
+        pw = powers_upto(ring, m, ring.size)
+        if pw is None and ring_invert(ring, m) is None:
+            raise CertifyError("precheck", "image matrix is not invertible",
+                               {"key": _key_json(ring, (root, t))})
+        if pw is None or _additive_order(ring, t) != len(pw):
+            raise CertifyError("precheck", "not bijective on parameters",
+                               {"key": _key_json(ring, (root, t))})
+        powers[(root, t)] = pw
+
+    # extend additively over the spanning generators, in a fixed order
+    table = {}
+    for root in sysm.roots:
+        seen = {}
+        for t in ring.elements():
+            acc = None
+            for g, c in ring.additive_coords(t):
+                if c:
+                    p = powers[(root, g)][c]
+                    acc = p if acc is None else mat_mul(ring, acc, p)
+            if acc is None:
+                acc = identity(ring, alg.dim)
+            table[(root, t)] = acc
+            if acc in seen:
+                raise CertifyError("precheck", "not bijective on parameters",
+                                   {"root": list(root),
+                                    "params": [ring.element_to_json(seen[acc]),
+                                               ring.element_to_json(t)]})
+            seen[acc] = t
+
+    # one-parameter law inside the provided set
+    for root in sysm.roots:
+        for s, t in itertools.product(span, repeat=2):
+            got = mat_mul(ring, provided[(root, s)], provided[(root, t)])
+            if got != table[(root, ring.add(s, t))]:
+                raise CertifyError("precheck", "one-parameter law fails",
+                                   {"key": _key_json(ring, (root, s)),
+                                    "other": ring.element_to_json(t)})
+
+    # commutator pattern at parameter 1; the law makes t -> table[(root, t)]
+    # a homomorphism, so the image at -1 is the inverse of the image at 1
+    for r, s in itertools.permutations(sysm.roots, 2):
+        if r == sysm.negate(s):
+            continue
+        if not commutator_holds(ring, table, r, s, ring.one, ring.one,
+                                chain_coefficients(alg, r, s)):
+            raise CertifyError("precheck", "commutator pattern fails",
+                               {"roots": [list(r), list(s)]})
+    return table
+
+
+def powers_upto(ring: Ring, m: Matrix, cap: int):
+    """[1, m, ..., m^(k-1)] for the order k <= cap of m, else None."""
+    out = [identity(ring, len(m))]
+    acc = m
+    for _ in range(cap):
+        if is_identity(ring, acc):
+            return out
+        out.append(acc)
+        acc = mat_mul(ring, acc, m)
+    return None
+
+
+def commutator_holds(ring: Ring, table, r: Root, s: Root, t, u, coeffs) -> bool:
+    """``group.commutator_pattern_holds`` for one (r, s, t, u), on a dict
+    (root, t) -> tuple matrix."""
+    lhs = mat_mul(ring, mat_mul(ring, mat_mul(ring, table[(r, t)], table[(s, u)]),
+                                table[(r, ring.neg(t))]), table[(s, ring.neg(u))])
+    rhs = None
+    for (i, j), c in coeffs.items():
+        gamma = tuple(i * a + j * b for a, b in zip(r, s))
+        param = ring.mul(ring.from_int(c), ring.mul(ring.power(t, i), ring.power(u, j)))
+        factor = table[(gamma, param)]
+        rhs = factor if rhs is None else mat_mul(ring, rhs, factor)
+    return is_identity(ring, lhs) if rhs is None else lhs == rhs
+
+
+def residual_rho_loop(alg: AdjointAlgebra, ring: Ring, conj, table):
+    """``decomposer._residual_rho`` one image at a time, on a dict table:
+    the parameter map of the residual, or an error detail dict."""
+    sysm = alg.system
+    rho = {}
+    for t in ring.elements():
+        value = None
+        for root in sysm.roots:
+            resid = mat_mul(ring, mat_mul(ring, conj.inv_mat, table[(root, t)]), conj.mat)
+            (i, j), unit = alg._slot(root)
+            s = ring.mul(resid[i][j], ring.from_int(unit))
+            if resid != unipotent(alg, ring, root, s).mat:
+                return None, {"reason": "residual is not a root element",
+                              "key": _key_json(ring, (root, t))}
+            if value is None:
+                value = s
+            elif value != s:
+                return None, {"reason": "parameter image differs across roots",
+                              "key": _key_json(ring, (root, t))}
+        rho[t] = value
+    if rho[ring.one] != ring.one:
+        return None, {"reason": "residual moves the unit parameter"}
+    if not is_ring_automorphism(ring, rho):
+        return None, {"reason": "parameter map is not a ring automorphism"}
+    return tuple(sorted(rho.items(), key=lambda kv: _sort_key(kv[0]))), None
+
+
+def replay_loop(alg: AdjointAlgebra, ring: Ring, table, left, right, rho) -> int:
+    """The replay of ``decomposer.certify`` one image at a time, on a dict
+    table: every image must be left x_root(rho t) right."""
+    sysm = alg.system
+    replayed = 0
+    for root in sysm.roots:
+        for t in ring.elements():
+            inner = unipotent(alg, ring, root, rho[t]).mat
+            expected = mat_mul(ring, mat_mul(ring, left, inner), right)
+            if expected != table[(root, t)]:
+                raise CertifyError("replay", "assembled automorphism does not "
+                                   "reproduce an image",
+                                   {"key": _key_json(ring, (root, t))})
+            replayed += 1
+    return replayed

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from chevalley.autos import graph_data
 from chevalley.group import group_for
-from chevalley.linalg import is_identity, mat_mul
+from chevalley.linalg import mat_mul
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries
+from oracles import is_identity
 
 
 def nontrivial_symmetry(sysm):

@@ -254,7 +254,9 @@ def wrong_bracket_constant(monkeypatch):
 
 # (defect, suite, system, ring) -> (checks, failures, sha256 of the failures
 # as sorted-key JSON), recorded with the suites that built every x_root(t)
-# as a group element and checked the commutator on group elements
+# as a group element and checked the commutator on group elements; the
+# commutator cases on B2 and G2 were recorded with the check that multiplied
+# tuple matrices one (r, s, t, u) at a time, before it took batches
 PLANTED_FAILURES = [
     (corrupt_x_root, "laws", "A2", "Z/4", 108, 7,
      "b1ad1bcca2b310f970fcba60bc41833304622567859418d5d7a26c8cfb5340a7"),
@@ -266,6 +268,12 @@ PLANTED_FAILURES = [
      "0cfbbae3a93b581752d0350d515c769f05832a5738f3ae4706bc57d3a68dad85"),
     (wrong_chain_coefficient, "commutator", "B2", "Z/4", 768, 6,
      "d51a295ec29afc0ec207b435862e87dcd763f5356febdf5b7e0fbaa27686539b"),
+    (corrupt_x_root, "commutator", "B2", "Z/4", 768, 104,
+     "3dd42ab6198eac5cd69681a15cc1d2a1d7ed34622d217ba6a7593fb45375e622"),
+    (corrupt_x_root, "commutator", "G2", "Z/4", 1920, 176,
+     "a7a8ae0a20be85171cf5301af12a714c45348e1a4d20e653432d273e13c30690"),
+    (wrong_chain_coefficient, "commutator", "B2", "Z/5", 1200, 16,
+     "86c7ab41d982139060c8842b708b54e9628ac59f3a2f4dfef75b10b3f66c935d"),
     (wrong_bracket_constant, "jacobi", "A2", "Z", 530, 27,
      "2b39509237abafeba1ed83e110dfa12b9e23882fff63e095bbbf8caa03138882"),
 ]

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import chevalley.decomposer as decomposer
+import chevalley.group as group_module
 from chevalley.autos import graph_data
 from chevalley.decomposer import (
     CertifyError,
@@ -16,19 +18,21 @@ from chevalley.decomposer import (
     spec_from_json,
     strictly_inner_element,
 )
-from chevalley.group import from_word, group_for, unipotent
+from chevalley.group import from_word, group_for, root_stack, stack_rows, unipotent
 from chevalley.linalg import (
     identity,
-    is_identity,
     local_diag,
     mat_map,
     mat_mul,
     mat_scale,
     matrix,
     ring_invert,
+    stack_dtype,
+    to_matrix,
 )
 from chevalley.rings import ring_automorphisms, ring_make
 from chevalley.roots import diagram_symmetries
+from oracles import is_identity, precheck_loop, replay_loop, residual_rho_loop
 
 ROUND_TRIP_CONFIGS = [
     ("A2", "Z/5"),
@@ -517,10 +521,11 @@ def test_candidates_are_the_invertible_basis_vectors_in_order(name, monkeypatch)
         tried.append(m)
         return None
 
-    monkeypatch.setattr(decomposer, "_intertwiner_basis", lambda ring, pairs: basis)
+    table = decomposer.precheck(spec_from_elements("A2", ring, honest_table("A2", ring)), alg)
+    monkeypatch.setattr(decomposer, "_intertwiner_basis", lambda ring, xs, ys: basis)
     monkeypatch.setattr(decomposer, "strictly_inner_element", never_inner)
     with pytest.raises(CertifyError) as err:
-        decomposer._match_local(alg, ring, honest_table("A2", ring), 0)
+        decomposer._match_local(alg, ring, table, 0)
     assert err.value.stage == "match"
     # per diagram symmetry: the invertible vectors in basis order, a repeat
     # included, and no sum, difference or other combination of them
@@ -551,9 +556,9 @@ def test_intertwiners_reduce_to_a_line_for_every_diagram_symmetry(system, ring_n
             for delta in symmetries:
                 gd = None if delta.is_identity else graph_data(alg, delta)
                 twisted = decomposer._twist_table(alg, local, problem.table, gd)
-                pairs = [(unipotent(alg, local, root, local.one).mat,
-                          twisted[(root, local.one)]) for root in sysm.roots]
-                basis = decomposer._intertwiner_basis(local, pairs)
+                at_one = [stack_rows(alg, local)[(root, local.one)] for root in sysm.roots]
+                basis = decomposer._intertwiner_basis(
+                    local, root_stack(alg, local)[at_one], twisted[at_one])
                 assert basis, (seed, problem.index, delta.perm)
                 reduced = basis if local.is_field else [
                     tuple(x % p for x in vec) for vec in basis]
@@ -585,3 +590,165 @@ def test_round_trip_inverts_candidates_only_up_to_the_first_hit(monkeypatch):
         # the one that hit
         assert inverted and inverted[-1], (seed, inverted)
         assert inverted.count(True) == len(tried), (seed, inverted, len(tried))
+
+
+# --- the batched stages against the loop oracles ---------------------------------
+
+WITNESS_RINGS = ["Z/4", "Z/5", "F4", "F9", "Z/6", "Z/3xZ/3"]
+
+
+def outcome(fn, *args):
+    """What a stage did: ("ok", its value) or (stage, detail, witness)."""
+    try:
+        return "ok", fn(*args)
+    except CertifyError as exc:
+        return exc.stage, exc.detail, exc.witness
+
+
+def as_dict(alg, ring, stack):
+    """A stack in the rows of stack_rows as a dict (root, t) -> tuple matrix."""
+    return {key: to_matrix(ring, stack[i]) for key, i in stack_rows(alg, ring).items()}
+
+
+def as_stack(ring, mats):
+    return np.array(list(mats), dtype=stack_dtype(ring, len(mats[0])))
+
+
+def spots(seq):
+    """The first, a middle and the last item: where a defect is planted."""
+    return [seq[0], seq[len(seq) // 2], seq[-1]]
+
+
+def planted_prechecks(system, ring):
+    """(defect, where, images) for honest images over the spanning parameters
+    with one defect planted first, in the middle or last in the loop order of
+    the check it aims at."""
+    sysm, alg = group_for(system)
+    honest = honest_table(system, ring)
+    keys = list(spec_from_elements(system, ring, honest).image_dict())
+    zero = matrix([[ring.zero] * alg.dim] * alg.dim)
+    unit = ring.units()[-1]
+    out = [("none", None, honest)]
+    for key in spots(keys):
+        root, g = key
+        same_root = [k for k in keys if k[0] == root and k != key]
+        for defect, m in (("wrong order", identity(ring, alg.dim)),
+                          ("singular", zero),
+                          ("repeated image", honest[(same_root or [keys[keys.index(key) - 1]])[0]]),
+                          ("broken law", unipotent(alg, ring, sysm.negate(root), g).mat)):
+            out.append((defect, key, {**honest, key: m}))
+    out.append(("two bad orders", (keys[0], keys[-1]),
+                {**honest, keys[0]: identity(ring, alg.dim), keys[-1]: zero}))
+    for root in spots(sysm.roots):
+        out.append(("broken commutator", root, {
+            **honest, **{(root, g): unipotent(alg, ring, root, ring.mul(unit, g)).mat
+                         for g in spanning_params(ring)}}))
+    return out
+
+
+@pytest.mark.parametrize("ring_name", WITNESS_RINGS)
+def test_precheck_reports_what_the_loop_oracle_reports(ring_name):
+    ring = ring_make(ring_name)
+    sysm, alg = group_for("A2")
+    details = set()
+    for defect, where, images in planted_prechecks("A2", ring):
+        spec = spec_from_elements("A2", ring, images)
+        got = outcome(lambda: as_dict(alg, ring, decomposer.precheck(spec, alg)))
+        want = outcome(precheck_loop, spec, alg)
+        assert got == want, (defect, where)
+        details.add(want[1] if want[0] == "precheck" else want[0])
+    # every check refused something; over a ring with one additive generator
+    # a repeat or a broken law can only show as a wrong order or commutator
+    reached = {"ok", "image matrix is not invertible", "not bijective on parameters",
+               "commutator pattern fails"}
+    if len(spanning_params(ring)) > 1:
+        reached.add("one-parameter law fails")
+    assert reached <= details, details
+
+
+@pytest.mark.parametrize("ring_name", WITNESS_RINGS)
+def test_residual_rho_reports_what_the_loop_oracle_reports(ring_name):
+    ring = ring_make(ring_name)
+    sysm, alg = group_for("A2")
+    spec, _ = forge_random_parts("A2", ring_name, 1)
+    problems = decomposer.split_local(decomposer.precheck(spec, alg), alg, ring)
+    for problem in problems:
+        local = problem.ring
+        units, rows = root_stack(alg, local), stack_rows(alg, local)
+        conj = from_word(alg, local, (("x", sysm.roots[0], local.one),
+                                      ("w", sysm.roots[1], local.one)))
+
+        def image(m):
+            return mat_mul(local, mat_mul(local, conj.mat, m), conj.inv_mat)
+
+        honest = {key: image(to_matrix(local, units[i])) for key, i in rows.items()}
+        t_major = sorted(rows, key=lambda key: (list(local.elements()).index(key[1]),
+                                                sysm.roots.index(key[0])))
+        def non_root(root, t):
+            other = unipotent(alg, local, sysm.negate(root), local.one).mat
+            return image(mat_mul(local, unipotent(alg, local, root, t).mat, other))
+
+        cases = [("none", None, honest)]
+        for root, t in spots(t_major):
+            cases.append(("non-root residual", (root, t), {**honest, (root, t): non_root(root, t)}))
+            cases.append(("parameter differs", (root, t), {
+                **honest, (root, t): image(unipotent(alg, local, root, local.add(t, local.one)).mat)}))
+        # two failures whose order differs between (t, root) and (root, t)
+        last_root, last_t = t_major[len(sysm.roots) - 1], t_major[-len(sysm.roots)]
+        cases.append(("two non-root residuals", (last_root, last_t), {
+            **honest, last_root: non_root(*last_root), last_t: non_root(*last_t)}))
+        reasons = set()
+        for defect, where, table in cases:
+            stack = as_stack(local, [table[key] for key in rows])
+            got = decomposer._residual_rho(alg, local, conj, stack, units)
+            want = residual_rho_loop(alg, local, conj, table)
+            assert got == want, (problem.index, defect, where)
+            reasons.add(want[1]["reason"] if want[1] else "ok")
+        assert {"ok", "residual is not a root element",
+                "parameter image differs across roots"} <= reasons, reasons
+
+
+@pytest.mark.parametrize("ring_name", WITNESS_RINGS)
+def test_replay_reports_what_the_loop_oracle_reports(ring_name):
+    ring = ring_make(ring_name)
+    sysm, alg = group_for("A2")
+    spec, _ = forge_random_parts("A2", ring_name, 1)
+    cert = certify(spec)
+    table = decomposer.precheck(spec, alg)
+    left = mat_mul(ring, cert.lambda_mat, cert.conjugator)
+    right = mat_mul(ring, cert.conjugator_inv, cert.lambda_inv)
+    rho, rows = cert.rho_map(), stack_rows(alg, ring)
+    keys = list(rows)
+    for wrong in [()] + [(key,) for key in spots(keys)] + [(keys[0], keys[-1])]:
+        planted = table.copy()
+        for key in wrong:      # the image of the same root at another parameter
+            other = ring.one if key[1] != ring.one else ring.zero
+            planted[rows[key]] = table[rows[(key[0], other)]]
+        got = outcome(decomposer._replay, alg, ring, planted, left, right, rho)
+        want = outcome(replay_loop, alg, ring, as_dict(alg, ring, planted), left, right, rho)
+        assert got == want, wrong
+        assert (got[0] == "ok") == (not wrong), wrong
+
+
+# --- tuple products left in certify ---------------------------------------------
+
+@pytest.mark.parametrize("system,ring_name,seed", [("C3", "Z/3", 11), ("A3", "Z/4", 10)])
+def test_certify_runs_few_tuple_products(monkeypatch, system, ring_name, seed):
+    """Every stage that loops over images multiplies stacks, so a warm
+    certify makes only the tuple products of the Weyl scan, the conjugator
+    words and the reassembly.  A3/Z/4 seed 10 plants a non-identity diagram
+    symmetry, so the identity is tried and refused first."""
+    spec, planted = forge_random_parts(system, ring_name, seed)
+    if system == "A3":
+        assert any(delta != tuple(range(len(delta))) for delta in planted["deltas"])
+    certify(spec)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return mat_mul(*args)
+
+    monkeypatch.setattr(decomposer, "mat_mul", counting)
+    monkeypatch.setattr(group_module, "mat_mul", counting)
+    assert certify(spec).lambda_mat == planted["lambda"]
+    assert 0 < len(calls) <= 120, len(calls)

@@ -25,7 +25,9 @@ from chevalley.group import (
     from_word,
     group_for,
     identity_element,
+    root_stack,
     root_table,
+    stack_rows,
     torus_alpha,
     torus_chi,
     unipotent,
@@ -238,14 +240,15 @@ def test_root_table_holds_every_unipotent():
 def test_commutator_pattern_agrees_with_element_oracle(name, ring_name):
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
-    table = root_table(alg, ring)
+    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
     elems = list(ring.elements())
     for r, s in itertools.permutations(sysm.roots, 2):
         if r == sysm.negate(s):
             continue
         coeffs = chain_coefficients(alg, r, s)
+        checks = [(r, s, t, u, coeffs) for t, u in itertools.product(elems, repeat=2)]
+        assert commutator_pattern_holds(ring, stack, rows, checks).all(), (r, s)
         for t, u in itertools.product(elems, repeat=2):
-            assert commutator_pattern_holds(ring, table, r, s, t, u, coeffs)
             assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs), (r, s, t, u)
 
 
@@ -254,18 +257,18 @@ def test_commutator_pattern_agrees_with_element_oracle(name, ring_name):
 def test_perturbed_chain_is_rejected_at_the_same_parameters(name, ring_name):
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
-    table = root_table(alg, ring)
+    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
     elems = list(ring.elements())
     r, s = sysm.simple(0), sysm.simple(1)
     for key in chain_coefficients(alg, r, s):
         coeffs = dict(chain_coefficients(alg, r, s))
         coeffs[key] += 1
-        got, want = set(), set()
-        for t, u in itertools.product(elems, repeat=2):
-            if not commutator_pattern_holds(ring, table, r, s, t, u, coeffs):
-                got.add((t, u))
-            if not commutator_identity_holds(alg, ring, r, s, t, u, coeffs):
-                want.add((t, u))
+        params = list(itertools.product(elems, repeat=2))
+        holds = commutator_pattern_holds(ring, stack, rows,
+                                         [(r, s, t, u, coeffs) for t, u in params])
+        got = {tu for tu, ok in zip(params, holds) if not ok}
+        want = {(t, u) for t, u in params
+                if not commutator_identity_holds(alg, ring, r, s, t, u, coeffs)}
         assert got == want and got, (key, sorted(got))
 
 

@@ -18,10 +18,10 @@ import pytest
 
 from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
+    _eliminate,
     field_matmul,
     identity,
     invert_z,
-    is_identity,
     local_diag,
     local_invert,
     local_nullspace,
@@ -29,9 +29,10 @@ from chevalley.linalg import (
     mat_pow,
     matrix,
     ring_invert,
+    stack_dtype,
 )
 from chevalley.rings import ring_make
-from oracles import det_bareiss, mat_vec
+from oracles import det_bareiss, eliminate_scan, is_identity, mat_vec
 
 LOCAL_RINGS = ["Z/4", "Z/8", "Z/9", "Z/5", "F4"]
 SPLIT_RINGS = ["Z/6", "Z/12", "Z/6xF4"]
@@ -380,7 +381,8 @@ def test_elimination_and_intertwiners_exact_past_int64():
         assert scalar_product(mod, scalar_product(mod, d.p_mat, a), d.q_mat) == matrix(expect)
     x = ((1, mod - 1, 5), (0, 1, mod - 2), (0, 0, 1))
     z = scalar_product(mod, x, x)
-    basis = _intertwiner_basis(ring, [(x, x), (z, z)])
+    stack = np.array([x, z], dtype=stack_dtype(ring, 3))
+    basis = _intertwiner_basis(ring, stack, stack)
     assert len(basis) >= 3     # the centralizer of x holds 1, x and x^2
     for vec in basis:
         mb = tuple(vec[i * 3:(i + 1) * 3] for i in range(3))
@@ -589,3 +591,43 @@ def test_product_ring_mat_mul_matches_scalar_loop(name):
         assert mat_mul(ring, a, b) == table_product(ring, a, b), (name, m, k, n)
     for m in (1, 6):
         assert mat_mul(ring, ((),) * m, ()) == ((),) * m
+
+
+# --- the unit mask against the full pivot scan ---------------------------------
+
+def mask_cases(ring, rng):
+    """Random matrices with mixed valuations, zero rows, all zeros, and (off a
+    field) no unit entry at all or units only in the last row."""
+    p = ring.residue_char
+    k = 1 if ring.is_field else ring.nil_degree
+
+    def entry(v):
+        return ring.rand(rng) if v == 0 else (rng.randrange(ring.size) * p ** v) % ring.size
+
+    for m, n in [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3), (6, 6), (9, 7), (12, 12)]:
+        yield rand_matrix(ring, rng, m, n)
+        yield tuple(tuple(entry(rng.randrange(k)) for _ in range(n)) for _ in range(m))
+        rows = [list(r) for r in rand_matrix(ring, rng, m, n)]
+        for i in rng.sample(range(m), (m + 1) // 2):
+            rows[i] = [ring.zero] * n
+        yield matrix(rows)
+        yield matrix([[ring.zero] * n] * m)
+        if k > 1:
+            deep = [[entry(rng.randrange(1, k)) for _ in range(n)] for _ in range(m)]
+            yield matrix(deep)
+            deep[-1][rng.randrange(n)] = ring.one
+            yield matrix(deep)
+
+
+@pytest.mark.parametrize("name", ["Z/3", "Z/4", "Z/8", "Z/9", "F4", "F9"])
+def test_unit_mask_elimination_matches_the_full_scan(name):
+    ring = ring_make(name)
+    rng = random.Random(name + "mask")
+    for a in mask_cases(ring, rng):
+        for with_p in (False, True):
+            got = _eliminate(ring, a, with_p)
+            want = eliminate_scan(ring, a, with_p)
+            assert got[2:] == want[2:], (name, a)          # pivots and diagonal
+            assert np.array_equal(got[1], want[1]), (name, a)
+            assert (got[0] is None and want[0] is None
+                    or np.array_equal(got[0], want[0])), (name, a)

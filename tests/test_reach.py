@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 import chevalley
-from chevalley.decomposer import Certificate
+from chevalley import cli, decomposer
+from chevalley.decomposer import Certificate, forge_random
 from chevalley.roots import RootSystem
 
 TESTS = Path(__file__).resolve().parent
@@ -68,3 +69,24 @@ def test_no_unused_imports():
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted(TESTS.glob("*.py"))
     assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def test_tracer_runs_certify_and_the_commutator_suite(monkeypatch, tmp_path):
+    """The tracer reads the arguments of its targets (the rows passed to
+    local_nullspace, for the cells count): with it installed, a certify and a
+    verify commutator case must run through and count cells."""
+    tracer = load_bench_module(monkeypatch, "tracer").Tracer()
+    spec = forge_random("A3", "Z/4", 0)
+    tracer.install()
+    try:
+        decomposer.certify(spec)
+        code = cli.main(["verify", "commutator", "--system", "A2", "--ring", "Z/4",
+                         "--out", str(tmp_path / "commutator.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert not tracer.absent
+    assert [layer for layer, agg in tracer.aggregates.items() if agg.raised] == []
+    assert tracer.aggregates["decomposer.certify"].calls == 1
+    assert tracer.aggregates["cli.verify.commutator"].calls == 1
+    assert tracer.aggregates["linalg.local_nullspace"].extra["cells"] > 0
