@@ -29,17 +29,17 @@ from chevalley.group import (
     unipotent,
     weyl,
 )
-from chevalley.liealg import AdjointAlgebra, algebra_for, build_algebra
+from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import crt_split, ring_automorphisms, ring_make
 from chevalley.roots import RootSystem, build_root_system, diagram_symmetries
 
 __all__ = [
     "AdjointAlgebra", "AutomorphismSpec", "Certificate", "CertifyError",
-    "GroupElement", "RootSystem", "algebra_for", "build_algebra",
-    "build_root_system", "certify", "commutator", "crt_split",
-    "diagram_symmetries", "forge_random", "forge_random_parts", "from_word",
-    "group_for", "recover_family", "recovery_regime", "ring_automorphisms",
-    "ring_make", "spanning_params", "spec_from_elements", "spec_from_json",
-    "torus_alpha", "torus_chi", "unipotent", "weyl",
+    "GroupElement", "RootSystem", "build_algebra", "build_root_system",
+    "certify", "commutator", "crt_split", "diagram_symmetries",
+    "forge_random", "forge_random_parts", "from_word", "group_for",
+    "recover_family", "recovery_regime", "ring_automorphisms", "ring_make",
+    "spanning_params", "spec_from_elements", "spec_from_json", "torus_alpha",
+    "torus_chi", "unipotent", "weyl",
 ]

@@ -28,13 +28,12 @@ from chevalley.group import (
     from_word,
     group_for,
     root_stack,
-    root_table,
     stack_rows,
     torus_alpha,
     unipotent,
     weyl,
 )
-from chevalley.linalg import mat_mul
+from chevalley.linalg import identity, mat_mul, sandwich, stack_equal, stack_mul
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name
@@ -116,87 +115,96 @@ def cmd_adjoint(args) -> int:
 # verification suites; each returns (checks, failures)
 
 
+def _at(stack, rows, keys):
+    """The matrices of a root_stack with rows ``rows`` at the (root, t) keys."""
+    return stack[[rows[key] for key in keys]]
+
+
 def _suite_laws(system: str, ring_name: str, seed: int):
+    """x(s) x(t) = x(s + t), x(0) = 1 and x(t) x(-t) = 1 on every root, as
+    batched products over one root_stack."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
-    elems = list(ring.elements())
-    checks, failures = 0, []
-    for root in sysm.roots:
-        mats = {t: unipotent(alg, ring, root, t) for t in elems}
-        for s, t in itertools.product(elems, repeat=2):
-            checks += 1
-            if mat_mul(ring, mats[s].mat, mats[t].mat) != mats[ring.add(s, t)].mat:
-                failures.append({"check": "one-parameter-law",
-                                 "root": list(root),
-                                 "s": ring.element_to_json(s),
-                                 "t": ring.element_to_json(t)})
-        checks += 2
-        if not mats[ring.zero].is_identity:
+    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
+    eye = identity(ring, alg.dim)
+    pairs = list(itertools.product(ring.elements(), repeat=2))
+    laws = [(root, s, t) for root in sysm.roots for s, t in pairs]
+    law_held = stack_equal(stack_mul(ring, _at(stack, rows, ((r, s) for r, s, _ in laws)),
+                                     _at(stack, rows, ((r, t) for r, _, t in laws))),
+                           _at(stack, rows, ((r, ring.add(s, t)) for r, s, t in laws)))
+    zero_held = stack_equal(_at(stack, rows, ((r, ring.zero) for r in sysm.roots)), eye)
+    neg_held = stack_equal(stack_mul(ring, stack, _at(stack, rows, ((r, ring.neg(t))
+                                                                    for r, t in rows))), eye)
+    failures = []
+    for root, held, zero_ok, neg_ok in zip(sysm.roots, law_held.reshape(len(sysm.roots), -1),
+                                           zero_held, neg_held.reshape(len(sysm.roots), -1)):
+        failures += [{"check": "one-parameter-law", "root": list(root),
+                      "s": ring.element_to_json(s), "t": ring.element_to_json(t)}
+                     for (s, t), ok in zip(pairs, held) if not ok]
+        if not zero_ok:
             failures.append({"check": "zero-is-identity", "root": list(root)})
-        if any(mats[t].inv() != mats[ring.neg(t)] for t in elems):
+        if not neg_ok.all():
             failures.append({"check": "inverse-is-negation", "root": list(root)})
-    return checks, failures
+    return len(laws) + 2 * len(sysm.roots), failures
 
 
 def _suite_eq1(system: str, ring_name: str, seed: int):
-    """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t)."""
+    """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t), one
+    sandwich of a root_stack per (alpha, u)."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
-    elems = list(ring.elements())
-    units = ring.units()
-    table = root_table(alg, ring)
+    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
     checks, failures = 0, []
     for alpha in sysm.roots:
-        for u in units:
+        for u in ring.units():
             h = torus_alpha(alg, ring, alpha, u)
-            diag = [h.mat[i][i] for i in range(alg.dim)]
-            dinv = [h.inv_mat[i][i] for i in range(alg.dim)]
+            scale = {}
             for beta in sysm.roots:
                 p = sysm.pairing(beta, alpha)
-                scale = ring.power(u, p) if p >= 0 else ring.power(ring.inv(u), -p)
-                for t in elems:
-                    checks += 1
-                    x = table[(beta, t)]
-                    conj = tuple(
-                        tuple(ring.mul(diag[i], ring.mul(x[i][j], dinv[j]))
-                              for j in range(alg.dim))
-                        for i in range(alg.dim))
-                    if conj != table[(beta, ring.mul(scale, t))]:
-                        failures.append({
-                            "check": "torus-conjugation",
-                            "alpha": list(alpha), "beta": list(beta),
-                            "u": ring.element_to_json(u),
-                            "t": ring.element_to_json(t)})
+                scale[beta] = ring.power(u, p) if p >= 0 else ring.power(ring.inv(u), -p)
+            held = stack_equal(sandwich(ring, h.mat, stack, h.inv_mat),
+                               _at(stack, rows, ((beta, ring.mul(scale[beta], t))
+                                                 for beta, t in rows)))
+            checks += len(rows)
+            failures += [{"check": "torus-conjugation",
+                          "alpha": list(alpha), "beta": list(beta),
+                          "u": ring.element_to_json(u), "t": ring.element_to_json(t)}
+                         for (beta, t), ok in zip(rows, held) if not ok]
     return checks, failures
 
 
 def _suite_weyl(system: str, ring_name: str, seed: int):
-    """w_alpha(1) x_beta(t) w_alpha(1)^-1 = x_{s_alpha beta}(sign * t)."""
+    """w_alpha(1) x_beta(t) w_alpha(1)^-1 = x_{s_alpha beta}(sign * t), one
+    sandwich of a root_stack per alpha; the sign is read off the slot of
+    s_alpha beta at t = 1."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     elems = list(ring.elements())
-    table = root_table(alg, ring)
+    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
     checks, failures = 0, []
     for alpha in sysm.roots:
         w = weyl(alg, ring, alpha, ring.one)
+        conj = sandwich(ring, w.mat, stack, w.inv_mat)
+        gamma = {beta: sysm.reflect(beta, alpha) for beta in sysm.roots}
+        slots = [alg._slot(gamma[beta]) for beta in sysm.roots]
+        # an entry is a list over a product ring; ring.mul makes it an element
+        entries = conj[[rows[(beta, ring.one)] for beta in sysm.roots],
+                       [i for (i, _), _ in slots], [j for (_, j), _ in slots]].tolist()
+        sign = {beta: ring.mul(x, ring.from_int(unit))
+                for beta, x, (_, unit) in zip(sysm.roots, entries, slots)}
+        held = stack_equal(conj, _at(stack, rows, ((gamma[beta], ring.mul(sign[beta], t))
+                                                   for beta, t in rows)))
         for beta in sysm.roots:
-            gamma = sysm.reflect(beta, alpha)
-            (i, j), unit = alg._slot(gamma)
-            conj1 = mat_mul(ring, mat_mul(ring, w.mat, table[(beta, ring.one)]),
-                            w.inv_mat)
-            sign = ring.mul(conj1[i][j], ring.from_int(unit))
             checks += 1
-            if ring.mul(sign, sign) != ring.one:
+            if ring.mul(sign[beta], sign[beta]) != ring.one:
                 failures.append({"check": "weyl-sign-not-unit",
                                  "alpha": list(alpha), "beta": list(beta)})
                 continue
-            for t in elems:
-                checks += 1
-                conj = mat_mul(ring, mat_mul(ring, w.mat, table[(beta, t)]), w.inv_mat)
-                if conj != table[(gamma, ring.mul(sign, t))]:
-                    failures.append({"check": "weyl-conjugation",
-                                     "alpha": list(alpha), "beta": list(beta),
-                                     "t": ring.element_to_json(t)})
+            checks += len(elems)
+            failures += [{"check": "weyl-conjugation",
+                          "alpha": list(alpha), "beta": list(beta),
+                          "t": ring.element_to_json(t)}
+                         for t in elems if not held[rows[(beta, t)]]]
     return checks, failures
 
 

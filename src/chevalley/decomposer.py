@@ -70,7 +70,9 @@ from chevalley.linalg import (
     residue_dtype,
     ring_invert,
     row_ops,
+    sandwich,
     stack_dtype,
+    stack_equal,
     stack_mul,
 )
 from chevalley.rings import (
@@ -271,7 +273,7 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     powers = [np.broadcast_to(eye, images.shape), images]
     order = np.zeros(len(keys), dtype=int)
     for c in range(1, ring.size + 1):
-        order[(order == 0) & _equal(powers[c], eye)] = c
+        order[(order == 0) & stack_equal(powers[c], eye)] = c
         if order.all() or c == ring.size:
             break
         powers.append(stack_mul(ring, powers[c], images))
@@ -314,7 +316,7 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     laws = [(root, s, t) for root in sysm.roots for s, t in itertools.product(span, repeat=2)]
     got = stack_mul(ring, images[[at[(root, s)] for root, s, _ in laws]],
                     images[[at[(root, t)] for root, _, t in laws]])
-    held = _equal(got, table[[rows[(root, ring.add(s, t))] for root, s, t in laws]])
+    held = stack_equal(got, table[[rows[(root, ring.add(s, t))] for root, s, t in laws]])
     if not held.all():
         root, s, t = laws[int(np.argmin(held))]
         raise CertifyError("precheck", "one-parameter law fails",
@@ -332,12 +334,6 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
         raise CertifyError("precheck", "commutator pattern fails",
                            {"roots": [list(r), list(s)]})
     return table
-
-
-def _equal(a, b) -> np.ndarray:
-    """Per matrix of two stacks (or a stack and one matrix), whether they agree."""
-    same = a == b
-    return same.reshape(len(same), -1).all(axis=1)
 
 
 def _key_json(ring: Ring, key) -> dict:
@@ -616,8 +612,8 @@ def _twist_table(alg, ring, table, gd):
     no twist."""
     if gd is None:
         return table
-    lam, lam_inv = (np.array(m, dtype=table.dtype) for m in gd.matrices(ring))
-    return stack_mul(ring, stack_mul(ring, lam_inv, table), lam)
+    lam, lam_inv = gd.matrices(ring)
+    return sandwich(ring, lam_inv, table, lam)
 
 
 def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table, units):
@@ -630,13 +626,12 @@ def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table, un
     """
     sysm = alg.system
     rows = stack_rows(alg, ring)
-    inv, mat = (np.array(m, dtype=table.dtype) for m in (conj.inv_mat, conj.mat))
-    resid = stack_mul(ring, stack_mul(ring, inv, table), mat)
+    resid = sandwich(ring, conj.inv_mat, table, conj.mat)
     slots = [alg._slot(root) for root, _ in rows]
     entries = resid[np.arange(len(rows)), [i for (i, _), _ in slots],
                     [j for (_, j), _ in slots]].tolist()
     params = [ring.mul(x, ring.from_int(unit)) for x, (_, unit) in zip(entries, slots)]
-    is_root = _equal(resid, units[[rows[(root, s)] for (root, _), s in zip(rows, params)]])
+    is_root = stack_equal(resid, units[[rows[(root, s)] for (root, _), s in zip(rows, params)]])
     rho: Dict[object, object] = {}
     for t in ring.elements():
         value = params[rows[(sysm.roots[0], t)]]
@@ -782,9 +777,8 @@ def _replay(alg: AdjointAlgebra, ring: Ring, table, left: Matrix, right: Matrix,
     batched products over a root_stack.  Returns the number of images
     replayed, or raises at the first mismatch in (root, t) order."""
     rows = stack_rows(alg, ring)
-    left, right = (np.array(m, dtype=table.dtype) for m in (left, right))
     inner = root_stack(alg, ring)[[rows[(root, rho[t])] for root, t in rows]]
-    held = _equal(stack_mul(ring, stack_mul(ring, left, inner), right), table)
+    held = stack_equal(sandwich(ring, left, inner, right), table)
     if not held.all():
         raise CertifyError("replay", "assembled automorphism does not "
                            "reproduce an image",

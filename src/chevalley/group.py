@@ -1,8 +1,8 @@
 """Elements of the adjoint Chevalley group over a ring.
 
 An element carries its matrix, the matrix of its inverse (kept in lockstep so
-no inversion is ever needed for word-built elements), and optionally the word
-of generators that produced it.  Words use three token kinds:
+no inversion is ever needed for word-built elements), and the word of
+generators that produced it.  Words use four token kinds:
 
     ("x", root, t)     root element at parameter t
     ("w", root, t)     Weyl representative, t a unit
@@ -11,7 +11,9 @@ of generators that produced it.  Words use three token kinds:
 
 The chi token exists because the adjoint torus is bigger than the span of the
 h_root elements; conjugator words coming out of big-cell factorizations need
-it.  Words are what certificates replay; the matrix is what equality means.
+it.  torus_chi builds every torus matrix: h_root(u) is the character
+u^<beta, root>, under its own h token.  Words are what certificates replay;
+the matrix is what equality means.
 
 x_root(t) is 1 + sum_k t^k D_k over the divided powers D_k of ad e_root.
 Each D_k is memoised per (algebra, ring, root) as its nonzero (i, j, value)
@@ -19,15 +21,16 @@ entries only, so building x_root(t) costs O(nnz) per power.  The chain
 constants of the commutator formula are extracted over Z once per (algebra,
 r, s) and shared read-only by the precheck and the verify suites.
 
-Over a finite ring, root_table maps (root, t) to the matrix of x_root(t) for
-every root and every element t, and root_stack is the same matrices as one
-stack (see linalg), in the rows of stack_rows: root-major, the elements in
-ring.elements() order.  Both are built per call and dropped on return.
-commutator_pattern_holds is the one check of the commutator formula: it
-takes a batch of (r, s, t, u) and reads every factor, and the inverses at -t
-and -u, from such a stack, so it multiplies stacks and builds no x_root.
-The precheck runs it on its own table of the supplied images at t = u = 1,
-and the verify commutator suite on a root_stack at every (t, u).
+Over a finite ring, root_stack holds the matrix of x_root(t) for every root
+and every element t as one stack (see linalg), in the rows of stack_rows:
+root-major, the elements in ring.elements() order.  It is built per call and
+dropped on return, and it is the one form of that table: certify and every
+verify suite read it.  commutator_pattern_holds is the one check of the
+commutator formula: it takes a batch of (r, s, t, u) and reads every factor,
+and the inverses at -t and -u, from such a stack, so it multiplies stacks and
+builds no x_root.  The precheck runs it on its own table of the supplied
+images at t = u = 1, and the verify commutator suite on a root_stack at every
+(t, u).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -54,22 +57,17 @@ class GroupElement:
     ring: Ring
     mat: Matrix
     inv_mat: Matrix
-    word: Optional[Tuple[Token, ...]]
+    word: Tuple[Token, ...]
 
     def mul(self, other: "GroupElement") -> "GroupElement":
-        w = None
-        if self.word is not None and other.word is not None:
-            w = self.word + other.word
         return GroupElement(self.ring,
                             mat_mul(self.ring, self.mat, other.mat),
                             mat_mul(self.ring, other.inv_mat, self.inv_mat),
-                            w)
+                            self.word + other.word)
 
     def inv(self) -> "GroupElement":
-        w = None
-        if self.word is not None:
-            w = tuple(_invert_token(self.ring, t) for t in reversed(self.word))
-        return GroupElement(self.ring, self.inv_mat, self.mat, w)
+        return GroupElement(self.ring, self.inv_mat, self.mat,
+                            tuple(_invert_token(self.ring, t) for t in reversed(self.word)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.mat == other.mat
@@ -140,28 +138,21 @@ def weyl(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
 
 
 def torus_alpha(alg: AdjointAlgebra, ring: Ring, root: Root, u) -> GroupElement:
-    """h_root(u), the diagonal action u^<beta, root> on each root space."""
+    """h_root(u), the torus element chi(beta) = u^<beta, root>: the pairing is
+    linear in beta, so chi takes u^<alpha_j, root> on the simple roots."""
     sysm = alg.system
-    uinv = ring.inv(u)
-    n = alg.dim
-    diag = []
-    for beta in sysm.roots:
-        p = sysm.pairing(beta, root)
-        diag.append(ring.power(u, p) if p >= 0 else ring.power(uinv, -p))
-    diag.extend([ring.one] * sysm.rank)
-    mat = tuple(tuple(diag[i] if i == j else ring.zero for j in range(n))
-                for i in range(n))
-    inv = tuple(tuple(ring.inv(diag[i]) if i == j else ring.zero for j in range(n))
-                for i in range(n))
-    return GroupElement(ring, mat, inv, (("h", root, u),))
+    pairings = (sysm.pairing(sysm.simple(j), root) for j in range(sysm.rank))
+    h = torus_chi(alg, ring, tuple(ring.power(u, p) if p >= 0 else ring.power(ring.inv(u), -p)
+                                   for p in pairings))
+    return GroupElement(ring, h.mat, h.inv_mat, (("h", root, u),))
 
 
 def torus_chi(alg: AdjointAlgebra, ring: Ring, units: Tuple) -> GroupElement:
     """The torus element acting by chi(beta) = prod units_j ^ beta_j.
 
     chi ranges over all characters of the root lattice, so this covers the
-    full torus of the adjoint group; it carries no word because it need not
-    lie in the elementary subgroup.
+    full torus of the adjoint group, which need not lie in the elementary
+    subgroup; its word is the one chi token.
     """
     sysm = alg.system
     inverses = tuple(ring.inv(u) for u in units)
@@ -178,7 +169,7 @@ def torus_chi(alg: AdjointAlgebra, ring: Ring, units: Tuple) -> GroupElement:
                 for i in range(n))
     inv = tuple(tuple(ring.inv(diag[i]) if i == j else ring.zero for j in range(n))
                 for i in range(n))
-    return GroupElement(ring, mat, inv, None)
+    return GroupElement(ring, mat, inv, (("chi", units, None),))
 
 
 def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> GroupElement:
@@ -192,8 +183,7 @@ def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> Group
         elif kind == "h":
             factor = torus_alpha(alg, ring, root, t)
         elif kind == "chi":
-            base = torus_chi(alg, ring, root)
-            factor = GroupElement(ring, base.mat, base.inv_mat, (token,))
+            factor = torus_chi(alg, ring, root)
         else:
             raise ValueError(f"unknown token kind {kind!r}")
         out = out.mul(factor)
@@ -244,14 +234,6 @@ def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[i
     return MappingProxyType(out)
 
 
-def root_table(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], Matrix]:
-    """(root, t) -> the matrix of x_root(t), for every root and every element
-    t of a finite ring."""
-    elems = list(ring.elements())
-    return {(root, t): _unipotent_matrix(alg, ring, root, t)
-            for root in alg.system.roots for t in elems}
-
-
 def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], int]:
     """(root, t) -> row, for stacks of one matrix per root and element of a
     finite ring: root-major, the elements in ring.elements() order."""
@@ -260,9 +242,10 @@ def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], int
 
 
 def root_stack(alg: AdjointAlgebra, ring: Ring):
-    """The matrices of root_table as one stack of arrays of elements (see
-    ``linalg.stack_mul``), in the row order of stack_rows."""
-    return np.array(list(root_table(alg, ring).values()),
+    """The matrix of x_root(t) for every root and every element t of a finite
+    ring, as one stack of arrays of elements (see ``linalg.stack_mul``), in
+    the row order of stack_rows."""
+    return np.array([_unipotent_matrix(alg, ring, root, t) for root, t in stack_rows(alg, ring)],
                     dtype=stack_dtype(ring, alg.dim))
 
 

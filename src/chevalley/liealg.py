@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Tuple
 
-from chevalley.linalg import Matrix, mat_map, mat_mul, mat_sub, matrix
+from chevalley.linalg import Matrix, mat_map, mat_mul, matrix
 from chevalley.rings import Ring, ZRing, ring_make
 from chevalley.roots import Root, RootSystem, build_root_system
 
@@ -171,16 +171,6 @@ class AdjointAlgebra:
     def nilpotency(self, root: Root) -> int:
         return len(self.divided_powers(root)) + 1
 
-    def unipotent_z(self, root: Root) -> Matrix:
-        """exp(X) over Z, the value of the root element at parameter 1."""
-        n = self.dim
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for dp in self.divided_powers(root):
-            for i in range(n):
-                for j in range(n):
-                    rows[i][j] += dp[i][j]
-        return matrix(rows)
-
     # --- recovery witness for rings without 1/2 -----------------------------
 
     @lru_cache(maxsize=None)
@@ -191,13 +181,14 @@ class AdjointAlgebra:
         target = self.divided_powers(root)[1] if self.nilpotency(root) > 2 else None
         found = None
         if target is not None:
-            e = matrix([[int(i == j) for j in range(self.dim)] for i in range(self.dim)])
             for gamma in self.system.roots:
                 beta = tuple(r - g for r, g in zip(root, gamma))
                 if not self.system.is_root(beta) or beta == _neg(gamma):
                     continue
-                ug = mat_sub(ZZ, self.unipotent_z(gamma), e)
-                ub = mat_sub(ZZ, self.unipotent_z(beta), e)
+                # exp X - E is the sum of the divided powers of X
+                ug, ub = (tuple(tuple(map(sum, zip(*rows)))
+                                for rows in zip(*self.divided_powers(r)))
+                          for r in (gamma, beta))
                 prod = mat_mul(ZZ, ug, ub)
                 t = mat_mul(ZZ, prod, prod)
                 for c in (1, -1):
@@ -296,7 +287,3 @@ def build_algebra(kind: str, rank: int) -> AdjointAlgebra:
         h_mats.append(matrix(rows))
 
     return AdjointAlgebra(system, consts, coroots, x_mats, tuple(h_mats), dim)
-
-
-def algebra_for(system: RootSystem) -> AdjointAlgebra:
-    return build_algebra(system.kind, system.rank)

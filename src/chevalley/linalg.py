@@ -9,24 +9,25 @@ arrays past the guard), ``field_matmul`` over GF(p^k), k^2 int64 products of
 base-p digit planes, and over a product ring one product per factor, each on
 that factor's path.  ``mat_mul`` turns tuple matrices into arrays and calls
 it; over Z it feeds the guard the largest |entry| of both factors, read off
-the Python ints before any cast.  ``identity`` is built once per (ring, n).
+the Python ints before any cast.  ``sandwich`` computes left m right over a
+stack, taking the two tuple matrices in the stack's dtype.  ``identity`` is
+built once per (ring, n).
 
-Inversion first splits the ring into local factors, then runs a Smith-style
-diagonalization per factor, and kernels are taken over one local factor at
-a time.  Over Z/p^k and GF(q) the elimination is array-native: it keeps A
-and Q (and P only when a caller needs it) as numpy arrays and updates only
-the rows and columns a pivot changes; results turn into tuples once, on
-return.  The pivot is the row-major first entry of least p-valuation (over a
-field, the first nonzero entry), which keeps every step exact: a mask of the
-rows that still hold a unit finds it while one does, and a vectorised scan
-after that.  Z/p^k reduces mod p^k; GF(q) indexes numpy ``mul``/``sub``
-tables built once per field.
+Inversion, over a finite ring only, first splits the ring into local
+factors, then runs a Smith-style diagonalization per factor, and kernels are
+taken over one local factor at a time.  Over Z/p^k and GF(q) the elimination
+is array-native: it keeps A and Q (and P only when a caller needs it) as
+numpy arrays and updates only the rows and columns a pivot changes; results
+turn into tuples once, on return.  The pivot is the row-major first entry of
+least p-valuation (over a field, the first nonzero entry), which keeps every
+step exact: a mask of the rows that still hold a unit finds it while one
+does, and a vectorised scan after that.  Z/p^k reduces mod p^k; GF(q)
+indexes numpy ``mul``/``sub`` tables built once per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -131,6 +132,19 @@ def stack_mul(ring: Ring, a, b):
     return out
 
 
+def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
+    """left m right for every matrix m of a stack, with the tuple matrices
+    left and right taken in the stack's dtype."""
+    left, right = (np.array(m, dtype=stack.dtype) for m in (left, right))
+    return stack_mul(ring, stack_mul(ring, left, stack), right)
+
+
+def stack_equal(a, b) -> np.ndarray:
+    """Per matrix of two stacks (or a stack and one matrix), whether they agree."""
+    same = a == b
+    return same.reshape(len(same), -1).all(axis=1)
+
+
 def to_matrix(ring: Ring, a) -> Matrix:
     """One array of elements back to a tuple matrix."""
     if isinstance(ring, ProductRing):
@@ -162,35 +176,6 @@ def mat_pow(ring: Ring, a: Matrix, n: int) -> Matrix:
 
 def mat_map(fn, a: Matrix) -> Matrix:
     return tuple(tuple(fn(x) for x in row) for row in a)
-
-
-# --------------------------------------------------------------------------
-# integer matrices
-
-
-def invert_z(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix with unit determinant."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular over Q")
-        work[c], work[piv] = work[piv], work[c]
-        scale = work[c][c]
-        work[c] = [x / scale for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    inv = []
-    for r in range(n):
-        row = work[r][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("inverse is not integral")
-        inv.append(tuple(int(x) for x in row))
-    return tuple(inv)
 
 
 # --------------------------------------------------------------------------
@@ -359,8 +344,6 @@ def local_invert(ring: Ring, a: Matrix):
 
 
 def ring_invert(ring: Ring, a: Matrix):
-    if isinstance(ring, ZRing):
-        return invert_z(a)
     split = crt_split(ring)
     if len(split.factors) == 1 and split.factors[0].ring == ring:
         return local_invert(ring, a)

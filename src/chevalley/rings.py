@@ -86,10 +86,6 @@ class Ring:
         raise RingError(f"{self.descriptor} is not finite")
 
     @property
-    def is_field(self) -> bool:
-        return False
-
-    @property
     def is_local(self) -> bool:
         """Local in the finite sense: a unique maximal ideal."""
         return False
@@ -170,10 +166,6 @@ class ZMod(Ring):
 
     def elements(self):
         return iter(range(self.n))
-
-    @property
-    def is_field(self):
-        return len(self._factors) == 1 and max(self._factors.values()) == 1
 
     @property
     def is_local(self):
@@ -273,10 +265,6 @@ class FieldTable(Ring):
 
     def elements(self):
         return iter(range(self.size))
-
-    @property
-    def is_field(self):
-        return True
 
     @property
     def is_local(self):

@@ -13,7 +13,9 @@ The last section keeps the loop forms that the batched code replaced: the
 elimination that scans the whole remaining block for every pivot, and the
 precheck, residual ring map and replay of ``certify`` one image at a time on
 dicts of tuple matrices.  The batched code must agree with them exactly,
-down to the stage, detail and witness of a refusal.
+down to the stage, detail and witness of a refusal.  Beside them sits the
+torus element h_root(u) built entry by entry on the diagonal, for
+``group.torus_alpha``, which builds it as a character.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from chevalley.decomposer import (
     spanning_params,
 )
 from chevalley.group import chain_coefficients, unipotent
-from chevalley.liealg import AdjointAlgebra, algebra_for
+from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (
     Matrix,
     field_tables,
@@ -138,7 +140,7 @@ class ASeriesModel:
 @lru_cache(maxsize=None)
 def a_series_model(rank: int) -> ASeriesModel:
     system = build_root_system("A", rank)
-    alg = algebra_for(system)
+    alg = build_algebra("A", rank)
     places = {}
     for root in system.roots:
         support = [i for i, c in enumerate(root) if c != 0]
@@ -493,3 +495,22 @@ def replay_loop(alg: AdjointAlgebra, ring: Ring, table, left, right, rho) -> int
                                    {"key": _key_json(ring, (root, t))})
             replayed += 1
     return replayed
+
+
+def torus_alpha_loop(alg: AdjointAlgebra, ring: Ring, root: Root, u):
+    """(mat, inv_mat) of h_root(u) entry by entry: u^<beta, root> on the root
+    space of beta, 1 on the Cartan part, the inverses read off one by one.
+    ``group.torus_alpha`` builds the same matrices as a character."""
+    sysm = alg.system
+    uinv = ring.inv(u)
+    n = alg.dim
+    diag = []
+    for beta in sysm.roots:
+        p = sysm.pairing(beta, root)
+        diag.append(ring.power(u, p) if p >= 0 else ring.power(uinv, -p))
+    diag.extend([ring.one] * sysm.rank)
+    mat = tuple(tuple(diag[i] if i == j else ring.zero for j in range(n))
+                for i in range(n))
+    inv = tuple(tuple(ring.inv(diag[i]) if i == j else ring.zero for j in range(n))
+                for i in range(n))
+    return mat, inv

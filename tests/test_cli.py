@@ -215,12 +215,13 @@ def test_verify_artifact_matches_golden_hash(suite, capsys):
 # --- the failure path of the suites, under planted defects ---------------------
 
 def corrupt_x_root(monkeypatch):
-    """x_(1,0)(1) over Z/4 with 1 added to its (0, 0) entry."""
+    """x_(1,0)(1) over every finite ring with 1 added to its (0, 0) entry.
+    Z is spared: the chain constants are extracted over Z and memoised."""
     clean = group._unipotent_matrix
 
     def corrupted(alg, ring, root, t):
         m = clean(alg, ring, root, t)
-        if ring.descriptor == "Z/4" and root == (1, 0) and t == ring.one:
+        if ring.descriptor != "Z" and root == (1, 0) and t == ring.one:
             rows = [list(row) for row in m]
             rows[0][0] = ring.add(rows[0][0], ring.one)
             m = tuple(map(tuple, rows))
@@ -256,10 +257,14 @@ def wrong_bracket_constant(monkeypatch):
 # as sorted-key JSON), recorded with the suites that built every x_root(t)
 # as a group element and checked the commutator on group elements; the
 # commutator cases on B2 and G2 were recorded with the check that multiplied
-# tuple matrices one (r, s, t, u) at a time, before it took batches
+# tuple matrices one (r, s, t, u) at a time, before it took batches, and the
+# eq1 and weyl cases past Z/4 with the suites that conjugated tuple matrices
+# one (alpha, beta, t) at a time.  The laws cases hold one failure more than
+# those suites gave: inverse-is-negation for (1, 0), now the product
+# x(t) x(-t) = 1, which the element-wise suite compared with itself.
 PLANTED_FAILURES = [
-    (corrupt_x_root, "laws", "A2", "Z/4", 108, 7,
-     "b1ad1bcca2b310f970fcba60bc41833304622567859418d5d7a26c8cfb5340a7"),
+    (corrupt_x_root, "laws", "A2", "Z/4", 108, 8,
+     "c710d4e0e6d875b8bcc8f62a612132e29fc2fdc2a9e1ad7714c6101ffb4de081"),
     (corrupt_x_root, "eq1", "A2", "Z/4", 288, 8,
      "08db3e3ed1e10a738e6e9506659b629994938af97aea6df83a0ad3559345baaf"),
     (corrupt_x_root, "weyl", "A2", "Z/4", 172, 50,
@@ -276,6 +281,30 @@ PLANTED_FAILURES = [
      "86c7ab41d982139060c8842b708b54e9628ac59f3a2f4dfef75b10b3f66c935d"),
     (wrong_bracket_constant, "jacobi", "A2", "Z", 530, 27,
      "2b39509237abafeba1ed83e110dfa12b9e23882fff63e095bbbf8caa03138882"),
+    (corrupt_x_root, "laws", "A2", "F4", 108, 8,
+     "c710d4e0e6d875b8bcc8f62a612132e29fc2fdc2a9e1ad7714c6101ffb4de081"),
+    (corrupt_x_root, "laws", "A2", "F9", 498, 23,
+     "75ea9e966094c24572a00d6692e08c515e15e51d42e0696b7c43e8ae8e9360df"),
+    (corrupt_x_root, "laws", "A2", "Z/6", 228, 14,
+     "c0f846d069e3b93c4d9fe901994af8114342edd011d6f8caa987ca5909dc5104"),
+    (corrupt_x_root, "laws", "A2", "Z/3xZ/3", 498, 23,
+     "f05f9d440d07e06367d6d1fe86133699939451d997864d26f520a1d6f6604c90"),
+    (corrupt_x_root, "eq1", "A2", "F4", 432, 24,
+     "fc7e01fe0c485bd25585376164dc4d1c67713c77a4005da5282a8c4ff65d6598"),
+    (corrupt_x_root, "eq1", "A2", "F9", 2592, 80,
+     "fa2026ffcbf2143dc85d7ba76a4350f29538dd04b8b3186d7b85330acf312dba"),
+    (corrupt_x_root, "eq1", "A2", "Z/6", 432, 8,
+     "6f7902f9cb37891dbac0a6e915cf14a24657ea9d1fba0d79caa5036add8ebfdb"),
+    (corrupt_x_root, "eq1", "A2", "Z/3xZ/3", 1296, 24,
+     "55889f337359f8cdb59ab507e6a1aaaf48ec52a3faeec1343c7e881f402aa010"),
+    (corrupt_x_root, "weyl", "A2", "F4", 156, 38,
+     "0910b8e950764f2aff0624ebb67b63821bfda3fbe0fda3a038f644599d2d8029"),
+    (corrupt_x_root, "weyl", "A2", "F9", 360, 116,
+     "366c02162060fac0e67d72de1084d7c9b23bde6ffc5e81ea3ec551131aa53ee0"),
+    (corrupt_x_root, "weyl", "A2", "Z/6", 240, 70,
+     "a663a5b94b5a1bfdd0ca9caa6422d08e12486554ee42acb5d55a5591b833aaf1"),
+    (corrupt_x_root, "weyl", "A2", "Z/3xZ/3", 360, 116,
+     "a95e0bfb53adde15bd368968a6eb4063478b2737a4c630657016bcf786c616e6"),
 ]
 
 

@@ -26,18 +26,17 @@ from chevalley.group import (
     group_for,
     identity_element,
     root_stack,
-    root_table,
     stack_rows,
     torus_alpha,
     torus_chi,
     unipotent,
     weyl,
 )
-from chevalley.liealg import algebra_for, build_algebra
-from chevalley.linalg import mat_map
+from chevalley.liealg import build_algebra
+from chevalley.linalg import mat_map, to_matrix
 from chevalley.rings import ring_make
-from chevalley.roots import DiagramSymmetry, diagram_symmetries, system_from_name
-from oracles import det_bareiss
+from chevalley.roots import DiagramSymmetry, diagram_symmetries
+from oracles import det_bareiss, torus_alpha_loop
 
 ZZ = ring_make("Z")
 
@@ -94,6 +93,7 @@ def test_torus_conjugation_formula():
         for _ in range(40):
             chi = tuple(rng.choice(units) for _ in range(sysm.rank))
             h = torus_chi(alg, ring, chi)
+            assert h.word == (("chi", chi, None),)
             beta = rng.choice(sysm.roots)
             xi = ring.rand(rng)
             lhs = h.mul(unipotent(alg, ring, beta, xi)).mul(h.inv())
@@ -115,6 +115,19 @@ def test_torus_alpha_is_a_character():
                         else ring.power(ring.inv(u), -sysm.pairing(sysm.simple(k), root))
                         for k in range(sysm.rank))
             assert h == torus_chi(alg, ring, chi)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("ring_name", ["Z", "Z/4", "Z/5", "F4", "F9", "Z/3xZ/3"])
+def test_torus_alpha_matches_the_diagonal_loop(name, ring_name):
+    # == compares only mat, so each field is compared on its own
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    for root in sysm.roots:
+        for u in (1, -1) if ring_name == "Z" else ring.units():
+            h = torus_alpha(alg, ring, root, u)
+            assert (h.mat, h.inv_mat) == torus_alpha_loop(alg, ring, root, u), (root, u)
+            assert h.word == (("h", root, u),)
 
 
 def test_h_alpha_equals_weyl_quotient():
@@ -228,11 +241,11 @@ def test_root_table_holds_every_unipotent():
     sysm, alg = group_for("B2")
     for ring_name in ("Z/4", "F4", "Z/3xZ/3"):
         ring = ring_make(ring_name)
-        table = root_table(alg, ring)
-        assert len(table) == len(sysm.roots) * ring.size
+        stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
+        assert len(stack) == len(rows) == len(sysm.roots) * ring.size
         for root in sysm.roots:
             for t in ring.elements():
-                assert table[(root, t)] == unipotent(alg, ring, root, t).mat
+                assert to_matrix(ring, stack[rows[(root, t)]]) == unipotent(alg, ring, root, t).mat
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -402,7 +415,7 @@ def test_chain_table_is_cached_and_read_only():
 def test_tables_are_built_once_per_owner():
     # the memos key on the algebra and the ring handle, one of each per name
     sysm, alg = group_for("A2")
-    assert alg is build_algebra("A", 2) is algebra_for(system_from_name("A2"))
+    assert alg is build_algebra("A", 2) is group_for("A2")[1]
     ring = ring_make("Z/4")
     assert diagram_symmetries(sysm) is diagram_symmetries(sysm)
     flip = diagram_symmetries(sysm)[1]

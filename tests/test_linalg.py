@@ -21,7 +21,6 @@ from chevalley.linalg import (
     _eliminate,
     field_matmul,
     identity,
-    invert_z,
     local_diag,
     local_invert,
     local_nullspace,
@@ -31,7 +30,7 @@ from chevalley.linalg import (
     ring_invert,
     stack_dtype,
 )
-from chevalley.rings import ring_make
+from chevalley.rings import RingError, ring_make
 from oracles import det_bareiss, eliminate_scan, is_identity, mat_vec
 
 LOCAL_RINGS = ["Z/4", "Z/8", "Z/9", "Z/5", "F4"]
@@ -120,12 +119,10 @@ def test_det_bareiss_matches_permanent_expansion():
             assert det_bareiss(a) == det_by_permutations(a)
 
 
-def test_invert_z_unimodular():
-    a = matrix([[2, 1], [1, 1]])
-    inv = invert_z(a)
-    assert inv == ((1, -1), (-1, 2))
-    with pytest.raises(ValueError):
-        invert_z(matrix([[2, 0], [0, 1]]))
+def test_ring_invert_refuses_the_integers():
+    # inversion runs over finite rings only; precheck refuses Z before any
+    with pytest.raises(RingError):
+        ring_invert(ring_make("Z"), matrix([[2, 1], [1, 1]]))
 
 
 # --- local diagonalization ---------------------------------------------------
@@ -599,7 +596,7 @@ def mask_cases(ring, rng):
     """Random matrices with mixed valuations, zero rows, all zeros, and (off a
     field) no unit entry at all or units only in the last row."""
     p = ring.residue_char
-    k = 1 if ring.is_field else ring.nil_degree
+    k = ring.nil_degree
 
     def entry(v):
         return ring.rand(rng) if v == 0 else (rng.randrange(ring.size) * p ** v) % ring.size

@@ -1,5 +1,6 @@
-"""What the benchmark harness and the package exports reach must exist, and
-every import in src and tests must be read.
+"""What the benchmark harness and the package exports reach must exist,
+every import in src and tests must be read, and every definition in src must
+be read by src or the benchmark harness.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
@@ -62,6 +63,38 @@ def unused_imports(path: Path) -> list:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return [f"{path.name}:{line} {name}" for name, line in sorted(bound.items())
             if name not in read]
+
+
+def names_read(path: Path) -> set:
+    """Every name the module at path reads, as a name or as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def definitions(path: Path) -> list:
+    """(name, line) of each top-level function and class of the module at
+    path, and of each method of those classes that is not a dunder."""
+    out = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.name, item.lineno) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return out
+
+
+def test_every_definition_is_reached():
+    # reached only by tests or the package exports is dead public API; tests
+    # keep their own oracles in tests/
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    read = set().union(*map(names_read, modules + sorted(BENCH.glob("*.py"))))
+    assert [f"{p.name}:{line} {name}" for p in modules for name, line in definitions(p)
+            if name not in read] == []
 
 
 def test_no_unused_imports():
