@@ -30,10 +30,9 @@ from chevalley.group import (
     root_stack,
     stack_rows,
     torus_alpha,
-    unipotent,
     weyl,
 )
-from chevalley.linalg import identity, mat_mul, sandwich, stack_equal, stack_mul
+from chevalley.linalg import from_ints, identity, sandwich, stack_equal, stack_mul
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name
@@ -291,6 +290,10 @@ def _suite_commutator(system: str, ring_name: str, seed: int):
 
 
 def _suite_recover(system: str, ring_name: str, seed: int):
+    """recover_family on g x_root(1) g^-1 against g X_root g^-1 for every root,
+    five random conjugators g: per trial one sandwich of the x_root(1) stack,
+    one of the integer adjoint matrices mapped into the ring, and one
+    recover_family call."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     regime = recovery_regime(sysm, ring)
@@ -301,6 +304,8 @@ def _suite_recover(system: str, ring_name: str, seed: int):
             "at least 3")
     rng = random.Random(seed)
     units = ring.units()
+    at_one = root_stack(alg, ring, (ring.one,))
+    lie = from_ints(ring, [alg.x_mats[root] for root in sysm.roots], at_one.dtype)
     checks, failures = 0, []
     for trial in range(5):
         word = []
@@ -310,20 +315,15 @@ def _suite_recover(system: str, ring_name: str, seed: int):
             t = ring.rand(rng) if kind == "x" else rng.choice(units)
             word.append((kind, root, t))
         g = from_word(alg, ring, tuple(word))
-        family = {root: mat_mul(ring, mat_mul(ring, g.mat,
-                  unipotent(alg, ring, root, ring.one).mat), g.inv_mat)
-                  for root in sysm.roots}
-        got = recover_family(alg, ring, family)
-        for root in sysm.roots:
-            checks += 1
-            want = mat_mul(ring, mat_mul(ring, g.mat, alg.x_matrix(root, ring)),
-                           g.inv_mat)
-            if got[root] != want:
-                failures.append({"check": "recover-conjugated-family",
-                                 "regime": regime, "trial": trial,
-                                 "root": list(root),
-                                 "word": [[k, list(r), ring.element_to_json(t)]
-                                          for k, r, t in word]})
+        held = stack_equal(recover_family(alg, ring, sandwich(ring, g.mat, at_one, g.inv_mat)),
+                           sandwich(ring, g.mat, lie, g.inv_mat))
+        checks += len(sysm.roots)
+        failures += [{"check": "recover-conjugated-family",
+                      "regime": regime, "trial": trial,
+                      "root": list(root),
+                      "word": [[k, list(r), ring.element_to_json(t)]
+                               for k, r, t in word]}
+                     for root, ok in zip(sysm.roots, held) if not ok]
     return checks, failures
 
 

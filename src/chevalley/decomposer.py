@@ -651,8 +651,9 @@ def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table, un
     return tuple(sorted(rho.items(), key=lambda kv: _sort_key(kv[0]))), None
 
 
-def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag):
-    """Search (delta, conjugator, rho) for one local factor.
+def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
+    """Search (delta, conjugator, rho) for one local factor; ``units`` is its
+    root_stack.
 
     The conjugator intertwines each x_root(1) with its untwisted image.  The
     intertwiners reduce to a line over the residue field, and over a local
@@ -660,7 +661,6 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag):
     are the invertible basis vectors in basis order.
     """
     sysm = alg.system
-    units = root_stack(alg, ring)
     at_one = [stack_rows(alg, ring)[(root, ring.one)] for root in sysm.roots]
     deepest = CertifyError("match", "no diagram symmetry admits a strictly "
                            "inner intertwiner", {"factor": problem_tag})
@@ -772,12 +772,13 @@ def _combine(split, parts: List[Matrix]) -> Matrix:
 
 
 def _replay(alg: AdjointAlgebra, ring: Ring, table, left: Matrix, right: Matrix,
-            rho: dict) -> int:
+            rho: dict, units) -> int:
     """Check that every image of the table is left x_root(rho t) right: two
-    batched products over a root_stack.  Returns the number of images
-    replayed, or raises at the first mismatch in (root, t) order."""
+    batched products over ``units``, the ring's root_stack.  Returns the
+    number of images replayed, or raises at the first mismatch in (root, t)
+    order."""
     rows = stack_rows(alg, ring)
-    inner = root_stack(alg, ring)[[rows[(root, rho[t])] for root, t in rows]]
+    inner = units[[rows[(root, rho[t])] for root, t in rows]]
     held = stack_equal(sandwich(ring, left, inner, right), table)
     if not held.all():
         raise CertifyError("replay", "assembled automorphism does not "
@@ -797,8 +798,9 @@ def certify(spec: AutomorphismSpec) -> Certificate:
 
     results: List[FactorResult] = []
     for problem in problems:
+        units = root_stack(alg, problem.ring)
         delta, gd, conj, rho = _match_local(alg, problem.ring, problem.table,
-                                            problem.index)
+                                            problem.index, units)
         results.append(FactorResult(problem.index, problem.target, problem.ring,
                                     delta, gd, conj, rho))
 
@@ -820,9 +822,12 @@ def certify(spec: AutomorphismSpec) -> Certificate:
     rho_global.sort(key=lambda kv: _sort_key(kv[0]))
     rho_dict = dict(rho_global)
 
-    # every image is (lam conj) x_root(rho t) (conj^-1 lam^-1)
+    # every image is (lam conj) x_root(rho t) (conj^-1 lam^-1); a local ring
+    # is its own one factor, whose stack the match already built
+    if len(factors) > 1:
+        units = root_stack(alg, ring)
     replayed = _replay(alg, ring, table, mat_mul(ring, lam, conj),
-                       mat_mul(ring, conj_inv, lam_inv), rho_dict)
+                       mat_mul(ring, conj_inv, lam_inv), rho_dict, units)
 
     factor_certs = tuple(
         FactorCertificate(

@@ -23,14 +23,15 @@ r, s) and shared read-only by the precheck and the verify suites.
 
 Over a finite ring, root_stack holds the matrix of x_root(t) for every root
 and every element t as one stack (see linalg), in the rows of stack_rows:
-root-major, the elements in ring.elements() order.  It is built per call and
-dropped on return, and it is the one form of that table: certify and every
-verify suite read it.  commutator_pattern_holds is the one check of the
-commutator formula: it takes a batch of (r, s, t, u) and reads every factor,
-and the inverses at -t and -u, from such a stack, so it multiplies stacks and
-builds no x_root.  The precheck runs it on its own table of the supplied
-images at t = u = 1, and the verify commutator suite on a root_stack at every
-(t, u).
+root-major, the elements in ring.elements() order; given parameters, it
+holds x_root(t) at those only, so at t = 1 one matrix per root.  It is
+built per call and dropped on return, and it is the one form of that table:
+certify and every verify suite, recover included, read it.
+commutator_pattern_holds is the one check of the commutator formula: it
+takes a batch of (r, s, t, u) and reads every factor, and the inverses at -t
+and -u, from such a stack, so it multiplies stacks and builds no x_root.  The
+precheck runs it on its own table of the supplied images at t = u = 1, and
+the verify commutator suite on a root_stack at every (t, u).
 """
 
 from __future__ import annotations
@@ -165,11 +166,12 @@ def torus_chi(alg: AdjointAlgebra, ring: Ring, units: Tuple) -> GroupElement:
             val = ring.mul(val, ring.power(base, abs(c)))
         diag.append(val)
     diag.extend([ring.one] * sysm.rank)
-    mat = tuple(tuple(diag[i] if i == j else ring.zero for j in range(n))
-                for i in range(n))
-    inv = tuple(tuple(ring.inv(diag[i]) if i == j else ring.zero for j in range(n))
-                for i in range(n))
-    return GroupElement(ring, mat, inv, (("chi", units, None),))
+    zeros = (ring.zero,) * n
+
+    def diagonal(values):
+        return tuple(zeros[:i] + (v,) + zeros[i + 1:] for i, v in enumerate(values))
+    return GroupElement(ring, diagonal(diag), diagonal(map(ring.inv, diag)),
+                        (("chi", units, None),))
 
 
 def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> GroupElement:
@@ -241,11 +243,14 @@ def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], int
             enumerate(itertools.product(alg.system.roots, ring.elements()))}
 
 
-def root_stack(alg: AdjointAlgebra, ring: Ring):
-    """The matrix of x_root(t) for every root and every element t of a finite
-    ring, as one stack of arrays of elements (see ``linalg.stack_mul``), in
-    the row order of stack_rows."""
-    return np.array([_unipotent_matrix(alg, ring, root, t) for root, t in stack_rows(alg, ring)],
+def root_stack(alg: AdjointAlgebra, ring: Ring, params=None):
+    """The matrix of x_root(t) for every root and every t of ``params``, by
+    default every element of a finite ring, as one stack of arrays of
+    elements (see ``linalg.stack_mul``), root-major: by default in the row
+    order of stack_rows, and at params = (ring.one,) one row per root."""
+    params = tuple(ring.elements() if params is None else params)
+    return np.array([_unipotent_matrix(alg, ring, root, t)
+                     for root, t in itertools.product(alg.system.roots, params)],
                     dtype=stack_dtype(ring, alg.dim))
 
 

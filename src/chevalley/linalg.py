@@ -10,8 +10,10 @@ base-p digit planes, and over a product ring one product per factor, each on
 that factor's path.  ``mat_mul`` turns tuple matrices into arrays and calls
 it; over Z it feeds the guard the largest |entry| of both factors, read off
 the Python ints before any cast.  ``sandwich`` computes left m right over a
-stack, taking the two tuple matrices in the stack's dtype.  ``identity`` is
-built once per (ring, n).
+stack, taking the two tuple matrices in the stack's dtype.  ``row_ops`` is
+the element-wise scaling and x - c y on stacks over every finite ring, and
+``from_ints`` maps integer arrays into one.  ``identity`` is built once per
+(ring, n).
 
 Inversion, over a finite ring only, first splits the ring into local
 factors, then runs a Smith-style diagonalization per factor, and kernels are
@@ -52,10 +54,6 @@ def identity(ring: Ring, n: int) -> Matrix:
     """The n x n identity, built once per (ring, n); matrices are immutable."""
     z, o = ring.zero, ring.one
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def mat_sub(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(ring.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(ring: Ring, c, a: Matrix) -> Matrix:
@@ -139,6 +137,15 @@ def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
     return stack_mul(ring, stack_mul(ring, left, stack), right)
 
 
+def from_ints(ring: Ring, a, dtype):
+    """An array of integers as the array of their images in a finite ring
+    (over a product ring with the factors on a new last axis)."""
+    if isinstance(ring, ProductRing):
+        return np.stack([from_ints(f, a, dtype) for f in ring.factors], axis=-1)
+    # over GF(p^k) the image of n is the constant polynomial n mod p, whose index is n mod p
+    return np.asarray(a, dtype=dtype) % (ring.n if isinstance(ring, ZMod) else ring.p)
+
+
 def stack_equal(a, b) -> np.ndarray:
     """Per matrix of two stacks (or a stack and one matrix), whether they agree."""
     same = a == b
@@ -210,9 +217,19 @@ def _first_least_valuation(sub, p: int, k: int):
 
 
 def row_ops(ring: Ring):
-    """(scale, sub_mul): x * c and x - c * y on arrays of elements of Z/p^k or
-    GF(q), with numpy broadcasting.  Over Z/p^k sub_mul overwrites x, so
+    """(scale, sub_mul): x * c and x - c * y on arrays of elements of a finite
+    ring, with numpy broadcasting.  Over a product ring every operand, c too,
+    carries the factors on its last axis, and each factor's ops run on its
+    slice.  Over Z/n sub_mul overwrites x (over a product, x's slices), so
     callers pass a copy or the very array to update."""
+    if isinstance(ring, ProductRing):
+        ops = [row_ops(f) for f in ring.factors]
+
+        def on_factors(k):
+            return lambda *args: np.stack(
+                [op[k](*(np.asarray(a)[..., i] for a in args)) for i, op in enumerate(ops)],
+                axis=-1)
+        return on_factors(0), on_factors(1)
     if isinstance(ring, ZMod):
         mod = ring.n
 

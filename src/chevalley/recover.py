@@ -1,29 +1,38 @@
 """Recovery of Lie algebra elements from unipotent group elements.
 
 Each root element x = exp(X) determines X, but reading X back out of the
-matrix of x depends on what the ring can divide by.  Three regimes:
+matrix of x depends on what the ring can divide by.  With d = x - E, three
+regimes:
 
-  "half"     2 is a unit (and 3 too for G2): X = (x - E) - (x - E)^2 / 2
-             on index-3 roots, with the cubic variant on short G2 roots.
+  "half"     2 is a unit (and 3 too for G2): X = d - d^2 / 2 on index-3
+             roots, and on short G2 roots, where X^4 = 0, the cubic variant
+             d - (d^2 - d^3) / 2 - d^3 / 6 = d - d^2 / 2 + d^3 / 3.
   "nohalf"   simply laced of rank >= 3, no unit assumptions: the square
-             X^2/2 is produced by a fixed pair of neighbouring root
-             elements, so subtraction needs no division at all.
+             X^2/2 is sign * (d_gamma d_beta)^2 for a fixed pair of
+             neighbouring root elements, so subtraction needs no division.
   None       nothing applies (A2 without 1/2, doubly laced without 1/2).
 
-recover_family maps a whole family of parameter-1 images at once; the
-`verify recover` suite and the acceptance gate check it against the integer
-adjoint matrices.  The formulas are built from products and ring-scalings
-only, so they commute with conjugation; the tests rely on that equivariance.
+recover_family maps a whole family of parameter-1 images at once, as a
+stack (see linalg) of one image per root in the order of system.roots, and
+returns the Lie elements as a stack in the same order: each regime is a few
+batched products and element-wise ops (``linalg.row_ops``) on it.  Like
+every verify suite, `verify recover` reads stacks: it builds each family as
+one sandwich of the x_root(1) stack and checks it, and the acceptance gate,
+against the integer adjoint matrices.  The formulas are built from products
+and ring-scalings only, so they commute with conjugation; the tests rely on
+that equivariance.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
+
+import numpy as np
 
 from chevalley.liealg import AdjointAlgebra
-from chevalley.linalg import Matrix, identity, mat_mul, mat_scale, mat_sub
+from chevalley.linalg import identity, row_ops, stack_mul
 from chevalley.rings import Ring
-from chevalley.roots import Root, RootSystem
+from chevalley.roots import RootSystem
 
 
 def recovery_regime(system: RootSystem, ring: Ring) -> Optional[str]:
@@ -38,64 +47,32 @@ def recovery_regime(system: RootSystem, ring: Ring) -> Optional[str]:
     return None
 
 
-def recover_half(ring: Ring, m: Matrix) -> Matrix:
-    """X from exp(X) when X^3 = 0 and 2 is a unit."""
-    e = identity(ring, len(m))
-    d = mat_sub(ring, m, e)
-    half = ring.inv(ring.from_int(2))
-    return mat_sub(ring, d, mat_scale(ring, half, mat_mul(ring, d, d)))
-
-
-def recover_g2_short(ring: Ring, m: Matrix) -> Matrix:
-    """X from exp(X) when X^4 = 0 and both 2 and 3 are units."""
-    e = identity(ring, len(m))
-    d = mat_sub(ring, m, e)
-    d2 = mat_mul(ring, d, d)
-    d3 = mat_mul(ring, d2, d)
-    half = ring.inv(ring.from_int(2))
-    sixth = ring.inv(ring.from_int(6))
-    # d2 = X^2 + X^3 and d3 = X^3 exactly
-    x2_half = mat_scale(ring, half, mat_sub(ring, d2, d3))
-    x3_sixth = mat_scale(ring, sixth, d3)
-    return mat_sub(ring, mat_sub(ring, d, x2_half), x3_sixth)
-
-
-def recover_no_half(ring: Ring, m_alpha: Matrix, m_gamma: Matrix, m_beta: Matrix,
-                    sign: int) -> Matrix:
-    """X from exp(X) using neighbour images in place of division by 2."""
-    e = identity(ring, len(m_alpha))
-    dg = mat_sub(ring, m_gamma, e)
-    db = mat_sub(ring, m_beta, e)
-    prod = mat_mul(ring, dg, db)
-    t = mat_mul(ring, prod, prod)
-    x2_half = mat_scale(ring, ring.from_int(sign), t)
-    return mat_sub(ring, mat_sub(ring, m_alpha, e), x2_half)
-
-
-def recover_family(alg: AdjointAlgebra, ring: Ring,
-                   images: Dict[Root, Matrix]) -> Dict[Root, Matrix]:
-    """Lie elements for a full family of parameter-1 unipotent images.
+def recover_family(alg: AdjointAlgebra, ring: Ring, stack):
+    """Lie elements for a full family of parameter-1 unipotent images, given
+    and returned as stacks with one matrix per root of alg.system.roots.
 
     Raises ValueError when the system/ring pair has no recovery regime or
-    a required neighbour image is missing.
+    the stack does not hold one matrix per root.
     """
     system = alg.system
     regime = recovery_regime(system, ring)
     if regime is None:
         raise ValueError(f"no recovery regime for {system.name} over {ring.descriptor}")
-    out: Dict[Root, Matrix] = {}
+    if len(stack) != len(system.roots):
+        raise ValueError(f"{len(stack)} images for the {len(system.roots)} roots "
+                         f"of {system.name}")
+    sub_mul = row_ops(ring)[1]
+    d = sub_mul(stack.copy(), ring.one, np.array(identity(ring, alg.dim), dtype=stack.dtype))
     if regime == "half":
-        for root, m in images.items():
-            if alg.nilpotency(root) == 4:
-                out[root] = recover_g2_short(ring, m)
-            else:
-                out[root] = recover_half(ring, m)
+        d2 = stack_mul(ring, d, d)
+        short = [i for i, root in enumerate(system.roots) if alg.nilpotency(root) == 4]
+        out = sub_mul(d.copy(), ring.inv(ring.from_int(2)), d2)
+        if short:   # G2 only, where 3 is a unit
+            d3 = stack_mul(ring, d2[short], d[short])
+            out[short] = sub_mul(out[short], ring.neg(ring.inv(ring.from_int(3))), d3)
         return out
-    for root, m in images.items():
-        witness = alg.half_square_witness(root)
-        assert witness is not None, root
-        gamma, beta, sign = witness
-        if gamma not in images or beta not in images:
-            raise ValueError(f"missing neighbour images for {root}")
-        out[root] = recover_no_half(ring, m, images[gamma], images[beta], sign)
-    return out
+    gamma, beta, signs = zip(*map(alg.half_square_witness, system.roots))
+    prod = stack_mul(ring, d[list(map(system.root_index, gamma))],
+                     d[list(map(system.root_index, beta))])
+    signs = np.array([ring.from_int(c) for c in signs], dtype=stack.dtype)
+    return sub_mul(d, signs[:, None, None], stack_mul(ring, prod, prod))

@@ -15,7 +15,9 @@ precheck, residual ring map and replay of ``certify`` one image at a time on
 dicts of tuple matrices.  The batched code must agree with them exactly,
 down to the stage, detail and witness of a refusal.  Beside them sits the
 torus element h_root(u) built entry by entry on the diagonal, for
-``group.torus_alpha``, which builds it as a character.
+``group.torus_alpha``, which builds it as a character.  Last come the three
+recovery formulas on tuple matrices, one image at a time, for
+``recover.recover_family``, which runs them on stacks.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from chevalley.linalg import (
     field_tables,
     identity,
     mat_mul,
-    mat_sub,
+    mat_scale,
     matrix,
     residue_dtype,
     ring_invert,
 )
+from chevalley.recover import recovery_regime
 from chevalley.rings import (
     FieldTable,
     Ring,
@@ -199,6 +202,10 @@ def bracket_dict(alg: AdjointAlgebra, u: dict, v: dict) -> dict:
 
 # --------------------------------------------------------------------------
 # integer and ring matrices
+
+
+def mat_sub(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(ring.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def is_identity(ring: Ring, a: Matrix) -> bool:
@@ -514,3 +521,56 @@ def torus_alpha_loop(alg: AdjointAlgebra, ring: Ring, root: Root, u):
     inv = tuple(tuple(ring.inv(diag[i]) if i == j else ring.zero for j in range(n))
                 for i in range(n))
     return mat, inv
+
+
+# --------------------------------------------------------------------------
+# nilpotent recovery on tuple matrices, one image at a time
+
+
+def recover_half(ring: Ring, m: Matrix) -> Matrix:
+    """X from exp(X) when X^3 = 0 and 2 is a unit."""
+    e = identity(ring, len(m))
+    d = mat_sub(ring, m, e)
+    half = ring.inv(ring.from_int(2))
+    return mat_sub(ring, d, mat_scale(ring, half, mat_mul(ring, d, d)))
+
+
+def recover_g2_short(ring: Ring, m: Matrix) -> Matrix:
+    """X from exp(X) when X^4 = 0 and both 2 and 3 are units."""
+    e = identity(ring, len(m))
+    d = mat_sub(ring, m, e)
+    d2 = mat_mul(ring, d, d)
+    d3 = mat_mul(ring, d2, d)
+    half = ring.inv(ring.from_int(2))
+    sixth = ring.inv(ring.from_int(6))
+    # d2 = X^2 + X^3 and d3 = X^3 exactly
+    x2_half = mat_scale(ring, half, mat_sub(ring, d2, d3))
+    x3_sixth = mat_scale(ring, sixth, d3)
+    return mat_sub(ring, mat_sub(ring, d, x2_half), x3_sixth)
+
+
+def recover_no_half(ring: Ring, m_alpha: Matrix, m_gamma: Matrix, m_beta: Matrix,
+                    sign: int) -> Matrix:
+    """X from exp(X) using neighbour images in place of division by 2."""
+    e = identity(ring, len(m_alpha))
+    dg = mat_sub(ring, m_gamma, e)
+    db = mat_sub(ring, m_beta, e)
+    prod = mat_mul(ring, dg, db)
+    t = mat_mul(ring, prod, prod)
+    x2_half = mat_scale(ring, ring.from_int(sign), t)
+    return mat_sub(ring, mat_sub(ring, m_alpha, e), x2_half)
+
+
+def recover_family_loop(alg: AdjointAlgebra, ring: Ring, images: dict) -> dict:
+    """``recover.recover_family`` on a dict root -> tuple matrix, one root at
+    a time, with the regime that ``recovery_regime`` names."""
+    regime = recovery_regime(alg.system, ring)
+    if regime == "half":
+        return {root: (recover_g2_short if alg.nilpotency(root) == 4 else recover_half)(ring, m)
+                for root, m in images.items()}
+    assert regime == "nohalf", regime
+    out = {}
+    for root, m in images.items():
+        gamma, beta, sign = alg.half_square_witness(root)
+        out[root] = recover_no_half(ring, m, images[gamma], images[beta], sign)
+    return out

@@ -16,8 +16,8 @@ from chevalley.decomposer import (
     spanning_params,
     spec_from_elements,
 )
-from chevalley.group import group_for, torus_alpha, unipotent
-from chevalley.linalg import identity, mat_mul, matrix, ring_invert
+from chevalley.group import group_for, root_stack, torus_alpha, unipotent
+from chevalley.linalg import identity, mat_mul, matrix, ring_invert, to_matrix
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
@@ -149,15 +149,13 @@ def test_criterion_4_recovery_oracle_equivalence():
         ring = ring_make(ring_name)
         regime = recovery_regime(sysm, ring)
         assert regime is not None, (system, ring_name)
-        family = {root: unipotent(alg, ring, root, ring.one).mat
-                  for root in sysm.roots}
-        got = recover_family(alg, ring, family)
+        got = recover_family(alg, ring, root_stack(alg, ring, (ring.one,)))
         roots = sysm.roots if subset is None else tuple(
             r for i in range(sysm.rank)
             for r in (sysm.simple(i), sysm.negate(sysm.simple(i))))
         for root in roots:
             checked += 1
-            if got[root] != alg.x_matrix(root, ring):
+            if to_matrix(ring, got[sysm.root_index(root)]) != alg.x_matrix(root, ring):
                 ok = False
     dt = time.monotonic() - t0
     assert report(4, ok and checked > 0 and dt < 60,

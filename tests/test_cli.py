@@ -212,16 +212,34 @@ def test_verify_artifact_matches_golden_hash(suite, capsys):
     assert hashlib.sha256(out).hexdigest() == VERIFY_SEED7_SHA256[suite]
 
 
+# sha256 of the stdout of `chevalley verify recover --system A3 --ring <ring>
+# --seed 7`: a composite Z/n, a product ring and GF(q), which the default
+# matrix does not reach
+RECOVER_A3_SEED7_SHA256 = {
+    "F9": "c1b8664560452911e4ce5d2d89f4078c61614fce75ae9ff013aa68658de6576e",
+    "Z/3xZ/3": "e1c9e6794656bf13e60cd135cb7e5eb7097b55729076f479261336aa0bfd8669",
+    "Z/6": "240481837062bb1150dc24a2ef9450a612e2594ee6aa526aa637562327e61b38",
+}
+
+
+@pytest.mark.parametrize("ring", sorted(RECOVER_A3_SEED7_SHA256))
+def test_verify_recover_off_the_default_matrix_matches_golden_hash(ring, capsys):
+    assert main(["verify", "recover", "--system", "A3", "--ring", ring, "--seed", "7"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == RECOVER_A3_SEED7_SHA256[ring]
+
+
 # --- the failure path of the suites, under planted defects ---------------------
 
 def corrupt_x_root(monkeypatch):
-    """x_(1,0)(1) over every finite ring with 1 added to its (0, 0) entry.
+    """x_r(1) for the first simple root r, over every finite ring, with 1
+    added to its (0, 0) entry; r is (1, 0) in rank 2 and (1, 0, 0) in A3.
     Z is spared: the chain constants are extracted over Z and memoised."""
     clean = group._unipotent_matrix
 
     def corrupted(alg, ring, root, t):
         m = clean(alg, ring, root, t)
-        if ring.descriptor != "Z" and root == (1, 0) and t == ring.one:
+        if ring.descriptor != "Z" and root == alg.system.simple(0) and t == ring.one:
             rows = [list(row) for row in m]
             rows[0][0] = ring.add(rows[0][0], ring.one)
             m = tuple(map(tuple, rows))
@@ -254,8 +272,10 @@ def wrong_bracket_constant(monkeypatch):
 
 
 # (defect, suite, system, ring) -> (checks, failures, sha256 of the failures
-# as sorted-key JSON), recorded with the suites that built every x_root(t)
-# as a group element and checked the commutator on group elements; the
+# as sorted-key JSON).  The recover cases ("half" on A2, the cubic short-root
+# formula on G2, "nohalf" on A3) were recorded with the suite that conjugated
+# tuple matrices one root at a time; the rest with the suites that built every
+# x_root(t) as a group element and checked the commutator on group elements; the
 # commutator cases on B2 and G2 were recorded with the check that multiplied
 # tuple matrices one (r, s, t, u) at a time, before it took batches, and the
 # eq1 and weyl cases past Z/4 with the suites that conjugated tuple matrices
@@ -305,6 +325,12 @@ PLANTED_FAILURES = [
      "a663a5b94b5a1bfdd0ca9caa6422d08e12486554ee42acb5d55a5591b833aaf1"),
     (corrupt_x_root, "weyl", "A2", "Z/3xZ/3", 360, 116,
      "a95e0bfb53adde15bd368968a6eb4063478b2737a4c630657016bcf786c616e6"),
+    (corrupt_x_root, "recover", "A2", "Z/5", 30, 10,
+     "b3dd5ea2dbfb16063b2988a895db65b1a77269eb456b445ac2ee9d283cb7674e"),
+    (corrupt_x_root, "recover", "G2", "Z/7", 60, 5,
+     "6ce7615e3dda192b29b9c30382d0a83941d6d28ccdc970ad7979d4d2e9552e27"),
+    (corrupt_x_root, "recover", "A3", "Z/4", 60, 27,
+     "56fabc8e61a93d90e41371267d338332dc62c0b2147a562dd05c11f80f4df182"),
 ]
 
 

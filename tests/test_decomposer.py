@@ -525,7 +525,7 @@ def test_candidates_are_the_invertible_basis_vectors_in_order(name, monkeypatch)
     monkeypatch.setattr(decomposer, "_intertwiner_basis", lambda ring, xs, ys: basis)
     monkeypatch.setattr(decomposer, "strictly_inner_element", never_inner)
     with pytest.raises(CertifyError) as err:
-        decomposer._match_local(alg, ring, table, 0)
+        decomposer._match_local(alg, ring, table, 0, root_stack(alg, ring))
     assert err.value.stage == "match"
     # per diagram symmetry: the invertible vectors in basis order, a repeat
     # included, and no sum, difference or other combination of them
@@ -717,14 +717,14 @@ def test_replay_reports_what_the_loop_oracle_reports(ring_name):
     table = decomposer.precheck(spec, alg)
     left = mat_mul(ring, cert.lambda_mat, cert.conjugator)
     right = mat_mul(ring, cert.conjugator_inv, cert.lambda_inv)
-    rho, rows = cert.rho_map(), stack_rows(alg, ring)
+    rho, rows, units = cert.rho_map(), stack_rows(alg, ring), root_stack(alg, ring)
     keys = list(rows)
     for wrong in [()] + [(key,) for key in spots(keys)] + [(keys[0], keys[-1])]:
         planted = table.copy()
         for key in wrong:      # the image of the same root at another parameter
             other = ring.one if key[1] != ring.one else ring.zero
             planted[rows[key]] = table[rows[(key[0], other)]]
-        got = outcome(decomposer._replay, alg, ring, planted, left, right, rho)
+        got = outcome(decomposer._replay, alg, ring, planted, left, right, rho, units)
         want = outcome(replay_loop, alg, ring, as_dict(alg, ring, planted), left, right, rho)
         assert got == want, wrong
         assert (got[0] == "ok") == (not wrong), wrong

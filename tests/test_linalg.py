@@ -20,6 +20,7 @@ from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
     _eliminate,
     field_matmul,
+    from_ints,
     identity,
     local_diag,
     local_invert,
@@ -28,7 +29,9 @@ from chevalley.linalg import (
     mat_pow,
     matrix,
     ring_invert,
+    row_ops,
     stack_dtype,
+    to_matrix,
 )
 from chevalley.rings import RingError, ring_make
 from oracles import det_bareiss, eliminate_scan, is_identity, mat_vec
@@ -588,6 +591,33 @@ def test_product_ring_mat_mul_matches_scalar_loop(name):
         assert mat_mul(ring, a, b) == table_product(ring, a, b), (name, m, k, n)
     for m in (1, 6):
         assert mat_mul(ring, ((),) * m, ()) == ((),) * m
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/6", "F4", "F9", "Z/3xZ/3", "Z/6xF4"])
+def test_row_ops_match_the_ring_ops(name):
+    # x * c and x - c * y entry by entry, with c one element and c one per row
+    ring = ring_make(name)
+    rng = random.Random(name + "ops")
+    scale, sub_mul = row_ops(ring)
+    x, y = rand_matrix(ring, rng, 4, 5), rand_matrix(ring, rng, 4, 5)
+    cs = [ring.rand(rng) for _ in x]
+    ax, ay = np.array(x), np.array(y)
+    c_rows = np.array(cs)[:, None]
+    assert to_matrix(ring, scale(ax, cs[0])) == tuple(
+        tuple(ring.mul(v, cs[0]) for v in row) for row in x)
+    assert to_matrix(ring, scale(ax, c_rows)) == tuple(
+        tuple(ring.mul(v, c) for v in row) for row, c in zip(x, cs))
+    assert to_matrix(ring, sub_mul(ax.copy(), c_rows, ay)) == tuple(
+        tuple(ring.sub(u, ring.mul(c, v)) for u, v in zip(rx, ry))
+        for rx, ry, c in zip(x, y, cs))
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/6", "F4", "F9", "Z/3xZ/3", "Z/2xF4"])
+def test_from_ints_matches_from_int(name):
+    ring = ring_make(name)
+    values = np.arange(-7, 8).reshape(3, 5)
+    assert to_matrix(ring, from_ints(ring, values, np.int64)) == tuple(
+        tuple(ring.from_int(int(v)) for v in row) for row in values)
 
 
 # --- the unit mask against the full pivot scan ---------------------------------

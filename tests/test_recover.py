@@ -2,23 +2,25 @@
 
 Oracle: the recovered matrices must equal the integer Lie basis matrices
 pushed into the ring, and the formulas must commute with conjugation.  Where
-two regimes both apply they must agree on arbitrary conjugated inputs.
+two regimes both apply they must agree on arbitrary conjugated inputs.  The
+stacked recover_family must equal the tuple formulas of tests/oracles.py,
+one image at a time, under random conjugators.
 """
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
-from chevalley.group import group_for, torus_alpha, unipotent, weyl
-from chevalley.linalg import mat_mul
-from chevalley.recover import (
-    recover_family,
-    recover_half,
-    recover_no_half,
-    recovery_regime,
-)
+from chevalley.cli import RECOVER_DEFAULT
+from chevalley.group import from_word, group_for, root_stack, torus_alpha, unipotent, weyl
+from chevalley.linalg import mat_mul, to_matrix
+from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
+from oracles import recover_family_loop, recover_half, recover_no_half
 
 REGIME_MATRIX = [
     ("A", 2, "Z/5", "half"), ("A", 2, "Z/3", "half"), ("A", 2, "Z/4", None),
@@ -38,8 +40,12 @@ def test_regime_matrix():
 
 
 def standard_images(alg, ring):
-    return {root: unipotent(alg, ring, root, ring.one).mat
-            for root in alg.system.roots}
+    """x_root(1) for every root, one stack in system.roots order."""
+    return root_stack(alg, ring, (ring.one,))
+
+
+def as_dict(alg, ring, stack):
+    return {root: to_matrix(ring, m) for root, m in zip(alg.system.roots, stack)}
 
 
 @pytest.mark.parametrize("name,ring_name", [
@@ -49,7 +55,7 @@ def standard_images(alg, ring):
 def test_half_recovers_standard_generators(name, ring_name):
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
-    got = recover_family(alg, ring, standard_images(alg, ring))
+    got = as_dict(alg, ring, recover_family(alg, ring, standard_images(alg, ring)))
     for root in sysm.roots:
         assert got[root] == alg.x_matrix(root, ring)
 
@@ -60,7 +66,7 @@ def test_half_recovers_standard_generators(name, ring_name):
 def test_nohalf_recovers_standard_generators(name, ring_name):
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
-    got = recover_family(alg, ring, standard_images(alg, ring))
+    got = as_dict(alg, ring, recover_family(alg, ring, standard_images(alg, ring)))
     for root in sysm.roots:
         assert got[root] == alg.x_matrix(root, ring)
 
@@ -68,6 +74,11 @@ def test_nohalf_recovers_standard_generators(name, ring_name):
 def conjugated_images(alg, ring, g):
     return {root: g.mul(unipotent(alg, ring, root, ring.one)).mul(g.inv()).mat
             for root in alg.system.roots}
+
+
+def as_stack(alg, ring, images):
+    return np.array([images[root] for root in alg.system.roots],
+                    dtype=standard_images(alg, ring).dtype)
 
 
 def some_conjugator(alg, ring):
@@ -83,7 +94,8 @@ def test_recovery_is_conjugation_equivariant():
         sysm, alg = group_for(name)
         ring = ring_make(ring_name)
         g = some_conjugator(alg, ring)
-        got = recover_family(alg, ring, conjugated_images(alg, ring, g))
+        got = as_dict(alg, ring, recover_family(
+            alg, ring, as_stack(alg, ring, conjugated_images(alg, ring, g))))
         for root in sysm.roots:
             expect = mat_mul(ring, mat_mul(ring, g.mat, alg.x_matrix(root, ring)),
                              g.inv_mat)
@@ -104,6 +116,30 @@ def test_regimes_agree_where_both_apply():
         assert via_half == via_witness, root
 
 
+def random_conjugator(alg, ring, rng):
+    """A word of up to six random x, w and h tokens, as a group element."""
+    sysm, units = alg.system, ring.units()
+    word = []
+    for _ in range(rng.randrange(1, 7)):
+        kind = rng.choice(("x", "w", "h"))
+        t = ring.rand(rng) if kind == "x" else rng.choice(units)
+        word.append((kind, rng.choice(sysm.roots), t))
+    return from_word(alg, ring, word)
+
+
+@pytest.mark.parametrize("name,ring_name", list(RECOVER_DEFAULT) + [
+    ("A3", "Z/6"), ("A3", "Z/3xZ/3"), ("A3", "F9"),
+])
+def test_stacked_recovery_matches_the_tuple_oracle(name, ring_name):
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    rng = random.Random(f"{name}/{ring_name}")
+    for _ in range(3):
+        images = conjugated_images(alg, ring, random_conjugator(alg, ring, rng))
+        got = recover_family(alg, ring, as_stack(alg, ring, images))
+        assert as_dict(alg, ring, got) == recover_family_loop(alg, ring, images)
+
+
 def test_recover_family_raises_without_regime():
     sysm, alg = group_for("A2")
     ring = ring_make("Z/4")
@@ -112,10 +148,8 @@ def test_recover_family_raises_without_regime():
 
 
 def test_recover_family_requires_neighbours():
+    # a stack without one matrix per root raises
     sysm, alg = group_for("A3")
     ring = ring_make("Z/4")
-    images = standard_images(alg, ring)
-    first = sysm.roots[0]
-    partial = {first: images[first]}
     with pytest.raises(ValueError):
-        recover_family(alg, ring, partial)
+        recover_family(alg, ring, standard_images(alg, ring)[:1])
