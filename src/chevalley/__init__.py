@@ -21,7 +21,6 @@ from chevalley.decomposer import (
 )
 from chevalley.group import (
     GroupElement,
-    commutator,
     from_word,
     group_for,
     torus_alpha,
@@ -37,7 +36,7 @@ from chevalley.roots import RootSystem, build_root_system, diagram_symmetries
 __all__ = [
     "AdjointAlgebra", "AutomorphismSpec", "Certificate", "CertifyError",
     "GroupElement", "RootSystem", "build_algebra", "build_root_system",
-    "certify", "commutator", "crt_split", "diagram_symmetries",
+    "certify", "crt_split", "diagram_symmetries",
     "forge_random", "forge_random_parts", "from_word", "group_for",
     "recover_family", "recovery_regime", "ring_automorphisms", "ring_make",
     "spanning_params", "spec_from_elements", "spec_from_json", "torus_alpha",

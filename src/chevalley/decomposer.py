@@ -35,6 +35,10 @@ triangular with unit diagonal entries, so a plain LU split either recovers
 the factors or proves the element is outside the cell.  Candidates are only
 determined up to a scalar (the adjoint representation cannot see scalars),
 so the scalar is read off the Cartan block and divided out before fitting.
+The fit builds the two unipotent factors as elements, and the cell element is
+their product with the torus element, built once; m = c * element is checked
+before it is returned.  The Weyl translates are built once per (algebra,
+ring), each as its BFS parent times one simple w_alpha(1).
 """
 
 from __future__ import annotations
@@ -54,14 +58,17 @@ from chevalley.group import (
     commutator_pattern_holds,
     from_word,
     group_for,
+    identity_element,
     root_stack,
     stack_rows,
     torus_chi,
     unipotent,
+    weyl,
 )
 from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import (
     Matrix,
+    crt_combine,
     identity,
     local_nullspace,
     mat_mul,
@@ -488,11 +495,14 @@ def _weyl_words(sysm: RootSystem) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _weyl_elements(alg: AdjointAlgebra, ring: Ring) -> Tuple[GroupElement, ...]:
-    elems = []
-    for word in _weyl_words(alg.system):
-        tokens = tuple(("w", alg.system.simple(i), ring.one) for i in word)
-        elems.append(from_word(alg, ring, tokens))
-    return tuple(elems)
+    """The element of every word of _weyl_words, in its order, each its BFS
+    parent (the word less its last letter) times one simple w_alpha(1)."""
+    sysm = alg.system
+    simple = [weyl(alg, ring, sysm.simple(i), ring.one) for i in range(sysm.rank)]
+    elems = {(): identity_element(alg, ring)}
+    for word in _weyl_words(sysm)[1:]:
+        elems[word] = elems[word[:-1]].mul(simple[word[-1]])
+    return tuple(elems.values())
 
 
 def _lu_unit_diag(ring: Ring, m: Matrix):
@@ -517,21 +527,19 @@ def _lu_unit_diag(ring: Ring, m: Matrix):
 
 
 def _fit_unipotent(alg: AdjointAlgebra, ring: Ring, target: Matrix, sign: int):
-    """target as a product of root elements of one sign; tokens or None."""
+    """target as a product of root elements of one sign: the element, or None."""
     sysm = alg.system
-    tokens = []
-    acc = identity(ring, alg.dim)
+    acc = identity_element(alg, ring)
     for beta in sysm.positives:
         root = beta if sign > 0 else sysm.negate(beta)
         (i, j), unit = alg._slot(root)
-        diff = ring.sub(target[i][j], acc[i][j])
+        diff = ring.sub(target[i][j], acc.mat[i][j])
         t = ring.mul(diff, ring.from_int(unit))
         if t != ring.zero:
-            tokens.append(("x", root, t))
-            acc = mat_mul(ring, acc, unipotent(alg, ring, root, t).mat)
-    if acc != target:
+            acc = acc.mul(unipotent(alg, ring, root, t))
+    if acc.mat != target:
         return None
-    return tuple(tokens)
+    return acc
 
 
 def _big_cell(alg: AdjointAlgebra, ring: Ring, m: Matrix):
@@ -571,8 +579,7 @@ def _big_cell(alg: AdjointAlgebra, ring: Ring, m: Matrix):
     up = _fit_unipotent(alg, ring, mat_mul(ring, chi.inv_mat, upper), +1)
     if up is None:
         return None
-    word = down + (("chi", units, None),) + up
-    elem = from_word(alg, ring, word)
+    elem = down.mul(chi).mul(up)
     if mat_scale(ring, scalar, elem.mat) != m:
         return None
     return elem
@@ -761,16 +768,6 @@ def _token_json(ring: Ring, token) -> list:
     return [kind, list(root), ring.element_to_json(t)]
 
 
-def _combine(split, parts: List[Matrix]) -> Matrix:
-    """Entrywise CRT recombination of one local matrix per factor; over a
-    local ring, where from_factors is the identity, the matrix itself."""
-    if len(parts) == 1:
-        return parts[0]
-    n = len(parts[0])
-    return tuple(tuple(split.from_factors([p[i][j] for p in parts]) for j in range(n))
-                 for i in range(n))
-
-
 def _replay(alg: AdjointAlgebra, ring: Ring, table, left: Matrix, right: Matrix,
             rho: dict, units) -> int:
     """Check that every image of the table is left x_root(rho t) right: two
@@ -809,9 +806,9 @@ def certify(spec: AutomorphismSpec) -> Certificate:
     by_target = sorted(results, key=lambda res: res.target)
     graphs = [res.graph.matrices(lf.ring) if res.graph is not None
               else (identity(lf.ring, alg.dim),) * 2 for lf, res in zip(factors, by_target)]
-    lam, lam_inv = (_combine(split, parts) for parts in zip(*graphs))
-    conj = _combine(split, [res.conjugator.mat for res in by_target])
-    conj_inv = _combine(split, [res.conjugator.inv_mat for res in by_target])
+    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*graphs))
+    conj = crt_combine(split, [res.conjugator.mat for res in by_target])
+    conj_inv = crt_combine(split, [res.conjugator.inv_mat for res in by_target])
 
     rho_locals = [dict(res.rho) for res in by_target]
     rho_global = []
@@ -871,8 +868,8 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
             lam_parts.append(a)
             lam_inv_parts.append(b)
 
-    lam = _combine(split, lam_parts)
-    lam_inv = _combine(split, lam_inv_parts)
+    lam = crt_combine(split, lam_parts)
+    lam_inv = crt_combine(split, lam_inv_parts)
 
     rho = rng.choice(ring_automorphisms(ring))
     units = [u for u in ring.units()]

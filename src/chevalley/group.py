@@ -18,8 +18,9 @@ the matrix is what equality means.
 x_root(t) is 1 + sum_k t^k D_k over the divided powers D_k of ad e_root.
 Each D_k is memoised per (algebra, ring, root) as its nonzero (i, j, value)
 entries only, so building x_root(t) costs O(nnz) per power.  The chain
-constants of the commutator formula are extracted over Z once per (algebra,
-r, s) and shared read-only by the precheck and the verify suites.
+constants of the commutator formula come in closed form from the structure
+constants (Carter, Simple Groups of Lie Type, 5.2), once per (algebra, r, s),
+and are shared read-only by the precheck and the verify suites.
 
 Over a finite ring, root_stack holds the matrix of x_root(t) for every root
 and every element t as one stack (see linalg), in the rows of stack_rows:
@@ -38,7 +39,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -47,7 +50,7 @@ import numpy as np
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (Matrix, identity, mat_map, mat_mul, matrix, stack_dtype,
                               stack_mul)
-from chevalley.rings import Ring, ring_make
+from chevalley.rings import Ring
 from chevalley.roots import Root
 
 Token = Tuple
@@ -66,30 +69,11 @@ class GroupElement:
                             mat_mul(self.ring, other.inv_mat, self.inv_mat),
                             self.word + other.word)
 
-    def inv(self) -> "GroupElement":
-        return GroupElement(self.ring, self.inv_mat, self.mat,
-                            tuple(_invert_token(self.ring, t) for t in reversed(self.word)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.mat == other.mat
 
     def __hash__(self) -> int:
         return hash(self.mat)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.mat == identity(self.ring, len(self.mat))
-
-
-def _invert_token(ring: Ring, token: Token) -> Token:
-    kind, root, t = token
-    if kind == "x":
-        return ("x", root, ring.neg(t))
-    if kind == "w":
-        return ("w", root, ring.neg(t))
-    if kind == "chi":
-        return ("chi", tuple(ring.inv(u) for u in root), None)
-    return ("h", root, ring.inv(t))
 
 
 def identity_element(alg: AdjointAlgebra, ring: Ring) -> GroupElement:
@@ -192,16 +176,13 @@ def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> Group
     return out
 
 
-def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a.mul(b).mul(a.inv()).mul(b.inv())
-
-
 # ---------------------------------------------------------------------------
 # commutator chains
 
 
 def chain_pairs(system, r: Root, s: Root) -> Tuple[Tuple[int, int], ...]:
-    """All (i, j) with i, j >= 1 and i*r + j*s a root, in the peel order."""
+    """All (i, j) with i, j >= 1 and i*r + j*s a root, ordered by (i + j, i):
+    the order of the factors of the commutator formula."""
     out = []
     for i in range(1, 4):
         for j in range(1, 4):
@@ -212,27 +193,37 @@ def chain_pairs(system, r: Root, s: Root) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
-class ChainExtractionError(RuntimeError):
-    pass
-
-
 @lru_cache(maxsize=None)
 def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[int, int], int]:
     """Integer constants C_ij with [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j),
-    factors ordered by (i+j, i).  Extracted over Z at t = u = 1 by peeling,
-    once per (algebra, r, s); the mapping is read-only."""
-    ring = ring_make("Z")
-    pairs = chain_pairs(alg.system, r, s)
-    resid = commutator(unipotent(alg, ring, r, 1), unipotent(alg, ring, s, 1))
+    one per chain_pairs entry and in its order, once per (algebra, r, s); the
+    mapping is read-only.
+
+    With M_abi = N_a,b N_a,a+b ... N_a,(i-1)a+b / i!, Carter's constants are
+    K_i1(a, b) = M_abi, K_1j(a, b) = (-1)^j M_baj, K_32(a, b) = M_(a+b),a,2 / 3
+    and K_23(a, b) = -2 M_(a+b),b,2 / 3.  The commutator here is a b a^-1 b^-1,
+    so C_ij(r, s) = (-1)^i K_ji(s, r).  The divisions run in Fraction and
+    must land on integers.
+    """
+    def m(a, b, i):
+        out = Fraction(1, factorial(i))
+        for k in range(i):
+            out *= alg.n_const(a, tuple(k * x + y for x, y in zip(a, b)))
+        return out
+
+    def carter(a, b, i, j):
+        if j == 1:
+            return m(a, b, i)
+        if i == 1:
+            return (-1) ** j * m(b, a, j)
+        ab = tuple(x + y for x, y in zip(a, b))
+        return m(ab, a, 2) / 3 if (i, j) == (3, 2) else -2 * m(ab, b, 2) / 3
+
     out = {}
-    for i, j in pairs:
-        gamma = tuple(i * a + j * b for a, b in zip(r, s))
-        (row, col), unit = alg._slot(gamma)
-        c = resid.mat[row][col] * unit
-        out[(i, j)] = c
-        resid = unipotent(alg, ring, gamma, -c).mul(resid)
-    if not resid.is_identity:
-        raise ChainExtractionError(f"peel did not close for {r}, {s}")
+    for i, j in chain_pairs(alg.system, r, s):
+        c = (-1) ** i * carter(s, r, j, i)
+        assert c.denominator == 1, (r, s, i, j, c)
+        out[(i, j)] = int(c)
     return MappingProxyType(out)
 
 
@@ -263,8 +254,8 @@ def commutator_pattern_holds(ring: Ring, stack, rows: Mapping, checks) -> np.nda
     root and element; the inverses are read at -t and -u, and x_r(0) is the
     identity.  The left sides of all checks are three batched products.  The
     factors are taken in the order of coeffs, which chain_coefficients gives
-    in peel order, and the right sides of all chains of one length multiply
-    together, one batched product per factor past the first.
+    in chain_pairs order, and the right sides of all chains of one length
+    multiply together, one batched product per factor past the first.
     """
     def take(keys):
         return stack[[rows[key] for key in keys]]

@@ -362,15 +362,23 @@ def local_invert(ring: Ring, a: Matrix):
 
 def ring_invert(ring: Ring, a: Matrix):
     split = crt_split(ring)
-    if len(split.factors) == 1 and split.factors[0].ring == ring:
+    if len(split.factors) == 1:
         return local_invert(ring, a)
     parts = []
     for f in split.factors:
-        af = mat_map(f.project, a)
-        inv = local_invert(f.ring, af)
+        inv = local_invert(f.ring, mat_map(f.project, a))
         if inv is None:
             return None
         parts.append(inv)
-    n = len(a)
-    return tuple(tuple(split.from_factors([p[i][j] for p in parts])
-                       for j in range(n)) for i in range(n))
+    return crt_combine(split, parts)
+
+
+def crt_combine(split, parts) -> Matrix:
+    """Entrywise CRT recombination of one local matrix per factor of
+    ``split``; over a local ring, where from_factors is the identity, the
+    matrix itself."""
+    if len(parts) == 1:
+        return parts[0]
+    n = len(parts[0])
+    return tuple(tuple(split.from_factors([p[i][j] for p in parts]) for j in range(n))
+                 for i in range(n))

@@ -6,8 +6,10 @@ the (l+1) by (l+1) model of the A series (for the bracket table), linear
 combinations of the adjoint basis matrices and the bracket of two elements
 read from the table alone (for the matrices and the Jacobi checks), the
 fraction-free determinant and the matrix-vector product (for the
-elimination), and root chains walked through the enumeration (for the
-pairing).
+elimination), root chains walked through the enumeration (for the
+pairing), and the inverse of a group element with its inverse word and the
+commutator a b a^-1 b^-1 built from it (for the commutator formula and the
+conjugation laws, which the library checks on root stacks).
 
 The last section keeps the loop forms that the batched code replaced: the
 elimination that scans the whole remaining block for every pivot, and the
@@ -36,7 +38,7 @@ from chevalley.decomposer import (
     _sort_key,
     spanning_params,
 )
-from chevalley.group import chain_coefficients, unipotent
+from chevalley.group import GroupElement, chain_coefficients, unipotent
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (
     Matrix,
@@ -210,6 +212,26 @@ def mat_sub(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
 
 def is_identity(ring: Ring, a: Matrix) -> bool:
     return a == identity(ring, len(a))
+
+
+def inverse(g: GroupElement) -> GroupElement:
+    """g^-1, its word the tokens of g reversed and each inverted: x_r(t) and
+    w_r(t) at -t, h_r(u) at 1/u, chi at the inverse units."""
+    ring = g.ring
+
+    def invert(token):
+        kind, root, t = token
+        if kind in ("x", "w"):
+            return (kind, root, ring.neg(t))
+        if kind == "chi":
+            return ("chi", tuple(ring.inv(u) for u in root), None)
+        return ("h", root, ring.inv(t))
+    return GroupElement(ring, g.inv_mat, g.mat, tuple(invert(t) for t in reversed(g.word)))
+
+
+def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
+    """a b a^-1 b^-1, the commutator of group.chain_coefficients."""
+    return a.mul(b).mul(inverse(a)).mul(inverse(b))
 
 
 def mat_vec(ring: Ring, a: Matrix, v: Sequence) -> tuple:

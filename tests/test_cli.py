@@ -234,7 +234,9 @@ def test_verify_recover_off_the_default_matrix_matches_golden_hash(ring, capsys)
 def corrupt_x_root(monkeypatch):
     """x_r(1) for the first simple root r, over every finite ring, with 1
     added to its (0, 0) entry; r is (1, 0) in rank 2 and (1, 0, 0) in A3.
-    Z is spared: the chain constants are extracted over Z and memoised."""
+    Z is spared, so the defect sits only in the finite rings the suites run
+    over; no suite builds x_r(t) over Z (the chain constants come from the
+    structure constants), so sparing it moves no recorded count."""
     clean = group._unipotent_matrix
 
     def corrupted(alg, ring, root, t):

@@ -32,7 +32,7 @@ from chevalley.linalg import (
 )
 from chevalley.rings import ring_automorphisms, ring_make
 from chevalley.roots import diagram_symmetries
-from oracles import is_identity, precheck_loop, replay_loop, residual_rho_loop
+from oracles import inverse, is_identity, precheck_loop, replay_loop, residual_rho_loop
 
 ROUND_TRIP_CONFIGS = [
     ("A2", "Z/5"),
@@ -468,7 +468,22 @@ def test_strictly_inner_accepts_group_words_up_to_scalar():
         # same conjugation action as the original word
         for r in sysm.roots:
             x = unipotent(alg, ring, r, 1)
-            assert got.mul(x).mul(got.inv()) == g.mul(x).mul(g.inv())
+            assert got.mul(x).mul(inverse(got)) == g.mul(x).mul(inverse(g))
+
+
+@pytest.mark.parametrize("name,ring_name", [
+    ("A2", "Z/4"), ("B2", "Z/5"), ("G2", "Z/7"), ("A3", "F4"), ("C3", "Z/3"),
+])
+def test_weyl_elements_match_their_words(name, ring_name):
+    # == compares only mat, so each field is compared on its own
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    words = decomposer._weyl_words(sysm)
+    elems = decomposer._weyl_elements(alg, ring)
+    assert len(elems) == len(words)
+    for word, got in zip(words, elems):
+        want = from_word(alg, ring, tuple(("w", sysm.simple(i), ring.one) for i in word))
+        assert (got.mat, got.inv_mat, got.word) == (want.mat, want.inv_mat, want.word), word
 
 
 def test_strictly_inner_rejects_outside_matrices():

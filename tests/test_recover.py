@@ -20,7 +20,7 @@ from chevalley.linalg import mat_mul, to_matrix
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
-from oracles import recover_family_loop, recover_half, recover_no_half
+from oracles import inverse, recover_family_loop, recover_half, recover_no_half
 
 REGIME_MATRIX = [
     ("A", 2, "Z/5", "half"), ("A", 2, "Z/3", "half"), ("A", 2, "Z/4", None),
@@ -72,7 +72,7 @@ def test_nohalf_recovers_standard_generators(name, ring_name):
 
 
 def conjugated_images(alg, ring, g):
-    return {root: g.mul(unipotent(alg, ring, root, ring.one)).mul(g.inv()).mat
+    return {root: g.mul(unipotent(alg, ring, root, ring.one)).mul(inverse(g)).mat
             for root in alg.system.roots}
 
 
