@@ -15,6 +15,9 @@ import json
 import random
 import sys
 import time
+from functools import lru_cache
+
+import numpy as np
 
 from chevalley.decomposer import (
     CertifyError,
@@ -32,7 +35,8 @@ from chevalley.group import (
     torus_alpha,
     weyl,
 )
-from chevalley.linalg import from_ints, identity, sandwich, stack_equal, stack_mul
+from chevalley.linalg import (diagonal_sandwich, from_ints, identity, ring_tables, sandwich,
+                              stack_equal, stack_mul)
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name
@@ -148,22 +152,22 @@ def _suite_laws(system: str, ring_name: str, seed: int):
 
 
 def _suite_eq1(system: str, ring_name: str, seed: int):
-    """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t), one
-    sandwich of a root_stack per (alpha, u)."""
+    """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t), per
+    (alpha, u) one diagonal_sandwich of a root_stack (h_alpha(u) is
+    diagonal) against rows read off ring_tables."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
+    index, mul, _, _ = ring_tables(ring)
     checks, failures = 0, []
     for alpha in sysm.roots:
+        pairings = [sysm.pairing(beta, alpha) for beta in sysm.roots]
         for u in ring.units():
             h = torus_alpha(alg, ring, alpha, u)
-            scale = {}
-            for beta in sysm.roots:
-                p = sysm.pairing(beta, alpha)
-                scale[beta] = ring.power(u, p) if p >= 0 else ring.power(ring.inv(u), -p)
-            held = stack_equal(sandwich(ring, h.mat, stack, h.inv_mat),
-                               _at(stack, rows, ((beta, ring.mul(scale[beta], t))
-                                                 for beta, t in rows)))
+            scale = mul[[index[ring.power(u, p)] for p in pairings]]
+            want = np.arange(len(sysm.roots))[:, None] * len(index) + scale
+            held = stack_equal(diagonal_sandwich(ring, h.mat, stack, h.inv_mat),
+                               stack[want.ravel()])
             checks += len(rows)
             failures += [{"check": "torus-conjugation",
                           "alpha": list(alpha), "beta": list(beta),
@@ -210,27 +214,28 @@ def _suite_weyl(system: str, ring_name: str, seed: int):
 def _suite_jacobi(system: str, ring_name: str, seed: int):
     """Jacobi identity on basis triples, over the integers.
 
-    Structure constants are integral, so vanishing over Z settles every ring;
-    the suite also rechecks the extraspecial-pair sizes and the integrality
-    of the divided powers for the system.
+    Structure constants are integral, so vanishing over Z settles every ring.
+    On their tensor c[u, v, m], one first index is three 2-D integer
+    products; past 12000 triples a seeded sample is read.  The suite also
+    rechecks the extraspecial-pair sizes and the divided powers' integrality.
     """
     sysm, alg = group_for(system)
     keys = list(sysm.roots) + list(range(sysm.rank))
-    brackets = {(u, v): alg.bracket_basis(u, v)
-                for u, v in itertools.product(keys, repeat=2)}
-    triples = list(itertools.product(keys, repeat=3))
-    rng = random.Random(seed)
-    if len(triples) > 12000:
-        triples = rng.sample(triples, 12000)
-    checks, failures = 0, []
-    for a, b, c in triples:
-        checks += 1
-        jac = {}
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            _add_nested_bracket(brackets, u, v, w, jac)
-        if any(jac.values()):
-            failures.append({"check": "jacobi",
-                             "triple": [_key_label(k) for k in (a, b, c)]})
+    at, d = {k: i for i, k in enumerate(keys)}, len(keys)
+    consts = np.zeros((d, d, d), dtype=np.int64)
+    for (u, a), (v, b) in itertools.product(enumerate(keys), repeat=2):
+        for k, c in alg.bracket_basis(a, b).items():
+            consts[u, v, at[k]] = c
+    flat, tall = consts.reshape(d, d * d), consts.reshape(d * d, d)
+    bad = np.empty((d, d, d), dtype=bool)
+    for a in range(d):   # [[a,b],c] + [[b,c],a] + [[c,a],b] over every (b, c)
+        bad[a] = ((consts[a] @ flat).reshape(d, d, d) + (tall @ consts[:, a]).reshape(d, d, d)
+                  + (consts[:, a] @ flat).reshape(d, d, d).transpose(1, 0, 2)).any(axis=2)
+    n, labels = d ** 3, [list(r) for r in sysm.roots] + [["h", j] for j in range(sysm.rank)]
+    picked = np.array(random.Random(seed).sample(range(n), 12000)) if n > 12000 else np.arange(n)
+    checks = len(picked)
+    failures = [{"check": "jacobi", "triple": [labels[i] for i in np.unravel_index(q, bad.shape)]}
+                for q in picked[bad.ravel()[picked]]]
     for r, s in itertools.permutations(sysm.roots, 2):
         total = tuple(x + y for x, y in zip(r, s))
         if not sysm.is_root(total):
@@ -257,35 +262,22 @@ def _suite_jacobi(system: str, ring_name: str, seed: int):
     return checks, failures
 
 
-def _add_nested_bracket(brackets: dict, u, v, w, acc: dict) -> dict:
-    """Add [[e_u, e_v], e_w] = sum_m,k c_uv^m c_mw^k e_k into acc, reading the
-    constants from a table of bracket_basis over ordered key pairs."""
-    for m, c in brackets[(u, v)].items():
-        for k, val in brackets[(m, w)].items():
-            acc[k] = acc.get(k, 0) + c * val
-    return acc
-
-
 def _suite_commutator(system: str, ring_name: str, seed: int):
     """The commutator formula at every (r, s, t, u), one batch per r."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
-    elems = list(ring.elements())
-    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
+    params = list(itertools.product(ring.elements(), repeat=2))
+    stack = root_stack(alg, ring)
     checks, failures = 0, []
     for r in sysm.roots:
-        batch = []
-        for s in sysm.roots:
-            if s not in (r, sysm.negate(r)):
-                coeffs = chain_coefficients(alg, r, s)
-                batch += [(r, s, t, u, coeffs) for t, u in itertools.product(elems, repeat=2)]
-        checks += len(batch)
-        holds = commutator_pattern_holds(ring, stack, rows, batch)
-        failures += [{"check": "chevalley-commutator",
-                      "r": list(r), "s": list(s),
-                      "t": ring.element_to_json(t),
-                      "u": ring.element_to_json(u)}
-                     for (r, s, t, u, _), ok in zip(batch, holds) if not ok]
+        pairs = [(r, s, chain_coefficients(alg, r, s))
+                 for s in sysm.roots if s not in (r, sysm.negate(r))]
+        holds = commutator_pattern_holds(alg, ring, stack, pairs, params)
+        checks += len(holds)
+        failures += [{"check": "chevalley-commutator", "r": list(r), "s": list(s),
+                      "t": ring.element_to_json(t), "u": ring.element_to_json(u)}
+                     for ((_, s, _), (t, u)), ok in zip(itertools.product(pairs, params), holds)
+                     if not ok]
     return checks, failures
 
 
@@ -325,10 +317,6 @@ def _suite_recover(system: str, ring_name: str, seed: int):
                                for k, r, t in word]}
                      for root, ok in zip(sysm.roots, held) if not ok]
     return checks, failures
-
-
-def _key_label(k):
-    return list(k) if isinstance(k, tuple) else ["h", k]
 
 
 class UnsupportedCase(RuntimeError):
@@ -438,7 +426,9 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
         prog="chevalley",
         description="Chevalley groups over commutative rings: construction "

@@ -332,12 +332,11 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
 
     # commutator pattern at parameter 1; the law makes t -> table[(root, t)]
     # a homomorphism, so the image at -1 is the inverse of the image at 1
-    pairs = [(r, s) for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s)]
-    held = commutator_pattern_holds(
-        ring, table, rows,
-        [(r, s, ring.one, ring.one, chain_coefficients(alg, r, s)) for r, s in pairs])
+    pairs = [(r, s, chain_coefficients(alg, r, s))
+             for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s)]
+    held = commutator_pattern_holds(alg, ring, table, pairs, [(ring.one, ring.one)])
     if not held.all():
-        r, s = pairs[int(np.argmin(held))]
+        r, s, _ = pairs[int(np.argmin(held))]
         raise CertifyError("precheck", "commutator pattern fails",
                            {"roots": [list(r), list(s)]})
     return table

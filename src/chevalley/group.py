@@ -28,9 +28,9 @@ root-major, the elements in ring.elements() order; given parameters, it
 holds x_root(t) at those only, so at t = 1 one matrix per root.  It is
 built per call and dropped on return, and it is the one form of that table:
 certify and every verify suite, recover included, read it.
-commutator_pattern_holds is the one check of the commutator formula: it
-takes a batch of (r, s, t, u) and reads every factor, and the inverses at -t
-and -u, from such a stack, so it multiplies stacks and builds no x_root.  The
+commutator_pattern_holds is the one check of the commutator formula: for
+root pairs times parameters (t, u) it reads every factor, and the inverses
+at -t and -u, from such a stack at rows computed on ring_tables.  The
 precheck runs it on its own table of the supplied images at t = u = 1, and
 the verify commutator suite on a root_stack at every (t, u).
 """
@@ -48,8 +48,8 @@ from typing import Dict, Iterable, Mapping, Tuple
 import numpy as np
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import (Matrix, identity, mat_map, mat_mul, matrix, stack_dtype,
-                              stack_mul)
+from chevalley.linalg import (Matrix, identity, mat_map, mat_mul, matrix, ring_tables,
+                              stack_dtype, stack_mul)
 from chevalley.rings import Ring
 from chevalley.roots import Root
 
@@ -127,8 +127,7 @@ def torus_alpha(alg: AdjointAlgebra, ring: Ring, root: Root, u) -> GroupElement:
     linear in beta, so chi takes u^<alpha_j, root> on the simple roots."""
     sysm = alg.system
     pairings = (sysm.pairing(sysm.simple(j), root) for j in range(sysm.rank))
-    h = torus_chi(alg, ring, tuple(ring.power(u, p) if p >= 0 else ring.power(ring.inv(u), -p)
-                                   for p in pairings))
+    h = torus_chi(alg, ring, tuple(ring.power(u, p) for p in pairings))
     return GroupElement(ring, h.mat, h.inv_mat, (("h", root, u),))
 
 
@@ -245,37 +244,51 @@ def root_stack(alg: AdjointAlgebra, ring: Ring, params=None):
                     dtype=stack_dtype(ring, alg.dim))
 
 
-def commutator_pattern_holds(ring: Ring, stack, rows: Mapping, checks) -> np.ndarray:
-    """Per (r, s, t, u, coeffs) in checks, whether
+def commutator_rows(alg: AdjointAlgebra, ring: Ring, pairs, params):
+    """(sides, factors, lengths): the stack_rows commutator_pattern_holds reads,
+    as arrays over params: sides[q] those of x_r(t), x_s(u), x_r(-t), x_s(-u)
+    of pair q, then the chain factors pair by pair in coeffs order, lengths[q]
+    of them for pair q (x_r(0) for none).  A row is root position * |R| +
+    element position, C t^i u^j being mul[C, mul[t^i, u^j]] on ring_tables."""
+    index, mul, _, powers = ring_tables(ring)
+    t, u = np.array([[index[x] for x in tu] for tu in params], dtype=np.int64).reshape(-1, 2).T
+    base = {r: len(index) * k for k, r in enumerate(alg.system.roots)}
+    neg = mul[index[ring.neg(ring.one)]]
+    r0, s0 = np.array([[base[r], base[s]] for r, s, _ in pairs]).T[:, :, None]
+    sides = np.stack([r0 + t, s0 + u, r0 + neg[t], s0 + neg[u]], axis=1)
+    chains = [[(base[tuple(i * a + j * b for a, b in zip(r, s))], index[ring.from_int(c)], i, j)
+               for (i, j), c in coeffs.items()] or [(base[r], index[ring.zero], 0, 0)]
+              for r, s, coeffs in pairs]
+    g, c, i, j = np.array([f for chain in chains for f in chain]).reshape(-1, 4).T[:, :, None]
+    return sides, g + mul[c, mul[powers[i, t], powers[j, u]]], np.array(list(map(len, chains)))
+
+
+def commutator_pattern_holds(alg: AdjointAlgebra, ring: Ring, stack, pairs, params) -> np.ndarray:
+    """Per (r, s, coeffs) of pairs and (t, u) of params, pair-major, whether
     [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j), as a boolean array.
 
-    ``stack`` holds x_root matrices as arrays of elements (see
-    ``linalg.stack_mul``), x_root(t) at row ``rows[(root, t)]`` for every
-    root and element; the inverses are read at -t and -u, and x_r(0) is the
-    identity.  The left sides of all checks are three batched products.  The
-    factors are taken in the order of coeffs, which chain_coefficients gives
-    in chain_pairs order, and the right sides of all chains of one length
-    multiply together, one batched product per factor past the first.
+    ``stack`` holds x_root(t) for every root and element in the rows of
+    stack_rows (see ``linalg.stack_mul``), read at the commutator_rows.  The
+    left sides are three batched products, the right sides of all chains of
+    one length one batched product per factor past the first, the factors in
+    coeffs order (chain_coefficients gives chain_pairs order).
     """
-    def take(keys):
-        return stack[[rows[key] for key in keys]]
+    sides, factors, lengths = commutator_rows(alg, ring, pairs, params)
+    starts = np.cumsum(lengths) - lengths
 
-    lhs = take((r, t) for r, s, t, u, _ in checks)
-    for keys in (((s, u) for r, s, t, u, _ in checks),
-                 ((r, ring.neg(t)) for r, s, t, u, _ in checks),
-                 ((s, ring.neg(u)) for r, s, t, u, _ in checks)):
-        lhs = stack_mul(ring, lhs, take(keys))
-    chains = [[(tuple(i * a + j * b for a, b in zip(r, s)),
-                ring.mul(ring.from_int(c), ring.mul(ring.power(t, i), ring.power(u, j))))
-               for (i, j), c in coeffs.items()] for r, s, t, u, coeffs in checks]
-    holds = np.empty(len(checks), dtype=bool)
-    for length in set(map(len, chains)):
-        picked = [q for q, chain in enumerate(chains) if len(chain) == length]
-        rhs = take(chains[q][0] if length else (checks[q][0], ring.zero) for q in picked)
-        for j in range(1, length):
-            rhs = stack_mul(ring, rhs, take(chains[q][j] for q in picked))
-        holds[picked] = (lhs[picked] == rhs).reshape(len(picked), -1).all(axis=1)
-    return holds
+    def product(rows):
+        out = stack[rows[0].ravel()]
+        for more in rows[1:]:
+            out = stack_mul(ring, out, stack[more.ravel()])
+        return out.reshape(len(rows[0]), len(params), -1)
+
+    lhs = product(sides.transpose(1, 0, 2))
+    holds = np.empty((len(pairs), len(params)), dtype=bool)
+    for length in set(lengths.tolist()):
+        picked = np.flatnonzero(lengths == length)
+        holds[picked] = (lhs[picked] == product([factors[starts[picked] + j]
+                                                 for j in range(length)])).all(axis=2)
+    return holds.ravel()
 
 
 # ---------------------------------------------------------------------------

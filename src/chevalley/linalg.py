@@ -10,7 +10,8 @@ base-p digit planes, and over a product ring one product per factor, each on
 that factor's path.  ``mat_mul`` turns tuple matrices into arrays and calls
 it; over Z it feeds the guard the largest |entry| of both factors, read off
 the Python ints before any cast.  ``sandwich`` computes left m right over a
-stack, taking the two tuple matrices in the stack's dtype.  ``row_ops`` is
+stack, taking the two tuple matrices in the stack's dtype, and
+``diagonal_sandwich`` the same for diagonal ones by scaling.  ``row_ops`` is
 the element-wise scaling and x - c y on stacks over every finite ring, and
 ``from_ints`` maps integer arrays into one.  ``identity`` is built once per
 (ring, n).
@@ -24,7 +25,8 @@ turn into tuples once, on return.  The pivot is the row-major first entry of
 least p-valuation (over a field, the first nonzero entry), which keeps every
 step exact: a mask of the rows that still hold a unit finds it while one
 does, and a vectorised scan after that.  Z/p^k reduces mod p^k; GF(q)
-indexes numpy ``mul``/``sub`` tables built once per field.
+indexes the ``mul``/``sub`` arrays of ``ring_tables``, the element tables
+built once per finite ring.
 """
 
 from __future__ import annotations
@@ -70,11 +72,16 @@ def residue_dtype(bound: int, inner: int):
 
 
 @lru_cache(maxsize=None)
-def field_tables(ring: FieldTable):
-    """The mul and sub tables of a field as int64 arrays, built once per field."""
-    els = range(ring.size)
-    return (np.array([[ring.mul(x, y) for y in els] for x in els], dtype=np.int64),
-            np.array([[ring.sub(x, y) for y in els] for x in els], dtype=np.int64))
+def ring_tables(ring: Ring):
+    """(index, mul, sub, powers) of a finite ring, built once per ring: each
+    element's position in ring.elements(), and on positions the mul and sub
+    tables and powers[e, t] = t^e for e < 4, as int64 arrays.  Over GF(p^k)
+    an element is its own position."""
+    index = {t: i for i, t in enumerate(ring.elements())}
+    mul, sub = (np.array([[index[op(x, y)] for y in index] for x in index], dtype=np.int64)
+                for op in (ring.mul, ring.sub))
+    powers = np.array([[index[ring.power(t, e)] for t in index] for e in range(4)], dtype=np.int64)
+    return index, mul, sub, powers
 
 
 def field_matmul(ring: FieldTable, a, b):
@@ -135,6 +142,15 @@ def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
     left and right taken in the stack's dtype."""
     left, right = (np.array(m, dtype=stack.dtype) for m in (left, right))
     return stack_mul(ring, stack_mul(ring, left, stack), right)
+
+
+def diagonal_sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
+    """``sandwich`` for diagonal left and right, as two broadcast scalings:
+    entry (i, j) of every matrix times left[i][i] right[j][j]."""
+    scale = row_ops(ring)[0]
+    left, right = (np.array([row[i] for i, row in enumerate(m)], dtype=stack.dtype)
+                   for m in (left, right))
+    return scale(stack, scale(left[:, None], right))
 
 
 def from_ints(ring: Ring, a, dtype):
@@ -238,7 +254,7 @@ def row_ops(ring: Ring):
             x %= mod
             return x
         return (lambda x, c: (x * c) % mod), sub_mul
-    mul, sub = field_tables(ring)
+    _, mul, sub, _ = ring_tables(ring)
     return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
 
 

@@ -5,6 +5,7 @@ computes another way: the localization of Z/n at a prime (for crt_split),
 the (l+1) by (l+1) model of the A series (for the bracket table), linear
 combinations of the adjoint basis matrices and the bracket of two elements
 read from the table alone (for the matrices and the Jacobi checks), the
+Jacobi triples of ``verify jacobi`` one at a time on dicts of brackets, the
 fraction-free determinant and the matrix-vector product (for the
 elimination), root chains walked through the enumeration (for the
 pairing), and the inverse of a group element with its inverse word and the
@@ -25,6 +26,7 @@ recovery formulas on tuple matrices, one image at a time, for
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -42,13 +44,13 @@ from chevalley.group import GroupElement, chain_coefficients, unipotent
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (
     Matrix,
-    field_tables,
     identity,
     mat_mul,
     mat_scale,
     matrix,
     residue_dtype,
     ring_invert,
+    ring_tables,
 )
 from chevalley.recover import recovery_regime
 from chevalley.rings import (
@@ -206,6 +208,36 @@ def bracket_dict(alg: AdjointAlgebra, u: dict, v: dict) -> dict:
 # integer and ring matrices
 
 
+def add_nested_bracket(brackets: dict, u, v, w, acc: dict) -> dict:
+    """Add [[e_u, e_v], e_w] = sum_m,k c_uv^m c_mw^k e_k into acc, reading the
+    constants from a table of bracket_basis over ordered key pairs."""
+    for m, c in brackets[(u, v)].items():
+        for k, val in brackets[(m, w)].items():
+            acc[k] = acc.get(k, 0) + c * val
+    return acc
+
+
+def jacobi_loop(alg: AdjointAlgebra, seed: int):
+    """The Jacobi triples of ``cli._suite_jacobi`` one at a time on a dict of
+    brackets, past 12000 triples on the same seeded sample: (checks,
+    failures)."""
+    sysm = alg.system
+    keys = list(sysm.roots) + list(range(sysm.rank))
+    brackets = {(u, v): alg.bracket_basis(u, v) for u, v in itertools.product(keys, repeat=2)}
+    triples = list(itertools.product(keys, repeat=3))
+    if len(triples) > 12000:
+        triples = random.Random(seed).sample(triples, 12000)
+    failures = []
+    for a, b, c in triples:
+        jac = {}
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            add_nested_bracket(brackets, u, v, w, jac)
+        if any(jac.values()):
+            failures.append({"check": "jacobi", "triple": [
+                list(k) if isinstance(k, tuple) else ["h", k] for k in (a, b, c)]})
+    return len(triples), failures
+
+
 def mat_sub(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(ring.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -316,7 +348,7 @@ def row_ops(ring: Ring):
     if isinstance(ring, ZMod):
         mod = ring.n
         return (lambda x, c: (x * c) % mod), (lambda x, c, y: (x - c * y) % mod)
-    mul, sub = field_tables(ring)
+    _, mul, sub, _ = ring_tables(ring)
     return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
 
 

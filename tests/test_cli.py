@@ -12,7 +12,7 @@ from chevalley import cli, group
 from chevalley.cli import main
 from chevalley.group import group_for
 from chevalley.liealg import AdjointAlgebra
-from oracles import bracket_dict
+from oracles import add_nested_bracket, bracket_dict, jacobi_loop
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -262,12 +262,13 @@ def wrong_chain_coefficient(monkeypatch):
 
 
 def wrong_bracket_constant(monkeypatch):
-    """[e_(1,0), e_(0,1)] with its constant off by one."""
+    """[e_a, e_b] for the first two simple roots a, b with its constant off by
+    one: [e_(1,0), e_(0,1)] in rank 2."""
     clean = AdjointAlgebra.bracket_basis
 
     def wrong(self, a, b):
         out = clean(self, a, b)
-        if (a, b) == ((1, 0), (0, 1)):
+        if (a, b) == (self.system.simple(0), self.system.simple(1)):
             out = {k: v + 1 for k, v in out.items()}
         return out
     monkeypatch.setattr(AdjointAlgebra, "bracket_basis", wrong)
@@ -281,9 +282,10 @@ def wrong_bracket_constant(monkeypatch):
 # commutator cases on B2 and G2 were recorded with the check that multiplied
 # tuple matrices one (r, s, t, u) at a time, before it took batches, and the
 # eq1 and weyl cases past Z/4 with the suites that conjugated tuple matrices
-# one (alpha, beta, t) at a time.  The laws cases hold one failure more than
-# those suites gave: inverse-is-negation for (1, 0), now the product
-# x(t) x(-t) = 1, which the element-wise suite compared with itself.
+# one (alpha, beta, t) at a time, and the jacobi cases with the suite that
+# summed nested brackets over dicts one triple at a time.  The laws cases hold
+# one failure more than those suites gave: inverse-is-negation for (1, 0), now
+# the product x(t) x(-t) = 1, which the element-wise suite compared with itself.
 PLANTED_FAILURES = [
     (corrupt_x_root, "laws", "A2", "Z/4", 108, 8,
      "c710d4e0e6d875b8bcc8f62a612132e29fc2fdc2a9e1ad7714c6101ffb4de081"),
@@ -303,6 +305,10 @@ PLANTED_FAILURES = [
      "86c7ab41d982139060c8842b708b54e9628ac59f3a2f4dfef75b10b3f66c935d"),
     (wrong_bracket_constant, "jacobi", "A2", "Z", 530, 27,
      "2b39509237abafeba1ed83e110dfa12b9e23882fff63e095bbbf8caa03138882"),
+    (wrong_bracket_constant, "jacobi", "B2", "Z", 1032, 33,
+     "9a833cecd672238817e7d834fd9efa47f1d3d94e68f1a6fe92046183f03c8399"),
+    (wrong_bracket_constant, "jacobi", "G2", "Z", 2816, 51,
+     "195634faa3a7571874851068e86acc7a1e74b705e7f472298d2efa825ab10c91"),
     (corrupt_x_root, "laws", "A2", "F4", 108, 8,
      "c710d4e0e6d875b8bcc8f62a612132e29fc2fdc2a9e1ad7714c6101ffb4de081"),
     (corrupt_x_root, "laws", "A2", "F9", 498, 23,
@@ -354,6 +360,30 @@ def test_jacobi_table_sum_matches_bracket_dict(name):
     brackets = {(u, v): alg.bracket_basis(u, v)
                 for u, v in itertools.product(keys, repeat=2)}
     for u, v, w in itertools.product(keys, repeat=3):
-        got = cli._add_nested_bracket(brackets, u, v, w, {})
+        got = add_nested_bracket(brackets, u, v, w, {})
         want = bracket_dict(alg, alg.bracket_basis(u, v), {w: 1})
         assert {k: c for k, c in got.items() if c} == want, (u, v, w)
+
+
+@pytest.mark.parametrize("defect", [None, wrong_bracket_constant], ids=["clean", "defect"])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3", "D4"])
+def test_jacobi_contraction_matches_the_dict_loop(monkeypatch, name, seed, defect):
+    # D4 has 28^3 > 12000 triples, so it takes the sampled path
+    if defect:
+        defect(monkeypatch)
+    sysm, alg = group_for(name)
+    checks, failures = cli._suite_jacobi(name, "Z", seed)
+    want_checks, want = jacobi_loop(alg, seed)
+    assert bool(want) == bool(defect)
+    rest = len(sysm.roots) + sum(sysm.is_root(tuple(x + y for x, y in zip(r, s)))
+                                 for r, s in itertools.permutations(sysm.roots, 2))
+    assert (checks - rest, [f for f in failures if f["check"] == "jacobi"]) == (want_checks, want)
+
+
+def test_main_builds_one_parser(tmp_path):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["roots", "--system", "A2", "--out", str(tmp_path / "roots.json")]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -2,17 +2,21 @@
 
 The two diagonal matrices frozen at the top anchor the basis order and sign
 conventions; everything else is law-checking across several rings.  The
-commutator formula is checked on group elements by ``commutator_identity_holds``
-here, the oracle for ``group.commutator_pattern_holds`` on a root table, and
-the closed-form chain constants against the commutator peeled over Z.
+commutator formula is checked on the tuple matrices of ``unipotent`` elements
+by ``commutator_identity_holds`` here, the oracle for
+``group.commutator_pattern_holds`` on a root table (whose stack rows are
+checked against ring arithmetic), and the closed-form chain constants against
+the commutator peeled over Z.
 Inverses and commutators of elements come from ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from chevalley.autos import graph_data
@@ -23,9 +27,9 @@ from chevalley.group import (
     chain_coefficients,
     chain_pairs,
     commutator_pattern_holds,
+    commutator_rows,
     from_word,
     group_for,
-    identity_element,
     root_stack,
     stack_rows,
     torus_alpha,
@@ -34,7 +38,8 @@ from chevalley.group import (
     weyl,
 )
 from chevalley.liealg import build_algebra
-from chevalley.linalg import mat_map, to_matrix
+from chevalley.linalg import (diagonal_sandwich, identity, mat_map, mat_mul, ring_tables, sandwich,
+                              to_matrix)
 from chevalley.rings import ring_make
 from chevalley.roots import DiagramSymmetry, diagram_symmetries
 from oracles import commutator, det_bareiss, inverse, is_identity, torus_alpha_loop
@@ -210,16 +215,25 @@ def test_chain_coefficients_frozen_values():
     assert {abs(cg[(1, 2)]), abs(cg[(2, 3)])} <= {1, 2, 3}
 
 
-def commutator_identity_holds(alg, ring, r, s, t, u, coeffs):
-    """Check [x_r(t), x_s(u)] against the chain product on group elements,
-    building every x_root and taking the factors in chain_pairs order."""
-    lhs = commutator(unipotent(alg, ring, r, t), unipotent(alg, ring, s, u))
-    rhs = identity_element(alg, ring)
+def unipotent_memo(alg, ring):
+    """(root, t) -> the matrix of unipotent(alg, ring, root, t), each built
+    once per memo."""
+    return functools.lru_cache(maxsize=None)(lambda root, t: unipotent(alg, ring, root, t).mat)
+
+
+def commutator_identity_holds(alg, ring, r, s, t, u, coeffs, x):
+    """Check x_r(t) x_s(u) x_r(-t) x_s(-u) against the chain product on tuple
+    matrices, reading every x_root from the unipotent_memo x and taking the
+    factors in chain_pairs order with their parameters in ring arithmetic."""
+    lhs = x(r, t)
+    for key in ((s, u), (r, ring.neg(t)), (s, ring.neg(u))):
+        lhs = mat_mul(ring, lhs, x(*key))
+    rhs = identity(ring, alg.dim)
     for i, j in chain_pairs(alg.system, r, s):
         gamma = tuple(i * a + j * b for a, b in zip(r, s))
         param = ring.mul(ring.from_int(coeffs[(i, j)]),
                          ring.mul(ring.power(t, i), ring.power(u, j)))
-        rhs = rhs.mul(unipotent(alg, ring, gamma, param))
+        rhs = mat_mul(ring, rhs, x(gamma, param))
     return lhs == rhs
 
 
@@ -228,6 +242,7 @@ def test_commutator_identity_across_rings():
         sysm, alg = group_for(name)
         for ring_name in ("Z/4", "Z/5", "Z/7", "F4"):
             ring = ring_make(ring_name)
+            x = unipotent_memo(alg, ring)
             rng = random.Random(hash((name, ring_name)) & 0xFFFF)
             for r, s in itertools.permutations(sysm.roots, 2):
                 if s == tuple(-c for c in r):
@@ -235,7 +250,7 @@ def test_commutator_identity_across_rings():
                 coeffs = chain_coefficients(alg, r, s)
                 for _ in range(3):
                     t, u = ring.rand(rng), ring.rand(rng)
-                    assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs)
+                    assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs, x)
 
 
 def test_root_table_holds_every_unipotent():
@@ -254,16 +269,37 @@ def test_root_table_holds_every_unipotent():
 def test_commutator_pattern_agrees_with_element_oracle(name, ring_name):
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
-    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
-    elems = list(ring.elements())
+    stack, x = root_stack(alg, ring), unipotent_memo(alg, ring)
+    params = list(itertools.product(ring.elements(), repeat=2))
     for r, s in itertools.permutations(sysm.roots, 2):
         if r == sysm.negate(s):
             continue
         coeffs = chain_coefficients(alg, r, s)
-        checks = [(r, s, t, u, coeffs) for t, u in itertools.product(elems, repeat=2)]
-        assert commutator_pattern_holds(ring, stack, rows, checks).all(), (r, s)
-        for t, u in itertools.product(elems, repeat=2):
-            assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs), (r, s, t, u)
+        assert commutator_pattern_holds(alg, ring, stack, [(r, s, coeffs)], params).all(), (r, s)
+        for t, u in params:
+            assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs, x), (r, s, t, u)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("ring_name", ["Z/4", "F4", "Z/3xZ/3"])
+def test_commutator_rows_match_ring_arithmetic(name, ring_name):
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    rows = stack_rows(alg, ring)
+    params = list(itertools.product(ring.elements(), repeat=2))
+    pairs = [(r, s, chain_coefficients(alg, r, s))
+             for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s)]
+    sides, factors, lengths = commutator_rows(alg, ring, pairs, params)
+    chains = np.split(factors, np.cumsum(lengths)[:-1])
+    assert len(sides) == len(chains) == len(pairs)
+    for (r, s, coeffs), side, chain in zip(pairs, sides, chains):
+        assert side.tolist() == [[rows[key] for key in keys] for keys in (
+            [(r, t) for t, _ in params], [(s, u) for _, u in params],
+            [(r, ring.neg(t)) for t, _ in params], [(s, ring.neg(u)) for _, u in params])]
+        want = [[rows[(tuple(i * a + j * b for a, b in zip(r, s)),
+                       ring.mul(ring.from_int(c), ring.mul(ring.power(t, i), ring.power(u, j))))]
+                 for t, u in params] for (i, j), c in coeffs.items()]
+        assert [f.tolist() for f in chain] == (want or [[rows[(r, ring.zero)]] * len(params)])
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -271,19 +307,34 @@ def test_commutator_pattern_agrees_with_element_oracle(name, ring_name):
 def test_perturbed_chain_is_rejected_at_the_same_parameters(name, ring_name):
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
-    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
-    elems = list(ring.elements())
+    stack, x = root_stack(alg, ring), unipotent_memo(alg, ring)
+    params = list(itertools.product(ring.elements(), repeat=2))
     r, s = sysm.simple(0), sysm.simple(1)
     for key in chain_coefficients(alg, r, s):
         coeffs = dict(chain_coefficients(alg, r, s))
         coeffs[key] += 1
-        params = list(itertools.product(elems, repeat=2))
-        holds = commutator_pattern_holds(ring, stack, rows,
-                                         [(r, s, t, u, coeffs) for t, u in params])
+        holds = commutator_pattern_holds(alg, ring, stack, [(r, s, coeffs)], params)
         got = {tu for tu, ok in zip(params, holds) if not ok}
         want = {(t, u) for t, u in params
-                if not commutator_identity_holds(alg, ring, r, s, t, u, coeffs)}
+                if not commutator_identity_holds(alg, ring, r, s, t, u, coeffs, x)}
         assert got == want and got, (key, sorted(got))
+
+
+@pytest.mark.parametrize("ring_name", ["Z/4", "F4", "F9", "Z/6", "Z/3xZ/3"])
+def test_diagonal_sandwich_is_the_torus_conjugation(ring_name):
+    ring = ring_make(ring_name)
+    for name in ("A2", "B2"):
+        sysm, alg = group_for(name)
+        stack = root_stack(alg, ring)
+        for alpha in sysm.roots:
+            for u in ring.units():
+                h = torus_alpha(alg, ring, alpha, u)
+                for m in (h.mat, h.inv_mat):
+                    assert all(v == ring.zero for i, row in enumerate(m)
+                               for j, v in enumerate(row) if i != j), (alpha, u)
+                got = diagonal_sandwich(ring, h.mat, stack, h.inv_mat)
+                want = sandwich(ring, h.mat, stack, h.inv_mat)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (alpha, u)
 
 
 def test_commuting_roots_give_trivial_commutator():
@@ -426,3 +477,4 @@ def test_tables_are_built_once_per_owner():
     assert _weyl_elements(alg, ring) is _weyl_elements(alg, ring)
     root = sysm.roots[0]
     assert _divided_powers_over(alg, ring, root) is _divided_powers_over(alg, ring, root)
+    assert ring_tables(ring) is ring_tables(ring_make("Z/4"))
