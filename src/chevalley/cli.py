@@ -215,9 +215,9 @@ def _suite_jacobi(system: str, ring_name: str, seed: int):
     """Jacobi identity on basis triples, over the integers.
 
     Structure constants are integral, so vanishing over Z settles every ring.
-    On their tensor c[u, v, m], one first index is three 2-D integer
-    products; past 12000 triples a seeded sample is read.  The suite also
-    rechecks the extraspecial-pair sizes and the divided powers' integrality.
+    On their tensor c[u, v, m], one first index is one ``stack_mul`` of three
+    matrices over Z; past 12000 triples a seeded sample is read.  The suite
+    also rechecks the extraspecial-pair sizes and the divided powers' integrality.
     """
     sysm, alg = group_for(system)
     keys = list(sysm.roots) + list(range(sysm.rank))
@@ -227,10 +227,12 @@ def _suite_jacobi(system: str, ring_name: str, seed: int):
         for k, c in alg.bracket_basis(a, b).items():
             consts[u, v, at[k]] = c
     flat, tall = consts.reshape(d, d * d), consts.reshape(d * d, d)
+    right, ints = np.stack([flat, flat, tall.T]), ring_make("Z")
     bad = np.empty((d, d, d), dtype=bool)
-    for a in range(d):   # [[a,b],c] + [[b,c],a] + [[c,a],b] over every (b, c)
-        bad[a] = ((consts[a] @ flat).reshape(d, d, d) + (tall @ consts[:, a]).reshape(d, d, d)
-                  + (consts[:, a] @ flat).reshape(d, d, d).transpose(1, 0, 2)).any(axis=2)
+    for a in range(d):   # [[a,b],c] + [[c,a],b] + [[b,c],a] over every (b, c)
+        left = np.stack([consts[a], consts[:, a], consts[:, a].T])
+        abc, cab, bca = stack_mul(ints, left, right).reshape(3, d, d, d)
+        bad[a] = (abc + cab.transpose(1, 0, 2) + bca.transpose(1, 2, 0)).any(axis=2)
     n, labels = d ** 3, [list(r) for r in sysm.roots] + [["h", j] for j in range(sysm.rank)]
     picked = np.array(random.Random(seed).sample(range(n), 12000)) if n > 12000 else np.arange(n)
     checks = len(picked)

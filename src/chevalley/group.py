@@ -49,7 +49,7 @@ import numpy as np
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (Matrix, identity, mat_map, mat_mul, matrix, ring_tables,
-                              stack_dtype, stack_mul)
+                              stack_dtype, stack_mul, to_matrix)
 from chevalley.rings import Ring
 from chevalley.roots import Root
 
@@ -158,7 +158,9 @@ def torus_chi(alg: AdjointAlgebra, ring: Ring, units: Tuple) -> GroupElement:
 
 
 def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> GroupElement:
-    out = identity_element(alg, ring)
+    """The product of a word's tokens: one batched ``stack_mul`` per token takes
+    the matrices left to right and the inverses right to left as arrays."""
+    factors = []
     for token in tokens:
         kind, root, t = token
         if kind == "x":
@@ -171,8 +173,13 @@ def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> Group
             factor = torus_chi(alg, ring, root)
         else:
             raise ValueError(f"unknown token kind {kind!r}")
-        out = out.mul(factor)
-    return out
+        factors.append(factor)
+    dtype = stack_dtype(ring, alg.dim) if ring.size else object   # over Z entries grow
+    acc = np.array([identity(ring, alg.dim)] * 2, dtype=dtype)
+    for mat, inv in np.array([(f.mat, f.inv_mat) for f in factors], dtype=dtype):
+        acc = stack_mul(ring, np.stack([acc[0], inv]), np.stack([mat, acc[1]]))
+    return GroupElement(ring, to_matrix(ring, acc[0]), to_matrix(ring, acc[1]),
+                        tuple(itertools.chain.from_iterable(f.word for f in factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ exactly.  A stack is the array form that batched code works on: a numpy
 array of elements with leading batch axes (over a product ring an element is
 the last axis, one entry per factor).  ``stack_mul`` is the one product
 kernel: int64 under ``residue_dtype`` over Z/n and over Z (exact object
-arrays past the guard), ``field_matmul`` over GF(p^k), k^2 int64 products of
+arrays past the guard), ``field_matmul`` over GF(p^k), k^2 products of
 base-p digit planes, and over a product ring one product per factor, each on
-that factor's path.  ``mat_mul`` turns tuple matrices into arrays and calls
-it; over Z it feeds the guard the largest |entry| of both factors, read off
+that factor's path.  Stacks are stored as int64 (or object).  A product
+with a batch axis is carried in float32 where ``residue_dtype`` allows, as
+integers below 2^24 that float32 holds exactly, then reduced and cast back
+once: the delayed reduction of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
+35(3), 2008).  Floats never leave this module.  ``mat_mul`` turns tuple
+matrices into arrays and calls it; over Z it feeds the guard the largest |entry| of both factors, read off
 the Python ints before any cast.  ``sandwich`` computes left m right over a
 stack, taking the two tuple matrices in the stack's dtype, and
 ``diagonal_sandwich`` the same for diagonal ones by scaling.  ``row_ops`` is
@@ -62,13 +66,17 @@ def mat_scale(ring: Ring, c, a: Matrix) -> Matrix:
     return tuple(tuple(ring.mul(c, x) for x in row) for row in a)
 
 
-def residue_dtype(bound: int, inner: int):
+def residue_dtype(bound: int, inner: int, carrier: bool = False):
     """int64 when a sum of ``inner`` products of integers of absolute value
-    below ``bound`` stays below 2**63, else object (exact Python ints).
+    below ``bound`` stays below 2**63, else object (exact Python ints).  With
+    ``carrier``, the type a product is computed in rather than stored in:
+    float32 while that sum stays below 2**24, where it is exact.
 
-    ``bound`` is the modulus over Z/n and max|entry| + 1 over Z.
+    ``bound`` is the modulus over Z/n, p for a GF(p^k) digit plane and
+    max|entry| + 1 over Z.
     """
-    return np.int64 if inner * (bound - 1) ** 2 < 2 ** 63 else object
+    top = inner * (bound - 1) ** 2
+    return np.float32 if carrier and top < 2 ** 24 else np.int64 if top < 2 ** 63 else object
 
 
 @lru_cache(maxsize=None)
@@ -89,17 +97,20 @@ def field_matmul(ring: FieldTable, a, b):
     ``@`` accepts).
 
     An index is the base-p digit vector of a polynomial of degree < k, so the
-    product is k^2 int64 products of digit planes, one per pair of degrees,
-    then a reduction mod p and by the field's irreducible polynomial.
+    product is k^2 products of digit planes, one per pair of degrees, then a
+    reduction mod p and by the field's irreducible polynomial.  A coefficient
+    sums k plane products of ``inner`` terms below p^2: the carrier's bound.
     """
     p, k = ring.p, ring.k
     poly = _IRREDUCIBLE[(p, k)]
-    da = [a // p ** i % p for i in range(k)]
-    db = [b // p ** i % p for i in range(k)]
+    carrier = residue_dtype(p, k * a.shape[-1], carrier=max(a.ndim, b.ndim) > 2)
+    da = [(a // p ** i % p).astype(carrier, copy=False) for i in range(k)]
+    db = [(b // p ** i % p).astype(carrier, copy=False) for i in range(k)]
     coeff = [0] * (2 * k - 1)
     for i in range(k):
         for j in range(k):
             coeff[i + j] = coeff[i + j] + da[i] @ db[j]
+    coeff = [c.astype(np.result_type(a, b), copy=False) for c in coeff]
     for d in range(2 * k - 2, k - 1, -1):   # x^k = -(poly[0] + ... + poly[k-1] x^(k-1))
         c = coeff[d] % p
         for j in range(k):
@@ -125,15 +136,32 @@ def stack_mul(ring: Ring, a, b):
     """a @ b over the ring on arrays of elements with leading batch axes
     (numpy broadcasting): mod n over Z/n, ``field_matmul`` over GF(p^k),
     plain over Z.  Over a product ring an element is its last axis, one entry
-    per factor, and each factor multiplies its own stack on its own path."""
+    per factor, and each factor multiplies its own stack on its own path.
+
+    The result has the operands' dtype.  A product of int64 arrays with a
+    batch axis is carried in float32 when ``residue_dtype(bound, inner,
+    carrier=True)`` allows, bound being the modulus over Z/n and max|entry| + 1
+    over Z: every partial sum is then an integer below 2^24 in absolute value,
+    exact in float32 in any order.  So is x - n floor(x / n): x / n rounds by
+    under half an ulp, less than 1/n there, and a quotient that is not an
+    integer lies at least 1/n from one.  2-D products (``mat_mul``, the
+    intertwiner's recombination) stay on the integer path."""
     if isinstance(ring, ProductRing):
         return np.stack([stack_mul(f, a[..., i], b[..., i])
                          for i, f in enumerate(ring.factors)], axis=-1)
     if isinstance(ring, FieldTable):
         return field_matmul(ring, a, b)
+    mod = ring.n if isinstance(ring, ZMod) else 0
+    if max(a.ndim, b.ndim) > 2 and np.result_type(a, b) == np.int64:
+        bound = mod or max((int(abs(x).max()) for x in (a, b) if x.size), default=0) + 1
+        if residue_dtype(bound, a.shape[-1], carrier=True) is np.float32:
+            out = a.astype(np.float32) @ b.astype(np.float32)
+            if mod:
+                out -= np.floor(out / mod) * mod
+            return out.astype(np.int64)
     out = a @ b
-    if isinstance(ring, ZMod):
-        out %= ring.n
+    if mod:
+        out %= mod
     return out
 
 

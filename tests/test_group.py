@@ -30,6 +30,7 @@ from chevalley.group import (
     commutator_rows,
     from_word,
     group_for,
+    identity_element,
     root_stack,
     stack_rows,
     torus_alpha,
@@ -362,6 +363,36 @@ def test_from_word_and_inverse_words():
     assert g.word == word
     assert is_identity(ring, g.mul(inverse(g)).mat)
     assert from_word(alg, ring, inverse(g).word) == inverse(g)
+
+
+def token_element(alg, ring, token):
+    kind, root, t = token
+    build = {"x": unipotent, "w": weyl, "h": torus_alpha}.get(kind)
+    return torus_chi(alg, ring, root) if kind == "chi" else build(alg, ring, root, t)
+
+
+@pytest.mark.parametrize("name,ring_name", [("A2", "Z/4"), ("B2", "F4"), ("G2", "Z/3xZ/3"),
+                                            ("A3", "Z/4"), ("D4", "Z/2"), ("G2", "Z")])
+def test_from_word_is_the_fold_of_its_tokens(name, ring_name):
+    """from_word multiplies token arrays; the oracle folds GroupElement.mul
+    (tuple mat_mul) over the same tokens, the inverses in reverse order."""
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    rng = random.Random(name + ring_name)
+    units = ring.units() if ring.size else [1, -1]
+    for length in [0, 1, 2] + [rng.randrange(3, 9) for _ in range(6)]:
+        word = []
+        for _ in range(length):
+            kind = rng.choice(("x", "w", "h", "chi"))
+            if kind == "chi":
+                word.append((kind, tuple(rng.choice(units) for _ in range(sysm.rank)), None))
+            else:
+                t = ring.rand(rng) if kind == "x" else rng.choice(units)
+                word.append((kind, rng.choice(sysm.roots), t))
+        want = functools.reduce(lambda g, token: g.mul(token_element(alg, ring, token)), word,
+                                identity_element(alg, ring))
+        g = from_word(alg, ring, tuple(word))
+        assert (g.mat, g.inv_mat, g.word) == (want.mat, want.inv_mat, want.word), word
 
 
 def test_push_element_commutes_with_matrices():

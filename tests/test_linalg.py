@@ -15,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
@@ -28,14 +30,17 @@ from chevalley.linalg import (
     mat_mul,
     mat_pow,
     matrix,
+    residue_dtype,
     ring_invert,
     row_ops,
     stack_dtype,
+    stack_mul,
     to_matrix,
 )
 from chevalley.rings import RingError, ring_make
 from oracles import det_bareiss, eliminate_scan, is_identity, mat_vec
 
+ZZ = ring_make("Z")
 LOCAL_RINGS = ["Z/4", "Z/8", "Z/9", "Z/5", "F4"]
 SPLIT_RINGS = ["Z/6", "Z/12", "Z/6xF4"]
 
@@ -388,6 +393,136 @@ def test_elimination_and_intertwiners_exact_past_int64():
         mb = tuple(vec[i * 3:(i + 1) * 3] for i in range(3))
         for y in (x, z):
             assert scalar_product(mod, mb, y) == scalar_product(mod, y, mb)
+
+
+# --- the float32 carrier tier --------------------------------------------------
+
+# (n, inner) with inner (n - 1)^2 just below 2^24; n + 1 or inner + 1 passes it
+CARRIER_EDGES = [(4096, 1), (2897, 2), (2365, 3)]
+# a stack times one matrix, one matrix times a stack, broadcast batch axes
+BATCH_SHAPES = [((5, 3), (), 4), ((), (2,), 4), ((2, 1), (1, 3), 2)]
+
+
+def batched_operands(inner, fill, dtype=np.int64):
+    """(a, b) pairs over BATCH_SHAPES with every entry ``fill``."""
+    return [(np.full(ba + (m, inner), fill, dtype=dtype), np.full(bb + (inner, 3), fill, dtype=dtype))
+            for ba, bb, m in BATCH_SHAPES]
+
+
+@pytest.mark.parametrize("n,inner", CARRIER_EDGES)
+def test_carrier_tier_ends_at_two_to_the_24(n, inner):
+    assert inner * (n - 1) ** 2 < 2 ** 24 <= min(inner * n ** 2, (inner + 1) * (n - 1) ** 2)
+    assert residue_dtype(n, inner, carrier=True) is np.float32
+    assert residue_dtype(n + 1, inner, carrier=True) is np.int64
+    assert residue_dtype(n, inner + 1, carrier=True) is np.int64
+    assert residue_dtype(n, inner) is np.int64     # storage never takes the tier
+
+
+def test_float32_sums_are_inexact_past_the_edge():
+    # what the guard prevents: 3 * 2365^2 = 16779675 is odd and past 2^24
+    a, b = batched_operands(3, 2365, np.float32)[0]
+    assert int((a @ b).max()) != 3 * 2365 ** 2
+
+
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("n,inner", CARRIER_EDGES)
+def test_stack_mul_is_exact_on_both_sides_of_the_edge(n, inner, past):
+    # every entry n - 1, the largest partial sums the tier can meet
+    mod = n + past
+    ring = ring_make(f"Z/{mod}")
+    for a, b in batched_operands(inner, mod - 1):
+        got = stack_mul(ring, a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (a @ b) % mod)
+
+
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("n,inner", CARRIER_EDGES)
+def test_stack_mul_over_z_is_exact_on_both_sides_of_the_edge(n, inner, past):
+    # over Z the bound is max|entry| + 1, here with both signs, as in the
+    # Jacobi contraction of the structure constants
+    rng = np.random.default_rng(n + past)
+    for a, b in batched_operands(inner, n - 1 + past):
+        a *= rng.choice((-1, 1), size=a.shape)
+        b *= rng.choice((-1, 1), size=b.shape)
+        got = stack_mul(ZZ, a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, a @ b)
+    # the bound reads both factors: a small one times one past 2^24
+    a, b = batched_operands(inner, 1)[0][0], np.full((inner, 3), 2 ** 24 + 1)
+    assert np.array_equal(stack_mul(ZZ, a, b), a @ b)
+    assert np.array_equal(stack_mul(ZZ, b.T, a.swapaxes(-1, -2)), b.T @ a.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("n", [4093, 4095])
+def test_carrier_reduction_is_exact_next_to_every_multiple(n):
+    # the top residues times every residue give quotients x / n just below
+    # and at integers, where a reduction through an inexact 1 / n is off by n
+    a, b = np.arange(n - 64, n).reshape(2, 32, 1), np.arange(n).reshape(1, n)
+    assert np.array_equal(stack_mul(ring_make(f"Z/{n}"), a, b), (a @ b) % n)
+
+
+def matrices_of(got, a, b, tail=2):
+    """Each matrix of a batched product with the operand matrices it came
+    from, the operands broadcast; a matrix is the last ``tail`` axes (3 over
+    a product ring, whose elements are the last axis)."""
+    batch = got.shape[:-tail]
+    a, b = (np.broadcast_to(x, batch + x.shape[-tail:]) for x in (a, b))
+    return [(got[i], a[i], b[i]) for i in np.ndindex(batch)]
+
+
+@pytest.mark.parametrize("name", ["Z/4096xZ/4097", "Z/3xF4", "Z/3xZ/3"])
+def test_product_ring_stack_mul_takes_each_factor_tier(name):
+    # at inner 1, Z/4096 is inside the tier and Z/4097 past it
+    ring = ring_make(name)
+    rng = random.Random(name)
+    top = np.array([f.size - 1 for f in ring.factors])
+    for a, b in batched_operands(1, 0):
+        a, b = a[..., None] + top, b[..., None] + top
+        a[..., 0, 0, :] = [f.rand(rng) for f in ring.factors]
+        got = stack_mul(ring, a, b)
+        for g, x, y in matrices_of(got, a, b, tail=3):
+            assert to_matrix(ring, g) == table_product(ring, to_matrix(ring, x), to_matrix(ring, y))
+
+
+@pytest.mark.parametrize("name", ["F4", "F8", "F9", "F16"])
+def test_field_digit_planes_in_the_tier_match_the_tables(name):
+    # every digit p - 1 (the index p^k - 1), and random stacks, batched and
+    # broadcast, against the table oracle
+    ring = ring_make(name)
+    rng = np.random.default_rng(ring.size)
+    assert residue_dtype(ring.p, ring.k * 8, carrier=True) is np.float32
+    for a, b in batched_operands(8, ring.size - 1) + [
+            (rng.integers(0, ring.size, (4, 5, 8)), rng.integers(0, ring.size, (8, 6))),
+            (rng.integers(0, ring.size, (2, 1, 5, 8)), rng.integers(0, ring.size, (3, 8, 6)))]:
+        got = stack_mul(ring, a, b)
+        assert got.dtype == np.int64
+        for g, x, y in matrices_of(got, a, b):
+            assert to_matrix(ring, g) == table_product(ring, to_matrix(ring, x), to_matrix(ring, y))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["Z/n", "Z"]), st.integers(2, 5000), st.integers(0, 6),
+       st.lists(st.integers(1, 3), max_size=2), st.data())
+def test_stack_mul_matches_the_int64_oracle(kind, n, inner, batch, data):
+    # random batch shapes, each axis of each operand either kept or 1, around
+    # the tier's edge: inner (n - 1)^2 < 2^24 holds up to n = 1673 at inner 6
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    axes = [data.draw(st.sampled_from([(d, d), (d, 1), (1, d)])) for d in batch]
+    sa, sb = (tuple(side[i] for side in axes) for i in (0, 1))
+    a_shape = sa[data.draw(st.integers(0, len(sa))):] + (data.draw(st.integers(1, 4)), inner)
+    b_shape = sb[data.draw(st.integers(0, len(sb))):] + (inner, data.draw(st.integers(1, 4)))
+    if kind == "Z":
+        ring = ZZ
+        a, b = (rng.integers(-n + 1, n, shape) for shape in (a_shape, b_shape))
+        want = a @ b
+    else:
+        ring = ring_make(f"Z/{n}")
+        a, b = (rng.integers(0, n, shape) for shape in (a_shape, b_shape))
+        want = (a @ b) % n
+    got = stack_mul(ring, a, b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 # --- products over Z ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """What the benchmark harness and the package exports reach must exist,
-every import in src and tests must be read, and every definition in src must
-be read by src or the benchmark harness.
+every import in src and tests must be read, every definition in src must
+be read by src or the benchmark harness, and only linalg names a float dtype.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
@@ -15,6 +15,8 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import chevalley
 from chevalley import cli, decomposer
@@ -102,6 +104,43 @@ def test_no_unused_imports():
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted(TESTS.glob("*.py"))
     assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+FLOAT_TYPES = {name for name in dir(np)
+               if isinstance(getattr(np, name), type) and issubclass(getattr(np, name), np.floating)}
+
+
+def float_dtypes_named(path: Path) -> list:
+    """Where the module at path names a float dtype: a numpy float type
+    (np.float32, np.double, ...), the builtin float, or a string of a float
+    dtype passed as ``dtype=`` or to ``astype`` or ``np.dtype``."""
+    def is_float_string(node):
+        if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+            return False
+        try:
+            return np.dtype(node.value).kind == "f"
+        except TypeError:
+            return False
+
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in FLOAT_TYPES
+                or isinstance(node, ast.Name) and node.id == "float"):
+            hits.append(f"{path.name}:{node.lineno}")
+        elif isinstance(node, ast.Call):
+            args = [k.value for k in node.keywords if k.arg == "dtype"]
+            if isinstance(node.func, ast.Attribute) and node.func.attr in ("astype", "dtype"):
+                args += node.args[:1]
+            hits += [f"{path.name}:{node.lineno}" for a in args if is_float_string(a)]
+    return hits
+
+
+def test_floats_stay_in_the_product_kernel():
+    # linalg carries exact integer products in float32; stacks, tables and
+    # artifacts elsewhere hold integers only
+    assert float_dtypes_named(SRC / "linalg.py")
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+            for hit in float_dtypes_named(path)] == []
 
 
 def test_tracer_runs_certify_and_the_commutator_suite(monkeypatch, tmp_path):
