@@ -23,7 +23,6 @@ from chevalley.group import (
     GroupElement,
     from_word,
     group_for,
-    torus_alpha,
     torus_chi,
     unipotent,
     weyl,
@@ -39,6 +38,6 @@ __all__ = [
     "certify", "crt_split", "diagram_symmetries",
     "forge_random", "forge_random_parts", "from_word", "group_for",
     "recover_family", "recovery_regime", "ring_automorphisms", "ring_make",
-    "spanning_params", "spec_from_elements", "spec_from_json", "torus_alpha",
-    "torus_chi", "unipotent", "weyl",
+    "spanning_params", "spec_from_elements", "spec_from_json", "torus_chi",
+    "unipotent", "weyl",
 ]

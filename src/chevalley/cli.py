@@ -32,8 +32,7 @@ from chevalley.group import (
     group_for,
     root_stack,
     stack_rows,
-    torus_alpha,
-    weyl,
+    word_stack,
 )
 from chevalley.linalg import (diagonal_sandwich, from_ints, identity, ring_tables, sandwich,
                               stack_equal, stack_mul)
@@ -153,8 +152,9 @@ def _suite_laws(system: str, ring_name: str, seed: int):
 
 def _suite_eq1(system: str, ring_name: str, seed: int):
     """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t), per
-    (alpha, u) one diagonal_sandwich of a root_stack (h_alpha(u) is
-    diagonal) against rows read off ring_tables."""
+    (alpha, u) one diagonal_sandwich of a root_stack by the diagonal of
+    h_alpha(u), u^<beta,alpha> on the root vectors, against rows read off
+    ring_tables."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
@@ -162,12 +162,12 @@ def _suite_eq1(system: str, ring_name: str, seed: int):
     checks, failures = 0, []
     for alpha in sysm.roots:
         pairings = [sysm.pairing(beta, alpha) for beta in sysm.roots]
-        for u in ring.units():
-            h = torus_alpha(alg, ring, alpha, u)
+        for u in ring.units():   # u^0 = 1 on the Cartan part
+            h, h_inv = (np.array([ring.power(u, e * p) for p in pairings + [0] * sysm.rank],
+                                 dtype=stack.dtype) for e in (1, -1))
             scale = mul[[index[ring.power(u, p)] for p in pairings]]
             want = np.arange(len(sysm.roots))[:, None] * len(index) + scale
-            held = stack_equal(diagonal_sandwich(ring, h.mat, stack, h.inv_mat),
-                               stack[want.ravel()])
+            held = stack_equal(diagonal_sandwich(ring, h, stack, h_inv), stack[want.ravel()])
             checks += len(rows)
             failures += [{"check": "torus-conjugation",
                           "alpha": list(alpha), "beta": list(beta),
@@ -178,16 +178,16 @@ def _suite_eq1(system: str, ring_name: str, seed: int):
 
 def _suite_weyl(system: str, ring_name: str, seed: int):
     """w_alpha(1) x_beta(t) w_alpha(1)^-1 = x_{s_alpha beta}(sign * t), one
-    sandwich of a root_stack per alpha; the sign is read off the slot of
-    s_alpha beta at t = 1."""
+    sandwich of a root_stack per alpha by w_alpha(1) and its inverse, all of
+    them one word_stack; the sign is read off the slot of s_alpha beta at t = 1."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     elems = list(ring.elements())
     stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
     checks, failures = 0, []
-    for alpha in sysm.roots:
-        w = weyl(alg, ring, alpha, ring.one)
-        conj = sandwich(ring, w.mat, stack, w.inv_mat)
+    weyls = word_stack(alg, ring, [(("w", alpha, ring.one),) for alpha in sysm.roots])
+    for alpha, w, w_inv in zip(sysm.roots, *weyls):
+        conj = sandwich(ring, w, stack, w_inv)
         gamma = {beta: sysm.reflect(beta, alpha) for beta in sysm.roots}
         slots = [alg._slot(gamma[beta]) for beta in sysm.roots]
         # an entry is a list over a product ring; ring.mul makes it an element
@@ -238,22 +238,11 @@ def _suite_jacobi(system: str, ring_name: str, seed: int):
     checks = len(picked)
     failures = [{"check": "jacobi", "triple": [labels[i] for i in np.unravel_index(q, bad.shape)]}
                 for q in picked[bad.ravel()[picked]]]
-    for r, s in itertools.permutations(sysm.roots, 2):
-        total = tuple(x + y for x, y in zip(r, s))
-        if not sysm.is_root(total):
-            continue
-        checks += 1
-        down = 0
-        probe = r
-        while True:
-            prev = tuple(x - y for x, y in zip(probe, s))
-            if not sysm.is_root(prev):
-                break
-            probe = prev
-            down += 1
-        if abs(alg.n_const(r, s)) != down + 1:
-            failures.append({"check": "extraspecial-size",
-                             "pair": [list(r), list(s)]})
+    for r, s in itertools.permutations(sysm.roots, 2):   # |N_rs| = p + 1, r - p s a root
+        if sysm.is_root(tuple(x + y for x, y in zip(r, s))):
+            checks += 1
+            if abs(alg.n_const(r, s)) != alg.constants.chain_down(s, r) + 1:
+                failures.append({"check": "extraspecial-size", "pair": [list(r), list(s)]})
     for root in sysm.roots:
         checks += 1
         try:
@@ -285,9 +274,9 @@ def _suite_commutator(system: str, ring_name: str, seed: int):
 
 def _suite_recover(system: str, ring_name: str, seed: int):
     """recover_family on g x_root(1) g^-1 against g X_root g^-1 for every root,
-    five random conjugators g: per trial one sandwich of the x_root(1) stack,
-    one of the integer adjoint matrices mapped into the ring, and one
-    recover_family call."""
+    five random conjugators g: per trial one from_word, one sandwich of the
+    x_root(1) stack and the integer adjoint matrices mapped into the ring, side
+    by side, and one recover_family call."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     regime = recovery_regime(sysm, ring)
@@ -299,7 +288,8 @@ def _suite_recover(system: str, ring_name: str, seed: int):
     rng = random.Random(seed)
     units = ring.units()
     at_one = root_stack(alg, ring, (ring.one,))
-    lie = from_ints(ring, [alg.x_mats[root] for root in sysm.roots], at_one.dtype)
+    both = np.concatenate([at_one, from_ints(ring, [alg.x_mats[root] for root in sysm.roots],
+                                             at_one.dtype)])
     checks, failures = 0, []
     for trial in range(5):
         word = []
@@ -309,14 +299,12 @@ def _suite_recover(system: str, ring_name: str, seed: int):
             t = ring.rand(rng) if kind == "x" else rng.choice(units)
             word.append((kind, root, t))
         g = from_word(alg, ring, tuple(word))
-        held = stack_equal(recover_family(alg, ring, sandwich(ring, g.mat, at_one, g.inv_mat)),
-                           sandwich(ring, g.mat, lie, g.inv_mat))
+        images, lie = np.split(sandwich(ring, g.mat, both, g.inv_mat), 2)
+        held = stack_equal(recover_family(alg, ring, images), lie)
         checks += len(sysm.roots)
-        failures += [{"check": "recover-conjugated-family",
-                      "regime": regime, "trial": trial,
+        failures += [{"check": "recover-conjugated-family", "regime": regime, "trial": trial,
                       "root": list(root),
-                      "word": [[k, list(r), ring.element_to_json(t)]
-                               for k, r, t in word]}
+                      "word": [[k, list(r), ring.element_to_json(t)] for k, r, t in word]}
                      for root, ok in zip(sysm.roots, held) if not ok]
     return checks, failures
 

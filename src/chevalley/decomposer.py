@@ -64,6 +64,7 @@ from chevalley.group import (
     torus_chi,
     unipotent,
     weyl,
+    x_stack,
 )
 from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import (
@@ -81,6 +82,7 @@ from chevalley.linalg import (
     stack_dtype,
     stack_equal,
     stack_mul,
+    to_matrix,
 )
 from chevalley.rings import (
     ProductRing,
@@ -884,15 +886,11 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
             word.append((kind, rng.choice(sysm.roots), rng.choice(units)))
     g = from_word(alg, ring, tuple(word))
 
-    table: Dict[Tuple[Root, object], Matrix] = {}
-    for root in sysm.roots:
-        for t in spanning_params(ring):
-            inner = unipotent(alg, ring, root, rho(t)).mat
-            m = mat_mul(ring, mat_mul(ring, lam,
-                        mat_mul(ring, mat_mul(ring, g.mat, inner), g.inv_mat)),
-                        lam_inv)
-            table[(root, t)] = m
-    spec = spec_from_elements(system, ring, table)
+    keys = list(itertools.product(sysm.roots, spanning_params(ring)))
+    images = sandwich(ring, mat_mul(ring, lam, g.mat),
+                      x_stack(alg, ring, [(root, rho(t)) for root, t in keys]),
+                      mat_mul(ring, g.inv_mat, lam_inv))
+    spec = spec_from_elements(system, ring, {k: to_matrix(ring, m) for k, m in zip(keys, images)})
     planted = {
         "lambda": lam,
         "lambda_inv": lam_inv,

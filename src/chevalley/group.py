@@ -10,24 +10,25 @@ generators that produced it.  Words use four token kinds:
     ("chi", units, None)  torus element for the character units_j^(beta_j)
 
 The chi token exists because the adjoint torus is bigger than the span of the
-h_root elements; conjugator words coming out of big-cell factorizations need
-it.  torus_chi builds every torus matrix: h_root(u) is the character
-u^<beta, root>, under its own h token.  Words are what certificates replay;
-the matrix is what equality means.
+h_root elements.  Words are what certificates replay; the matrix is what
+equality means.  word_stack is the one word product, on arrays, for a list
+of words at once: the x factors (three per w token) from one x_stack, each
+torus token the diagonal of its character, the factors as a balanced tree of
+batched products; from_word is the group element of one word.
 
-x_root(t) is 1 + sum_k t^k D_k over the divided powers D_k of ad e_root.
-Each D_k is memoised per (algebra, ring, root) as its nonzero (i, j, value)
-entries only, so building x_root(t) costs O(nnz) per power.  The chain
-constants of the commutator formula come in closed form from the structure
-constants (Carter, Simple Groups of Lie Type, 5.2), once per (algebra, r, s),
-and are shared read-only by the precheck and the verify suites.
+x_root(t) is 1 + sum_k t^k D_k, D_k = X^k / k! for X = ad e_root (Steinberg,
+Lectures on Chevalley Groups, 1967, section 3).  D_k moves weight mu to
+mu + k root and basis vectors have weight a root or 0, so entry (i, j) is
+nonzero in at most one D_k, never on the diagonal: it is one term c t^k,
+k <= 3.  x_stack, the one builder of x_root(t), gathers any set of them from a
+per-algebra int8 pattern and a table of c t^k over the parameters asked for.
+The chain constants of the commutator formula come in closed form from the
+structure constants (Carter, Simple Groups of Lie Type, 5.2), once per
+(algebra, r, s), shared read-only by the precheck and the verify suites.
 
-Over a finite ring, root_stack holds the matrix of x_root(t) for every root
-and every element t as one stack (see linalg), in the rows of stack_rows:
-root-major, the elements in ring.elements() order; given parameters, it
-holds x_root(t) at those only, so at t = 1 one matrix per root.  It is
-built per call and dropped on return, and it is the one form of that table:
-certify and every verify suite, recover included, read it.
+root_stack holds x_root(t) for every root and every element of a finite ring
+(or every t of given parameters) as one stack (see linalg), root-major, in
+the rows of stack_rows; certify and every verify suite read it.
 commutator_pattern_holds is the one check of the commutator formula: for
 root pairs times parameters (t, u) it reads every factor, and the inverses
 at -t and -u, from such a stack at rows computed on ring_tables.  The
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
@@ -48,8 +49,8 @@ from typing import Dict, Iterable, Mapping, Tuple
 import numpy as np
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import (Matrix, identity, mat_map, mat_mul, matrix, ring_tables,
-                              stack_dtype, stack_mul, to_matrix)
+from chevalley.linalg import (Matrix, identity, mat_mul, ring_tables, stack_dtype, stack_mul,
+                              to_matrix)
 from chevalley.rings import Ring
 from chevalley.roots import Root
 
@@ -82,104 +83,107 @@ def identity_element(alg: AdjointAlgebra, ring: Ring) -> GroupElement:
 
 
 @lru_cache(maxsize=None)
-def _divided_powers_over(alg: AdjointAlgebra, ring: Ring, root: Root):
-    """Per divided power of ad e_root, its nonzero entries as (i, j, value)
-    with the value in ring form."""
-    zero = ring.zero
-    return tuple(
-        tuple((i, j, v) for i, row in enumerate(mat_map(ring.from_int, dp))
-              for j, v in enumerate(row) if v != zero)
-        for dp in alg.divided_powers(root))
+def _x_pattern(alg: AdjointAlgebra):
+    """(cell, constants): entry (i, j) of x_root(t) is constants[c] t^k where
+    cell[root position, i, j] = 4 c + k, one int8 per entry (k = 0 on the
+    diagonal's 1 and off the supports of the divided powers)."""
+    roots = alg.system.roots
+    full = np.array([np.eye(alg.dim, dtype=np.int64)] * len(roots))
+    degree = np.zeros_like(full)
+    for q, root in enumerate(roots):
+        for k, dp in enumerate(alg.divided_powers(root), 1):
+            degree[q] += k * (np.array(dp) != 0)
+            full[q] += dp
+    constants, coefficient = np.unique(full, return_inverse=True)
+    return (4 * coefficient.reshape(full.shape) + degree).astype(np.int8), tuple(constants.tolist())
+
+
+@lru_cache(maxsize=1 << 12)
+def _x_column(alg: AdjointAlgebra, ring: Ring, t) -> list:
+    """constant * t^k at 4 c + k, for every constant c of the pattern and k <= 3."""
+    powers = [ring.power(t, k) for k in range(4)]
+    return [ring.mul(c, p) for c in map(ring.from_int, _x_pattern(alg)[1]) for p in powers]
+
+
+def x_stack(alg: AdjointAlgebra, ring: Ring, keys):
+    """x_root(t) for every (root, t) of keys, in their order, as one stack
+    (see linalg.stack_mul), exact Python ints in an object array over Z: one
+    gather of every entry's pattern cell from the _x_column of each t."""
+    roots, params = zip(*keys)
+    column = {t: i for i, t in enumerate(dict.fromkeys(params))}
+    table = np.array([_x_column(alg, ring, t) for t in column],
+                     dtype=stack_dtype(ring, alg.dim) if ring.size else object)
+    cell = _x_pattern(alg)[0][list(map(alg.system.root_index, roots))]
+    return table[np.array([column[t] for t in params])[:, None, None], cell]
 
 
 def unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
-    return GroupElement(ring, _unipotent_matrix(alg, ring, root, t),
-                        _unipotent_matrix(alg, ring, root, ring.neg(t)),
-                        (("x", root, t),))
+    mat, inv = (to_matrix(ring, m) for m in x_stack(alg, ring, ((root, t), (root, ring.neg(t)))))
+    return GroupElement(ring, mat, inv, (("x", root, t),))
 
 
-def _unipotent_matrix(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> Matrix:
-    """sum_k t^k D_k over the sparse divided powers D_k (D_0 = 1)."""
-    zero, add, mul = ring.zero, ring.add, ring.mul
-    rows = [list(row) for row in identity(ring, alg.dim)]
-    power = ring.one
-    for entries in _divided_powers_over(alg, ring, root):
-        power = mul(power, t)
-        if power == zero:
-            break
-        for i, j, v in entries:
-            rows[i][j] = add(rows[i][j], mul(power, v))
-    return matrix(rows)
+def word_stack(alg: AdjointAlgebra, ring: Ring, words):
+    """The product of each word and, in reverse order, of its tokens'
+    inverses, as a stack of shape (2, len(words), n, n), for nonempty words
+    whose tokens have the same kinds in the same order.  Every x factor
+    (three per w token, w_root(t) = x_root(t) x_(-root)(-1/t) x_root(t))
+    comes from one x_stack, every torus token is the diagonal of its
+    character (h_root(u) that of u^<beta, root>), and the factors multiply
+    as a balanced tree of batched products."""
+    sysm, n, tail = alg.system, alg.dim, np.shape(ring.one)
+    keys, diagonals = [], []   # (matrix, inverse) per factor
+    for kind, root, t in itertools.chain.from_iterable(words):
+        if kind in ("x", "w"):
+            x = [(root, t), (root, ring.neg(t))]
+            if kind == "w":
+                u, neg = ring.inv(t), sysm.negate(root)
+                x += [(neg, ring.neg(u)), (neg, u)] + x
+            keys += x
+        elif kind in ("h", "chi"):
+            chi = [reduce(ring.mul, map(ring.power, root, beta), ring.one) if kind == "chi"
+                   else ring.power(t, sysm.pairing(beta, root)) for beta in sysm.roots]
+            chi += [ring.one] * sysm.rank
+            diagonals += [chi, list(map(ring.inv, chi))]
+        else:
+            raise ValueError(f"unknown token kind {kind!r}")
+    layout = "".join({"x": "x", "w": "xxx"}.get(kind, "d") for kind, _, _ in words[0])
+    at_x, at_d = ([q for q, c in enumerate(layout) if c == f] for f in "xd")
+    dtype = stack_dtype(ring, n) if ring.size else object   # over Z entries grow
+    mats = np.zeros((len(words), len(layout), 2, n, n) + tail, dtype=dtype)
+    if keys:
+        mats[:, at_x] = x_stack(alg, ring, keys).reshape(mats[:, at_x].shape)
+    if diagonals:   # the advanced index [factor, i] first, then word and matrix or inverse
+        diag = np.array(diagonals, dtype=dtype).reshape((len(words), len(at_d), 2, n) + tail)
+        mats[:, np.array(at_d)[:, None], :, range(n), range(n)] = np.moveaxis(diag, (1, 3), (0, 1))
+    factors = np.stack([mats[:, :, 0], mats[:, ::-1, 1]]).swapaxes(1, 2)
+    while factors.shape[1] > 1:   # a balanced tree, neighbours paired: one product a level
+        even = factors.shape[1] // 2 * 2
+        factors = np.concatenate([stack_mul(ring, factors[:, 0:even:2], factors[:, 1:even:2]),
+                                  factors[:, even:]], axis=1)
+    return factors[:, 0]
 
 
 def weyl(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
     """w_root(t) = x_root(t) x_(-root)(-1/t) x_root(t); t must be a unit."""
-    tinv = ring.inv(t)
-    neg_root = tuple(-c for c in root)
-    prod = unipotent(alg, ring, root, t) \
-        .mul(unipotent(alg, ring, neg_root, ring.neg(tinv))) \
-        .mul(unipotent(alg, ring, root, t))
-    return GroupElement(ring, prod.mat, prod.inv_mat, (("w", root, t),))
-
-
-def torus_alpha(alg: AdjointAlgebra, ring: Ring, root: Root, u) -> GroupElement:
-    """h_root(u), the torus element chi(beta) = u^<beta, root>: the pairing is
-    linear in beta, so chi takes u^<alpha_j, root> on the simple roots."""
-    sysm = alg.system
-    pairings = (sysm.pairing(sysm.simple(j), root) for j in range(sysm.rank))
-    h = torus_chi(alg, ring, tuple(ring.power(u, p) for p in pairings))
-    return GroupElement(ring, h.mat, h.inv_mat, (("h", root, u),))
+    return from_word(alg, ring, (("w", root, t),))
 
 
 def torus_chi(alg: AdjointAlgebra, ring: Ring, units: Tuple) -> GroupElement:
-    """The torus element acting by chi(beta) = prod units_j ^ beta_j.
-
-    chi ranges over all characters of the root lattice, so this covers the
-    full torus of the adjoint group, which need not lie in the elementary
-    subgroup; its word is the one chi token.
-    """
-    sysm = alg.system
-    inverses = tuple(ring.inv(u) for u in units)
-    n = alg.dim
-    diag = []
-    for beta in sysm.roots:
-        val = ring.one
-        for j, c in enumerate(beta):
-            base = units[j] if c >= 0 else inverses[j]
-            val = ring.mul(val, ring.power(base, abs(c)))
-        diag.append(val)
-    diag.extend([ring.one] * sysm.rank)
-    zeros = (ring.zero,) * n
-
-    def diagonal(values):
-        return tuple(zeros[:i] + (v,) + zeros[i + 1:] for i, v in enumerate(values))
-    return GroupElement(ring, diagonal(diag), diagonal(map(ring.inv, diag)),
-                        (("chi", units, None),))
+    """The torus element acting by chi(beta) = prod units_j ^ beta_j, as its
+    one-token word.  chi ranges over all characters of the root lattice, so
+    this covers the full torus of the adjoint group, which need not lie in
+    the elementary subgroup."""
+    return from_word(alg, ring, (("chi", units, None),))
 
 
 def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> GroupElement:
-    """The product of a word's tokens: one batched ``stack_mul`` per token takes
-    the matrices left to right and the inverses right to left as arrays."""
-    factors = []
-    for token in tokens:
-        kind, root, t = token
-        if kind == "x":
-            factor = unipotent(alg, ring, root, t)
-        elif kind == "w":
-            factor = weyl(alg, ring, root, t)
-        elif kind == "h":
-            factor = torus_alpha(alg, ring, root, t)
-        elif kind == "chi":
-            factor = torus_chi(alg, ring, root)
-        else:
-            raise ValueError(f"unknown token kind {kind!r}")
-        factors.append(factor)
-    dtype = stack_dtype(ring, alg.dim) if ring.size else object   # over Z entries grow
-    acc = np.array([identity(ring, alg.dim)] * 2, dtype=dtype)
-    for mat, inv in np.array([(f.mat, f.inv_mat) for f in factors], dtype=dtype):
-        acc = stack_mul(ring, np.stack([acc[0], inv]), np.stack([mat, acc[1]]))
-    return GroupElement(ring, to_matrix(ring, acc[0]), to_matrix(ring, acc[1]),
-                        tuple(itertools.chain.from_iterable(f.word for f in factors)))
+    """The group element of a word: its product and its inverse from one
+    word_stack (the identity for the empty word)."""
+    word = tuple((kind, root, t) for kind, root, t in tokens)
+    if not word:
+        return identity_element(alg, ring)
+    mat, inv = word_stack(alg, ring, [word])[:, 0]
+    return GroupElement(ring, to_matrix(ring, mat), to_matrix(ring, inv), word)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +193,9 @@ def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> Group
 def chain_pairs(system, r: Root, s: Root) -> Tuple[Tuple[int, int], ...]:
     """All (i, j) with i, j >= 1 and i*r + j*s a root, ordered by (i + j, i):
     the order of the factors of the commutator formula."""
-    out = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            cand = tuple(i * a + j * b for a, b in zip(r, s))
-            if system.is_root(cand):
-                out.append((i, j))
-    out.sort(key=lambda ij: (ij[0] + ij[1], ij[0]))
-    return tuple(out)
+    out = [(i, j) for i in range(1, 4) for j in range(1, 4)
+           if system.is_root(tuple(i * a + j * b for a, b in zip(r, s)))]
+    return tuple(sorted(out, key=lambda ij: (ij[0] + ij[1], ij[0])))
 
 
 @lru_cache(maxsize=None)
@@ -242,13 +241,11 @@ def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], int
 
 def root_stack(alg: AdjointAlgebra, ring: Ring, params=None):
     """The matrix of x_root(t) for every root and every t of ``params``, by
-    default every element of a finite ring, as one stack of arrays of
-    elements (see ``linalg.stack_mul``), root-major: by default in the row
-    order of stack_rows, and at params = (ring.one,) one row per root."""
+    default every element of a finite ring, as one x_stack, root-major: by
+    default in the row order of stack_rows, and at params = (ring.one,) one
+    row per root."""
     params = tuple(ring.elements() if params is None else params)
-    return np.array([_unipotent_matrix(alg, ring, root, t)
-                     for root, t in itertools.product(alg.system.roots, params)],
-                    dtype=stack_dtype(ring, alg.dim))
+    return x_stack(alg, ring, itertools.product(alg.system.roots, params))
 
 
 def commutator_rows(alg: AdjointAlgebra, ring: Ring, pairs, params):

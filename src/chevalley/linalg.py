@@ -3,34 +3,29 @@
 Matrices are tuples of row tuples of ring elements, so they hash and compare
 exactly.  A stack is the array form that batched code works on: a numpy
 array of elements with leading batch axes (over a product ring an element is
-the last axis, one entry per factor).  ``stack_mul`` is the one product
-kernel: int64 under ``residue_dtype`` over Z/n and over Z (exact object
-arrays past the guard), ``field_matmul`` over GF(p^k), k^2 products of
-base-p digit planes, and over a product ring one product per factor, each on
-that factor's path.  Stacks are stored as int64 (or object).  A product
-with a batch axis is carried in float32 where ``residue_dtype`` allows, as
-integers below 2^24 that float32 holds exactly, then reduced and cast back
-once: the delayed reduction of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
-35(3), 2008).  Floats never leave this module.  ``mat_mul`` turns tuple
-matrices into arrays and calls it; over Z it feeds the guard the largest |entry| of both factors, read off
-the Python ints before any cast.  ``sandwich`` computes left m right over a
-stack, taking the two tuple matrices in the stack's dtype, and
-``diagonal_sandwich`` the same for diagonal ones by scaling.  ``row_ops`` is
-the element-wise scaling and x - c y on stacks over every finite ring, and
-``from_ints`` maps integer arrays into one.  ``identity`` is built once per
-(ring, n).
+the last axis, one entry per factor), stored as int64 (or object).
+``stack_mul`` is the one product kernel: int64 under ``residue_dtype`` over
+Z/n and over Z (exact object arrays past the guard), k^2 products of base-p
+digit planes over GF(p^k) (``field_matmul``), and one product per factor over
+a product ring.  A product with a batch axis is carried in float32 where
+``residue_dtype`` allows, as integers below 2^24 that float32 holds exactly,
+then reduced and cast back once, the delayed reduction of FFLAS-FFPACK
+(Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008); it runs in blocks of batch
+matrices whose temporaries stay under malloc's mmap threshold.  Floats never
+leave this module.  ``mat_mul`` takes tuple matrices (over Z the guard reads
+their largest |entry| off the Python ints), ``sandwich`` and
+``diagonal_sandwich`` compute left m right over a stack, ``row_ops`` scales
+and subtracts on stacks and ``from_ints`` maps integer arrays into a ring.
 
 Inversion, over a finite ring only, first splits the ring into local
 factors, then runs a Smith-style diagonalization per factor, and kernels are
 taken over one local factor at a time.  Over Z/p^k and GF(q) the elimination
 is array-native: it keeps A and Q (and P only when a caller needs it) as
-numpy arrays and updates only the rows and columns a pivot changes; results
-turn into tuples once, on return.  The pivot is the row-major first entry of
-least p-valuation (over a field, the first nonzero entry), which keeps every
-step exact: a mask of the rows that still hold a unit finds it while one
-does, and a vectorised scan after that.  Z/p^k reduces mod p^k; GF(q)
-indexes the ``mul``/``sub`` arrays of ``ring_tables``, the element tables
-built once per finite ring.
+numpy arrays and updates only the rows and columns a pivot changes.  The
+pivot is the row-major first entry of least p-valuation (over a field, the
+first nonzero entry), found by a mask of the rows that still hold a unit
+while one does and by a vectorised scan after that.  Z/p^k reduces mod p^k;
+GF(q) indexes the ``mul``/``sub`` arrays of ``ring_tables``.
 """
 
 from __future__ import annotations
@@ -38,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from math import prod
 
 import numpy as np
 
@@ -155,14 +151,37 @@ def stack_mul(ring: Ring, a, b):
     if max(a.ndim, b.ndim) > 2 and np.result_type(a, b) == np.int64:
         bound = mod or max((int(abs(x).max()) for x in (a, b) if x.size), default=0) + 1
         if residue_dtype(bound, a.shape[-1], carrier=True) is np.float32:
-            out = a.astype(np.float32) @ b.astype(np.float32)
-            if mod:
-                out -= np.floor(out / mod) * mod
-            return out.astype(np.int64)
+            return _carried(a, b, mod)
     out = a @ b
     if mod:
         out %= mod
     return out
+
+
+CARRIER_BLOCK_BYTES = 127 << 10   # under glibc's 128 KiB mmap threshold, with room for a header
+
+
+def _carried(a, b, mod: int):
+    """a @ b (mod ``mod`` unless 0) through float32, as int64, in blocks of
+    batch matrices whose float32 temporaries stay under CARRIER_BLOCK_BYTES,
+    so malloc reuses its heap rather than fault in fresh pages; one block, one call."""
+    def block(x, y):
+        out = x.astype(np.float32) @ y.astype(np.float32)
+        if mod:
+            out -= np.floor(out / mod) * mod
+        return out
+
+    rows, inner, cols = a.shape[-2], a.shape[-1], b.shape[-1]
+    step = max(1, CARRIER_BLOCK_BYTES // (4 * max(rows * inner, inner * cols, rows * cols)))
+    if max(prod(a.shape[:-2]), prod(b.shape[:-2])) <= step:   # one block unless both broadcast
+        return block(a, b).astype(np.int64)
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = (np.broadcast_to(x, batch + x.shape[-2:]).reshape((-1,) + x.shape[-2:])
+            if x.ndim > 2 else x for x in (a, b))
+    out = np.empty((prod(batch), rows, cols), dtype=np.int64)
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] = block(*(x[lo:lo + step] if x.ndim > 2 else x for x in (a, b)))
+    return out.reshape(batch + (rows, cols))
 
 
 def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
@@ -172,12 +191,11 @@ def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
     return stack_mul(ring, stack_mul(ring, left, stack), right)
 
 
-def diagonal_sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
-    """``sandwich`` for diagonal left and right, as two broadcast scalings:
-    entry (i, j) of every matrix times left[i][i] right[j][j]."""
+def diagonal_sandwich(ring: Ring, left, stack, right):
+    """``sandwich`` for diagonal matrices given as the arrays of their
+    diagonals, as two broadcast scalings: entry (i, j) of every matrix times
+    left[i] right[j]."""
     scale = row_ops(ring)[0]
-    left, right = (np.array([row[i] for i, row in enumerate(m)], dtype=stack.dtype)
-                   for m in (left, right))
     return scale(stack, scale(left[:, None], right))
 
 

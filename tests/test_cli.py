@@ -12,6 +12,7 @@ from chevalley import cli, group
 from chevalley.cli import main
 from chevalley.group import group_for
 from chevalley.liealg import AdjointAlgebra
+from chevalley.linalg import to_matrix
 from oracles import add_nested_bracket, bracket_dict, jacobi_loop
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -234,19 +235,23 @@ def test_verify_recover_off_the_default_matrix_matches_golden_hash(ring, capsys)
 def corrupt_x_root(monkeypatch):
     """x_r(1) for the first simple root r, over every finite ring, with 1
     added to its (0, 0) entry; r is (1, 0) in rank 2 and (1, 0, 0) in A3.
+    The defect sits in group.x_stack, the one builder of x_root(t), so every
+    key (r, 1) it is asked for carries it: in root_stack, in the x factors of
+    the w tokens of word_stack, and in the inverse key (r, -t) where -t = 1.
     Z is spared, so the defect sits only in the finite rings the suites run
     over; no suite builds x_r(t) over Z (the chain constants come from the
     structure constants), so sparing it moves no recorded count."""
-    clean = group._unipotent_matrix
+    clean = group.x_stack
 
-    def corrupted(alg, ring, root, t):
-        m = clean(alg, ring, root, t)
-        if ring.descriptor != "Z" and root == alg.system.simple(0) and t == ring.one:
-            rows = [list(row) for row in m]
-            rows[0][0] = ring.add(rows[0][0], ring.one)
-            m = tuple(map(tuple, rows))
-        return m
-    monkeypatch.setattr(group, "_unipotent_matrix", corrupted)
+    def corrupted(alg, ring, keys):
+        keys = list(keys)
+        out = clean(alg, ring, keys)
+        if ring.descriptor != "Z":
+            for q, (root, t) in enumerate(keys):
+                if root == alg.system.simple(0) and t == ring.one:
+                    out[q, 0, 0] = ring.add(to_matrix(ring, out[q])[0][0], ring.one)
+        return out
+    monkeypatch.setattr(group, "x_stack", corrupted)
 
 
 def wrong_chain_coefficient(monkeypatch):

@@ -22,28 +22,28 @@ import pytest
 from chevalley.autos import graph_data
 from chevalley.decomposer import _weyl_elements
 from chevalley.group import (
-    _divided_powers_over,
-    _unipotent_matrix,
+    _x_pattern,
     chain_coefficients,
     chain_pairs,
     commutator_pattern_holds,
     commutator_rows,
     from_word,
     group_for,
-    identity_element,
     root_stack,
     stack_rows,
-    torus_alpha,
     torus_chi,
     unipotent,
     weyl,
+    word_stack,
+    x_stack,
 )
 from chevalley.liealg import build_algebra
 from chevalley.linalg import (diagonal_sandwich, identity, mat_map, mat_mul, ring_tables, sandwich,
                               to_matrix)
 from chevalley.rings import ring_make
 from chevalley.roots import DiagramSymmetry, diagram_symmetries
-from oracles import commutator, det_bareiss, inverse, is_identity, torus_alpha_loop
+from oracles import (commutator, dense_unipotent, det_bareiss, h_element, inverse, is_identity,
+                     token_matrices, torus_alpha_loop, word_fold)
 
 ZZ = ring_make("Z")
 
@@ -61,7 +61,7 @@ def diag_of(mat):
 def test_torus_anchor_diagonals():
     for name, expected in ANCHOR_DIAGONALS.items():
         sysm, alg = group_for(name)
-        h = torus_alpha(alg, ZZ, sysm.simple(0), -1)
+        h = h_element(alg, ZZ, sysm.simple(0), -1)
         assert diag_of(h.mat) == expected
         for i, row in enumerate(h.mat):
             for j, v in enumerate(row):
@@ -116,7 +116,7 @@ def test_torus_alpha_is_a_character():
     ring = ring_make("Z/9")
     for root in sysm.roots:
         for u in (2, 4):
-            h = torus_alpha(alg, ring, root, u)
+            h = h_element(alg, ring, root, u)
             chi = tuple(ring.power(u, sysm.pairing(sysm.simple(k), root))
                         if sysm.pairing(sysm.simple(k), root) >= 0
                         else ring.power(ring.inv(u), -sysm.pairing(sysm.simple(k), root))
@@ -132,7 +132,7 @@ def test_torus_alpha_matches_the_diagonal_loop(name, ring_name):
     ring = ring_make(ring_name)
     for root in sysm.roots:
         for u in (1, -1) if ring_name == "Z" else ring.units():
-            h = torus_alpha(alg, ring, root, u)
+            h = h_element(alg, ring, root, u)
             assert (h.mat, h.inv_mat) == torus_alpha_loop(alg, ring, root, u), (root, u)
             assert h.word == (("h", root, u),)
 
@@ -146,7 +146,7 @@ def test_h_alpha_equals_weyl_quotient():
             units = [u for u in ring.elements() if ring.is_unit(u)]
             for root in sysm.roots:
                 for u in units:
-                    lhs = torus_alpha(alg, ring, root, u)
+                    lhs = h_element(alg, ring, root, u)
                     rhs = weyl(alg, ring, root, u).mul(inverse(weyl(alg, ring, root, ring.one)))
                     assert lhs == rhs
 
@@ -158,7 +158,7 @@ def test_weyl_order_and_square():
         for root in sysm.roots:
             w = weyl(alg, ring, root, ring.one)
             w2 = w.mul(w)
-            assert w2 == torus_alpha(alg, ring, root, ring.from_int(-1))
+            assert w2 == h_element(alg, ring, root, ring.from_int(-1))
             assert is_identity(ring, w2.mul(w2).mat)
 
 
@@ -329,11 +329,12 @@ def test_diagonal_sandwich_is_the_torus_conjugation(ring_name):
         stack = root_stack(alg, ring)
         for alpha in sysm.roots:
             for u in ring.units():
-                h = torus_alpha(alg, ring, alpha, u)
+                h = h_element(alg, ring, alpha, u)
                 for m in (h.mat, h.inv_mat):
                     assert all(v == ring.zero for i, row in enumerate(m)
                                for j, v in enumerate(row) if i != j), (alpha, u)
-                got = diagonal_sandwich(ring, h.mat, stack, h.inv_mat)
+                left, right = (np.array(diag_of(m), dtype=stack.dtype) for m in (h.mat, h.inv_mat))
+                got = diagonal_sandwich(ring, left, stack, right)
                 want = sandwich(ring, h.mat, stack, h.inv_mat)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (alpha, u)
 
@@ -352,7 +353,7 @@ def test_group_determinants_over_z():
     for root in sysm.roots:
         assert det_bareiss(unipotent(alg, ZZ, root, 3).mat) == 1
         assert det_bareiss(weyl(alg, ZZ, root, -1).mat) == 1
-        assert det_bareiss(torus_alpha(alg, ZZ, root, -1).mat) == 1
+        assert det_bareiss(h_element(alg, ZZ, root, -1).mat) == 1
 
 
 def test_from_word_and_inverse_words():
@@ -365,17 +366,14 @@ def test_from_word_and_inverse_words():
     assert from_word(alg, ring, inverse(g).word) == inverse(g)
 
 
-def token_element(alg, ring, token):
-    kind, root, t = token
-    build = {"x": unipotent, "w": weyl, "h": torus_alpha}.get(kind)
-    return torus_chi(alg, ring, root) if kind == "chi" else build(alg, ring, root, t)
+FOLD_CASES = [("A2", "Z/4"), ("B2", "F4"), ("G2", "Z/3xZ/3"), ("A3", "Z/4"), ("D4", "Z/2"),
+              ("G2", "Z"), ("A2", "Z/5"), ("B2", "F9"), ("A3", "Z/6"), ("B2", "Z/3xZ/3")]
 
 
-@pytest.mark.parametrize("name,ring_name", [("A2", "Z/4"), ("B2", "F4"), ("G2", "Z/3xZ/3"),
-                                            ("A3", "Z/4"), ("D4", "Z/2"), ("G2", "Z")])
+@pytest.mark.parametrize("name,ring_name", FOLD_CASES)
 def test_from_word_is_the_fold_of_its_tokens(name, ring_name):
-    """from_word multiplies token arrays; the oracle folds GroupElement.mul
-    (tuple mat_mul) over the same tokens, the inverses in reverse order."""
+    """from_word multiplies token arrays as a tree; the oracle folds tuple
+    products of the oracle token matrices, the inverses in reverse order."""
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
     rng = random.Random(name + ring_name)
@@ -389,10 +387,38 @@ def test_from_word_is_the_fold_of_its_tokens(name, ring_name):
             else:
                 t = ring.rand(rng) if kind == "x" else rng.choice(units)
                 word.append((kind, rng.choice(sysm.roots), t))
-        want = functools.reduce(lambda g, token: g.mul(token_element(alg, ring, token)), word,
-                                identity_element(alg, ring))
         g = from_word(alg, ring, tuple(word))
-        assert (g.mat, g.inv_mat, g.word) == (want.mat, want.inv_mat, want.word), word
+        assert (g.mat, g.inv_mat, g.word) == word_fold(alg, ring, word) + (tuple(word),), word
+
+
+def test_from_word_rejects_an_unknown_token_kind():
+    sysm, alg = group_for("A2")
+    ring = ring_make("Z/4")
+    with pytest.raises(ValueError, match="unknown token kind 'y'"):
+        from_word(alg, ring, (("x", sysm.roots[0], 1), ("y", sysm.roots[0], 1)))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("ring_name", ["Z/4", "F4", "Z/3xZ/3", "Z"])
+def test_group_elements_are_their_oracle_tokens(name, ring_name):
+    # unipotent, weyl and torus_chi against the oracle token matrices, and
+    # one word_stack of w tokens against weyl
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    units = ring.units() if ring.size else [1, -1]
+    for root in sysm.roots:
+        for t in units[:3]:
+            for kind, build in (("x", unipotent), ("w", weyl)):
+                g = build(alg, ring, root, t)
+                assert (g.mat, g.inv_mat) == token_matrices(alg, ring, (kind, root, t))
+                assert g.word == ((kind, root, t),)
+    chi = torus_chi(alg, ring, tuple(units[-1] for _ in range(sysm.rank)))
+    assert (chi.mat, chi.inv_mat) == token_matrices(alg, ring, chi.word[0])
+    for t in units[:2]:
+        mats, invs = word_stack(alg, ring, [(("w", root, t),) for root in sysm.roots])
+        for root, m, i in zip(sysm.roots, mats, invs):
+            w = weyl(alg, ring, root, t)
+            assert (to_matrix(ring, m), to_matrix(ring, i)) == (w.mat, w.inv_mat), (root, t)
 
 
 def test_push_element_commutes_with_matrices():
@@ -422,17 +448,26 @@ def test_push_element_commutes_with_matrices():
 # kernels against dense scalar oracles
 
 
-def dense_unipotent(alg, ring, root, t):
-    """1 + sum_k t^k D_k with every entry of every divided power D_k visited."""
-    n = alg.dim
-    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    power = ring.one
-    for dp in alg.divided_powers(root):
-        power = ring.mul(power, t)
-        for i in range(n):
-            for j in range(n):
-                rows[i][j] = ring.add(rows[i][j], ring.mul(power, ring.from_int(dp[i][j])))
-    return tuple(map(tuple, rows))
+SEVEN_SYSTEMS = ["A2", "B2", "G2", "A3", "B3", "C3", "D4"]
+
+
+@pytest.mark.parametrize("name", SEVEN_SYSTEMS)
+def test_divided_powers_have_disjoint_supports_off_the_diagonal(name):
+    # the premise of the x_stack gather: D_k moves weight mu to mu + k root,
+    # so each entry of x_root(t) is one term c t^k with k <= 3
+    sysm, alg = group_for(name)
+    for root in sysm.roots:
+        support = np.array([np.array(dp) != 0 for dp in alg.divided_powers(root)])
+        assert len(support) <= 3, root
+        assert (support.sum(axis=0) <= 1).all(), root
+        assert not support[:, np.arange(alg.dim), np.arange(alg.dim)].any(), root
+    cell, constants = _x_pattern(alg)
+    assert cell.dtype == np.int8 and cell.shape == (len(sysm.roots), alg.dim, alg.dim)
+    assert 0 <= cell.min() and cell.max() < 4 * len(constants)
+    for q, root in enumerate(sysm.roots):   # the degree of each entry is that of its power
+        want = sum(k * s for k, s in enumerate(
+            np.array([np.array(dp) != 0 for dp in alg.divided_powers(root)]), 1))
+        assert (cell[q] % 4 == want).all(), root
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
@@ -443,8 +478,40 @@ def test_sparse_unipotent_matches_dense_sum(name):
         params = (-2, -1, 0, 1, 3, 2 ** 40) if ring_name == "Z" else tuple(ring.elements())
         for root in sysm.roots:
             for t in params:
-                assert _unipotent_matrix(alg, ring, root, t) == \
-                    dense_unipotent(alg, ring, root, t), (ring_name, root, t)
+                g = unipotent(alg, ring, root, t)
+                assert (g.mat, g.inv_mat) == (dense_unipotent(alg, ring, root, t),
+                                              dense_unipotent(alg, ring, root, ring.neg(t))), \
+                    (ring_name, root, t)
+
+
+GATHER_CASES = [(name, ring_name) for name in ("A2", "B2", "G2", "A3", "C3")
+                for ring_name in ("Z/4", "Z/5", "F4", "F9", "Z/6", "Z/3xZ/3", "Z")] + [("D4", "Z/2")]
+
+
+@pytest.mark.parametrize("name,ring_name", GATHER_CASES)
+def test_x_stack_is_the_divided_power_sum(name, ring_name):
+    """Every root, in the full root_stack, at (ring.one,) and at chosen keys
+    in a shuffled order with repeats, against the dense sum."""
+    sysm, alg = group_for(name)
+    ring = ring_make(ring_name)
+    rng = random.Random(name + ring_name)
+    if ring.size:
+        full = root_stack(alg, ring)
+        assert full.dtype == np.int64
+        assert [to_matrix(ring, m) for m in full] == [
+            dense_unipotent(alg, ring, root, t)
+            for root, t in itertools.product(sysm.roots, ring.elements())]
+        chosen = [ring.rand(rng) for _ in range(3)]
+    else:
+        chosen = [0, 1, -1, 2, -7, 3 ** 45]
+    at_one = root_stack(alg, ring, (ring.one,))
+    assert [to_matrix(ring, m) for m in at_one] == [dense_unipotent(alg, ring, root, ring.one)
+                                                     for root in sysm.roots]
+    keys = [(rng.choice(sysm.roots), rng.choice(chosen)) for _ in range(2 * len(sysm.roots))]
+    got = x_stack(alg, ring, keys)
+    assert got.dtype == (np.int64 if ring.size else object)
+    assert [to_matrix(ring, m) for m in got] == [dense_unipotent(alg, ring, root, t)
+                                                 for root, t in keys]
 
 
 def scalar_product(a, b):
@@ -506,6 +573,5 @@ def test_tables_are_built_once_per_owner():
     flip = diagram_symmetries(sysm)[1]
     assert graph_data(alg, flip) is graph_data(alg, DiagramSymmetry(flip.perm))
     assert _weyl_elements(alg, ring) is _weyl_elements(alg, ring)
-    root = sysm.roots[0]
-    assert _divided_powers_over(alg, ring, root) is _divided_powers_over(alg, ring, root)
+    assert _x_pattern(alg) is _x_pattern(alg)
     assert ring_tables(ring) is ring_tables(ring_make("Z/4"))

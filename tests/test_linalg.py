@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
+    CARRIER_BLOCK_BYTES,
     _eliminate,
     field_matmul,
     from_ints,
@@ -523,6 +524,54 @@ def test_stack_mul_matches_the_int64_oracle(kind, n, inner, batch, data):
     got = stack_mul(ring, a, b)
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+# (name, top entry) inside the carrier tier at inner 21: 21 * 892^2 < 2^24
+BLOCK_RINGS = [("Z/3", 2), ("Z/887", 886), ("Z/3xZ/5", None), ("Z", 892)]
+
+
+@pytest.mark.parametrize("name,top", BLOCK_RINGS)
+def test_blocked_carrier_is_exact_at_block_edges(name, top):
+    """Batches of one block, one past it and a ragged several, with the
+    batch on the left, on the right, on both broadcast over two axes, and as
+    the strided halves _tree_product multiplies, against the int64 product."""
+    ring = ring_make(name)
+    rng = np.random.default_rng(len(name))
+    n = 21
+    step = CARRIER_BLOCK_BYTES // (4 * n * n)
+    tail = (len(ring.factors),) if name == "Z/3xZ/5" else ()
+
+    def draw(shape):
+        if tail:
+            return np.stack([rng.integers(0, f.size, shape) for f in ring.factors], axis=-1)
+        return rng.integers(-top if name == "Z" else 0, top + 1, shape)
+
+    def want(a, b):
+        if tail:
+            return np.stack([(a[..., i] @ b[..., i]) % f.size
+                             for i, f in enumerate(ring.factors)], axis=-1)
+        return a @ b if name == "Z" else (a @ b) % ring.size
+
+    for count in (step, step + 1, 3 * step - 1):
+        both = draw((2, 2 * count, n, n))
+        cases = [(draw((count, n, n)), draw((n, n))), (draw((n, n)), draw((count, n, n))),
+                 (draw((2, 1, n, n)), draw((1, count, n, n))), (both[:, 0::2], both[:, 1::2])]
+        for a, b in cases:
+            if name == "Z" and a.ndim > 2:   # the largest entry sits in the last matrix only
+                a[..., -1, n - 1, n - 1] = top
+            got = stack_mul(ring, a, b)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want(a, b)), (count, a.shape, b.shape)
+
+
+def test_blocked_carrier_over_z_reads_the_bound_off_the_whole_operands():
+    # one entry past the tier in the last block sends the whole product to int64
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(-3, 4, (500, 21, 21)), rng.integers(-3, 4, (21, 21))
+    a[-1, 0, 0] = 2 ** 24 + 1
+    assert np.array_equal(stack_mul(ZZ, a, b), a @ b)
+    a[-1, 0, 0] = 892
+    assert np.array_equal(stack_mul(ZZ, a, b), a @ b)
 
 
 # --- products over Z ---------------------------------------------------------

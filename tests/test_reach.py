@@ -1,6 +1,7 @@
 """What the benchmark harness and the package exports reach must exist,
 every import in src and tests must be read, every definition in src must
-be read by src or the benchmark harness, and only linalg names a float dtype.
+be read by src or the benchmark harness, only linalg names a float dtype,
+and outside liealg only the one x_root(t) builder reads the divided powers.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
@@ -104,6 +105,33 @@ def test_no_unused_imports():
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted(TESTS.glob("*.py"))
     assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def readers(path: Path, name: str) -> set:
+    """The top-level definitions of the module at path that read ``name``,
+    as a name or as an attribute."""
+    return {getattr(node, "name", "<module>")
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            for sub in ast.walk(node)
+            if (isinstance(sub, ast.Name) and sub.id == name
+                or isinstance(sub, ast.Attribute) and sub.attr == name)
+            and isinstance(sub.ctx, ast.Load)}
+
+
+def test_one_x_root_path(monkeypatch):
+    # every x_root(t) comes from group.x_stack, where test_cli.corrupt_x_root
+    # plants its defect: outside liealg, the divided powers are read only by
+    # the pattern x_stack gathers from and by verify jacobi's integrality
+    # recheck, so no second builder can step around the defect
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.stem != "liealg"]
+    assert {(p.stem, fn) for p in modules for fn in readers(p, "divided_powers")} == {
+        ("group", "_x_pattern"), ("cli", "_suite_jacobi")}
+    assert {(p.stem, fn) for p in modules for name in ("_x_pattern", "_x_column")
+            for fn in readers(p, name)} == {("group", "x_stack"), ("group", "_x_column")}
+    tracer = load_bench_module(monkeypatch, "tracer")
+    layers = {layer for layer, *_ in tracer.TARGETS}
+    assert {"group.unipotent", "group.from_word", "linalg.mat_mul"} <= layers
+    assert {f"cli.verify.{suite}" for suite in cli.SUITES} <= layers
 
 
 FLOAT_TYPES = {name for name in dir(np)

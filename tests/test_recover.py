@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from chevalley.cli import RECOVER_DEFAULT
-from chevalley.group import from_word, group_for, root_stack, torus_alpha, unipotent, weyl
+from chevalley.group import from_word, group_for, root_stack, unipotent, weyl
 from chevalley.linalg import mat_mul, to_matrix
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
-from oracles import inverse, recover_family_loop, recover_half, recover_no_half
+from oracles import h_element, inverse, recover_family_loop, recover_half, recover_no_half
 
 REGIME_MATRIX = [
     ("A", 2, "Z/5", "half"), ("A", 2, "Z/3", "half"), ("A", 2, "Z/4", None),
@@ -85,7 +85,7 @@ def some_conjugator(alg, ring):
     sysm = alg.system
     g = unipotent(alg, ring, sysm.simple(0), ring.from_int(3))
     g = g.mul(weyl(alg, ring, sysm.simple(1), ring.one))
-    g = g.mul(torus_alpha(alg, ring, sysm.simple(0), ring.from_int(-1)))
+    g = g.mul(h_element(alg, ring, sysm.simple(0), ring.from_int(-1)))
     return g
 
 
