@@ -32,13 +32,16 @@ loop would have met.
 Big-cell factorization notes: in the basis ordered by descending coweight
 height, elements of U^- are unit lower triangular and T U^+ is upper
 triangular with unit diagonal entries, so a plain LU split either recovers
-the factors or proves the element is outside the cell.  Candidates are only
-determined up to a scalar (the adjoint representation cannot see scalars),
-so the scalar is read off the Cartan block and divided out before fitting.
-The fit builds the two unipotent factors as elements, and the cell element is
-their product with the torus element, built once; m = c * element is checked
-before it is returned.  The Weyl translates are built once per (algebra,
-ring), each as its BFS parent times one simple w_alpha(1).
+the factors or proves the element is outside the cell.  The inverses of the
+Weyl representatives are one stack per (algebra, ring), in BFS order, one
+batched product per BFS layer.  One product by it gives every translate
+w^-1 m of a candidate m, and one Doolittle LU batched over the stack keeps
+those whose pivots are all units.  Candidates are only determined up to a
+scalar (the adjoint representation cannot see scalars), so for each kept
+translate, in BFS order, the scalar is read off the Cartan block and divided
+out, the torus units are read off the diagonal and the two unipotent factors
+are fitted on arrays.  The element is built once, by from_word, and the
+first translate whose element passes the check m = c * element gives it.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from chevalley.group import (
     commutator_pattern_holds,
     from_word,
     group_for,
-    identity_element,
     root_stack,
     stack_rows,
     torus_chi,
@@ -73,7 +75,6 @@ from chevalley.linalg import (
     identity,
     local_nullspace,
     mat_mul,
-    mat_scale,
     matrix,
     residue_dtype,
     ring_invert,
@@ -414,10 +415,6 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
 # intertwining equations
 
 
-def _reshape(vec, n: int) -> Matrix:
-    return tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n))
-
-
 def _intertwiner_basis(ring: Ring, xs, ys) -> List[Tuple]:
     """Basis of {M : M X = Y M for every pair X, Y of the stacks xs, ys}, as
     flat vectors.
@@ -469,134 +466,146 @@ def _weight_perm(sysm: RootSystem) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _weyl_words(sysm: RootSystem) -> Tuple[Tuple[int, ...], ...]:
     """Words in simple reflections for every Weyl group element, BFS order."""
-    nroots = len(sysm.roots)
-    ident = tuple(range(nroots))
-    simple_maps = []
-    for i in range(sysm.rank):
-        alpha = sysm.simple(i)
-        simple_maps.append(tuple(
-            sysm.root_index(sysm.reflect(sysm.roots[j], alpha))
-            for j in range(nroots)))
-    seen = {ident: ()}
-    frontier = [ident]
-    order = [()]
-    while frontier:
-        nxt = []
-        for img in frontier:
-            word = seen[img]
-            for i, smap in enumerate(simple_maps):
-                img2 = tuple(img[smap[j]] for j in range(nroots))
-                if img2 not in seen:
-                    seen[img2] = word + (i,)
-                    nxt.append(img2)
-                    order.append(word + (i,))
-        frontier = nxt
-    return tuple(order)
+    maps = [tuple(sysm.root_index(sysm.reflect(root, sysm.simple(i))) for root in sysm.roots)
+            for i in range(sysm.rank)]
+    ident = tuple(range(len(sysm.roots)))
+    seen, queue = {ident: ()}, [ident]
+    for img in queue:   # breadth first: the queue grows while it is read
+        for i, smap in enumerate(maps):
+            nxt = tuple(img[j] for j in smap)
+            if nxt not in seen:
+                seen[nxt] = seen[img] + (i,)
+                queue.append(nxt)
+    return tuple(seen.values())
 
 
 @lru_cache(maxsize=None)
-def _weyl_elements(alg: AdjointAlgebra, ring: Ring) -> Tuple[GroupElement, ...]:
-    """The element of every word of _weyl_words, in its order, each its BFS
-    parent (the word less its last letter) times one simple w_alpha(1)."""
+def _weyl_elements(alg: AdjointAlgebra, ring: Ring) -> np.ndarray:
+    """w^-1 for every word w of _weyl_words, in its order, as one read-only
+    stack: w^-1 = s^-1 parent^-1 for the BFS parent of w (the word less its
+    last letter s), one batched product per BFS layer."""
     sysm = alg.system
-    simple = [weyl(alg, ring, sysm.simple(i), ring.one) for i in range(sysm.rank)]
-    elems = {(): identity_element(alg, ring)}
-    for word in _weyl_words(sysm)[1:]:
-        elems[word] = elems[word[:-1]].mul(simple[word[-1]])
-    return tuple(elems.values())
+    words = _weyl_words(sysm)
+    simple = np.array([weyl(alg, ring, sysm.simple(i), ring.one).inv_mat
+                       for i in range(sysm.rank)], dtype=stack_dtype(ring, alg.dim))
+    at = {word: q for q, word in enumerate(words)}
+    out = np.empty((len(words),) + simple.shape[1:], dtype=simple.dtype)
+    out[0] = identity(ring, alg.dim)
+    lo = 1
+    for _, layer in itertools.groupby(words[1:], key=len):   # BFS layers are runs
+        layer = list(layer)
+        out[lo:lo + len(layer)] = stack_mul(ring, simple[[w[-1] for w in layer]],
+                                            out[[at[w[:-1]] for w in layer]])
+        lo += len(layer)
+    out.flags.writeable = False
+    return out
 
 
-def _lu_unit_diag(ring: Ring, m: Matrix):
-    """Doolittle split m = L U with L unit lower triangular, or None."""
-    n = len(m)
-    work = [list(row) for row in m]
-    lower = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+@lru_cache(maxsize=None)
+def _unit_inverses(ring: Ring) -> np.ndarray:
+    """The inverse of every unit of Z/n or GF(q) at its own value, 0 at a
+    non-unit."""
+    out = np.array([ring.inv(x) if ring.is_unit(x) else 0 for x in ring.elements()],
+                   dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _unit_lu(ring: Ring, stack):
+    """Doolittle splits m = L U, L unit lower triangular, of every matrix of a
+    stack over Z/n or GF(q), in n steps batched over the stack: (rows, L, U)
+    for the matrices whose pivots are all units, rows their positions in the
+    stack, or None once no matrix has a unit pivot left."""
+    inverses = _unit_inverses(ring)
+    scale, sub_mul = row_ops(ring)
+    n = stack.shape[-1]
+    rows = np.arange(len(stack))
+    upper = stack.copy()
+    lower = np.zeros_like(upper)
+    lower[:, range(n), range(n)] = 1
     for k in range(n):
-        pivot = work[k][k]
-        if not ring.is_unit(pivot):
-            return None
-        pinv = ring.inv(pivot)
-        for i in range(k + 1, n):
-            f = ring.mul(work[i][k], pinv)
-            if f == ring.zero:
-                continue
-            lower[i][k] = f
-            wi, wk = work[i], work[k]
-            for j in range(k, n):
-                wi[j] = ring.sub(wi[j], ring.mul(f, wk[j]))
-    return matrix(lower), matrix([tuple(row) for row in work])
+        pinv = inverses[upper[:, k, k]]
+        if not pinv.all():
+            live = np.flatnonzero(pinv)
+            if not live.size:
+                return None
+            rows, lower, upper, pinv = rows[live], lower[live], upper[live], pinv[live]
+        f = scale(upper[:, k + 1:, k], pinv[:, None])
+        lower[:, k + 1:, k] = f
+        upper[:, k + 1:, k:] = sub_mul(upper[:, k + 1:, k:], f[:, :, None], upper[:, k, None, k:])
+    return rows, lower, upper
 
 
-def _fit_unipotent(alg: AdjointAlgebra, ring: Ring, target: Matrix, sign: int):
-    """target as a product of root elements of one sign: the element, or None."""
+def _fit_unipotent(alg: AdjointAlgebra, ring: Ring, target, sign: int):
+    """The x tokens, in the order of the positive roots, whose product is the
+    array target, all roots of one sign, or None.  Each parameter is read off
+    its root's slot of the target less the product so far, and each x_root(t)
+    is one x_stack row multiplied in."""
     sysm = alg.system
-    acc = identity_element(alg, ring)
+    acc = np.array(identity(ring, alg.dim), dtype=target.dtype)
+    tokens = []
     for beta in sysm.positives:
         root = beta if sign > 0 else sysm.negate(beta)
         (i, j), unit = alg._slot(root)
-        diff = ring.sub(target[i][j], acc.mat[i][j])
-        t = ring.mul(diff, ring.from_int(unit))
+        t = ring.mul(ring.sub(int(target[i, j]), int(acc[i, j])), ring.from_int(unit))
         if t != ring.zero:
-            acc = acc.mul(unipotent(alg, ring, root, t))
-    if acc.mat != target:
-        return None
-    return acc
+            tokens.append(("x", root, t))
+            acc = stack_mul(ring, acc, x_stack(alg, ring, [(root, t)])[0])
+    return tuple(tokens) if (acc == target).all() else None
 
 
-def _big_cell(alg: AdjointAlgebra, ring: Ring, m: Matrix):
-    """m = c * (u^- chi u^+) for a unit scalar c; the element, or None."""
+def _big_cell(alg: AdjointAlgebra, ring: Ring, word, lower, upper, m):
+    """w u^- chi u^+ with m = c * it for a unit c, or None, from the BFS word
+    of w and the Doolittle factors lower and upper of w^-1 m, taken back to
+    the natural basis order.  The diagonal of upper holds the pivots, all
+    units."""
     sysm = alg.system
-    perm = _weight_perm(sysm)
-    n = alg.dim
-    permuted = tuple(tuple(m[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-    lu = _lu_unit_diag(ring, permuted)
-    if lu is None:
+    scale = row_ops(ring)[0]
+    scalar = upper[len(sysm.roots), len(sysm.roots)]
+    upper = scale(upper, _unit_inverses(ring)[scalar])
+    simple = [sysm.root_index(sysm.simple(j)) for j in range(sysm.rank)]
+    diagonal = np.diagonal(upper)
+    chi = torus_chi(alg, ring, tuple(int(diagonal[q]) for q in simple))
+    if diagonal.tolist() != [row[i] for i, row in enumerate(chi.mat)]:
         return None
-    lower_p, upper_p = lu
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    lower = tuple(tuple(lower_p[inv[i]][inv[j]] for j in range(n)) for i in range(n))
-    upper = tuple(tuple(upper_p[inv[i]][inv[j]] for j in range(n)) for i in range(n))
-
-    nroots = len(sysm.roots)
-    scalar = upper[nroots][nroots]
-    if not ring.is_unit(scalar):
-        return None
-    upper = mat_scale(ring, ring.inv(scalar), upper)
-
-    units = tuple(upper[sysm.root_index(sysm.simple(j))][sysm.root_index(sysm.simple(j))]
-                  for j in range(sysm.rank))
-    if any(not ring.is_unit(u) for u in units):
-        return None
-    chi = torus_chi(alg, ring, units)
-    for i in range(n):
-        if upper[i][i] != chi.mat[i][i]:
-            return None
-
     down = _fit_unipotent(alg, ring, lower, -1)
     if down is None:
         return None
-    up = _fit_unipotent(alg, ring, mat_mul(ring, chi.inv_mat, upper), +1)
+    # chi^-1 upper: the rows of upper over their diagonal entries, those of chi
+    up = _fit_unipotent(alg, ring, scale(upper, _unit_inverses(ring)[diagonal][:, None]), +1)
     if up is None:
         return None
-    elem = down.mul(chi).mul(up)
-    if mat_scale(ring, scalar, elem.mat) != m:
+    w = tuple(("w", sysm.simple(i), ring.one) for i in word)
+    elem = from_word(alg, ring, w + down + chi.word + up)
+    if (scale(np.array(elem.mat, dtype=m.dtype), scalar) != m).any():
         return None
     return elem
 
 
 def strictly_inner_element(alg: AdjointAlgebra, ring: Ring, m: Matrix):
-    """A group element with the same conjugation action as m, or None.
+    """A group element with the same conjugation action as m, or None, over
+    Z/n or GF(q) (match calls it on local factors).
 
-    Scans Weyl translates of the big cell; over a local ring this covers the
-    whole group generated by the root elements and the torus, so failure
-    means the candidate is not an inner conjugator.
+    Scans Weyl translates of the big cell, all at once (see the module
+    notes); over a local ring this covers the whole group generated by the
+    root elements and the torus, so failure means the candidate is not an
+    inner conjugator.
     """
-    for w_elem in _weyl_elements(alg, ring):
-        cell = _big_cell(alg, ring, mat_mul(ring, w_elem.inv_mat, m))
-        if cell is not None:
-            return w_elem.mul(cell)
+    sysm = alg.system
+    perm = np.array(_weight_perm(sysm))
+    back = np.argsort(perm)
+    m = np.array(m, dtype=stack_dtype(ring, alg.dim))
+    translates = stack_mul(ring, _weyl_elements(alg, ring), m)[:, perm[:, None], perm]
+    lu = _unit_lu(ring, translates)
+    if lu is None:
+        return None
+    rows, lower, upper = lu
+    lower, upper = (x[:, back[:, None], back] for x in (lower, upper))
+    words = _weyl_words(sysm)
+    for q, low, up in zip(rows.tolist(), lower, upper):
+        elem = _big_cell(alg, ring, words[q], low, up, m)
+        if elem is not None:
+            return elem
     return None
 
 
@@ -676,7 +685,7 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
         gd = None if delta.is_identity else graph_data(alg, delta)
         twisted = _twist_table(alg, ring, table, gd)
         for vec in _intertwiner_basis(ring, units[at_one], twisted[at_one]):
-            m = _reshape(vec, alg.dim)
+            m = to_matrix(ring, np.reshape(vec, (alg.dim, alg.dim)))
             if ring_invert(ring, m) is None:
                 continue
             conj = strictly_inner_element(alg, ring, m)

@@ -2,7 +2,8 @@
 
 An element carries its matrix, the matrix of its inverse (kept in lockstep so
 no inversion is ever needed for word-built elements), and the word of
-generators that produced it.  Words use four token kinds:
+generators that produced it.  It has no product of its own: a product of
+elements is one word, built by from_word.  Words use four token kinds:
 
     ("x", root, t)     root element at parameter t
     ("w", root, t)     Weyl representative, t a unit
@@ -49,7 +50,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 import numpy as np
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import (Matrix, identity, mat_mul, ring_tables, stack_dtype, stack_mul,
+from chevalley.linalg import (Matrix, identity, ring_tables, stack_dtype, stack_mul,
                               to_matrix)
 from chevalley.rings import Ring
 from chevalley.roots import Root
@@ -63,12 +64,6 @@ class GroupElement:
     mat: Matrix
     inv_mat: Matrix
     word: Tuple[Token, ...]
-
-    def mul(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.ring,
-                            mat_mul(self.ring, self.mat, other.mat),
-                            mat_mul(self.ring, other.inv_mat, self.inv_mat),
-                            self.word + other.word)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupElement) and self.mat == other.mat

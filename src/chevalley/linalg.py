@@ -15,7 +15,8 @@ matrices whose temporaries stay under malloc's mmap threshold.  Floats never
 leave this module.  ``mat_mul`` takes tuple matrices (over Z the guard reads
 their largest |entry| off the Python ints), ``sandwich`` and
 ``diagonal_sandwich`` compute left m right over a stack, ``row_ops`` scales
-and subtracts on stacks and ``from_ints`` maps integer arrays into a ring.
+and subtracts on stacks (a tuple matrix is never scaled) and ``from_ints``
+maps integer arrays into a ring.
 
 Inversion, over a finite ring only, first splits the ring into local
 factors, then runs a Smith-style diagonalization per factor, and kernels are
@@ -56,10 +57,6 @@ def identity(ring: Ring, n: int) -> Matrix:
     """The n x n identity, built once per (ring, n); matrices are immutable."""
     z, o = ring.zero, ring.one
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def mat_scale(ring: Ring, c, a: Matrix) -> Matrix:
-    return tuple(tuple(ring.mul(c, x) for x in row) for row in a)
 
 
 def residue_dtype(bound: int, inner: int, carrier: bool = False):

@@ -2,21 +2,27 @@
 
 Each one is a slow or independent construction of something the library
 computes another way: the localization of Z/n at a prime (for crt_split),
+the ring axioms checked on all pairs (for is_ring_automorphism, a lookup in
+the enumeration),
 the (l+1) by (l+1) model of the A series (for the bracket table), linear
 combinations of the adjoint basis matrices and the bracket of two elements
 read from the table alone (for the matrices and the Jacobi checks), the
 Jacobi triples of ``verify jacobi`` one at a time on dicts of brackets, the
 fraction-free determinant and the matrix-vector product (for the
 elimination), root chains walked through the enumeration (for the
-pairing), and the inverse of a group element with its inverse word and the
-commutator a b a^-1 b^-1 built from it (for the commutator formula and the
-conjugation laws, which the library checks on root stacks).
+pairing), and the tuple product of two group elements, the inverse of one
+with its inverse word, and the conjugate and the commutator a b a^-1 b^-1
+built from them (for the commutator formula and the conjugation laws, which
+the library checks on root stacks; the library has no product of elements).
 
 The last section keeps the loop forms that the batched code replaced: the
 elimination that scans the whole remaining block for every pivot, and the
 precheck, residual ring map and replay of ``certify`` one image at a time on
-dicts of tuple matrices.  The batched code must agree with them exactly,
-down to the stage, detail and witness of a refusal.  Beside them sit the
+dicts of tuple matrices, and the Weyl scan of ``strictly_inner_element``
+one translate at a time: Weyl elements folded by tuple products, the
+Doolittle split, the unipotent fits and the big cell on tuple matrices.  The
+batched code must agree with them exactly, down to the stage, detail and
+witness of a refusal and to the word of a conjugator.  Beside them sit the
 group elements of word tokens built one at a time: x_root(t) as the dense
 divided-power sum (for ``group.x_stack``, which gathers every entry off a
 pattern), w_root(t) from its three x factors, the torus elements entry by
@@ -41,15 +47,16 @@ from chevalley.decomposer import (
     _additive_order,
     _key_json,
     _sort_key,
+    _weight_perm,
+    _weyl_words,
     spanning_params,
 )
-from chevalley.group import GroupElement, chain_coefficients, from_word, unipotent
+from chevalley.group import GroupElement, chain_coefficients, from_word, torus_chi, unipotent
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (
     Matrix,
     identity,
     mat_mul,
-    mat_scale,
     matrix,
     residue_dtype,
     ring_invert,
@@ -61,7 +68,6 @@ from chevalley.rings import (
     Ring,
     RingError,
     ZMod,
-    is_ring_automorphism,
     ring_make,
 )
 from chevalley.roots import Root, RootSystem, build_root_system
@@ -70,7 +76,7 @@ ZZ = ring_make("Z")
 
 
 # ---------------------------------------------------------------------------
-# localization oracle
+# localization and ring automorphism oracles
 
 
 def localize_at_prime(ring: ZMod, p: int):
@@ -108,6 +114,27 @@ def localize_at_prime(ring: ZMod, p: int):
         return index[(x % ring.n, 1)]
 
     return classes, canonical
+
+
+def is_ring_automorphism_loop(ring: Ring, table: dict) -> bool:
+    """Exhaustive check of a parameter table against the ring axioms on all
+    |R|^2 pairs, for any finite ring: the oracle for
+    ``rings.is_ring_automorphism``, which looks the table up in the
+    enumeration of the local rings."""
+    els = list(ring.elements())
+    if sorted(table.keys(), key=repr) != sorted(els, key=repr):
+        return False
+    if sorted(table.values(), key=repr) != sorted(els, key=repr):
+        return False
+    if table[ring.one] != ring.one:
+        return False
+    for a in els:
+        for b in els:
+            if table[ring.add(a, b)] != ring.add(table[a], table[b]):
+                return False
+            if table[ring.mul(a, b)] != ring.mul(table[a], table[b]):
+                return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -245,6 +272,18 @@ def mat_sub(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(ring.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def mat_scale(ring: Ring, c, a: Matrix) -> Matrix:
+    return tuple(tuple(ring.mul(c, x) for x in row) for row in a)
+
+
+def element_mul(a: GroupElement, b: GroupElement) -> GroupElement:
+    """a b as tuple products: the matrices in order, the inverses in reverse
+    order, the words concatenated."""
+    ring = a.ring
+    return GroupElement(ring, mat_mul(ring, a.mat, b.mat), mat_mul(ring, b.inv_mat, a.inv_mat),
+                        a.word + b.word)
+
+
 def is_identity(ring: Ring, a: Matrix) -> bool:
     return a == identity(ring, len(a))
 
@@ -264,9 +303,14 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(ring, g.inv_mat, g.mat, tuple(invert(t) for t in reversed(g.word)))
 
 
+def conjugate(g: GroupElement, x: GroupElement) -> GroupElement:
+    """g x g^-1."""
+    return element_mul(element_mul(g, x), inverse(g))
+
+
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     """a b a^-1 b^-1, the commutator of group.chain_coefficients."""
-    return a.mul(b).mul(inverse(a)).mul(inverse(b))
+    return element_mul(conjugate(a, b), inverse(b))
 
 
 def mat_vec(ring: Ring, a: Matrix, v: Sequence) -> tuple:
@@ -539,7 +583,7 @@ def residual_rho_loop(alg: AdjointAlgebra, ring: Ring, conj, table):
         rho[t] = value
     if rho[ring.one] != ring.one:
         return None, {"reason": "residual moves the unit parameter"}
-    if not is_ring_automorphism(ring, rho):
+    if not is_ring_automorphism_loop(ring, rho):
         return None, {"reason": "parameter map is not a ring automorphism"}
     return tuple(sorted(rho.items(), key=lambda kv: _sort_key(kv[0]))), None
 
@@ -559,6 +603,104 @@ def replay_loop(alg: AdjointAlgebra, ring: Ring, table, left, right, rho) -> int
                                    {"key": _key_json(ring, (root, t))})
             replayed += 1
     return replayed
+
+
+@lru_cache(maxsize=None)
+def weyl_elements_loop(alg: AdjointAlgebra, ring: Ring) -> tuple:
+    """The element of every word of ``decomposer._weyl_words``, in its order,
+    each its BFS parent times one simple w_alpha(1) as a tuple product."""
+    sysm = alg.system
+    simple = [from_word(alg, ring, (("w", sysm.simple(i), ring.one),)) for i in range(sysm.rank)]
+    elems = {(): from_word(alg, ring, ())}
+    for word in _weyl_words(sysm)[1:]:
+        elems[word] = element_mul(elems[word[:-1]], simple[word[-1]])
+    return tuple(elems.values())
+
+
+def lu_unit_diag(ring: Ring, m: Matrix):
+    """Doolittle split m = L U with L unit lower triangular, or None when a
+    pivot is not a unit: the oracle for ``decomposer._unit_lu``."""
+    n = len(m)
+    work = [list(row) for row in m]
+    lower = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    for k in range(n):
+        pivot = work[k][k]
+        if not ring.is_unit(pivot):
+            return None
+        pinv = ring.inv(pivot)
+        for i in range(k + 1, n):
+            f = ring.mul(work[i][k], pinv)
+            if f == ring.zero:
+                continue
+            lower[i][k] = f
+            wi, wk = work[i], work[k]
+            for j in range(k, n):
+                wi[j] = ring.sub(wi[j], ring.mul(f, wk[j]))
+    return matrix(lower), matrix([tuple(row) for row in work])
+
+
+def fit_unipotent_loop(alg: AdjointAlgebra, ring: Ring, target: Matrix, sign: int):
+    """target as a product of root elements of one sign, in the order of the
+    positive roots, built by tuple products: the element, or None."""
+    sysm = alg.system
+    acc = from_word(alg, ring, ())
+    for beta in sysm.positives:
+        root = beta if sign > 0 else sysm.negate(beta)
+        (i, j), unit = alg._slot(root)
+        t = ring.mul(ring.sub(target[i][j], acc.mat[i][j]), ring.from_int(unit))
+        if t != ring.zero:
+            acc = element_mul(acc, unipotent(alg, ring, root, t))
+    return acc if acc.mat == target else None
+
+
+def big_cell_loop(alg: AdjointAlgebra, ring: Ring, m: Matrix):
+    """m = c * (u^- chi u^+) for a unit scalar c, on tuple matrices: the
+    element u^- chi u^+, or None."""
+    sysm = alg.system
+    perm = _weight_perm(sysm)
+    n = alg.dim
+    permuted = tuple(tuple(m[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+    lu = lu_unit_diag(ring, permuted)
+    if lu is None:
+        return None
+    lower_p, upper_p = lu
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    lower = tuple(tuple(lower_p[inv[i]][inv[j]] for j in range(n)) for i in range(n))
+    upper = tuple(tuple(upper_p[inv[i]][inv[j]] for j in range(n)) for i in range(n))
+
+    nroots = len(sysm.roots)
+    scalar = upper[nroots][nroots]
+    if not ring.is_unit(scalar):
+        return None
+    upper = mat_scale(ring, ring.inv(scalar), upper)
+    units = tuple(upper[sysm.root_index(sysm.simple(j))][sysm.root_index(sysm.simple(j))]
+                  for j in range(sysm.rank))
+    if any(not ring.is_unit(u) for u in units):
+        return None
+    chi = torus_chi(alg, ring, units)
+    if any(upper[i][i] != chi.mat[i][i] for i in range(n)):
+        return None
+    down = fit_unipotent_loop(alg, ring, lower, -1)
+    if down is None:
+        return None
+    up = fit_unipotent_loop(alg, ring, mat_mul(ring, chi.inv_mat, upper), +1)
+    if up is None:
+        return None
+    elem = element_mul(element_mul(down, chi), up)
+    return elem if mat_scale(ring, scalar, elem.mat) == m else None
+
+
+def strictly_inner_loop(alg: AdjointAlgebra, ring: Ring, m: Matrix):
+    """``decomposer.strictly_inner_element`` one Weyl translate at a time on
+    tuple matrices: w times the big-cell element of the first translate
+    w^-1 m in BFS order that factors, or None."""
+    for w in weyl_elements_loop(alg, ring):
+        cell = big_cell_loop(alg, ring, mat_mul(ring, w.inv_mat, m))
+        if cell is not None:
+            return element_mul(w, cell)
+    return None
 
 
 def torus_alpha_loop(alg: AdjointAlgebra, ring: Ring, root: Root, u):

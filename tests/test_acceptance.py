@@ -3,11 +3,23 @@
 Each test prints one [PASS]/[FAIL] line (visible under pytest -s); the
 assertions carry the same conditions, so a plain pytest run enforces the
 gate either way.
+
+Certificates are pinned byte for byte: ``artifact_digest`` is the sha256 of
+the concatenated ``json.dumps(cert.to_json(), sort_keys=True)`` of a run of
+certificates, with the default separators ``(", ", ": ")`` and no newline,
+in the order the run certifies them.  Criterion 5 pins its 600 round trips,
+and two more tests pin the 11-configuration sweep (config-major, seeds
+0-19) and D4/Z/2 at seeds 0 and 1.  A change to the search that keeps its
+answers keeps every digest.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
+
+import pytest
 
 from chevalley.decomposer import (
     CertifyError,
@@ -22,6 +34,14 @@ from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
 from oracles import bracket_dict, h_element
+
+
+def artifact_digest(certs) -> str:
+    """The sha256 of the certificates' sorted-key JSON, concatenated."""
+    digest = hashlib.sha256()
+    for cert in certs:
+        digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 def report(num, ok, label, dt, budget):
@@ -169,6 +189,7 @@ def test_criterion_5_decomposer_round_trips():
                ("A3", "Z/4"), ("A2", "F4"), ("A2", "Z/6")]
     frobenius_seen = 0
     mixed_delta_seen = 0
+    certs = []
     for system, ring_name in configs:
         for seed in range(100):
             spec, planted = forge_random_parts(system, ring_name, seed)
@@ -179,11 +200,34 @@ def test_criterion_5_decomposer_round_trips():
                 frobenius_seen += 1
             if ring_name == "Z/6" and len(set(planted["deltas"])) > 1:
                 mixed_delta_seen += 1
+            certs.append(cert)
     dt = time.monotonic() - t0
     ok = frobenius_seen > 0 and mixed_delta_seen > 0 and dt < 600
     assert report(5, ok,
                   f"600 seeded round trips (Frobenius x{frobenius_seen}, "
                   f"mixed graph x{mixed_delta_seen})", dt, 600)
+    assert artifact_digest(certs) == (
+        "891f35d11c7e8479175b7b0e7b976ac10598fa195ac1c1cbd27c9f6b79f82e71")
+
+
+SWEEP = [("A2", "Z/5"), ("B2", "Z/5"), ("G2", "Z/7"), ("A3", "Z/4"), ("A2", "F4"),
+         ("A2", "Z/6"), ("C3", "Z/3"), ("A2", "F9"), ("A2", "Z/3xZ/3"), ("B2", "F4"),
+         ("A2", "F8")]
+
+
+def test_sweep_certificates_are_byte_identical():
+    certs = (certify(forge_random_parts(system, ring_name, seed)[0])
+             for system, ring_name in SWEEP for seed in range(20))
+    assert artifact_digest(certs) == (
+        "911fc7ef9a05cb7368cdef8d7d15b3e7a9e30b1bff1c243e478e236fbeac3848")
+
+
+@pytest.mark.parametrize("seed,want", [
+    (0, "fdd664e72459c179ec24e1a17055149dce36b404704d51651f3ee097ffb397d8"),
+    (1, "347a6176ca90f029b6527071dfb0538e877a5f4d073fa76a160340713066e36c"),
+])
+def test_d4_certificates_are_byte_identical(seed, want):
+    assert artifact_digest([certify(forge_random_parts("D4", "Z/2", seed)[0])]) == want
 
 
 def test_criterion_6_kernel_transport():

@@ -134,6 +134,25 @@ def test_one_x_root_path(monkeypatch):
     assert {f"cli.verify.{suite}" for suite in cli.SUITES} <= layers
 
 
+def test_elements_multiply_as_words():
+    # the Weyl scan works on arrays: in decomposer only the big cell and the
+    # forge build an element from a word, GroupElement is a record with no
+    # product of its own, every .mul in src is a ring's (two operands), and
+    # the tuple scaling is gone
+    assert readers(SRC / "decomposer.py", "from_word") == {"_big_cell", "forge_random_parts"}
+    element = next(node for node in ast.parse((SRC / "group.py").read_text()).body
+                   if isinstance(node, ast.ClassDef) and node.name == "GroupElement")
+    assert [item.name for item in element.body if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("__")] == []
+    modules = sorted(SRC.glob("*.py"))
+    assert [f"{p.name}:{node.lineno}" for p in modules
+            for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "mul" and len(node.args) != 2] == []
+    assert [(p.stem, fn) for p in modules for fn in readers(p, "mat_scale")] == []
+    assert "mat_scale" not in {name for p in modules for name, _ in definitions(p)}
+
+
 FLOAT_TYPES = {name for name in dir(np)
                if isinstance(getattr(np, name), type) and issubclass(getattr(np, name), np.floating)}
 

@@ -20,7 +20,8 @@ from chevalley.linalg import mat_mul, to_matrix
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
-from oracles import h_element, inverse, recover_family_loop, recover_half, recover_no_half
+from oracles import (conjugate, element_mul, h_element, recover_family_loop, recover_half,
+                     recover_no_half)
 
 REGIME_MATRIX = [
     ("A", 2, "Z/5", "half"), ("A", 2, "Z/3", "half"), ("A", 2, "Z/4", None),
@@ -72,7 +73,7 @@ def test_nohalf_recovers_standard_generators(name, ring_name):
 
 
 def conjugated_images(alg, ring, g):
-    return {root: g.mul(unipotent(alg, ring, root, ring.one)).mul(inverse(g)).mat
+    return {root: conjugate(g, unipotent(alg, ring, root, ring.one)).mat
             for root in alg.system.roots}
 
 
@@ -84,8 +85,8 @@ def as_stack(alg, ring, images):
 def some_conjugator(alg, ring):
     sysm = alg.system
     g = unipotent(alg, ring, sysm.simple(0), ring.from_int(3))
-    g = g.mul(weyl(alg, ring, sysm.simple(1), ring.one))
-    g = g.mul(h_element(alg, ring, sysm.simple(0), ring.from_int(-1)))
+    g = element_mul(g, weyl(alg, ring, sysm.simple(1), ring.one))
+    g = element_mul(g, h_element(alg, ring, sysm.simple(0), ring.from_int(-1)))
     return g
 
 

@@ -9,6 +9,7 @@ and the fraction construction for localization.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from chevalley.rings import (
     ring_automorphisms,
     ring_make,
 )
-from oracles import localize_at_prime
+from oracles import is_ring_automorphism_loop, localize_at_prime
 
 
 def test_ring_make_caches_and_parses():
@@ -178,12 +179,13 @@ def test_crt_split_roundtrip(name):
 # --- automorphisms -------------------------------------------------------
 
 def brute_automorphism_count(r):
-    """Filter all bijections on the elements; only usable for tiny rings."""
+    """Filter all bijections on the elements through the axiom oracle; only
+    usable for tiny rings."""
     els = list(r.elements())
     count = 0
     for perm in itertools.permutations(els):
         table = dict(zip(els, perm))
-        if is_ring_automorphism(r, table):
+        if is_ring_automorphism_loop(r, table):
             count += 1
     return count
 
@@ -208,10 +210,44 @@ def test_automorphism_counts_larger(name, expected):
     auts = ring_automorphisms(r)
     assert len(auts) == expected
     for aut in auts:
-        assert is_ring_automorphism(r, dict(aut.table))
+        assert is_ring_automorphism_loop(r, dict(aut.table))
     # pairwise distinct
     for a, b in itertools.combinations(auts, 2):
         assert not a.same_map(b)
+
+
+LOCAL_RINGS = ["Z/2", "Z/3", "Z/4", "Z/5", "Z/7", "Z/8", "Z/9", "Z/25", "F4", "F8", "F9",
+               "F16"]
+
+
+@pytest.mark.parametrize("name", LOCAL_RINGS)
+def test_automorphism_membership_agrees_with_the_axiom_oracle(name):
+    """The automorphisms, permutations fixing 0 and 1 (every one for the
+    smallest rings), a map that is not a bijection and partial tables."""
+    r = ring_make(name)
+    els = list(r.elements())
+    rng = random.Random(name)
+    tables = [dict(aut.table) for aut in ring_automorphisms(r)]
+    rest = [x for x in els if x not in (r.zero, r.one)]
+    if len(rest) <= 4:
+        perms = list(itertools.permutations(rest))
+    else:
+        perms = [rng.sample(rest, len(rest)) for _ in range(40)]
+    tables += [{r.zero: r.zero, r.one: r.one, **dict(zip(rest, perm))} for perm in perms]
+    tables.append({x: r.mul(x, x) for x in els})
+    tables.append({x: x for x in els[:-1]})
+    tables.append({**{x: x for x in els}, els[-1]: r.zero})
+    verdicts = [is_ring_automorphism(r, table) for table in tables]
+    assert verdicts == [is_ring_automorphism_loop(r, table) for table in tables]
+    assert ({tuple(sorted(t.items())) for t, v in zip(tables, verdicts) if v}
+            == {aut.table for aut in ring_automorphisms(r)})
+
+
+@pytest.mark.parametrize("name", ["Z/6", "Z/3xZ/3", "Z"])
+def test_automorphism_membership_is_for_local_rings(name):
+    r = ring_make(name)
+    with pytest.raises(RingError):
+        is_ring_automorphism(r, {r.one: r.one})
 
 
 def test_frobenius_structure():
