@@ -34,8 +34,8 @@ from chevalley.group import (
     stack_rows,
     word_stack,
 )
-from chevalley.linalg import (diagonal_sandwich, from_ints, identity, ring_tables, sandwich,
-                              stack_equal, stack_mul)
+from chevalley.linalg import (as_exact, diagonal_sandwich, from_ints, identity, ring_tables,
+                              sandwich, stack_dtype, stack_equal, stack_mul)
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name
@@ -115,11 +115,44 @@ def cmd_adjoint(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verification suites; each returns (checks, failures)
+#
+# The index tables a suite reads (rows of a root_stack, torus diagonals,
+# reflections and slots) are functions of (algebra, ring) only and are built
+# once, by the lru_cached _*_tables below.  They never hold data under test:
+# nothing they keep is read from bracket_basis, chain_coefficients, x_stack
+# or root_stack, so a defect planted there shows on every call.
 
 
-def _at(stack, rows, keys):
-    """The matrices of a root_stack with rows ``rows`` at the (root, t) keys."""
-    return stack[[rows[key] for key in keys]]
+def _tier_stack(alg, ring, params=None):
+    """root_stack in its storage tier (see linalg.stack_dtype): float32 over
+    Z/n wherever every product of n x n matrices is exact in it."""
+    stack = root_stack(alg, ring, params)
+    if not ring.size:   # over Z entries grow: exact Python ints
+        return stack
+    return stack.astype(stack_dtype(ring, alg.dim, carrier=True), copy=False)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _law_tables(alg, ring):
+    """(pairs, s, t, sum, zero, neg): every (s, t) of ring elements, and the
+    root_stack rows of x_root(s), x_root(t) and x_root(s + t) for every root
+    and pair, of x_root(0) for every root and of x_root(-t) for every row."""
+    rows = stack_rows(alg, ring)
+    pairs = tuple(itertools.product(ring.elements(), repeat=2))
+    laws = [(root, s, t) for root in alg.system.roots for s, t in pairs]
+
+    def at(keys):
+        return np.array([rows[key] for key in keys], dtype=np.intp)
+    return (pairs,) + _read_only(at((r, s) for r, s, _ in laws), at((r, t) for r, _, t in laws),
+                                 at((r, ring.add(s, t)) for r, s, t in laws),
+                                 at((r, ring.zero) for r in alg.system.roots),
+                                 at((r, ring.neg(t)) for r, t in rows))
 
 
 def _suite_laws(system: str, ring_name: str, seed: int):
@@ -127,87 +160,114 @@ def _suite_laws(system: str, ring_name: str, seed: int):
     batched products over one root_stack."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
-    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
+    stack = _tier_stack(alg, ring)
+    pairs, at_s, at_t, at_sum, at_zero, at_neg = _law_tables(alg, ring)
     eye = identity(ring, alg.dim)
-    pairs = list(itertools.product(ring.elements(), repeat=2))
-    laws = [(root, s, t) for root in sysm.roots for s, t in pairs]
-    law_held = stack_equal(stack_mul(ring, _at(stack, rows, ((r, s) for r, s, _ in laws)),
-                                     _at(stack, rows, ((r, t) for r, _, t in laws))),
-                           _at(stack, rows, ((r, ring.add(s, t)) for r, s, t in laws)))
-    zero_held = stack_equal(_at(stack, rows, ((r, ring.zero) for r in sysm.roots)), eye)
-    neg_held = stack_equal(stack_mul(ring, stack, _at(stack, rows, ((r, ring.neg(t))
-                                                                    for r, t in rows))), eye)
+    law_held = stack_equal(stack_mul(ring, stack[at_s], stack[at_t]), stack[at_sum])
+    zero_held = stack_equal(stack[at_zero], eye)
+    neg_held = stack_equal(stack_mul(ring, stack, stack[at_neg]), eye)
     failures = []
     for root, held, zero_ok, neg_ok in zip(sysm.roots, law_held.reshape(len(sysm.roots), -1),
                                            zero_held, neg_held.reshape(len(sysm.roots), -1)):
         failures += [{"check": "one-parameter-law", "root": list(root),
                       "s": ring.element_to_json(s), "t": ring.element_to_json(t)}
-                     for (s, t), ok in zip(pairs, held) if not ok]
+                     for s, t in (pairs[q] for q in np.flatnonzero(~held))]
         if not zero_ok:
             failures.append({"check": "zero-is-identity", "root": list(root)})
         if not neg_ok.all():
             failures.append({"check": "inverse-is-negation", "root": list(root)})
-    return len(laws) + 2 * len(sysm.roots), failures
+    return len(at_s) + 2 * len(sysm.roots), failures
+
+
+@lru_cache(maxsize=None)
+def _eq1_tables(alg, ring):
+    """(keys, units, per root alpha (alpha, h, h_inv, want)): the (beta, t)
+    of the root_stack rows, the units u, the diagonals of h_alpha(u) and
+    h_alpha(u)^-1, u^(+-<beta,alpha>) on the root vectors, one row per u in
+    the stack's storage tier, and the rows of x_beta(u^<beta,alpha> t),
+    u-major, read off ring_tables."""
+    sysm = alg.system
+    index, mul, _, _ = ring_tables(ring)
+    units, dtype = tuple(ring.units()), stack_dtype(ring, alg.dim, carrier=True)
+    base = np.arange(len(sysm.roots))[:, None] * len(index)
+    tables = []
+    for alpha in sysm.roots:
+        pairings = [sysm.pairing(beta, alpha) for beta in sysm.roots]
+        h, h_inv = (np.array([[ring.power(u, e * p) for p in pairings + [0] * sysm.rank]
+                              for u in units], dtype=dtype) for e in (1, -1))
+        want = base + mul[[[index[ring.power(u, p)] for p in pairings] for u in units]]
+        tables.append((alpha,) + _read_only(h, h_inv, want.reshape(len(units), -1)))
+    return tuple(stack_rows(alg, ring)), units, tuple(tables)
 
 
 def _suite_eq1(system: str, ring_name: str, seed: int):
     """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t), per
-    (alpha, u) one diagonal_sandwich of a root_stack by the diagonal of
-    h_alpha(u), u^<beta,alpha> on the root vectors, against rows read off
-    ring_tables."""
-    sysm, alg = group_for(system)
+    alpha one diagonal_sandwich of a root_stack by the diagonals of
+    h_alpha(u) for every unit u, against rows read off ring_tables."""
+    _, alg = group_for(system)
     ring = ring_make(ring_name)
-    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
-    index, mul, _, _ = ring_tables(ring)
-    checks, failures = 0, []
+    stack = _tier_stack(alg, ring)
+    keys, units, tables = _eq1_tables(alg, ring)
+    failures = []
+    for alpha, h, h_inv, want in tables:
+        conj = diagonal_sandwich(ring, h, stack, h_inv)
+        held = stack_equal(conj.reshape((want.size,) + stack.shape[1:]), stack[want.ravel()])
+        for q in np.flatnonzero(~held):
+            (beta, t), u = keys[q % len(keys)], units[q // len(keys)]
+            failures.append({"check": "torus-conjugation",
+                             "alpha": list(alpha), "beta": list(beta),
+                             "u": ring.element_to_json(u), "t": ring.element_to_json(t)})
+    return len(tables) * len(units) * len(keys), failures
+
+
+@lru_cache(maxsize=None)
+def _weyl_tables(alg, ring):
+    """(at_one, per root alpha (base, i, j, units)): the root_stack rows of
+    x_beta(1) and, for every beta, the base row of x_(s_alpha beta) and the
+    slot (row i, column j, unit) of s_alpha beta read for the sign."""
+    sysm = alg.system
+    index = ring_tables(ring)[0]
+    tables = []
     for alpha in sysm.roots:
-        pairings = [sysm.pairing(beta, alpha) for beta in sysm.roots]
-        for u in ring.units():   # u^0 = 1 on the Cartan part
-            h, h_inv = (np.array([ring.power(u, e * p) for p in pairings + [0] * sysm.rank],
-                                 dtype=stack.dtype) for e in (1, -1))
-            scale = mul[[index[ring.power(u, p)] for p in pairings]]
-            want = np.arange(len(sysm.roots))[:, None] * len(index) + scale
-            held = stack_equal(diagonal_sandwich(ring, h, stack, h_inv), stack[want.ravel()])
-            checks += len(rows)
-            failures += [{"check": "torus-conjugation",
-                          "alpha": list(alpha), "beta": list(beta),
-                          "u": ring.element_to_json(u), "t": ring.element_to_json(t)}
-                         for (beta, t), ok in zip(rows, held) if not ok]
-    return checks, failures
+        gamma = [sysm.reflect(beta, alpha) for beta in sysm.roots]
+        slots = list(map(alg._slot, gamma))
+        base = np.array([sysm.root_index(g) * len(index) for g in gamma], dtype=np.intp)
+        i, j = (np.array([slot[k] for slot, _ in slots], dtype=np.intp) for k in (0, 1))
+        tables.append(_read_only(base, i, j) + (tuple(ring.from_int(u) for _, u in slots),))
+    at_one = np.arange(len(sysm.roots), dtype=np.intp) * len(index) + index[ring.one]
+    return _read_only(at_one)[0], tuple(tables)
 
 
 def _suite_weyl(system: str, ring_name: str, seed: int):
     """w_alpha(1) x_beta(t) w_alpha(1)^-1 = x_{s_alpha beta}(sign * t), one
     sandwich of a root_stack per alpha by w_alpha(1) and its inverse, all of
-    them one word_stack; the sign is read off the slot of s_alpha beta at t = 1."""
+    them one word_stack; the sign is read off the slot of s_alpha beta at
+    t = 1, and the rows of x_{s_alpha beta}(sign * t) off ring_tables."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     elems = list(ring.elements())
-    stack, rows = root_stack(alg, ring), stack_rows(alg, ring)
+    index, mul, _, _ = ring_tables(ring)
+    stack = _tier_stack(alg, ring)
     checks, failures = 0, []
+    at_one, tables = _weyl_tables(alg, ring)
     weyls = word_stack(alg, ring, [(("w", alpha, ring.one),) for alpha in sysm.roots])
-    for alpha, w, w_inv in zip(sysm.roots, *weyls):
+    for alpha, w, w_inv, (base, i, j, units) in zip(sysm.roots, *weyls, tables):
         conj = sandwich(ring, w, stack, w_inv)
-        gamma = {beta: sysm.reflect(beta, alpha) for beta in sysm.roots}
-        slots = [alg._slot(gamma[beta]) for beta in sysm.roots]
         # an entry is a list over a product ring; ring.mul makes it an element
-        entries = conj[[rows[(beta, ring.one)] for beta in sysm.roots],
-                       [i for (i, _), _ in slots], [j for (_, j), _ in slots]].tolist()
-        sign = {beta: ring.mul(x, ring.from_int(unit))
-                for beta, x, (_, unit) in zip(sysm.roots, entries, slots)}
-        held = stack_equal(conj, _at(stack, rows, ((gamma[beta], ring.mul(sign[beta], t))
-                                                   for beta, t in rows)))
-        for beta in sysm.roots:
+        entries = as_exact(conj[at_one, i, j]).tolist()
+        sign = [index[ring.mul(x, unit)] for x, unit in zip(entries, units)]
+        held = stack_equal(conj, stack[(base[:, None] + mul[sign]).ravel()]).reshape(len(sign), -1)
+        for beta, q, ok in zip(sysm.roots, sign, held):
             checks += 1
-            if ring.mul(sign[beta], sign[beta]) != ring.one:
+            if mul[q, q] != index[ring.one]:
                 failures.append({"check": "weyl-sign-not-unit",
                                  "alpha": list(alpha), "beta": list(beta)})
                 continue
             checks += len(elems)
             failures += [{"check": "weyl-conjugation",
                           "alpha": list(alpha), "beta": list(beta),
-                          "t": ring.element_to_json(t)}
-                         for t in elems if not held[rows[(beta, t)]]]
+                          "t": ring.element_to_json(elems[k])}
+                         for k in np.flatnonzero(~ok)]
     return checks, failures
 
 
@@ -258,7 +318,7 @@ def _suite_commutator(system: str, ring_name: str, seed: int):
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     params = list(itertools.product(ring.elements(), repeat=2))
-    stack = root_stack(alg, ring)
+    stack = _tier_stack(alg, ring)
     checks, failures = 0, []
     for r in sysm.roots:
         pairs = [(r, s, chain_coefficients(alg, r, s))
@@ -287,7 +347,7 @@ def _suite_recover(system: str, ring_name: str, seed: int):
             "at least 3")
     rng = random.Random(seed)
     units = ring.units()
-    at_one = root_stack(alg, ring, (ring.one,))
+    at_one = _tier_stack(alg, ring, (ring.one,))
     both = np.concatenate([at_one, from_ints(ring, [alg.x_mats[root] for root in sysm.roots],
                                              at_one.dtype)])
     checks, failures = 0, []

@@ -15,7 +15,8 @@ h_root elements.  Words are what certificates replay; the matrix is what
 equality means.  word_stack is the one word product, on arrays, for a list
 of words at once: the x factors (three per w token) from one x_stack, each
 torus token the diagonal of its character, the factors as a balanced tree of
-batched products; from_word is the group element of one word.
+batched products; from_word is the group element of one word.  The torus
+diagonals are memoised per token, like the x_stack columns per parameter.
 
 x_root(t) is 1 + sum_k t^k D_k, D_k = X^k / k! for X = ad e_root (Steinberg,
 Lectures on Chevalley Groups, 1967, section 3).  D_k moves weight mu to
@@ -117,6 +118,17 @@ def unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
     return GroupElement(ring, mat, inv, (("x", root, t),))
 
 
+@lru_cache(maxsize=1 << 12)
+def _torus_diagonal(alg: AdjointAlgebra, ring: Ring, kind: str, root, t) -> tuple:
+    """The diagonals of an h or chi token and of its inverse: the character
+    on the root vectors (h_root(u): u^<beta, root>), 1 on the Cartan part."""
+    sysm = alg.system
+    chi = [reduce(ring.mul, map(ring.power, root, beta), ring.one) if kind == "chi"
+           else ring.power(t, sysm.pairing(beta, root)) for beta in sysm.roots]
+    chi += [ring.one] * sysm.rank
+    return tuple(chi), tuple(map(ring.inv, chi))
+
+
 def word_stack(alg: AdjointAlgebra, ring: Ring, words):
     """The product of each word and, in reverse order, of its tokens'
     inverses, as a stack of shape (2, len(words), n, n), for nonempty words
@@ -135,10 +147,7 @@ def word_stack(alg: AdjointAlgebra, ring: Ring, words):
                 x += [(neg, ring.neg(u)), (neg, u)] + x
             keys += x
         elif kind in ("h", "chi"):
-            chi = [reduce(ring.mul, map(ring.power, root, beta), ring.one) if kind == "chi"
-                   else ring.power(t, sysm.pairing(beta, root)) for beta in sysm.roots]
-            chi += [ring.one] * sysm.rank
-            diagonals += [chi, list(map(ring.inv, chi))]
+            diagonals += _torus_diagonal(alg, ring, kind, root, t)
         else:
             raise ValueError(f"unknown token kind {kind!r}")
     layout = "".join({"x": "x", "w": "xxx"}.get(kind, "d") for kind, _, _ in words[0])
@@ -267,7 +276,8 @@ def commutator_pattern_holds(alg: AdjointAlgebra, ring: Ring, stack, pairs, para
     [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j), as a boolean array.
 
     ``stack`` holds x_root(t) for every root and element in the rows of
-    stack_rows (see ``linalg.stack_mul``), read at the commutator_rows.  The
+    stack_rows (see ``linalg.stack_mul``), read at the commutator_rows, in
+    any storage tier: the chains stay in the stack's dtype.  The
     left sides are three batched products, the right sides of all chains of
     one length one batched product per factor past the first, the factors in
     coeffs order (chain_coefficients gives chain_pairs order).

@@ -3,20 +3,25 @@
 Matrices are tuples of row tuples of ring elements, so they hash and compare
 exactly.  A stack is the array form that batched code works on: a numpy
 array of elements with leading batch axes (over a product ring an element is
-the last axis, one entry per factor), stored as int64 (or object).
+the last axis, one entry per factor), stored as int64 (or object), or over
+Z/n in the float32 tier that ``stack_dtype(..., carrier=True)`` names, where
+every product the stack takes part in is exact in float32.
 ``stack_mul`` is the one product kernel: int64 under ``residue_dtype`` over
 Z/n and over Z (exact object arrays past the guard), k^2 products of base-p
 digit planes over GF(p^k) (``field_matmul``), and one product per factor over
-a product ring.  A product with a batch axis is carried in float32 where
-``residue_dtype`` allows, as integers below 2^24 that float32 holds exactly,
-then reduced and cast back once, the delayed reduction of FFLAS-FFPACK
-(Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008); it runs in blocks of batch
-matrices whose temporaries stay under malloc's mmap threshold.  Floats never
-leave this module.  ``mat_mul`` takes tuple matrices (over Z the guard reads
-their largest |entry| off the Python ints), ``sandwich`` and
-``diagonal_sandwich`` compute left m right over a stack, ``row_ops`` scales
-and subtracts on stacks (a tuple matrix is never scaled) and ``from_ints``
-maps integer arrays into a ring.
+a product ring.  A product with a batch axis, and any product of float32
+tier stacks, is carried in float32 where ``residue_dtype`` allows, as
+integers below 2^24 that float32 holds exactly, and reduced in place, the
+delayed reduction of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008); int64 operands are cast back once, tier stacks stay float32 from
+product to product.  It runs in blocks of batch matrices whose temporaries
+malloc keeps mapped from call to call.  Floats never leave this module as
+elements: ``to_matrix`` and ``as_exact`` turn a tier stack back into
+integers.  ``mat_mul`` takes tuple matrices (over Z the guard reads their
+largest |entry| off the Python ints), ``sandwich`` and ``diagonal_sandwich``
+compute left m right over a stack, ``row_ops`` scales and subtracts on
+stacks (a tuple matrix is never scaled) and ``from_ints`` maps integer
+arrays into a ring.
 
 Inversion, over a finite ring only, first splits the ring into local
 factors, then runs a Smith-style diagonalization per factor, and kernels are
@@ -115,14 +120,31 @@ def field_matmul(ring: FieldTable, a, b):
     return out
 
 
-def stack_dtype(ring: Ring, inner: int):
+def stack_dtype(ring: Ring, inner: int, carrier: bool = False):
     """The dtype of exact arrays of elements of a finite ring whose products
     sum ``inner`` terms: ``residue_dtype`` over Z/n, int64 over GF(p^k), and
-    over a product ring object if any factor needs it."""
+    over a product ring object if any factor needs it.  With ``carrier``, the
+    float32 tier over Z/n (over a product ring, when every factor takes it)
+    wherever ``residue_dtype`` names it: such a stack stays float32 through
+    ``stack_mul`` and ``row_ops``."""
     if isinstance(ring, ProductRing):
-        kinds = {stack_dtype(f, inner) for f in ring.factors}
-        return object if object in kinds else np.int64
-    return residue_dtype(ring.n, inner) if isinstance(ring, ZMod) else np.int64
+        kinds = {stack_dtype(f, inner, carrier) for f in ring.factors}
+        return object if object in kinds else kinds.pop() if len(kinds) == 1 else np.int64
+    return residue_dtype(ring.n, inner, carrier) if isinstance(ring, ZMod) else np.int64
+
+
+def _reduce(x, mod: int):
+    """x mod ``mod`` in place: % on integers, x - mod floor(x / mod) on a
+    float32 array of integers below 2^24, where it is exact (see stack_mul)
+    and np.remainder is an order of magnitude slower."""
+    if x.dtype.kind != "f":
+        x %= mod
+        return x
+    q = x / mod
+    np.floor(q, out=q)
+    q *= mod
+    x -= q
+    return x
 
 
 def stack_mul(ring: Ring, a, b):
@@ -132,50 +154,61 @@ def stack_mul(ring: Ring, a, b):
     per factor, and each factor multiplies its own stack on its own path.
 
     The result has the operands' dtype.  A product of int64 arrays with a
-    batch axis is carried in float32 when ``residue_dtype(bound, inner,
-    carrier=True)`` allows, bound being the modulus over Z/n and max|entry| + 1
-    over Z: every partial sum is then an integer below 2^24 in absolute value,
-    exact in float32 in any order.  So is x - n floor(x / n): x / n rounds by
-    under half an ulp, less than 1/n there, and a quotient that is not an
-    integer lies at least 1/n from one.  2-D products (``mat_mul``, the
-    intertwiner's recombination) stay on the integer path."""
+    batch axis, or of float32 tier stacks, is carried in float32 when
+    ``residue_dtype(bound, inner, carrier=True)`` allows, bound being the
+    modulus over Z/n and max|entry| + 1 over Z: every partial sum is then an
+    integer below 2^24 in absolute value, exact in float32 in any order.  So
+    is x - n floor(x / n): x / n rounds by under half an ulp, less than 1/n
+    there, and a quotient that is not an integer lies at least 1/n from one.
+    Tier stacks past that guard take the integer path and come back float32.
+    2-D int64 products (``mat_mul``, the intertwiner's recombination) stay on
+    the integer path."""
     if isinstance(ring, ProductRing):
         return np.stack([stack_mul(f, a[..., i], b[..., i])
                          for i, f in enumerate(ring.factors)], axis=-1)
     if isinstance(ring, FieldTable):
         return field_matmul(ring, a, b)
     mod = ring.n if isinstance(ring, ZMod) else 0
-    if max(a.ndim, b.ndim) > 2 and np.result_type(a, b) == np.int64:
-        bound = mod or max((int(abs(x).max()) for x in (a, b) if x.size), default=0) + 1
+    kind = np.result_type(a, b)
+    if kind == np.float32 or max(a.ndim, b.ndim) > 2 and kind == np.int64:
+        bound = mod or max((max(int(x.max()), -int(x.min())) for x in (a, b) if x.size),
+                           default=0) + 1   # no |x| temporary
         if residue_dtype(bound, a.shape[-1], carrier=True) is np.float32:
             return _carried(a, b, mod)
+        if kind == np.float32:
+            return stack_mul(ring, as_exact(a), as_exact(b)).astype(kind)
     out = a @ b
     if mod:
         out %= mod
     return out
 
 
-CARRIER_BLOCK_BYTES = 127 << 10   # under glibc's 128 KiB mmap threshold, with room for a header
+# under 64 KiB, with room for a header: glibc serves such a block from its heap
+# (the mmap threshold is 128 KiB), and freeing it never trims the heap top
+# (free() consolidates and trims only at 64 KiB and up), so its pages stay
+# mapped from block to block and from call to call
+CARRIER_BLOCK_BYTES = 63 << 10
 
 
 def _carried(a, b, mod: int):
-    """a @ b (mod ``mod`` unless 0) through float32, as int64, in blocks of
-    batch matrices whose float32 temporaries stay under CARRIER_BLOCK_BYTES,
-    so malloc reuses its heap rather than fault in fresh pages; one block, one call."""
+    """a @ b (mod ``mod`` unless 0) through float32, in the operands' dtype,
+    in blocks of batch matrices whose float32 temporaries stay under
+    CARRIER_BLOCK_BYTES, so malloc reuses its heap rather than fault in fresh
+    pages; one block, one call."""
+    dtype = np.result_type(a, b)
+
     def block(x, y):
-        out = x.astype(np.float32) @ y.astype(np.float32)
-        if mod:
-            out -= np.floor(out / mod) * mod
-        return out
+        out = x.astype(np.float32, copy=False) @ y.astype(np.float32, copy=False)
+        return _reduce(out, mod) if mod else out
 
     rows, inner, cols = a.shape[-2], a.shape[-1], b.shape[-1]
     step = max(1, CARRIER_BLOCK_BYTES // (4 * max(rows * inner, inner * cols, rows * cols)))
     if max(prod(a.shape[:-2]), prod(b.shape[:-2])) <= step:   # one block unless both broadcast
-        return block(a, b).astype(np.int64)
+        return block(a, b).astype(dtype, copy=False)
     batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     a, b = (np.broadcast_to(x, batch + x.shape[-2:]).reshape((-1,) + x.shape[-2:])
-            if x.ndim > 2 else x for x in (a, b))
-    out = np.empty((prod(batch), rows, cols), dtype=np.int64)
+            if x.ndim > 2 else x.astype(np.float32, copy=False) for x in (a, b))   # cast once
+    out = np.empty((prod(batch), rows, cols), dtype=dtype)
     for lo in range(0, len(out), step):
         out[lo:lo + step] = block(*(x[lo:lo + step] if x.ndim > 2 else x for x in (a, b)))
     return out.reshape(batch + (rows, cols))
@@ -191,9 +224,12 @@ def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
 def diagonal_sandwich(ring: Ring, left, stack, right):
     """``sandwich`` for diagonal matrices given as the arrays of their
     diagonals, as two broadcast scalings: entry (i, j) of every matrix times
-    left[i] right[j]."""
-    scale = row_ops(ring)[0]
-    return scale(stack, scale(left[:, None], right))
+    left[i] right[j].  Diagonals with a leading axis of pairs give one
+    sandwich of the whole stack per pair, on a new first axis."""
+    scale, tail = row_ops(ring)[0], np.ndim(ring.one)   # over a product ring, the factor axis
+    both = scale(np.expand_dims(left, left.ndim - tail),        # left[i] down the rows
+                 np.expand_dims(right, right.ndim - tail - 1))  # right[j] along them
+    return scale(stack, both[:, None] if left.ndim > 1 + tail else both)
 
 
 def from_ints(ring: Ring, a, dtype):
@@ -211,11 +247,18 @@ def stack_equal(a, b) -> np.ndarray:
     return same.reshape(len(same), -1).all(axis=1)
 
 
+def as_exact(a):
+    """An array of elements with integer entries: a float32 tier stack cast
+    back to int64, any other array as it is."""
+    return a.astype(np.int64) if a.dtype.kind == "f" else a
+
+
 def to_matrix(ring: Ring, a) -> Matrix:
-    """One array of elements back to a tuple matrix."""
+    """One array of elements back to a tuple matrix of Python ints."""
+    rows = as_exact(a).tolist()
     if isinstance(ring, ProductRing):
-        return tuple(tuple(map(tuple, row)) for row in a.tolist())
-    return tuple(map(tuple, a.tolist()))
+        return tuple(tuple(map(tuple, row)) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
@@ -280,7 +323,8 @@ def row_ops(ring: Ring):
     ring, with numpy broadcasting.  Over a product ring every operand, c too,
     carries the factors on its last axis, and each factor's ops run on its
     slice.  Over Z/n sub_mul overwrites x (over a product, x's slices), so
-    callers pass a copy or the very array to update."""
+    callers pass a copy or the very array to update; on float32 tier stacks
+    both reduce as stack_mul does and return float32."""
     if isinstance(ring, ProductRing):
         ops = [row_ops(f) for f in ring.factors]
 
@@ -294,9 +338,8 @@ def row_ops(ring: Ring):
 
         def sub_mul(x, c, y):
             x -= c * y
-            x %= mod
-            return x
-        return (lambda x, c: (x * c) % mod), sub_mul
+            return _reduce(x, mod)
+        return (lambda x, c: _reduce(x * c, mod)), sub_mul
     _, mul, sub, _ = ring_tables(ring)
     return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
 

@@ -49,7 +49,9 @@ def recovery_regime(system: RootSystem, ring: Ring) -> Optional[str]:
 
 def recover_family(alg: AdjointAlgebra, ring: Ring, stack):
     """Lie elements for a full family of parameter-1 unipotent images, given
-    and returned as stacks with one matrix per root of alg.system.roots.
+    and returned as stacks with one matrix per root of alg.system.roots, in
+    the stack's dtype: a float32 tier stack (see linalg.stack_dtype) stays
+    in the tier through every product and row op.
 
     Raises ValueError when the system/ring pair has no recovery regime or
     the stack does not hold one matrix per root.

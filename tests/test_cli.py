@@ -6,9 +6,10 @@ import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
-from chevalley import cli, group
+from chevalley import cli, group, linalg, recover
 from chevalley.cli import main
 from chevalley.group import group_for
 from chevalley.liealg import AdjointAlgebra
@@ -356,6 +357,54 @@ def test_suite_reports_planted_defect(monkeypatch, defect, suite, system, ring,
     assert (got_checks, len(failures)) == (checks, count)
     text = json.dumps(failures, sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("defect, suite, system, ring, checks, count, digest",
+                         PLANTED_FAILURES)
+def test_planted_defect_shows_right_after_a_clean_run(monkeypatch, defect, suite, system, ring,
+                                                      checks, count, digest):
+    # the clean run leaves every table the suite memoises per (algebra, ring)
+    # warm; a table that kept data under test would keep it clean and hide
+    # the defect from the run after it
+    assert cli.SUITES[suite](system, ring, 0)[1] == []
+    defect(monkeypatch)
+    got_checks, failures = cli.SUITES[suite](system, ring, 0)
+    assert (got_checks, len(failures)) == (checks, count)
+    text = json.dumps(failures, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite, system, ring", [
+    ("laws", "G2", "Z/4"), ("laws", "A2", "Z/3xZ/3"), ("weyl", "B2", "Z/6"),
+    ("commutator", "G2", "Z/4"), ("recover", "D4", "Z/2"), ("recover", "A3", "Z/3xZ/3")])
+def test_suites_multiply_tier_stacks_only(monkeypatch, suite, system, ring):
+    # over Z/n (and products of them) every product a suite asks for is of
+    # float32 tier stacks, so no product converts on the way in or out; the
+    # group elements word_stack builds (w tokens, recover's conjugators) are
+    # the int64 stacks certify shares; a first run builds the cold tables
+    cli.SUITES[suite](system, ring, 0)
+    seen, words = [], []
+    for module in (cli, group, linalg, recover):
+        clean = module.stack_mul
+
+        def spy(r, a, b, clean=clean):
+            if not words:
+                seen.append((np.result_type(a), np.result_type(b)))
+            return clean(r, a, b)
+        monkeypatch.setattr(module, "stack_mul", spy)
+    word_stack = group.word_stack
+
+    def in_words(*args):
+        words.append(True)
+        try:
+            return word_stack(*args)
+        finally:
+            words.pop()
+    monkeypatch.setattr(group, "word_stack", in_words)
+    monkeypatch.setattr(cli, "word_stack", in_words)
+    checks, failures = cli.SUITES[suite](system, ring, 0)
+    assert checks and failures == []
+    assert seen and set(seen) == {(np.dtype(np.float32),) * 2}
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -706,6 +706,81 @@ def test_intertwiners_reduce_to_a_line_for_every_diagram_symmetry(system, ring_n
                     (seed, problem.index, delta.perm)
 
 
+def conjugated_table(ring, b, table):
+    """b m b^-1 for every image m of a spec table."""
+    b_inv = ring_invert(ring, b)
+    return {key: mat_mul(ring, mat_mul(ring, b, m), b_inv) for key, m in table.items()}
+
+
+def premise_tables(system, ring_name, seed):
+    """Spec tables in the shapes the refusals workload feeds match: a forged
+    spec, the same conjugated by a diagonal matrix that scales one root
+    coordinate by a unit other than 1 (the diag shape) and, on A2/Z/5, by a
+    unipotent matrix outside the group (the outside-conjugator shape)."""
+    ring = ring_make(ring_name)
+    sysm, alg = group_for(system)
+    table = dict(forge_random_parts(system, ring_name, seed)[0].images)
+    rng = random.Random(f"{system}/{ring_name}/{seed}")
+    pos = rng.randrange(len(sysm.roots))
+    unit = rng.choice([u for u in ring.units() if u != ring.one])
+    diag = matrix([[(unit if i == pos else ring.one) if i == j else ring.zero
+                    for j in range(alg.dim)] for i in range(alg.dim)])
+    out = [table, conjugated_table(ring, diag, table)]
+    if (system, ring_name) == ("A2", "Z/5"):
+        outside = [list(row) for row in identity(ring, alg.dim)]
+        outside[0][1], outside[3][6] = 1, 2
+        out.append(conjugated_table(ring, matrix(outside), table))
+    return out
+
+
+@pytest.mark.parametrize("system,ring_name", [
+    ("A2", "Z/4"), ("A2", "Z/5"), ("A2", "Z/8"), ("A2", "Z/9"), ("A2", "F4"), ("A2", "Z/6"),
+    ("B2", "Z/4"), ("B2", "Z/5"), ("B2", "Z/9"), ("G2", "Z/4"), ("G2", "Z/7"), ("A3", "Z/4"),
+    ("C3", "Z/3"),
+])
+def test_item_2_premise_residue_intertwiners_are_a_line_and_candidates_agree(system, ring_name):
+    """The premise of ROADMAP item 2 (intertwiners by spinning one vector):
+    for every local problem and diagram symmetry delta, on forged specs and
+    on the diag and outside-conjugator shapes that match must refuse,
+    (1) the intertwiners of the x_root(1) reduced mod p, solved over the
+    residue field, form at most a line, and (2) every strictly inner
+    candidate gives one (matrix, word).  Then any method that returns a
+    generating set of the intertwiners gives byte-identical certificates."""
+    sysm, alg = group_for(system)
+    ring = ring_make(ring_name)
+    for seed in range(2):
+        for shape, table in enumerate(premise_tables(system, ring_name, seed)):
+            spec = spec_from_elements(system, ring, table)
+            stack = decomposer.precheck(spec, alg)
+            inner = []   # strictly inner candidates per local problem
+            for problem in decomposer.split_local(stack, alg, ring):
+                local = problem.ring
+                p = local.residue_char
+                residue = local if local.nil_degree == 1 else ring_make(f"Z/{p}")
+                at_one = [stack_rows(alg, local)[(root, local.one)] for root in sysm.roots]
+                xs = root_stack(alg, local)[at_one]
+                inner.append(0)
+                for delta in diagram_symmetries(sysm):
+                    gd = None if delta.is_identity else graph_data(alg, delta)
+                    ys = decomposer._twist_table(alg, local, problem.table, gd)[at_one]
+                    where = (seed, shape, problem.index, delta.perm)
+                    reduced = (xs, ys) if residue is local else (xs % p, ys % p)
+                    assert len(decomposer._intertwiner_basis(residue, *reduced)) <= 1, where
+                    found = set()
+                    for vec in decomposer._intertwiner_basis(local, xs, ys):
+                        m = to_matrix(local, np.reshape(vec, (alg.dim, alg.dim)))
+                        if ring_invert(local, m) is None:
+                            continue
+                        elem = strictly_inner_element(alg, local, m)
+                        if elem is not None:
+                            found.add((elem.mat, elem.word))
+                    assert len(found) <= 1, where
+                    inner[-1] += len(found)
+            # a forged spec has its planted conjugator on every factor; a shape
+            # leaves the group on some factor, where match finds none
+            assert min(inner) >= 1 if shape == 0 else min(inner) == 0, (seed, shape, inner)
+
+
 def test_round_trip_inverts_candidates_only_up_to_the_first_hit(monkeypatch):
     inverted, tried = [], []
     real_invert, real_inner = decomposer.ring_invert, decomposer.strictly_inner_element

@@ -22,6 +22,7 @@ import pytest
 from chevalley.autos import graph_data
 from chevalley.decomposer import _weyl_elements
 from chevalley.group import (
+    _torus_diagonal,
     _x_pattern,
     chain_coefficients,
     chain_pairs,
@@ -39,7 +40,7 @@ from chevalley.group import (
 )
 from chevalley.liealg import build_algebra
 from chevalley.linalg import (diagonal_sandwich, identity, mat_map, mat_mul, ring_tables, sandwich,
-                              to_matrix)
+                              stack_dtype, to_matrix)
 from chevalley.rings import ring_make
 from chevalley.roots import DiagramSymmetry, diagram_symmetries
 from oracles import (commutator, conjugate, dense_unipotent, det_bareiss, element_mul, h_element,
@@ -337,6 +338,36 @@ def test_diagonal_sandwich_is_the_torus_conjugation(ring_name):
                 got = diagonal_sandwich(ring, left, stack, right)
                 want = sandwich(ring, h.mat, stack, h.inv_mat)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (alpha, u)
+
+
+@pytest.mark.parametrize("ring_name", ["Z/4", "F9", "Z/3xZ/3"])
+def test_diagonal_sandwich_of_stacked_diagonals_is_one_sandwich_per_pair(ring_name):
+    # verify eq1 hands every unit's h_alpha(u) over at once, in the stack's tier
+    ring = ring_make(ring_name)
+    sysm, alg = group_for("B2")
+    stack = root_stack(alg, ring)
+    stack = stack.astype(stack_dtype(ring, alg.dim, carrier=True))
+    alpha = sysm.roots[1]
+    mats = [h_element(alg, ring, alpha, u) for u in ring.units()]
+    left, right = (np.array([diag_of(getattr(h, side)) for h in mats], dtype=stack.dtype)
+                   for side in ("mat", "inv_mat"))
+    got = diagonal_sandwich(ring, left, stack, right)
+    assert got.shape == (len(mats),) + stack.shape and got.dtype == stack.dtype
+    for h, conj in zip(mats, got):
+        assert np.array_equal(conj, sandwich(ring, h.mat, stack, h.inv_mat))
+
+
+def test_torus_diagonals_are_memoised_per_token_and_bounded():
+    sysm, alg = group_for("G2")
+    ring = ring_make("Z/7")
+    _torus_diagonal.cache_clear()
+    token = ("chi", (3, 5), None)
+    first = from_word(alg, ring, (token, ("h", sysm.roots[0], 3)))
+    again = from_word(alg, ring, (("x", sysm.roots[1], 2), token))
+    info = _torus_diagonal.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (2, 1, 1 << 12)
+    for elem in (first, again):
+        assert (elem.mat, elem.inv_mat) == word_fold(alg, ring, elem.word)
 
 
 def test_commuting_roots_give_trivial_commutator():

@@ -22,6 +22,7 @@ from chevalley.decomposer import _intertwiner_basis
 from chevalley.linalg import (
     CARRIER_BLOCK_BYTES,
     _eliminate,
+    as_exact,
     field_matmul,
     from_ints,
     identity,
@@ -562,6 +563,108 @@ def test_blocked_carrier_is_exact_at_block_edges(name, top):
             got = stack_mul(ring, a, b)
             assert got.dtype == np.int64
             assert np.array_equal(got, want(a, b)), (count, a.shape, b.shape)
+
+
+# --- float32 tier stacks: stored in the carrier from product to product -------
+
+# (ring, inner) with inner (n - 1)^2 just below 2^24 and, one ring later, past
+# it: at Z/1025 on 2^24 itself, at Z/2366 on 3 * 2365^2, odd, which float32
+# cannot hold
+TIER_EDGES = [("Z/1024", 16), ("Z/1025", 16), ("Z/2365", 3), ("Z/2366", 3)]
+
+
+@pytest.mark.parametrize("name,inner", TIER_EDGES)
+def test_stack_dtype_names_the_tier_only_for_storage_that_asks(name, inner):
+    ring = ring_make(name)
+    inside = inner * (ring.size - 1) ** 2 < 2 ** 24
+    assert stack_dtype(ring, inner, carrier=True) is (np.float32 if inside else np.int64)
+    assert stack_dtype(ring, inner) is np.int64
+
+
+def test_stack_dtype_of_the_tier_over_fields_and_products():
+    # a product ring takes the tier only when every factor does; GF(q) keeps
+    # its digit-plane carrier inside the product and stores int64
+    assert stack_dtype(ring_make("Z/3xZ/3"), 14, carrier=True) is np.float32
+    assert stack_dtype(ring_make("Z/3xF4"), 14, carrier=True) is np.int64
+    assert stack_dtype(ring_make("F9"), 14, carrier=True) is np.int64
+    assert stack_dtype(ring_make(f"Z/{2 ** 40}"), 14, carrier=True) is object
+
+
+@pytest.mark.parametrize("name,inner", TIER_EDGES)
+def test_tier_stacks_multiply_as_int64_and_stay_float32(name, inner):
+    # every entry n - 1, batched and broadcast; past the edge a tier stack
+    # takes the integer path and still comes back float32
+    ring = ring_make(name)
+    rng = np.random.default_rng(ring.size)
+    cases = batched_operands(inner, ring.size - 1) + [
+        (rng.integers(0, ring.size, (2, 1, 5, inner)), rng.integers(0, ring.size, (3, inner, 4)))]
+    for a, b in cases:
+        got = stack_mul(ring, a.astype(np.float32), b.astype(np.float32))
+        assert got.dtype == np.float32
+        assert np.array_equal(got, stack_mul(ring, a, b)), (a.shape, b.shape)
+    a, b = cases[-1]   # a 2-D tier product is carried too
+    assert np.array_equal(stack_mul(ring, a[0, 0].astype(np.float32), b[0].astype(np.float32)),
+                          (a[0, 0] @ b[0]) % ring.size)
+
+
+@pytest.mark.parametrize("name", ["Z/3", "Z/887", "Z/3xZ/5"])
+def test_tier_stacks_are_exact_at_block_edges(name):
+    # one block, one past it and a ragged several, batch left, right and
+    # broadcast on both, against the int64 path
+    ring = ring_make(name)
+    rng = np.random.default_rng(len(name) + 1)
+    n = 21
+    step = CARRIER_BLOCK_BYTES // (4 * n * n)
+    sizes = [f.size for f in ring.factors] if name == "Z/3xZ/5" else [ring.size]
+
+    def draw(shape):
+        out = np.stack([rng.integers(0, s, shape) for s in sizes], axis=-1)
+        return out if len(sizes) > 1 else out[..., 0]
+
+    assert stack_dtype(ring, n, carrier=True) is np.float32
+    for count in (step, step + 1, 3 * step - 1):
+        for a, b in [(draw((count, n, n)), draw((n, n))), (draw((n, n)), draw((count, n, n))),
+                     (draw((2, 1, n, n)), draw((1, count, n, n)))]:
+            got = stack_mul(ring, a.astype(np.float32), b.astype(np.float32))
+            assert got.dtype == np.float32
+            assert np.array_equal(got, stack_mul(ring, a, b)), (count, a.shape, b.shape)
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/6", "Z/887", "Z/4096", "Z/3xZ/3"])
+def test_row_ops_on_tier_stacks_match_the_int64_path(name):
+    # x * c and x - c * y with c one element, one per row and one per entry,
+    # the top residues included (x - c y then reaches -(n - 1)^2)
+    ring = ring_make(name)
+    rng = np.random.default_rng(ring.size)
+    sizes = np.array([f.size for f in ring.factors] if len(name.split("x")) > 1 else [ring.size])
+    tail = (len(sizes),) if len(sizes) > 1 else ()
+
+    def draw(shape):
+        out = rng.integers(0, sizes, shape + (len(sizes),))
+        out[0] = sizes - 1
+        return out if tail else out[..., 0]
+
+    scale, sub_mul = row_ops(ring)
+    x, y, c = draw((6, 5, 4)), draw((6, 5, 4)), draw((6, 1, 1))
+    for cs in (c, c[0, 0, 0], draw((6, 5, 4))):
+        tx, tc, ty = (np.asarray(v).astype(np.float32) for v in (x, cs, y))
+        got = scale(tx, tc)
+        assert got.dtype == np.float32 and np.array_equal(got, scale(x, cs))
+        got = sub_mul(tx.copy(), tc, ty)
+        assert got.dtype == np.float32 and np.array_equal(got, sub_mul(x.copy(), cs, y))
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/3xZ/3"])
+def test_to_matrix_of_a_tier_stack_gives_python_ints(name):
+    ring = ring_make(name)
+    stack = from_ints(ring, np.arange(-4, 5).reshape(1, 3, 3), stack_dtype(ring, 3, carrier=True))
+    assert stack.dtype == np.float32
+    got = to_matrix(ring, stack[0])
+    assert got == to_matrix(ring, from_ints(ring, np.arange(-4, 5).reshape(3, 3), np.int64))
+    leaves = [x for row in got for x in row for x in (x if isinstance(x, tuple) else (x,))]
+    assert all(type(x) is int for x in leaves)
+    ints = as_exact(stack)
+    assert ints.dtype == np.int64 and as_exact(ints) is ints
 
 
 def test_blocked_carrier_over_z_reads_the_bound_off_the_whole_operands():

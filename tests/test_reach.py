@@ -1,7 +1,8 @@
 """What the benchmark harness and the package exports reach must exist,
 every import in src and tests must be read, every definition in src must
 be read by src or the benchmark harness, only linalg names a float dtype,
-and outside liealg only the one x_root(t) builder reads the divided powers.
+outside liealg only the one x_root(t) builder reads the divided powers, and
+no table cli memoises reads data a planted defect sits in.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
@@ -134,6 +135,48 @@ def test_one_x_root_path(monkeypatch):
     assert {f"cli.verify.{suite}" for suite in cli.SUITES} <= layers
 
 
+UNDER_TEST = {"bracket_basis", "chain_coefficients", "x_stack", "root_stack"}
+
+
+def is_cached(node) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "lru_cache"
+               or getattr(d, "id", None) == "lru_cache" for d in node.decorator_list)
+
+
+def test_no_memoised_table_in_cli_reads_data_under_test():
+    # tests/test_cli.py plants its defects in these four; a table memoised per
+    # (algebra, ring) that read one would keep the clean value and hide the
+    # defect on every later call.  Reads are followed through every call to a
+    # function or method of src, by name
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef):
+                    functions.setdefault(fn.name, []).append(fn)
+
+    def reach(node):
+        read, todo, seen = set(), [node], set()
+        while todo:
+            for sub in ast.walk(todo.pop()):
+                if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
+                    read.add(getattr(sub, "id", None) or sub.attr)
+                if isinstance(sub, ast.Call):
+                    name = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                    if name in functions and name not in seen:
+                        seen.add(name)
+                        todo += functions[name]
+        return read
+
+    cached = [node for node in ast.parse((SRC / "cli.py").read_text()).body
+              if isinstance(node, ast.FunctionDef) and is_cached(node)]
+    assert {"_law_tables", "_eq1_tables", "_weyl_tables"} <= {node.name for node in cached}
+    assert {node.name: sorted(reach(node) & UNDER_TEST) for node in cached} == {
+        node.name: [] for node in cached}
+    # the check sees a read two calls away
+    assert {"root_stack", "x_stack"} <= reach(functions["_suite_weyl"][0])
+
+
 def test_elements_multiply_as_words():
     # the Weyl scan works on arrays: in decomposer only the big cell and the
     # forge build an element from a word, GroupElement is a record with no
@@ -183,8 +226,9 @@ def float_dtypes_named(path: Path) -> list:
 
 
 def test_floats_stay_in_the_product_kernel():
-    # linalg carries exact integer products in float32; stacks, tables and
-    # artifacts elsewhere hold integers only
+    # linalg carries exact integer products in float32 and names the float32
+    # tier stacks may be stored in; every other module gets that tier from
+    # stack_dtype and never names a float type itself
     assert float_dtypes_named(SRC / "linalg.py")
     assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
             for hit in float_dtypes_named(path)] == []
