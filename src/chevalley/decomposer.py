@@ -27,7 +27,8 @@ Tables are stacks (see linalg), one image per root and ring element in the
 rows of ``group.stack_rows``, built per certify and dropped.  The precheck's
 checks, the twist, the residual ring map and the replay are each a few
 batched products on them, and report the first failure an image-by-image
-loop would have met.
+loop would have met.  Match stays on arrays from the first nullspace to the
+Weyl scan, and no inverse is built that nothing reads.
 
 Big-cell factorization notes: in the basis ordered by descending coweight
 height, elements of U^- are unit lower triangular and T U^+ is upper
@@ -73,11 +74,12 @@ from chevalley.linalg import (
     Matrix,
     crt_combine,
     identity,
+    local_invertible,
     local_nullspace,
     mat_mul,
     matrix,
     residue_dtype,
-    ring_invert,
+    ring_invertible,
     row_ops,
     sandwich,
     stack_dtype,
@@ -163,7 +165,8 @@ def spec_from_json(data: dict) -> AutomorphismSpec:
     The system and ring are JSON strings.  Roots and elements are JSON
     integers, never bools or floats (an element of a product ring is a list
     of one per factor); elements lie in the ring, each matrix is dim x dim,
-    and no (root, param) pair appears twice.
+    and no (root, param) pair appears twice.  Entries are walked one by one
+    only to name the first offender of a matrix ``_element_array`` refuses.
     """
     try:
         system = data["system"]
@@ -204,13 +207,33 @@ def spec_from_json(data: dict) -> AutomorphismSpec:
             if lengths != [alg.dim] * alg.dim:
                 raise CertifyError("precheck", f"image matrix is not {alg.dim}x{alg.dim}",
                                    {"key": key, "row_lengths": lengths})
-            images[(root, t)] = matrix(
+            held = _element_array(ring, raw)
+            images[(root, t)] = to_matrix(ring, held) if held is not None else matrix(
                 tuple(element(v, "matrix entry", {"key": key}) for v in row) for row in raw)
         return AutomorphismSpec(system, ring_name, tuple(images.items()))
     except CertifyError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CertifyError("precheck", f"malformed spec: {exc}") from exc
+
+
+def _element_array(ring: Ring, raw):
+    """The dim x dim rows ``raw`` as an int64 array, or None unless every
+    entry is a JSON integer in the ring (over a product ring, a list of one
+    per factor): one type-set check, one shape check, one range check."""
+    entries, tops = list(itertools.chain.from_iterable(raw)), ring.size
+    if isinstance(ring, ProductRing):   # a non-list entry puts None in the set
+        entries = list(itertools.chain.from_iterable(
+            x if type(x) is list else [None] for x in entries))
+        tops = [f.size for f in ring.factors]
+    if {type(x) for x in entries} != {int}:
+        return None
+    try:
+        held = np.array(raw, dtype=np.int64)
+    except (OverflowError, ValueError):   # past int64, or ragged entries
+        return None
+    fits = held.shape[2:] == np.shape(tops) and ((held >= 0) & (held < tops)).all()
+    return held if fits else None
 
 
 def _is_int_json(ring: Ring, raw) -> bool:
@@ -289,7 +312,7 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
         powers.append(stack_mul(ring, powers[c], images))
     for key, m in provided.items():
         c = order[at[key]]
-        if not c and ring_invert(ring, m) is None:
+        if not c and not ring_invertible(ring, m):
             raise CertifyError("precheck", "image matrix is not invertible",
                                {"key": _key_json(ring, key)})
         if not c or _additive_order(ring, key[1]) != c:
@@ -415,13 +438,14 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
 # intertwining equations
 
 
-def _intertwiner_basis(ring: Ring, xs, ys) -> List[Tuple]:
+def _intertwiner_basis(ring: Ring, xs, ys) -> np.ndarray:
     """Basis of {M : M X = Y M for every pair X, Y of the stacks xs, ys}, as
-    flat vectors.
+    the rows of a (b, n*n) array.
 
     The first pair's equations are the rows of I (x) X^T - Y (x) I, written
-    into one array.  After it the basis is a (b, n*n) array, and each pair's
-    residuals B_c X - Y B_c are two batched products.
+    into one array.  After it each pair's residuals B_c X - Y B_c are two
+    batched products, and so is the recombination of the basis by their
+    nullspace (a batch of one, which stack_mul carries in float32).
     """
     n = xs.shape[-1]
     nn = n * n
@@ -435,18 +459,16 @@ def _intertwiner_basis(ring: Ring, xs, ys) -> List[Tuple]:
         first[i, :, i, :] = x.T
     for j in range(n):
         first[:, j, :, j] = sub_mul(first[:, j, :, j], 1, y)
-    basis = np.array(local_nullspace(ring, list(first.reshape(nn, nn))), dtype=dtype)
+    basis = local_nullspace(ring, list(first.reshape(nn, nn))).astype(dtype, copy=False)
     del first
     for x, y in zip(xs[1:], ys[1:]):
         if not len(basis):
-            return []
+            break
         mb = basis.reshape(-1, n, n)
         residual = sub_mul(stack_mul(ring, mb, x), 1, stack_mul(ring, y, mb))
         coords = local_nullspace(ring, list(residual.reshape(len(basis), nn).T))
-        if not coords:
-            return []
-        basis = stack_mul(ring, np.array(coords, dtype=dtype), basis)
-    return [tuple(v) for v in basis.tolist()]
+        basis = stack_mul(ring, coords.astype(dtype, copy=False)[None], basis[None])[0]
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +604,9 @@ def _big_cell(alg: AdjointAlgebra, ring: Ring, word, lower, upper, m):
     return elem
 
 
-def strictly_inner_element(alg: AdjointAlgebra, ring: Ring, m: Matrix):
-    """A group element with the same conjugation action as m, or None, over
-    Z/n or GF(q) (match calls it on local factors).
+def strictly_inner_element(alg: AdjointAlgebra, ring: Ring, m):
+    """A group element with the same conjugation action as the matrix m, or
+    None, over Z/n or GF(q) (match calls it on local factors' arrays).
 
     Scans Weyl translates of the big cell, all at once (see the module
     notes); over a local ring this covers the whole group generated by the
@@ -675,7 +697,7 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
     The conjugator intertwines each x_root(1) with its untwisted image.  The
     intertwiners reduce to a line over the residue field, and over a local
     ring a matrix is invertible exactly when its residue is, so the candidates
-    are the invertible basis vectors in basis order.
+    are the basis rows that pass the unit pivot test, in basis order.
     """
     sysm = alg.system
     at_one = [stack_rows(alg, ring)[(root, ring.one)] for root in sysm.roots]
@@ -684,9 +706,9 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
     for delta in diagram_symmetries(sysm):
         gd = None if delta.is_identity else graph_data(alg, delta)
         twisted = _twist_table(alg, ring, table, gd)
-        for vec in _intertwiner_basis(ring, units[at_one], twisted[at_one]):
-            m = to_matrix(ring, np.reshape(vec, (alg.dim, alg.dim)))
-            if ring_invert(ring, m) is None:
+        basis = _intertwiner_basis(ring, units[at_one], twisted[at_one])
+        for m in basis.reshape(-1, alg.dim, alg.dim):
+            if not local_invertible(ring, m):
                 continue
             conj = strictly_inner_element(alg, ring, m)
             if conj is None:
@@ -867,19 +889,9 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
 
     symmetries = diagram_symmetries(sysm)
     deltas = [rng.choice(symmetries) for _ in factors]
-    lam_parts, lam_inv_parts = [], []
-    for lf, delta in zip(factors, deltas):
-        if delta.is_identity:
-            lam_parts.append(identity(lf.ring, n))
-            lam_inv_parts.append(identity(lf.ring, n))
-        else:
-            gd = graph_data(alg, delta)
-            a, b = gd.matrices(lf.ring)
-            lam_parts.append(a)
-            lam_inv_parts.append(b)
-
-    lam = crt_combine(split, lam_parts)
-    lam_inv = crt_combine(split, lam_inv_parts)
+    graphs = [(identity(lf.ring, n),) * 2 if delta.is_identity
+              else graph_data(alg, delta).matrices(lf.ring) for lf, delta in zip(factors, deltas)]
+    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*graphs))
 
     rho = rng.choice(ring_automorphisms(ring))
     units = [u for u in ring.units()]

@@ -9,34 +9,35 @@ every product the stack takes part in is exact in float32.
 ``stack_mul`` is the one product kernel: int64 under ``residue_dtype`` over
 Z/n and over Z (exact object arrays past the guard), k^2 products of base-p
 digit planes over GF(p^k) (``field_matmul``), and one product per factor over
-a product ring.  A product with a batch axis, and any product of float32
-tier stacks, is carried in float32 where ``residue_dtype`` allows, as
-integers below 2^24 that float32 holds exactly, and reduced in place, the
-delayed reduction of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
-2008); int64 operands are cast back once, tier stacks stay float32 from
-product to product.  It runs in blocks of batch matrices whose temporaries
-malloc keeps mapped from call to call.  Floats never leave this module as
-elements: ``to_matrix`` and ``as_exact`` turn a tier stack back into
-integers.  ``mat_mul`` takes tuple matrices (over Z the guard reads their
-largest |entry| off the Python ints), ``sandwich`` and ``diagonal_sandwich``
-compute left m right over a stack, ``row_ops`` scales and subtracts on
-stacks (a tuple matrix is never scaled) and ``from_ints`` maps integer
-arrays into a ring.
+a product ring.  A product with a batch axis (the intertwiner's recombination
+takes one of length one), and any product of float32 tier stacks, is carried
+in float32 where ``residue_dtype`` allows, as integers below 2^24 that
+float32 holds exactly, and reduced in place, the delayed reduction of
+FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008); int64 operands
+are cast back once, tier stacks stay float32 from product to product.  It
+runs in blocks of batch matrices whose temporaries malloc keeps mapped from
+call to call.  Floats never leave this module as elements: ``to_matrix`` and
+``as_exact`` turn a tier stack back into integers.  ``mat_mul`` takes tuple
+matrices (over Z the guard reads their largest |entry| off the Python ints),
+``sandwich`` and ``diagonal_sandwich`` compute left m right over a stack,
+``row_ops`` scales and subtracts on stacks (a tuple matrix is never scaled)
+and ``from_ints`` maps integer arrays into a ring.
 
 Inversion, over a finite ring only, first splits the ring into local
 factors, then runs a Smith-style diagonalization per factor, and kernels are
-taken over one local factor at a time.  Over Z/p^k and GF(q) the elimination
-is array-native: it keeps A and Q (and P only when a caller needs it) as
-numpy arrays and updates only the rows and columns a pivot changes.  The
-pivot is the row-major first entry of least p-valuation (over a field, the
-first nonzero entry), found by a mask of the rows that still hold a unit
-while one does and by a vectorised scan after that.  Z/p^k reduces mod p^k;
-GF(q) indexes the ``mul``/``sub`` arrays of ``ring_tables``.
+taken over one local factor at a time, as the rows of one array.  The unit
+pivot test (``local_invertible``, per factor ``ring_invertible``) needs no
+inverse.  Over Z/p^k and GF(q) the elimination is array-native: it keeps A
+and Q (and P only when a caller needs it) as numpy arrays and updates only
+the rows and columns a pivot changes.  The pivot is the row-major first entry
+of least p-valuation (over a field, the first nonzero entry), found by a mask
+of the rows that still hold a unit while one does and by a vectorised scan
+after that.  Z/p^k reduces mod p^k; GF(q) indexes the ``mul``/``sub`` arrays
+of ``ring_tables``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import prod
@@ -161,8 +162,8 @@ def stack_mul(ring: Ring, a, b):
     is x - n floor(x / n): x / n rounds by under half an ulp, less than 1/n
     there, and a quotient that is not an integer lies at least 1/n from one.
     Tier stacks past that guard take the integer path and come back float32.
-    2-D int64 products (``mat_mul``, the intertwiner's recombination) stay on
-    the integer path."""
+    2-D int64 products (``mat_mul``) stay on the integer path; a batch axis
+    of length one carries one."""
     if isinstance(ring, ProductRing):
         return np.stack([stack_mul(f, a[..., i], b[..., i])
                          for i, f in enumerate(ring.factors)], axis=-1)
@@ -291,21 +292,6 @@ def mat_map(fn, a: Matrix) -> Matrix:
 # diagonalization over a local ring
 
 
-@dataclass(frozen=True)
-class LocalDiag:
-    """P @ A @ Q = D with P, Q invertible and D supported on (i, i) pivots.
-
-    pivots lists (index, valuation); over a field every valuation is 0.
-    """
-
-    ring: Ring
-    p_mat: Matrix
-    q_mat: Matrix
-    diag: tuple          # pivot values d_i, one per pivot
-    pivots: tuple        # (index, valuation) pairs
-    shape: tuple
-
-
 def _first_least_valuation(sub, p: int, k: int):
     """(row, col, v): the row-major first entry of least p-valuation v in
     ``sub``, whose entries lie in [0, p^k); None when ``sub`` is zero."""
@@ -421,14 +407,9 @@ def _eliminate(ring: Ring, a, with_p: bool):
     return P, Q, tuple(pivots), diag
 
 
-def local_diag(ring: Ring, a: Matrix) -> LocalDiag:
-    P, Q, pivots, diag = _eliminate(ring, a, with_p=True)
-    return LocalDiag(ring, tuple(map(tuple, P.tolist())), tuple(map(tuple, Q.tolist())),
-                     diag, pivots, (len(P), len(Q)))
-
-
-def local_nullspace(ring: Ring, a: Matrix) -> list:
-    """Generators of {x : A x = 0} over a local ring, for any sequence of rows.
+def local_nullspace(ring: Ring, a) -> np.ndarray:
+    """Generators of {x : A x = 0} over a local ring, for any sequence of
+    rows, as the rows of one array.
 
     With P A Q = D, they are the columns of Q past the pivots and, for a
     pivot of valuation v > 0, p^(k-v) times its column.
@@ -439,40 +420,45 @@ def local_nullspace(ring: Ring, a: Matrix) -> list:
     for i, v in pivots:
         scale[i] = p ** (k - v) if v else 0   # p^k = 0: a unit pivot gives none
     keep = np.flatnonzero(scale)
-    gens, scale = q[:, keep], scale[keep]
+    gens, scale = q.T[keep], scale[keep]
     del q            # Q is n x n; only the kept columns are read past here
     if (scale != 1).any():
-        gens = row_ops(ring)[0](gens, scale)
-    return [tuple(g) for g in gens.T.tolist()]
+        gens = row_ops(ring)[0](gens, scale[:, None])
+    return gens
+
+
+def local_invertible(ring: Ring, a) -> bool:
+    """Whether a square matrix over a local ring is invertible: its
+    elimination without P gives a pivot in every row, all of valuation 0
+    (with fewer, or one in the maximal ideal, it is singular mod that ideal)."""
+    pivots = _eliminate(ring, a, with_p=False)[2]
+    return len(pivots) == len(a) and not any(v for _, v in pivots)
 
 
 def local_invert(ring: Ring, a: Matrix):
-    """Inverse of a square matrix over a local ring, or None."""
-    n = len(a)
-    d = local_diag(ring, a)
-    if len(d.pivots) < n or any(v > 0 for _, v in d.pivots):
+    """Inverse of a square matrix over a local ring, or None: Q D^-1 P for
+    P A Q = D."""
+    P, Q, pivots, diag = _eliminate(ring, a, with_p=True)
+    if len(pivots) < len(a) or any(v for _, v in pivots):
         return None
-    dinv = identity(ring, n)
-    dinv = tuple(tuple(ring.inv(d.diag[i]) if i == j and i < len(d.diag) else x
-                       for j, x in enumerate(row)) for i, row in enumerate(dinv))
-    return mat_mul(ring, mat_mul(ring, d.q_mat, dinv), d.p_mat)
+    q_dinv = row_ops(ring)[0](Q, np.array([ring.inv(d) for d in diag], dtype=Q.dtype))
+    return mat_mul(ring, to_matrix(ring, q_dinv), to_matrix(ring, P))
 
 
 # --------------------------------------------------------------------------
 # composite rings via CRT
 
 
+def ring_invertible(ring: Ring, a: Matrix) -> bool:
+    """Whether a square matrix over a finite ring is invertible: the unit
+    pivot test over every local factor."""
+    return all(local_invertible(f.ring, mat_map(f.project, a)) for f in crt_split(ring).factors)
+
+
 def ring_invert(ring: Ring, a: Matrix):
     split = crt_split(ring)
-    if len(split.factors) == 1:
-        return local_invert(ring, a)
-    parts = []
-    for f in split.factors:
-        inv = local_invert(f.ring, mat_map(f.project, a))
-        if inv is None:
-            return None
-        parts.append(inv)
-    return crt_combine(split, parts)
+    parts = [local_invert(f.ring, mat_map(f.project, a)) for f in split.factors]
+    return None if None in parts else crt_combine(split, parts)
 
 
 def crt_combine(split, parts) -> Matrix:

@@ -16,19 +16,20 @@ built from them (for the commutator formula and the conjugation laws, which
 the library checks on root stacks; the library has no product of elements).
 
 The last section keeps the loop forms that the batched code replaced: the
-elimination that scans the whole remaining block for every pivot, and the
-precheck, residual ring map and replay of ``certify`` one image at a time on
-dicts of tuple matrices, and the Weyl scan of ``strictly_inner_element``
-one translate at a time: Weyl elements folded by tuple products, the
-Doolittle split, the unipotent fits and the big cell on tuple matrices.  The
-batched code must agree with them exactly, down to the stage, detail and
-witness of a refusal and to the word of a conjugator.  Beside them sit the
-group elements of word tokens built one at a time: x_root(t) as the dense
-divided-power sum (for ``group.x_stack``, which gathers every entry off a
-pattern), w_root(t) from its three x factors, the torus elements entry by
-entry on the diagonal, and a word as a fold of tuple products of those (for
-``group.from_word``, which multiplies arrays).  Last come the three
-recovery formulas on tuple matrices, one image at a time, for
+elimination that scans the whole remaining block for every pivot (beside
+``local_diag``, linalg's elimination with P as tuple matrices, which only
+tests read), and the precheck, residual ring map and replay of ``certify``
+one image at a time on dicts of tuple matrices, and the Weyl scan of
+``strictly_inner_element`` one translate at a time: Weyl elements folded by
+tuple products, the Doolittle split, the unipotent fits and the big cell on
+tuple matrices.  The batched code must agree with them exactly, down to the
+stage, detail and witness of a refusal and to the word of a conjugator.
+Beside them sit the group elements of word tokens built one at a time:
+x_root(t) as the dense divided-power sum (for ``group.x_stack``, which
+gathers every entry off a pattern), w_root(t) from its three x factors, the
+torus elements entry by entry on the diagonal, and a word as a fold of tuple
+products of those (for ``group.from_word``, which multiplies arrays).  Last
+come the three recovery formulas on tuple matrices, one image at a time, for
 ``recover.recover_family``, which runs them on stacks.
 """
 
@@ -55,6 +56,7 @@ from chevalley.group import GroupElement, chain_coefficients, from_word, torus_c
 from chevalley.liealg import AdjointAlgebra, build_algebra
 from chevalley.linalg import (
     Matrix,
+    _eliminate,
     identity,
     mat_mul,
     matrix,
@@ -370,6 +372,26 @@ def root_chain(system: RootSystem, beta: Root, alpha: Root) -> tuple[int, int]:
 
 # --------------------------------------------------------------------------
 # the elimination and the certify stages as they ran before the stacks
+
+
+@dataclass(frozen=True)
+class LocalDiag:
+    """P @ A @ Q = D with P, Q invertible and D supported on (i, i) pivots, as
+    tuple matrices.
+
+    pivots lists (index, valuation); over a field every valuation is 0.
+    """
+
+    p_mat: Matrix
+    q_mat: Matrix
+    diag: tuple          # pivot values d_i, one per pivot
+    pivots: tuple        # (index, valuation) pairs
+
+
+def local_diag(ring: Ring, a: Matrix) -> LocalDiag:
+    """linalg's elimination of a over a local ring, with P, as tuples."""
+    P, Q, pivots, diag = _eliminate(ring, a, with_p=True)
+    return LocalDiag(tuple(map(tuple, P.tolist())), tuple(map(tuple, Q.tolist())), diag, pivots)
 
 
 def first_least_valuation(sub, p: int, k: int):

@@ -21,7 +21,6 @@ from chevalley.decomposer import (
 from chevalley.group import from_word, group_for, root_stack, stack_rows, unipotent
 from chevalley.linalg import (
     identity,
-    local_diag,
     mat_map,
     mat_mul,
     matrix,
@@ -34,6 +33,7 @@ from chevalley.roots import diagram_symmetries
 from oracles import (
     conjugate,
     is_identity,
+    local_diag,
     lu_unit_diag,
     mat_scale,
     precheck_loop,
@@ -534,9 +534,10 @@ def scan_candidates(system, ring_name, seeds):
             for delta in diagram_symmetries(sysm):
                 gd = None if delta.is_identity else graph_data(alg, delta)
                 twisted = decomposer._twist_table(alg, local, problem.table, gd)
-                for vec in decomposer._intertwiner_basis(
-                        local, root_stack(alg, local)[at_one], twisted[at_one]):
-                    m = to_matrix(local, np.reshape(vec, (alg.dim, alg.dim)))
+                basis = decomposer._intertwiner_basis(
+                    local, root_stack(alg, local)[at_one], twisted[at_one])
+                for m in basis.reshape(-1, alg.dim, alg.dim):
+                    m = to_matrix(local, m)
                     if ring_invert(local, m) is not None:
                         yield local, m
 
@@ -662,7 +663,7 @@ def test_candidates_are_the_invertible_basis_vectors_in_order(name, monkeypatch)
         return None
 
     table = decomposer.precheck(spec_from_elements("A2", ring, honest_table("A2", ring)), alg)
-    monkeypatch.setattr(decomposer, "_intertwiner_basis", lambda ring, xs, ys: basis)
+    monkeypatch.setattr(decomposer, "_intertwiner_basis", lambda ring, xs, ys: np.array(basis))
     monkeypatch.setattr(decomposer, "strictly_inner_element", never_inner)
     with pytest.raises(CertifyError) as err:
         decomposer._match_local(alg, ring, table, 0, root_stack(alg, ring))
@@ -670,7 +671,7 @@ def test_candidates_are_the_invertible_basis_vectors_in_order(name, monkeypatch)
     # per diagram symmetry: the invertible vectors in basis order, a repeat
     # included, and no sum, difference or other combination of them
     want = [shear, mat_scale(ring, unit, eye), shear]
-    assert tried == want * len(diagram_symmetries(sysm))
+    assert [to_matrix(ring, m) for m in tried] == want * len(diagram_symmetries(sysm))
 
 
 @pytest.mark.parametrize("system,ring_name", [
@@ -699,9 +700,8 @@ def test_intertwiners_reduce_to_a_line_for_every_diagram_symmetry(system, ring_n
                 at_one = [stack_rows(alg, local)[(root, local.one)] for root in sysm.roots]
                 basis = decomposer._intertwiner_basis(
                     local, root_stack(alg, local)[at_one], twisted[at_one])
-                assert basis, (seed, problem.index, delta.perm)
-                reduced = basis if local.nil_degree == 1 else [
-                    tuple(x % p for x in vec) for vec in basis]
+                assert len(basis), (seed, problem.index, delta.perm)
+                reduced = basis if local.nil_degree == 1 else basis % p
                 assert len(local_diag(residue, reduced).pivots) == 1, \
                     (seed, problem.index, delta.perm)
 
@@ -767,9 +767,9 @@ def test_item_2_premise_residue_intertwiners_are_a_line_and_candidates_agree(sys
                     reduced = (xs, ys) if residue is local else (xs % p, ys % p)
                     assert len(decomposer._intertwiner_basis(residue, *reduced)) <= 1, where
                     found = set()
-                    for vec in decomposer._intertwiner_basis(local, xs, ys):
-                        m = to_matrix(local, np.reshape(vec, (alg.dim, alg.dim)))
-                        if ring_invert(local, m) is None:
+                    basis = decomposer._intertwiner_basis(local, xs, ys)
+                    for m in basis.reshape(-1, alg.dim, alg.dim):
+                        if ring_invert(local, to_matrix(local, m)) is None:
                             continue
                         elem = strictly_inner_element(alg, local, m)
                         if elem is not None:
@@ -783,26 +783,26 @@ def test_item_2_premise_residue_intertwiners_are_a_line_and_candidates_agree(sys
 
 def test_round_trip_inverts_candidates_only_up_to_the_first_hit(monkeypatch):
     inverted, tried = [], []
-    real_invert, real_inner = decomposer.ring_invert, decomposer.strictly_inner_element
+    real_test, real_inner = decomposer.local_invertible, decomposer.strictly_inner_element
 
-    def counting_invert(ring, m):
-        inv = real_invert(ring, m)
-        inverted.append(inv is not None)
-        return inv
+    def counting_test(ring, m):
+        held = real_test(ring, m)
+        inverted.append(held)
+        return held
 
     def counting_inner(alg, ring, m):
         tried.append(m)
         return real_inner(alg, ring, m)
 
-    monkeypatch.setattr(decomposer, "ring_invert", counting_invert)
+    monkeypatch.setattr(decomposer, "local_invertible", counting_test)
     monkeypatch.setattr(decomposer, "strictly_inner_element", counting_inner)
     for seed in range(3):
         inverted.clear()
         tried.clear()
         spec, planted = forge_random_parts("A3", "Z/4", seed)
         assert certify(spec).lambda_mat == planted["lambda"]
-        # every invertible candidate built was tried, and none was built after
-        # the one that hit
+        # every candidate that passed the unit pivot test was tried, and none
+        # was tested after the one that hit
         assert inverted and inverted[-1], (seed, inverted)
         assert inverted.count(True) == len(tried), (seed, inverted, len(tried))
 

@@ -269,16 +269,19 @@ def test_root_table_holds_every_unipotent():
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 @pytest.mark.parametrize("ring_name", ["Z/4", "Z/5", "F4", "Z/3xZ/3"])
 def test_commutator_pattern_agrees_with_element_oracle(name, ring_name):
+    """The batched check on every (t, u); the element oracle on a seeded
+    sample of 16 of them per (r, s), which is all of them over Z/4 and F4."""
     sysm, alg = group_for(name)
     ring = ring_make(ring_name)
     stack, x = root_stack(alg, ring), unipotent_memo(alg, ring)
     params = list(itertools.product(ring.elements(), repeat=2))
+    rng = random.Random(f"{name}/{ring_name}")
     for r, s in itertools.permutations(sysm.roots, 2):
         if r == sysm.negate(s):
             continue
         coeffs = chain_coefficients(alg, r, s)
         assert commutator_pattern_holds(alg, ring, stack, [(r, s, coeffs)], params).all(), (r, s)
-        for t, u in params:
+        for t, u in rng.sample(params, min(16, len(params))):
             assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs, x), (r, s, t, u)
 
 

@@ -10,6 +10,7 @@ per-factor product over product rings to entrywise table products.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -26,21 +27,22 @@ from chevalley.linalg import (
     field_matmul,
     from_ints,
     identity,
-    local_diag,
     local_invert,
+    local_invertible,
     local_nullspace,
     mat_mul,
     mat_pow,
     matrix,
     residue_dtype,
     ring_invert,
+    ring_invertible,
     row_ops,
     stack_dtype,
     stack_mul,
     to_matrix,
 )
 from chevalley.rings import RingError, ring_make
-from oracles import det_bareiss, eliminate_scan, is_identity, mat_vec
+from oracles import det_bareiss, eliminate_scan, is_identity, local_diag, mat_vec
 
 ZZ = ring_make("Z")
 LOCAL_RINGS = ["Z/4", "Z/8", "Z/9", "Z/5", "F4"]
@@ -72,6 +74,11 @@ def brute_span(ring, gens, n):
                 acc[i] = ring.add(acc[i], ring.mul(c, g[i]))
         out.add(tuple(acc))
     return out
+
+
+def as_tuples(gens):
+    """The rows of a local_nullspace array as tuples of Python ints."""
+    return [tuple(g) for g in gens.tolist()]
 
 
 def brute_injective(ring, a):
@@ -162,18 +169,18 @@ def test_local_nullspace_spans_kernel(name):
     for m, n in [(2, 2), (2, 3), (3, 3)]:
         for _ in range(8):
             a = rand_matrix(ring, rng, m, n)
-            gens = local_nullspace(ring, a)
+            gens = as_tuples(local_nullspace(ring, a))
             assert brute_span(ring, gens, n) == brute_kernel(ring, a)
 
 
 def test_nullspace_of_scaled_identity_mod4():
     ring = ring_make("Z/4")
     a = matrix([[2, 0], [0, 2]])
-    assert brute_span(ring, local_nullspace(ring, a), 2) == {
+    assert brute_span(ring, as_tuples(local_nullspace(ring, a)), 2) == {
         (0, 0), (2, 0), (0, 2), (2, 2)}
     b = matrix([[2, 1], [0, 2]])
     assert local_invert(ring, b) is None
-    assert brute_span(ring, local_nullspace(ring, b), 2) == brute_kernel(ring, b)
+    assert brute_span(ring, as_tuples(local_nullspace(ring, b)), 2) == brute_kernel(ring, b)
 
 
 @pytest.mark.parametrize("name", LOCAL_RINGS)
@@ -297,7 +304,7 @@ def test_local_diag_matches_scalar_oracle(name):
             d = local_diag(ring, a)
             assert (d.p_mat, d.q_mat, d.pivots, d.diag) == (
                 want_p, want_q, want_pivots, want_diag), (name, a)
-            assert local_nullspace(ring, a) == oracle_nullspace(p, k, a), (name, a)
+            assert as_tuples(local_nullspace(ring, a)) == oracle_nullspace(p, k, a), (name, a)
 
 
 @pytest.mark.parametrize("name", ["Z/2", "Z/3", "Z/5", "Z/7"])
@@ -813,7 +820,7 @@ def test_field_elimination_matches_scalar_oracle(name):
                 want_p, want_q, want_pivots, want_diag), (name, a)
             want_kernel = [tuple(row[j] for row in want_q)
                            for j in range(len(want_pivots), len(want_q))]
-            assert local_nullspace(ring, a) == want_kernel, (name, a)
+            assert as_tuples(local_nullspace(ring, a)) == want_kernel, (name, a)
 
 
 @pytest.mark.parametrize("name", FIELD_RINGS)
@@ -945,3 +952,132 @@ def test_unit_mask_elimination_matches_the_full_scan(name):
             assert np.array_equal(got[1], want[1]), (name, a)
             assert (got[0] is None and want[0] is None
                     or np.array_equal(got[0], want[0])), (name, a)
+
+
+# --- local_nullspace against the tuples it returned before it returned arrays ----
+
+CERTIFY_SYSTEMS = [("A2", "Z/4"), ("B2", "Z/9"), ("A2", "F4"), ("A2", "Z/6"), ("G2", "Z/7"),
+                   ("A3", "Z/4"), ("C3", "Z/3"), ("A2", "Z/3xZ/3")]
+
+
+def certify_systems():
+    """(ring, rows) of every system certify hands local_nullspace on seed 0
+    of each of CERTIFY_SYSTEMS: its intertwiners' first systems and residuals."""
+    from chevalley import decomposer
+
+    seen, real = [], decomposer.local_nullspace
+
+    def recording(ring, a):
+        seen.append((ring, [np.array(row) for row in a]))
+        return real(ring, a)
+
+    decomposer.local_nullspace = recording
+    try:
+        for system, ring_name in CERTIFY_SYSTEMS:
+            decomposer.certify(decomposer.forge_random(system, ring_name, 0))
+    finally:
+        decomposer.local_nullspace = real
+    return seen
+
+
+def nullspace_cases():
+    """(ring, rows) for local_nullspace: the random and planted matrices of
+    this module's kernel, oracle, field, unit-mask and past-int64 tests, then
+    every system certify solves on forged specs."""
+    for name in LOCAL_RINGS:
+        ring, rng = ring_make(name), random.Random(2 * len(name))
+        for m, n in [(2, 2), (2, 3), (3, 3)]:
+            for _ in range(8):
+                yield ring, rand_matrix(ring, rng, m, n)
+    z4 = ring_make("Z/4")
+    yield z4, matrix([[2, 0], [0, 2]])
+    yield z4, matrix([[2, 1], [0, 2]])
+    for name in ORACLE_RINGS:
+        ring, rng = ring_make(name), random.Random(name)
+        for m, n in ORACLE_SHAPES:
+            for _ in range(6):
+                yield ring, rand_valued_matrix(rng, ring.residue_char, ring.nil_degree, m, n)
+    for name in FIELD_RINGS:
+        ring, rng = ring_make(name), random.Random(name)
+        for m, n in FIELD_SHAPES:
+            for _ in range(6):
+                yield ring, rand_field_matrix(ring, rng, m, n)
+    for name in ["Z/3", "Z/4", "Z/8", "Z/9", "F4", "F9"]:
+        ring = ring_make(name)
+        yield from ((ring, a) for a in mask_cases(ring, random.Random(name + "mask")))
+    big, rng = ring_make("Z/4294967311"), random.Random(7)
+    for m, n in [(3, 5), (6, 6)]:
+        a = rand_matrix(big, rng, m, n - 2)
+        yield big, tuple(row + (sum(row) % big.n, (2 * row[0]) % big.n) for row in a)
+    yield from certify_systems()
+
+
+# sha256 of repr([(ring descriptor, generators as tuples of ints)]) over
+# nullspace_cases(), recorded when local_nullspace returned a list of tuples
+NULLSPACE_TUPLES_SHA256 = "077f5d8d639f6fece2b08ed7788bbcb98f7c7da6900a2e5dbeeede42beb99ea2"
+
+
+def test_array_nullspace_matches_the_tuples_recorded_before():
+    out = []
+    for ring, a in nullspace_cases():
+        gens = local_nullspace(ring, a)
+        assert isinstance(gens, np.ndarray) and gens.ndim == 2, (ring, a)
+        assert gens.shape[1] == (len(a[0]) if len(a) else 0), (ring, a)
+        out.append((ring.descriptor, [tuple(map(int, g)) for g in gens]))
+    assert (len(out), sum(len(gens) for _, gens in out)) == (972, 2910)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == NULLSPACE_TUPLES_SHA256
+
+
+# --- the unit pivot test against ring_invert ------------------------------------
+
+def pivot_cases(ring, rng, n):
+    """A random n x n matrix, then singular ones built from it: a zero row, a
+    row that is a multiple of another, a row in the maximal ideal (off a
+    field), p times it, and an invertible one: unit diagonal, random above."""
+    a = rand_matrix(ring, rng, n, n)
+    yield a
+    p = ring.residue_char
+    rows = [list(r) for r in a]
+    i, j = rng.randrange(n), rng.randrange(n)
+    yield matrix(rows[:i] + [[ring.zero] * n] + rows[i + 1:])
+    if i != j:
+        yield matrix(rows[:i] + [[ring.mul(ring.rand(rng), x) for x in rows[j]]] + rows[i + 1:])
+    if ring.nil_degree > 1:
+        yield matrix(rows[:i] + [[ring.mul(p, x) for x in rows[i]]] + rows[i + 1:])
+        yield matrix([[ring.mul(p, x) for x in row] for row in rows])
+    unit = [[ring.rand(rng) if c > r else ring.one if c == r else ring.zero
+             for c in range(n)] for r in range(n)]
+    yield matrix(unit)
+    if ring.nil_degree > 1:   # n unit-free pivots: diag(1, ..., 1, p) times it
+        yield matrix(unit[:-1] + [[ring.mul(p, x) for x in unit[-1]]])
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/8", "Z/9", "F4", "F9"])
+def test_unit_pivot_test_agrees_with_ring_invert(name):
+    ring = ring_make(name)
+    rng = random.Random(name + "pivots")
+    seen = {True: 0, False: 0}
+    for n in range(1, 8):
+        for _ in range(10):
+            for a in pivot_cases(ring, rng, n):
+                want = ring_invert(ring, a) is not None
+                assert local_invertible(ring, a) == want, (name, a)
+                assert local_invertible(ring, np.array(a)) == want, (name, a)
+                assert ring_invertible(ring, a) == want, (name, a)
+                seen[want] += 1
+    assert min(seen.values()) > 50, seen
+
+
+@pytest.mark.parametrize("name", SPLIT_RINGS)
+def test_unit_pivot_test_per_factor_agrees_with_ring_invert(name):
+    ring = ring_make(name)
+    rng = random.Random(name + "pivots")
+    seen = {True: 0, False: 0}
+    for n in range(1, 5):
+        for _ in range(20):
+            a = rand_matrix(ring, rng, n, n)
+            for b in (a, mat_mul(ring, a, a), identity(ring, n)):
+                want = ring_invert(ring, b) is not None
+                assert ring_invertible(ring, b) == want, (name, b)
+                seen[want] += 1
+    assert min(seen.values()) > 10, seen

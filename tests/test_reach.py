@@ -19,10 +19,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import chevalley
 from chevalley import cli, decomposer
-from chevalley.decomposer import Certificate, forge_random
+from chevalley.decomposer import Certificate, forge_random, spec_from_elements
+from chevalley.linalg import mat_mul, matrix
+from chevalley.rings import ring_make
 from chevalley.roots import RootSystem
 
 TESTS = Path(__file__).resolve().parent
@@ -234,22 +237,42 @@ def test_floats_stay_in_the_product_kernel():
             for hit in float_dtypes_named(path)] == []
 
 
+def diag_refusal_spec():
+    """A forged A2/Z/5 spec conjugated by a diagonal matrix that scales one
+    root coordinate by 2: every image keeps its relations, and match refuses."""
+    ring = ring_make("Z/5")
+    diag, diag_inv = ([[(c if i == j == 0 else 1) if i == j else 0 for j in range(8)]
+                       for i in range(8)] for c in (2, 3))
+    table = {key: mat_mul(ring, mat_mul(ring, matrix(diag), m), matrix(diag_inv))
+             for key, m in forge_random("A2", "Z/5", 0).images}
+    return spec_from_elements("A2", ring, table)
+
+
 def test_tracer_runs_certify_and_the_commutator_suite(monkeypatch, tmp_path):
     """The tracer reads the arguments of its targets (the rows passed to
-    local_nullspace, for the cells count): with it installed, a certify and a
-    verify commutator case must run through and count cells."""
+    local_nullspace, for the cells count): with it installed, certifies (one
+    with C3/Z/3's 441-row first system), a match refusal and a verify
+    commutator case must run through and count cells."""
     tracer = load_bench_module(monkeypatch, "tracer").Tracer()
-    spec = forge_random("A3", "Z/4", 0)
+    specs = [forge_random("A3", "Z/4", 0), forge_random("C3", "Z/3", 0)]
+    refused = diag_refusal_spec()
     tracer.install()
     try:
-        decomposer.certify(spec)
+        for spec in specs:
+            decomposer.certify(spec)
+        with pytest.raises(decomposer.CertifyError) as err:
+            decomposer.certify(refused)
         code = cli.main(["verify", "commutator", "--system", "A2", "--ring", "Z/4",
                          "--out", str(tmp_path / "commutator.json")])
     finally:
         tracer.uninstall()
+    assert err.value.stage == "match"
     assert code == 0
     assert not tracer.absent
-    assert [layer for layer, agg in tracer.aggregates.items() if agg.raised] == []
-    assert tracer.aggregates["decomposer.certify"].calls == 1
+    # only the refusal raised, through certify and match
+    assert {layer for layer, agg in tracer.aggregates.items() if agg.raised} == {
+        "decomposer.certify", "decomposer.match"}
+    assert tracer.aggregates["decomposer.certify"].calls == 3
+    assert tracer.aggregates["decomposer.match"].raised == 1
     assert tracer.aggregates["cli.verify.commutator"].calls == 1
-    assert tracer.aggregates["linalg.local_nullspace"].extra["cells"] > 0
+    assert tracer.aggregates["linalg.local_nullspace"].extra["cells"] > 441 * 441
