@@ -34,8 +34,8 @@ from chevalley.group import (
     stack_rows,
     word_stack,
 )
-from chevalley.linalg import (as_exact, diagonal_sandwich, from_ints, identity, ring_tables,
-                              sandwich, stack_dtype, stack_equal, stack_mul)
+from chevalley.linalg import (as_exact, diagonal_sandwich, from_ints, identity, positions,
+                              row_ops, sandwich, stack_dtype, stack_equal, stack_mul)
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name
@@ -185,17 +185,17 @@ def _eq1_tables(alg, ring):
     of the root_stack rows, the units u, the diagonals of h_alpha(u) and
     h_alpha(u)^-1, u^(+-<beta,alpha>) on the root vectors, one row per u in
     the stack's storage tier, and the rows of x_beta(u^<beta,alpha> t),
-    u-major, read off ring_tables."""
+    u-major, the positions of the row_ops products u^<beta,alpha> t."""
     sysm = alg.system
-    index, mul, _, _ = ring_tables(ring)
+    scale, elems = row_ops(ring)[0], np.array(list(ring.elements()), dtype=np.int64)
     units, dtype = tuple(ring.units()), stack_dtype(ring, alg.dim, carrier=True)
-    base = np.arange(len(sysm.roots))[:, None] * len(index)
+    base = np.arange(len(sysm.roots))[:, None] * ring.size
     tables = []
     for alpha in sysm.roots:
         pairings = [sysm.pairing(beta, alpha) for beta in sysm.roots]
         h, h_inv = (np.array([[ring.power(u, e * p) for p in pairings + [0] * sysm.rank]
                               for u in units], dtype=dtype) for e in (1, -1))
-        want = base + mul[[[index[ring.power(u, p)] for p in pairings] for u in units]]
+        want = base + positions(ring, scale(as_exact(h[:, :len(pairings), None]), elems))
         tables.append((alpha,) + _read_only(h, h_inv, want.reshape(len(units), -1)))
     return tuple(stack_rows(alg, ring)), units, tuple(tables)
 
@@ -203,7 +203,7 @@ def _eq1_tables(alg, ring):
 def _suite_eq1(system: str, ring_name: str, seed: int):
     """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t), per
     alpha one diagonal_sandwich of a root_stack by the diagonals of
-    h_alpha(u) for every unit u, against rows read off ring_tables."""
+    h_alpha(u) for every unit u, against the rows of _eq1_tables."""
     _, alg = group_for(system)
     ring = ring_make(ring_name)
     stack = _tier_stack(alg, ring)
@@ -226,15 +226,14 @@ def _weyl_tables(alg, ring):
     x_beta(1) and, for every beta, the base row of x_(s_alpha beta) and the
     slot (row i, column j, unit) of s_alpha beta read for the sign."""
     sysm = alg.system
-    index = ring_tables(ring)[0]
     tables = []
     for alpha in sysm.roots:
         gamma = [sysm.reflect(beta, alpha) for beta in sysm.roots]
         slots = list(map(alg._slot, gamma))
-        base = np.array([sysm.root_index(g) * len(index) for g in gamma], dtype=np.intp)
+        base = np.array([sysm.root_index(g) * ring.size for g in gamma], dtype=np.intp)
         i, j = (np.array([slot[k] for slot, _ in slots], dtype=np.intp) for k in (0, 1))
-        tables.append(_read_only(base, i, j) + (tuple(ring.from_int(u) for _, u in slots),))
-    at_one = np.arange(len(sysm.roots), dtype=np.intp) * len(index) + index[ring.one]
+        tables.append(_read_only(base, i, j, from_ints(ring, [u for _, u in slots], np.int64)))
+    at_one = np.arange(len(sysm.roots), dtype=np.intp) * ring.size + positions(ring, ring.one)
     return _read_only(at_one)[0], tuple(tables)
 
 
@@ -242,24 +241,23 @@ def _suite_weyl(system: str, ring_name: str, seed: int):
     """w_alpha(1) x_beta(t) w_alpha(1)^-1 = x_{s_alpha beta}(sign * t), one
     sandwich of a root_stack per alpha by w_alpha(1) and its inverse, all of
     them one word_stack; the sign is read off the slot of s_alpha beta at
-    t = 1, and the rows of x_{s_alpha beta}(sign * t) off ring_tables."""
+    t = 1, and the rows of x_{s_alpha beta}(sign * t) are row_ops products."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
-    elems = list(ring.elements())
-    index, mul, _, _ = ring_tables(ring)
+    scale, elems = row_ops(ring)[0], list(ring.elements())
+    values = np.array(elems, dtype=np.int64)
     stack = _tier_stack(alg, ring)
     checks, failures = 0, []
     at_one, tables = _weyl_tables(alg, ring)
     weyls = word_stack(alg, ring, [(("w", alpha, ring.one),) for alpha in sysm.roots])
     for alpha, w, w_inv, (base, i, j, units) in zip(sysm.roots, *weyls, tables):
         conj = sandwich(ring, w, stack, w_inv)
-        # an entry is a list over a product ring; ring.mul makes it an element
-        entries = as_exact(conj[at_one, i, j]).tolist()
-        sign = [index[ring.mul(x, unit)] for x, unit in zip(entries, units)]
-        held = stack_equal(conj, stack[(base[:, None] + mul[sign]).ravel()]).reshape(len(sign), -1)
-        for beta, q, ok in zip(sysm.roots, sign, held):
+        sign = scale(as_exact(conj[at_one, i, j]), units)
+        rows = base[:, None] + positions(ring, scale(sign[:, None], values))
+        held = stack_equal(conj, stack[rows.ravel()]).reshape(len(sign), -1)
+        for beta, square, ok in zip(sysm.roots, positions(ring, scale(sign, sign)), held):
             checks += 1
-            if mul[q, q] != index[ring.one]:
+            if square != at_one[0]:   # the position of one
                 failures.append({"check": "weyl-sign-not-unit",
                                  "alpha": list(alpha), "beta": list(beta)})
                 continue

@@ -73,11 +73,13 @@ from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import (
     Matrix,
     crt_combine,
+    from_ints,
     identity,
     local_invertible,
     local_nullspace,
     mat_mul,
     matrix,
+    positions,
     residue_dtype,
     ring_invertible,
     row_ops,
@@ -180,14 +182,13 @@ def spec_from_json(data: dict) -> AutomorphismSpec:
             raise CertifyError("precheck", "decomposition needs a finite ring, "
                                f"got {ring_name}")
         _, alg = group_for(system)
-        valid = set(ring.elements())
 
         def element(raw, what, witness):
             if not _is_int_json(ring, raw):
                 raise CertifyError("precheck", f"{what} is not an integer element",
                                    dict(witness, value=raw))
             v = ring.element_from_json(raw)
-            if v not in valid:
+            if not _in_ring(ring, v):
                 raise CertifyError("precheck", f"{what} outside the ring")
             return v
 
@@ -244,6 +245,12 @@ def _is_int_json(ring: Ring, raw) -> bool:
     return type(raw) is int
 
 
+def _in_ring(ring: Ring, v) -> bool:
+    """An element read by ``_is_int_json`` lies in [0, size) in every factor."""
+    pairs = zip(ring.factors, v) if isinstance(ring, ProductRing) else [(ring, v)]
+    return all(0 <= x < f.size for f, x in pairs)
+
+
 def spec_from_elements(system: str, ring: Ring,
                        table: Dict[Tuple[Root, object], Matrix]) -> AutomorphismSpec:
     items = tuple(sorted(table.items(), key=lambda kv: (kv[0][0], _sort_key(kv[0][1]))))
@@ -266,13 +273,19 @@ def _additive_order(ring: Ring, t) -> int:
     return k
 
 
+# the entries |Phi| |R| n^2 of one root_stack, the size of every table certify
+# builds: the precheck refuses a ring past it before building anything that size
+STACK_BUDGET = 1 << 22
+
+
 def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     """Validate the supplied images and extend them to every parameter.
 
     Returns the extended table: a stack of arrays of elements (see
     ``linalg.stack_mul``) with the image of x_root(t) for every root and
     every t in the ring, in the rows of ``group.stack_rows``.  Raises
-    CertifyError("precheck", ...) on any violation.  Only matrices are built:
+    CertifyError("precheck", ...) on any violation, first of all when that
+    table would pass STACK_BUDGET entries.  Only matrices are built:
     no check reads an inverse.  Every check runs on all images at once and
     reports its first failure in the order of the loop it replaces.
     """
@@ -283,6 +296,10 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     if not getattr(ring, "size", None):
         raise CertifyError("precheck", "decomposition needs a finite ring, "
                            f"got {spec.ring}")
+    entries = len(sysm.roots) * ring.size * alg.dim ** 2
+    if entries > STACK_BUDGET:
+        raise CertifyError("precheck", "ring too large: its tables pass the entry budget",
+                           {"entries": entries, "budget": STACK_BUDGET})
     span = spanning_params(ring)
     provided = spec.image_dict()
 
@@ -392,24 +409,19 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
     automorphism maps the kernel of reduction at one maximal ideal onto the
     kernel at another: every image of a generator supported on one idempotent
     must be trivial in all but one factor.  A factor's projection is a lookup
-    of every entry's position in ring.elements().
+    of every entry's position in ring.elements() (``linalg.positions``).
     """
     factors = crt_split(ring).factors
     if len(factors) == 1:
         return [FactorProblem(0, 0, factors[0].ring, spec_table)]
 
     n = alg.dim
-    elems = list(ring.elements())
-    where = {t: i for i, t in enumerate(elems)}
-    codes = spec_table.reshape(len(alg.system.roots), len(elems), *spec_table.shape[1:])
-    if isinstance(ring, ProductRing):   # elements() is itertools.product order
-        codes = np.ravel_multi_index(tuple(np.moveaxis(codes, -1, 0)),
-                                     [f.size for f in ring.factors])
-    projections = [np.array([lf.project(t) for t in elems]) for lf in factors]
+    codes = positions(ring, spec_table).reshape(len(alg.system.roots), -1, n, n)
+    projections = [np.array([lf.project(t) for t in ring.elements()]) for lf in factors]
     eye = np.eye(n, dtype=np.int64)
 
     def lifted(lf, ts):     # every root's image at lf.embed(t), for t in ts
-        return codes[:, [where[lf.embed(t)] for t in ts]]
+        return codes[:, positions(ring, [lf.embed(t) for t in ts])]
 
     sigma: Dict[int, int] = {}
     for j, lf in enumerate(factors):
@@ -660,34 +672,27 @@ def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table, un
 
     The residuals conj^-1 m conj of every image of the table are two batched
     products; each must be the root element of ``units`` (a root_stack) at
-    the parameter read off its slot.  The first failure is reported in
-    (t, root) order.
+    the parameter read off its slot by row_ops, its own position over a local
+    ring.  The first failure is reported in (t, root) order.
     """
-    sysm = alg.system
-    rows = stack_rows(alg, ring)
-    resid = sandwich(ring, conj.inv_mat, table, conj.mat)
-    slots = [alg._slot(root) for root, _ in rows]
-    entries = resid[np.arange(len(rows)), [i for (i, _), _ in slots],
-                    [j for (_, j), _ in slots]].tolist()
-    params = [ring.mul(x, ring.from_int(unit)) for x, (_, unit) in zip(entries, slots)]
-    is_root = stack_equal(resid, units[[rows[(root, s)] for (root, _), s in zip(rows, params)]])
-    rho: Dict[object, object] = {}
-    for t in ring.elements():
-        value = params[rows[(sysm.roots[0], t)]]
-        for root in sysm.roots:
-            q = rows[(root, t)]
-            if not is_root[q]:
-                return None, {"reason": "residual is not a root element",
-                              "key": _key_json(ring, (root, t))}
-            if params[q] != value:
-                return None, {"reason": "parameter image differs across roots",
-                              "key": _key_json(ring, (root, t))}
-        rho[t] = value
+    sysm, size, n = alg.system, ring.size, alg.dim
+    resid = sandwich(ring, conj.inv_mat, table, conj.mat).reshape(-1, size, n, n)
+    slots, scalars = zip(*map(alg._slot, sysm.roots))
+    (i, j), q = np.array(slots).T, np.arange(len(sysm.roots))
+    params = row_ops(ring)[0](resid[q, :, i, j], from_ints(ring, scalars, np.int64)[:, None])
+    is_root = (resid == units[q[:, None] * size + params]).all(axis=(2, 3))
+    bad = ~is_root | (params != params[0])
+    if bad.any():
+        t, r = divmod(int(np.argmax(bad.T)), len(sysm.roots))
+        return None, {"reason": "parameter image differs across roots" if is_root[r, t]
+                      else "residual is not a root element",
+                      "key": _key_json(ring, (sysm.roots[r], t))}
+    rho = dict(enumerate(params[0].tolist()))
     if rho[ring.one] != ring.one:
         return None, {"reason": "residual moves the unit parameter"}
     if not is_ring_automorphism(ring, rho):
         return None, {"reason": "parameter map is not a ring automorphism"}
-    return tuple(sorted(rho.items(), key=lambda kv: _sort_key(kv[0]))), None
+    return tuple(rho.items()), None
 
 
 def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
@@ -700,7 +705,7 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
     are the basis rows that pass the unit pivot test, in basis order.
     """
     sysm = alg.system
-    at_one = [stack_rows(alg, ring)[(root, ring.one)] for root in sysm.roots]
+    at_one = np.arange(len(sysm.roots)) * ring.size + positions(ring, ring.one)
     deepest = CertifyError("match", "no diagram symmetry admits a strictly "
                            "inner intertwiner", {"factor": problem_tag})
     for delta in diagram_symmetries(sysm):

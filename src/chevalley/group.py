@@ -33,9 +33,9 @@ root_stack holds x_root(t) for every root and every element of a finite ring
 the rows of stack_rows; certify and every verify suite read it.
 commutator_pattern_holds is the one check of the commutator formula: for
 root pairs times parameters (t, u) it reads every factor, and the inverses
-at -t and -u, from such a stack at rows computed on ring_tables.  The
-precheck runs it on its own table of the supplied images at t = u = 1, and
-the verify commutator suite on a root_stack at every (t, u).
+at -t and -u, from such a stack at rows computed by row_ops.  The precheck
+runs it on its own table of the supplied images at t = u = 1, and the
+verify commutator suite on a root_stack at every (t, u).
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from typing import Dict, Iterable, Mapping, Tuple
 import numpy as np
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import (Matrix, identity, ring_tables, stack_dtype, stack_mul,
-                              to_matrix)
+from chevalley.linalg import (Matrix, from_ints, identity, positions, row_ops, stack_dtype,
+                              stack_mul, to_matrix)
 from chevalley.rings import Ring
 from chevalley.roots import Root
 
@@ -256,19 +256,23 @@ def commutator_rows(alg: AdjointAlgebra, ring: Ring, pairs, params):
     """(sides, factors, lengths): the stack_rows commutator_pattern_holds reads,
     as arrays over params: sides[q] those of x_r(t), x_s(u), x_r(-t), x_s(-u)
     of pair q, then the chain factors pair by pair in coeffs order, lengths[q]
-    of them for pair q (x_r(0) for none).  A row is root position * |R| +
-    element position, C t^i u^j being mul[C, mul[t^i, u^j]] on ring_tables."""
-    index, mul, _, powers = ring_tables(ring)
-    t, u = np.array([[index[x] for x in tu] for tu in params], dtype=np.int64).reshape(-1, 2).T
-    base = {r: len(index) * k for k, r in enumerate(alg.system.roots)}
-    neg = mul[index[ring.neg(ring.one)]]
-    r0, s0 = np.array([[base[r], base[s]] for r, s, _ in pairs]).T[:, :, None]
-    sides = np.stack([r0 + t, s0 + u, r0 + neg[t], s0 + neg[u]], axis=1)
-    chains = [[(base[tuple(i * a + j * b for a, b in zip(r, s))], index[ring.from_int(c)], i, j)
-               for (i, j), c in coeffs.items()] or [(base[r], index[ring.zero], 0, 0)]
+    of them for pair q (x_r(0) for none).  Each is the row of x_root(C t^i u^j),
+    root position * |R| + linalg.positions of C t^i u^j from row_ops."""
+    scale, tu = row_ops(ring)[0], np.array(params, dtype=np.int64)   # (t, u) on axis 1
+    square = scale(tu, tu)
+    powers = np.stack([tu ** 0, tu, square, scale(square, tu)])   # t^i and u^i
+    base = {r: ring.size * k for k, r in enumerate(alg.system.roots)}
+    sides = [(base[x], c, 1 - k, k) for r, s, _ in pairs   # (base row, C, i, j)
+             for c in (1, -1) for k, x in enumerate((r, s))]
+    chains = [[(base[tuple(i * a + j * b for a, b in zip(r, s))], c, i, j)
+               for (i, j), c in coeffs.items()] or [(base[r], 0, 0, 0)]
               for r, s, coeffs in pairs]
-    g, c, i, j = np.array([f for chain in chains for f in chain]).reshape(-1, 4).T[:, :, None]
-    return sides, g + mul[c, mul[powers[i, t], powers[j, u]]], np.array(list(map(len, chains)))
+    flat = itertools.chain.from_iterable(itertools.chain(sides, *chains))
+    g, c, i, j = np.fromiter(flat, dtype=np.int64).reshape(-1, 4).T
+    value = scale(scale(powers[i, :, 0], powers[j, :, 1]), from_ints(ring, c, np.int64)[:, None])
+    rows = g[:, None] + positions(ring, value)
+    return (rows[:len(sides)].reshape(len(pairs), 4, -1), rows[len(sides):],
+            np.array(list(map(len, chains))))
 
 
 def commutator_pattern_holds(alg: AdjointAlgebra, ring: Ring, stack, pairs, params) -> np.ndarray:

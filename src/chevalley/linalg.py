@@ -20,8 +20,8 @@ call to call.  Floats never leave this module as elements: ``to_matrix`` and
 ``as_exact`` turn a tier stack back into integers.  ``mat_mul`` takes tuple
 matrices (over Z the guard reads their largest |entry| off the Python ints),
 ``sandwich`` and ``diagonal_sandwich`` compute left m right over a stack,
-``row_ops`` scales and subtracts on stacks (a tuple matrix is never scaled)
-and ``from_ints`` maps integer arrays into a ring.
+``row_ops``, the one element-wise arithmetic, scales and subtracts on stacks,
+``from_ints`` maps integers into a ring and ``positions`` elements to rows.
 
 Inversion, over a finite ring only, first splits the ring into local
 factors, then runs a Smith-style diagonalization per factor, and kernels are
@@ -44,7 +44,7 @@ from math import prod
 
 import numpy as np
 
-from chevalley.rings import (_IRREDUCIBLE, FieldTable, ProductRing, Ring, ZMod,
+from chevalley.rings import (_IRREDUCIBLE, FieldTable, ProductRing, Ring, RingError, ZMod,
                              ZRing, crt_split)
 
 Matrix = tuple  # tuple of row tuples
@@ -80,15 +80,20 @@ def residue_dtype(bound: int, inner: int, carrier: bool = False):
 
 @lru_cache(maxsize=None)
 def ring_tables(ring: Ring):
-    """(index, mul, sub, powers) of a finite ring, built once per ring: each
-    element's position in ring.elements(), and on positions the mul and sub
-    tables and powers[e, t] = t^e for e < 4, as int64 arrays.  Over GF(p^k)
-    an element is its own position."""
-    index = {t: i for i, t in enumerate(ring.elements())}
-    mul, sub = (np.array([[index[op(x, y)] for y in index] for x in index], dtype=np.int64)
-                for op in (ring.mul, ring.sub))
-    powers = np.array([[index[ring.power(t, e)] for t in index] for e in range(4)], dtype=np.int64)
-    return index, mul, sub, powers
+    """(mul, sub) of GF(p^k), k > 1, as int64 arrays on the elements, built
+    once per field for ``row_ops``; raises on any other ring."""
+    if not isinstance(ring, FieldTable):
+        raise RingError(f"ring_tables is for GF(p^k), k > 1, not {ring.descriptor}")
+    return np.array(ring._mul, dtype=np.int64), np.array(ring._add, dtype=np.int64)[:, ring._neg]
+
+
+def positions(ring: Ring, a):
+    """Each element's position in ring.elements(), as int64: its own value over
+    Z/n and GF(q), its factors' values as mixed-radix digits over a product."""
+    a = as_exact(np.asarray(a)).astype(np.int64, copy=False)
+    if isinstance(ring, ProductRing):
+        return np.ravel_multi_index(tuple(np.moveaxis(a, -1, 0)), [f.size for f in ring.factors])
+    return a
 
 
 def field_matmul(ring: FieldTable, a, b):
@@ -326,7 +331,7 @@ def row_ops(ring: Ring):
             x -= c * y
             return _reduce(x, mod)
         return (lambda x, c: _reduce(x * c, mod)), sub_mul
-    _, mul, sub, _ = ring_tables(ring)
+    mul, sub = ring_tables(ring)
     return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator
 
@@ -150,7 +150,12 @@ class ZMod(Ring):
         self.n = n
         self.descriptor = f"Z/{n}"
         self.size = n
-        self._factors = _factorize(n)
+
+    @cached_property
+    def _factors(self) -> dict[int, int]:
+        """The prime factorization of n, by trial division on first use, so
+        that intake and the precheck's size refusal come before it."""
+        return _factorize(self.n)
 
     def add(self, a, b): return (a + b) % self.n
     def neg(self, a): return (-a) % self.n
@@ -399,7 +404,7 @@ class CrtSplit:
 def crt_split(ring: Ring) -> CrtSplit:
     """Split a finite ring into local factors with explicit idempotents."""
     if isinstance(ring, ZMod):
-        fac = sorted(_factorize(ring.n).items())
+        fac = sorted(ring._factors.items())
         if len(fac) == 1:
             return CrtSplit(ring, (LocalFactor(ring, lambda x: x, lambda x: x,
                                                ring.one),))

@@ -417,7 +417,7 @@ def row_ops(ring: Ring):
     if isinstance(ring, ZMod):
         mod = ring.n
         return (lambda x, c: (x * c) % mod), (lambda x, c, y: (x - c * y) % mod)
-    _, mul, sub, _ = ring_tables(ring)
+    mul, sub = ring_tables(ring)
     return (lambda x, c: mul[x, c]), (lambda x, c, y: sub[x, mul[c, y]])
 
 

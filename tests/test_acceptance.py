@@ -8,8 +8,8 @@ Certificates are pinned byte for byte: ``artifact_digest`` is the sha256 of
 the concatenated ``json.dumps(cert.to_json(), sort_keys=True)`` of a run of
 certificates, with the default separators ``(", ", ": ")`` and no newline,
 in the order the run certifies them.  Criterion 5 pins its 600 round trips,
-and two more tests pin the 11-configuration sweep (config-major, seeds
-0-19) and D4/Z/2 at seeds 0 and 1.  A change to the search that keeps its
+and three more tests pin the 11-configuration sweep (config-major, seeds
+0-19), D4/Z/2 at seeds 0 and 1 and A2/Z/1009 at seed 0.  A change to the search that keeps its
 answers keeps every digest.
 """
 
@@ -228,6 +228,14 @@ def test_sweep_certificates_are_byte_identical():
 ])
 def test_d4_certificates_are_byte_identical(seed, want):
     assert artifact_digest([certify(forge_random_parts("D4", "Z/2", seed)[0])]) == want
+
+
+def test_a2_over_z_1009_certificate_is_byte_identical():
+    # a ring far past the bench's: certify builds no |R| x |R| table outside
+    # GF(p^k) (linalg.ring_tables raises on Z/n); the digest was recorded
+    # while it still built them
+    assert artifact_digest([certify(forge_random_parts("A2", "Z/1009", 0)[0])]) == (
+        "d295bab0f72184225ba213089b399e49cac4060dc6ca59e660684adf01464a22")
 
 
 def test_criterion_6_kernel_transport():

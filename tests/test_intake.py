@@ -5,7 +5,9 @@ document in ``MUTATIONS`` as ``spec_from_json`` gave it before the image
 matrices were validated on arrays: the sorted-key JSON of the refusal and
 the witness's own key order.
 A hypothesis test then sends mutated documents through ``chevalley
-decompose``: each must end with exit 0, or with exit 1 and a stage.
+decompose``: each must end with exit 0, or with exit 1 and a stage.  A ring
+whose tables pass ``STACK_BUDGET`` ends at precheck within a second, before
+its modulus is factored.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import time
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chevalley.cli import main
-from chevalley.decomposer import CertifyError, forge_random, spec_from_json
+from chevalley.decomposer import STACK_BUDGET, CertifyError, certify, forge_random, spec_from_json
 
 STAGES = {"precheck", "split", "match", "ringmap", "replay"}
 
@@ -156,7 +159,7 @@ def test_every_recorded_refusal_has_a_document():
 
 BASES = [("A2", "Z/5", 1), ("A2", "Z/6xF4", 0), ("B2", "F4", 2)]
 RINGS = ["Z/5", "Z/4", "Z/7", "F4", "F9", "Z/6", "Z/6xF4", "Z/3xZ/3", "Z", "Z/0", "Z/1",
-         "F6", "Q", "", "Z/x", "x"]
+         "F6", "Q", "", "Z/x", "x", "Z/1000003", "Z/1000000000000000003"]
 SYSTEMS = ["A2", "B2", "G2", "A3", "X2", "", "A"]
 
 json_values = st.recursive(
@@ -210,19 +213,50 @@ def mutated(draw):
     return doc
 
 
-@settings(max_examples=60, deadline=5000,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(mutated())
-def test_mutated_documents_end_at_a_stage(doc):
+def decompose(doc):
+    """(exit code, artifact) of ``chevalley decompose`` on a document."""
     with tempfile.TemporaryDirectory() as tmp:
         spec, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out.json")
         with open(spec, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         code = main(["decompose", "--spec", spec, "--out", out])
-        assert code in (0, 1)
         with open(out, encoding="utf-8") as fh:
-            artifact = json.load(fh)
+            return code, json.load(fh)
+
+
+@settings(max_examples=60, deadline=5000,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(mutated())
+def test_mutated_documents_end_at_a_stage(doc):
+    code, artifact = decompose(doc)
+    assert code in (0, 1)
     if code == 1:
         assert artifact["error"]["stage"] in STAGES
     else:
         assert "factors" in artifact
+
+
+# --- the size budget --------------------------------------------------------------
+
+OVERSIZED = {
+    "relabelled": lambda: at(["ring"], "Z/1000003"),   # the A2/Z/5 images, all in range
+    "huge modulus": lambda: {"system": "A2", "ring": "Z/1000000000000000003", "images": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_rings_are_refused_at_precheck_within_a_second(name):
+    doc = OVERSIZED[name]()
+    t0 = time.perf_counter()
+    code, artifact = decompose(doc)
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and artifact["error"]["stage"] == "precheck"
+    assert artifact["error"]["witness"]["entries"] > STACK_BUDGET == (
+        artifact["error"]["witness"]["budget"])
+
+
+def test_a2_over_z_10007_passes_the_size_budget():
+    # refused for its missing images, a check the size refusal comes before
+    with pytest.raises(CertifyError) as err:
+        certify(spec_from_json({"system": "A2", "ring": "Z/10007", "images": []}))
+    assert err.value.detail.startswith("images must cover")

@@ -33,9 +33,11 @@ from chevalley.linalg import (
     mat_mul,
     mat_pow,
     matrix,
+    positions,
     residue_dtype,
     ring_invert,
     ring_invertible,
+    ring_tables,
     row_ops,
     stack_dtype,
     stack_mul,
@@ -912,6 +914,22 @@ def test_from_ints_matches_from_int(name):
     values = np.arange(-7, 8).reshape(3, 5)
     assert to_matrix(ring, from_ints(ring, values, np.int64)) == tuple(
         tuple(ring.from_int(int(v)) for v in row) for row in values)
+
+
+@pytest.mark.parametrize("name", ["Z/4", "F9", "Z/6", "Z/3xZ/3", "Z/2xF4"])
+def test_positions_are_the_order_of_elements(name):
+    ring = ring_make(name)
+    elems = list(ring.elements())
+    assert positions(ring, elems).tolist() == list(range(ring.size))
+    assert positions(ring, np.array(elems, dtype=np.float32)).dtype == np.int64   # a tier stack
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/5", "Z/1009", "Z/3xZ/3", "F4xZ/3", "Z"])
+def test_ring_tables_are_for_field_tables_only(name):
+    # outside GF(p^k), k > 1, row_ops computes on the elements: no |R| x |R| table
+    with pytest.raises(RingError):
+        ring_tables(ring_make(name))
+    assert [t.shape for t in ring_tables(ring_make("F9"))] == [(9, 9), (9, 9)]
 
 
 # --- the unit mask against the full pivot scan ---------------------------------

@@ -138,6 +138,14 @@ def test_one_x_root_path(monkeypatch):
     assert {f"cli.verify.{suite}" for suite in cli.SUITES} <= layers
 
 
+def test_ring_tables_stay_in_linalg():
+    # the |R| x |R| element tables exist for GF(p^k), k > 1, only, and only
+    # row_ops reads them: every other caller computes on element arrays with
+    # row_ops and linalg.positions, so no ring of any other kind builds one
+    assert {(p.stem, fn) for p in sorted(SRC.glob("*.py"))
+            for fn in readers(p, "ring_tables")} == {("linalg", "row_ops")}
+
+
 UNDER_TEST = {"bracket_basis", "chain_coefficients", "x_stack", "root_stack"}
 
 
