@@ -96,18 +96,10 @@ def cmd_adjoint(args) -> int:
         "ring": ring.descriptor,
         "dimension": alg.dim,
         "basis": [list(r) for r in sysm.roots] + [["h", j] for j in range(sysm.rank)],
-        "x": [
-            {"root": list(r),
-             "matrix": [[ring.element_to_json(v) for v in row]
-                        for row in alg.x_matrix(r, ring)]}
-            for r in sysm.roots
-        ],
-        "h": [
-            {"index": j,
-             "matrix": [[ring.element_to_json(v) for v in row]
-                        for row in alg.h_matrix(j, ring)]}
-            for j in range(sysm.rank)
-        ],
+        "x": [{"root": list(r), "matrix": ring.matrix_to_json(alg.x_matrix(r, ring))}
+              for r in sysm.roots],
+        "h": [{"index": j, "matrix": ring.matrix_to_json(alg.h_matrix(j, ring))}
+              for j in range(sysm.rank)],
     }
     emit(doc, args.out)
     return 0

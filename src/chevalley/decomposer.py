@@ -17,7 +17,9 @@ over 1 and the additive generators of the finite ring.  The pipeline:
   ringmap    the residual map then fixes every x_root(1); read the parameter
              map off the unipotent slots and check it is a ring automorphism.
   certify    reassemble the factor data over the whole ring through the
-             idempotents and replay every image exactly.
+             idempotents into the Certificate, and replay every image
+             exactly through that object (Certificate.replay): the
+             composition checked is the one to_json writes.
 
 A certificate is only ever emitted after the replay, so a bad input can
 waste time but cannot produce a false certificate.  Failures carry the stage
@@ -55,7 +57,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from chevalley.autos import GraphData, graph_data
+from chevalley.autos import graph_data
 from chevalley.group import (
     GroupElement,
     chain_coefficients,
@@ -98,12 +100,7 @@ from chevalley.rings import (
     ring_automorphisms,
     ring_make,
 )
-from chevalley.roots import (
-    DiagramSymmetry,
-    Root,
-    RootSystem,
-    diagram_symmetries,
-)
+from chevalley.roots import Root, RootSystem, diagram_symmetries
 
 
 class CertifyError(Exception):
@@ -155,7 +152,7 @@ class AutomorphismSpec:
             "ring": self.ring,
             "images": [
                 {"root": list(root), "param": ring.element_to_json(t),
-                 "matrix": [[ring.element_to_json(v) for v in row] for row in m]}
+                 "matrix": ring.matrix_to_json(m)}
                 for (root, t), m in self.images
             ],
         }
@@ -253,12 +250,9 @@ def _in_ring(ring: Ring, v) -> bool:
 
 def spec_from_elements(system: str, ring: Ring,
                        table: Dict[Tuple[Root, object], Matrix]) -> AutomorphismSpec:
-    items = tuple(sorted(table.items(), key=lambda kv: (kv[0][0], _sort_key(kv[0][1]))))
+    # a ring's elements are all ints or all tuples, so the keys sort as they are
+    items = tuple(sorted(table.items(), key=lambda kv: kv[0]))
     return AutomorphismSpec(system, ring.descriptor, items)
-
-
-def _sort_key(elt):
-    return (0, elt) if isinstance(elt, int) else (1, elt)
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +641,6 @@ def strictly_inner_element(alg: AdjointAlgebra, ring: Ring, m):
 # per-factor matching
 
 
-@dataclass
-class FactorResult:
-    index: int
-    target: int
-    ring: Ring
-    delta: DiagramSymmetry
-    graph: Optional[GraphData]
-    conjugator: GroupElement
-    rho: Tuple[Tuple[object, object], ...]
-
-
 def _twist_table(alg, ring, table, gd):
     """lam^-1 m lam for every image matrix m of a stack; the stack itself for
     no twist."""
@@ -723,7 +706,7 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
                 err["factor"] = problem_tag
                 deepest = CertifyError("ringmap", err.pop("reason"), err)
                 continue
-            return delta, gd, conj, rho
+            return delta, conj, rho
     raise deepest
 
 
@@ -743,6 +726,10 @@ class FactorCertificate:
 
 @dataclass
 class Certificate:
+    """The standard automorphism x_root(t) -> lambda C x_root(rho t) C^-1
+    lambda^-1 and the per-factor data it was assembled from.  ``replay`` and
+    ``apply`` both read the one composition, ``_compose``."""
+
     system: str
     ring: str
     factors: Tuple[FactorCertificate, ...]
@@ -756,19 +743,34 @@ class Certificate:
     def rho_map(self) -> dict:
         return dict(self.rho)
 
+    def _compose(self, ring: Ring, stack):
+        """(lambda C) m (C^-1 lambda^-1) for every matrix m of a stack, the two
+        outer products folded once."""
+        return sandwich(ring, mat_mul(ring, self.lambda_mat, self.conjugator), stack,
+                        mat_mul(ring, self.conjugator_inv, self.lambda_inv))
+
     def apply(self, alg: AdjointAlgebra, ring: Ring, root: Root, t) -> Matrix:
         """The image of x_root(t) under the certified standard automorphism."""
-        inner = unipotent(alg, ring, root, self.rho_map()[t]).mat
-        conj = mat_mul(ring, mat_mul(ring, self.conjugator, inner),
-                       self.conjugator_inv)
-        return mat_mul(ring, mat_mul(ring, self.lambda_mat, conj), self.lambda_inv)
+        inner = np.array([unipotent(alg, ring, root, self.rho_map()[t]).mat],
+                         dtype=stack_dtype(ring, alg.dim))
+        return to_matrix(ring, self._compose(ring, inner)[0])
+
+    def replay(self, alg: AdjointAlgebra, ring: Ring, table, units) -> int:
+        """Check that every image of a precheck table is the image of its
+        generator, composed over ``units``, the ring's root_stack, at once.
+        Returns the number of images replayed, or raises at the first
+        mismatch in (root, t) order."""
+        rows, rho = stack_rows(alg, ring), self.rho_map()
+        inner = units[[rows[(root, rho[t])] for root, t in rows]]
+        held = stack_equal(self._compose(ring, inner), table)
+        if not held.all():
+            raise CertifyError("replay", "assembled automorphism does not "
+                               "reproduce an image",
+                               {"key": _key_json(ring, list(rows)[int(np.argmin(held))])})
+        return len(held)
 
     def to_json(self) -> dict:
         ring = ring_make(self.ring)
-
-        def emat(m):
-            return [[ring.element_to_json(v) for v in row] for row in m]
-
         factors = []
         for fc in self.factors:
             fring = ring_make(fc.ring)
@@ -779,20 +781,18 @@ class Certificate:
                 "delta": list(fc.delta),
                 "conjugator_word": [_token_json(fring, tok)
                                     for tok in fc.conjugator_word],
-                "rho": [[fring.element_to_json(a), fring.element_to_json(b)]
-                        for a, b in fc.rho],
+                "rho": fring.matrix_to_json(fc.rho),
             })
         return {
             "system": self.system,
             "ring": self.ring,
             "factors": factors,
             "global": {
-                "lambda": emat(self.lambda_mat),
-                "lambda_inv": emat(self.lambda_inv),
-                "conjugator": emat(self.conjugator),
-                "conjugator_inv": emat(self.conjugator_inv),
-                "rho": [[ring.element_to_json(a), ring.element_to_json(b)]
-                        for a, b in self.rho],
+                "lambda": ring.matrix_to_json(self.lambda_mat),
+                "lambda_inv": ring.matrix_to_json(self.lambda_inv),
+                "conjugator": ring.matrix_to_json(self.conjugator),
+                "conjugator_inv": ring.matrix_to_json(self.conjugator_inv),
+                "rho": ring.matrix_to_json(self.rho),
             },
             "report": self.report,
         }
@@ -805,78 +805,41 @@ def _token_json(ring: Ring, token) -> list:
     return [kind, list(root), ring.element_to_json(t)]
 
 
-def _replay(alg: AdjointAlgebra, ring: Ring, table, left: Matrix, right: Matrix,
-            rho: dict, units) -> int:
-    """Check that every image of the table is left x_root(rho t) right: two
-    batched products over ``units``, the ring's root_stack.  Returns the
-    number of images replayed, or raises at the first mismatch in (root, t)
-    order."""
-    rows = stack_rows(alg, ring)
-    inner = units[[rows[(root, rho[t])] for root, t in rows]]
-    held = stack_equal(sandwich(ring, left, inner, right), table)
-    if not held.all():
-        raise CertifyError("replay", "assembled automorphism does not "
-                           "reproduce an image",
-                           {"key": _key_json(ring, list(rows)[int(np.argmin(held))])})
-    return len(held)
-
-
 def certify(spec: AutomorphismSpec) -> Certificate:
-    """Decompose the spec or raise a stage-tagged CertifyError."""
+    """Decompose the spec or raise a stage-tagged CertifyError.  The
+    Certificate is assembled first, and replayed before it is returned."""
     _, alg = group_for(spec.system)
     ring = ring_make(spec.ring)
     table = precheck(spec, alg)
-    problems = split_local(table, alg, ring)
-    split = crt_split(ring)
-    factors = split.factors
-
-    results: List[FactorResult] = []
-    for problem in problems:
+    matched = []    # (problem, delta, conjugator, rho) per factor, in source order
+    for problem in split_local(table, alg, ring):
         units = root_stack(alg, problem.ring)
-        delta, gd, conj, rho = _match_local(alg, problem.ring, problem.table,
-                                            problem.index, units)
-        results.append(FactorResult(problem.index, problem.target, problem.ring,
-                                    delta, gd, conj, rho))
+        matched.append((problem, *_match_local(alg, problem.ring, problem.table,
+                                               problem.index, units)))
 
     # reassemble over the whole ring through the idempotents; factor data is
-    # indexed by source, placed at its target slot
-    by_target = sorted(results, key=lambda res: res.target)
-    graphs = [res.graph.matrices(lf.ring) if res.graph is not None
-              else (identity(lf.ring, alg.dim),) * 2 for lf, res in zip(factors, by_target)]
-    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*graphs))
-    conj = crt_combine(split, [res.conjugator.mat for res in by_target])
-    conj_inv = crt_combine(split, [res.conjugator.inv_mat for res in by_target])
+    # found at its source, placed at its target's slot
+    split = crt_split(ring)
+    factors = split.factors
+    by_target = sorted(matched, key=lambda found: found[0].target)
+    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*(
+        graph_data(alg, delta).matrices(problem.ring) for problem, delta, _, _ in by_target)))
+    conj = crt_combine(split, [c.mat for _, _, c, _ in by_target])
+    conj_inv = crt_combine(split, [c.inv_mat for _, _, c, _ in by_target])
+    rho_locals = [(factors[problem.index], dict(r)) for problem, _, _, r in by_target]
+    rho = tuple((t, split.from_factors([r[lf.project(t)] for lf, r in rho_locals]))
+                for t in ring.elements())
+    cert = Certificate(spec.system, spec.ring, tuple(
+        FactorCertificate(problem.ring.descriptor, factors[problem.index].idempotent,
+                          factors[problem.target].idempotent, delta.perm, c.word, r)
+        for problem, delta, c, r in matched), lam, lam_inv, conj, conj_inv, rho, {})
 
-    rho_locals = [dict(res.rho) for res in by_target]
-    rho_global = []
-    for t in ring.elements():
-        value = split.from_factors(
-            [rho[factors[res.index].project(t)] for res, rho in zip(by_target, rho_locals)])
-        rho_global.append((t, value))
-    rho_global.sort(key=lambda kv: _sort_key(kv[0]))
-    rho_dict = dict(rho_global)
-
-    # every image is (lam conj) x_root(rho t) (conj^-1 lam^-1); a local ring
-    # is its own one factor, whose stack the match already built
+    # a local ring is its own one factor, whose stack the match already built
     if len(factors) > 1:
         units = root_stack(alg, ring)
-    replayed = _replay(alg, ring, table, mat_mul(ring, lam, conj),
-                       mat_mul(ring, conj_inv, lam_inv), rho_dict, units)
-
-    factor_certs = tuple(
-        FactorCertificate(
-            ring=res.ring.descriptor,
-            source_idempotent=factors[res.index].idempotent,
-            target_idempotent=factors[res.target].idempotent,
-            delta=res.delta.perm,
-            conjugator_word=res.conjugator.word,
-            rho=res.rho,
-        )
-        for res in results)
-    report = {"generators_replayed": replayed, "factors": len(factors),
-              "spanning_parameters": len(spanning_params(ring))}
-    return Certificate(spec.system, spec.ring, factor_certs, lam, lam_inv,
-                       conj, conj_inv, tuple(rho_global), report)
+    cert.report = {"generators_replayed": cert.replay(alg, ring, table, units),
+                   "factors": len(factors), "spanning_parameters": len(spanning_params(ring))}
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -890,13 +853,11 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
     rng = random.Random(f"{system}|{ring_name}|{seed}")
     split = crt_split(ring)
     factors = split.factors
-    n = alg.dim
 
     symmetries = diagram_symmetries(sysm)
     deltas = [rng.choice(symmetries) for _ in factors]
-    graphs = [(identity(lf.ring, n),) * 2 if delta.is_identity
-              else graph_data(alg, delta).matrices(lf.ring) for lf, delta in zip(factors, deltas)]
-    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*graphs))
+    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*(
+        graph_data(alg, delta).matrices(lf.ring) for lf, delta in zip(factors, deltas))))
 
     rho = rng.choice(ring_automorphisms(ring))
     units = [u for u in ring.units()]
@@ -921,8 +882,7 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
         "lambda": lam,
         "lambda_inv": lam_inv,
         "conjugator": g,
-        "rho": tuple(sorted(((t, rho(t)) for t in ring.elements()),
-                            key=lambda kv: _sort_key(kv[0]))),
+        "rho": tuple((t, rho(t)) for t in ring.elements()),
         "deltas": tuple(d.perm for d in deltas),
     }
     return spec, planted

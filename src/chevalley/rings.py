@@ -31,6 +31,56 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+# Miller-Rabin on the primes up to 41 is exact below this bound, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017); the primes up to 37 alone let 318665857834031151167461 through
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, for n below _MILLER_RABIN_BOUND."""
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from a power of 2 above it."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power(q: int):
+    """(p, k) with q = p^k for a prime p, or None, in polylog time: the integer
+    k-th root of q for every k up to log2 q, the prime one the only candidate."""
+    for k in range(1, q.bit_length()):
+        p = _iroot(q, k)
+        if p ** k == q and _is_prime(p):
+            return p, k
+    return None
+
+
 class Ring:
     """Base interface; subclasses provide exact arithmetic on hashable elements."""
 
@@ -117,6 +167,10 @@ class Ring:
     # json ---------------------------------------------------------------
     def element_to_json(self, a):
         return list(a) if isinstance(a, tuple) else a
+
+    def matrix_to_json(self, rows) -> list:
+        """Rows of elements, a matrix or a table of pairs, as JSON lists."""
+        return [[self.element_to_json(v) for v in row] for row in rows]
 
     def element_from_json(self, data):
         if isinstance(data, list):
@@ -367,10 +421,12 @@ def ring_make(descriptor: str) -> Ring:
             q = int(text[1:])
         except ValueError:
             raise RingError(f"bad field size in {text!r}")
-        fac = _factorize(q)
-        if len(fac) != 1:
+        if q >= _MILLER_RABIN_BOUND:
+            raise RingError(f"field size {q} is too large to test for a prime power")
+        pk = _prime_power(q)
+        if pk is None:
             raise RingError(f"{q} is not a prime power")
-        p, k = next(iter(fac.items()))
+        p, k = pk
         ring = ZMod(p) if k == 1 else FieldTable(p, k)
     else:
         raise RingError(f"unknown ring descriptor {descriptor!r}")

@@ -47,7 +47,6 @@ from chevalley.decomposer import (
     CertifyError,
     _additive_order,
     _key_json,
-    _sort_key,
     _weight_perm,
     _weyl_words,
     spanning_params,
@@ -607,11 +606,11 @@ def residual_rho_loop(alg: AdjointAlgebra, ring: Ring, conj, table):
         return None, {"reason": "residual moves the unit parameter"}
     if not is_ring_automorphism_loop(ring, rho):
         return None, {"reason": "parameter map is not a ring automorphism"}
-    return tuple(sorted(rho.items(), key=lambda kv: _sort_key(kv[0]))), None
+    return tuple(rho.items()), None
 
 
 def replay_loop(alg: AdjointAlgebra, ring: Ring, table, left, right, rho) -> int:
-    """The replay of ``decomposer.certify`` one image at a time, on a dict
+    """The replay of ``Certificate.replay`` one image at a time, on a dict
     table: every image must be left x_root(rho t) right."""
     sysm = alg.system
     replayed = 0

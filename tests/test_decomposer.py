@@ -1,5 +1,6 @@
 """End-to-end decomposition: round trips, transport, and refusals."""
 
+import dataclasses
 import json
 import random
 
@@ -9,6 +10,7 @@ import pytest
 import chevalley.decomposer as decomposer
 from chevalley.autos import graph_data
 from chevalley.decomposer import (
+    Certificate,
     CertifyError,
     certify,
     forge_random,
@@ -939,10 +941,76 @@ def test_replay_reports_what_the_loop_oracle_reports(ring_name):
         for key in wrong:      # the image of the same root at another parameter
             other = ring.one if key[1] != ring.one else ring.zero
             planted[rows[key]] = table[rows[(key[0], other)]]
-        got = outcome(decomposer._replay, alg, ring, planted, left, right, rho, units)
+        got = outcome(cert.replay, alg, ring, planted, units)
         want = outcome(replay_loop, alg, ring, as_dict(alg, ring, planted), left, right, rho)
         assert got == want, wrong
         assert (got[0] == "ok") == (not wrong), wrong
+
+
+# A2/Z/6 seed 0 has two factors, one twisted by the diagram flip and one not;
+# B2/F4 seed 2 plants the Frobenius as rho
+CERTIFIED = [("A2", "Z/6", 0), ("B2", "F4", 2)]
+
+
+def certified(system, ring_name, seed):
+    """(alg, ring, certificate, precheck table, root stack) of a forged spec."""
+    ring = ring_make(ring_name)
+    _, alg = group_for(system)
+    spec, planted = forge_random_parts(system, ring_name, seed)
+    if ring_name == "F4":
+        assert any(t != v for t, v in planted["rho"])
+    cert = certify(spec)
+    return alg, ring, cert, decomposer.precheck(spec, alg), root_stack(alg, ring)
+
+
+@pytest.mark.parametrize("system,ring_name,seed", CERTIFIED)
+def test_certify_replays_the_certificate_it_returns(monkeypatch, system, ring_name, seed):
+    replayed = []
+    replay = Certificate.replay
+
+    def recording(self, *args):
+        replayed.append(self)
+        return replay(self, *args)
+
+    monkeypatch.setattr(Certificate, "replay", recording)
+    alg, ring, cert, table, units = certified(system, ring_name, seed)
+    assert len(replayed) == 1 and replayed[0] is cert
+    n_images = len(alg.system.roots) * ring.size
+    assert cert.report["generators_replayed"] == n_images
+    assert cert.replay(alg, ring, table, units) == n_images
+    # the single image composes like the stack, for every key
+    assert all(cert.apply(alg, ring, root, t) == to_matrix(ring, table[i])
+               for (root, t), i in stack_rows(alg, ring).items())
+
+
+def mutants(ring, cert):
+    """(field, copy of cert) with one entry of lambda, lambda^-1, C and C^-1
+    changed in turn, then one rho pair."""
+    def bumped(m):
+        rows = [list(row) for row in m]
+        i, j = len(rows) // 2, 1
+        rows[i][j] = ring.add(rows[i][j], ring.one)
+        return matrix(rows)
+
+    rho = list(cert.rho)
+    t, value = rho[len(rho) // 2]
+    rho[len(rho) // 2] = (t, ring.add(value, ring.one))
+    return [(field, dataclasses.replace(cert, **{field: bumped(getattr(cert, field))}))
+            for field in ("lambda_mat", "lambda_inv", "conjugator", "conjugator_inv")
+            ] + [("rho", dataclasses.replace(cert, rho=tuple(rho)))]
+
+
+@pytest.mark.parametrize("system,ring_name,seed", CERTIFIED)
+def test_replay_refuses_every_mutated_certificate(system, ring_name, seed):
+    alg, ring, cert, table, units = certified(system, ring_name, seed)
+    for field, mutant in mutants(ring, cert):
+        left = mat_mul(ring, mutant.lambda_mat, mutant.conjugator)
+        right = mat_mul(ring, mutant.conjugator_inv, mutant.lambda_inv)
+        want = outcome(replay_loop, alg, ring, as_dict(alg, ring, table), left, right,
+                       mutant.rho_map())
+        assert want[0] == "replay", field
+        assert outcome(mutant.replay, alg, ring, table, units) == want, field
+    assert cert.replay(alg, ring, table, units) == len(alg.system.roots) * ring.size
 
 
 # --- tuple products left in certify ---------------------------------------------

@@ -7,7 +7,7 @@ the witness's own key order.
 A hypothesis test then sends mutated documents through ``chevalley
 decompose``: each must end with exit 0, or with exit 1 and a stage.  A ring
 whose tables pass ``STACK_BUDGET`` ends at precheck within a second, before
-its modulus is factored.
+its modulus is factored; so does a prime field of that size.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ def test_every_recorded_refusal_has_a_document():
 
 BASES = [("A2", "Z/5", 1), ("A2", "Z/6xF4", 0), ("B2", "F4", 2)]
 RINGS = ["Z/5", "Z/4", "Z/7", "F4", "F9", "Z/6", "Z/6xF4", "Z/3xZ/3", "Z", "Z/0", "Z/1",
-         "F6", "Q", "", "Z/x", "x", "Z/1000003", "Z/1000000000000000003"]
+         "F6", "Q", "", "Z/x", "x", "Z/1000003", "Z/1000000000000000003",
+         "F100000000000031", "F1000000000000000003"]
 SYSTEMS = ["A2", "B2", "G2", "A3", "X2", "", "A"]
 
 json_values = st.recursive(
@@ -241,6 +242,9 @@ def test_mutated_documents_end_at_a_stage(doc):
 OVERSIZED = {
     "relabelled": lambda: at(["ring"], "Z/1000003"),   # the A2/Z/5 images, all in range
     "huge modulus": lambda: {"system": "A2", "ring": "Z/1000000000000000003", "images": []},
+    # primes, read as fields without trial division
+    "huge field": lambda: {"system": "A2", "ring": "F100000000000031", "images": []},
+    "huger field": lambda: {"system": "A2", "ring": "F1000000000000000003", "images": []},
 }
 
 

@@ -1,8 +1,10 @@
 """What the benchmark harness and the package exports reach must exist,
 every import in src and tests must be read, every definition in src must
-be read by src or the benchmark harness, only linalg names a float dtype,
-outside liealg only the one x_root(t) builder reads the divided powers, and
-no table cli memoises reads data a planted defect sits in.
+be reached from ``cli.main`` or the benchmark harness through the
+definitions that read it, only linalg names a float dtype, outside liealg
+only the one x_root(t) builder reads the divided powers, only the
+Certificate reads its matrices, and no table cli memoises reads data a
+planted defect sits in.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
@@ -72,9 +74,8 @@ def unused_imports(path: Path) -> list:
             if name not in read]
 
 
-def names_read(path: Path) -> set:
-    """Every name the module at path reads, as a name or as an attribute."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+def names_read(tree) -> set:
+    """Every name an AST node reads, as a name or as an attribute."""
     return ({node.id for node in ast.walk(tree)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in ast.walk(tree)
@@ -95,13 +96,41 @@ def definitions(path: Path) -> list:
     return out
 
 
-def test_every_definition_is_reached():
-    # reached only by tests or the package exports is dead public API; tests
-    # keep their own oracles in tests/
+def is_method(item) -> bool:
+    return isinstance(item, ast.FunctionDef) and not (
+        item.name.startswith("__") and item.name.endswith("__"))
+
+
+def test_every_definition_is_reached(monkeypatch):
+    # from cli.main, every name the harness reads, its tracer targets and the
+    # modules' top-level statements, a reached definition reaches the names
+    # it reads; reached only by tests or the package exports is dead public
+    # API, and tests keep their own oracles in tests/
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    read = set().union(*map(names_read, modules + sorted(BENCH.glob("*.py"))))
+    bodies, todo = {}, ["main"]     # a class's body is all but its methods
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                for item in filter(is_method, node.body):
+                    bodies.setdefault(item.name, []).append(item)
+                rest = [item for item in node.body if not is_method(item)]
+                bodies.setdefault(node.name, []).extend(node.decorator_list + node.bases + rest)
+            elif isinstance(node, ast.FunctionDef):
+                bodies.setdefault(node.name, []).append(node)
+            else:
+                todo += names_read(node)
+    for path in sorted(BENCH.glob("*.py")):
+        todo += names_read(ast.parse(path.read_text(), filename=str(path)))
+    todo += [attr for _, _, attr, _ in load_bench_module(monkeypatch, "tracer").TARGETS]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in bodies.get(name, []):
+                todo += names_read(node)
     assert [f"{p.name}:{line} {name}" for p in modules for name, line in definitions(p)
-            if name not in read] == []
+            if name not in reached] == []
 
 
 def test_no_unused_imports():
@@ -136,6 +165,16 @@ def test_one_x_root_path(monkeypatch):
     layers = {layer for layer, *_ in tracer.TARGETS}
     assert {"group.unipotent", "group.from_word", "linalg.mat_mul"} <= layers
     assert {f"cli.verify.{suite}" for suite in cli.SUITES} <= layers
+
+
+def test_only_the_certificate_reads_its_matrices():
+    # lambda C x_root(rho t) C^-1 lambda^-1 is composed in one place, the
+    # Certificate's methods (its class body holds only fields besides them):
+    # certify replays the object it returns, and nothing else in src reads
+    # the four matrices back
+    matrices = ("lambda_mat", "lambda_inv", "conjugator", "conjugator_inv")
+    assert {(p.stem, fn) for p in sorted(SRC.glob("*.py")) for name in matrices
+            for fn in readers(p, name)} == {("decomposer", "Certificate")}
 
 
 def test_ring_tables_stay_in_linalg():

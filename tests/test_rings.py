@@ -21,6 +21,8 @@ from chevalley.rings import (
     RingError,
     ZMod,
     ZRing,
+    _factorize,
+    _prime_power,
     crt_split,
     is_ring_automorphism,
     ring_automorphisms,
@@ -42,6 +44,24 @@ def test_ring_make_caches_and_parses():
     for bad in ("Q", "Z/0", "Z/1", "Z/4xZ/1", "F6", "F32", "Z/x"):
         with pytest.raises(RingError):
             ring_make(bad)
+
+
+def test_field_sizes_are_read_without_factoring():
+    # F<q> decides whether q is a prime power by integer roots and
+    # Miller-Rabin; trial division (the oracle here) agrees below 5,000
+    for q in range(-3, 5000):
+        fac = _factorize(q) if q > 1 else {}
+        assert _prime_power(q) == (next(iter(fac.items())) if len(fac) == 1 else None), q
+    # strong pseudoprimes to the bases 2..31 and 2..37 (the least of each),
+    # prime powers past 2^64, and a prime near 10^18 as the field it names
+    assert _prime_power(3825123056546413051) is None
+    assert _prime_power(318665857834031151167461) is None
+    assert _prime_power(3 ** 50) == (3, 50) and _prime_power(1000003 ** 3) == (1000003, 3)
+    assert ring_make("F1000000000000000003") == ring_make("Z/1000000000000000003")
+    with pytest.raises(RingError, match="too large"):
+        ring_make(f"F{10 ** 25 + 13}")
+    with pytest.raises(RingError, match="^6 is not a prime power$"):
+        ring_make("F6")
 
 
 def test_basic_arithmetic_mod_6():
