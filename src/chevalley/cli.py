@@ -28,7 +28,6 @@ from chevalley.decomposer import (
 from chevalley.group import (
     chain_coefficients,
     commutator_pattern_holds,
-    from_word,
     group_for,
     root_stack,
     stack_rows,
@@ -322,11 +321,19 @@ def _suite_commutator(system: str, ring_name: str, seed: int):
     return checks, failures
 
 
+@lru_cache(maxsize=None)
+def _recover_tables(alg, ring):
+    """X_root for every root, the integer adjoint matrices mapped into the
+    ring in the storage tier of _tier_stack, as one read-only stack."""
+    return _read_only(from_ints(ring, [alg.x_mats[root] for root in alg.system.roots],
+                                stack_dtype(ring, alg.dim, carrier=True)))[0]
+
+
 def _suite_recover(system: str, ring_name: str, seed: int):
     """recover_family on g x_root(1) g^-1 against g X_root g^-1 for every root,
-    five random conjugators g: per trial one from_word, one sandwich of the
-    x_root(1) stack and the integer adjoint matrices mapped into the ring, side
-    by side, and one recover_family call."""
+    five random conjugators g: per trial g and g^-1 from one word_stack (the
+    identity for the empty word), one sandwich of the x_root(1) stack and
+    the X_root of _recover_tables side by side, and one recover_family call."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     regime = recovery_regime(sysm, ring)
@@ -337,9 +344,7 @@ def _suite_recover(system: str, ring_name: str, seed: int):
             "at least 3")
     rng = random.Random(seed)
     units = ring.units()
-    at_one = _tier_stack(alg, ring, (ring.one,))
-    both = np.concatenate([at_one, from_ints(ring, [alg.x_mats[root] for root in sysm.roots],
-                                             at_one.dtype)])
+    both = np.concatenate([_tier_stack(alg, ring, (ring.one,)), _recover_tables(alg, ring)])
     checks, failures = 0, []
     for trial in range(5):
         word = []
@@ -348,8 +353,8 @@ def _suite_recover(system: str, ring_name: str, seed: int):
             root = rng.choice(sysm.roots)
             t = ring.rand(rng) if kind == "x" else rng.choice(units)
             word.append((kind, root, t))
-        g = from_word(alg, ring, tuple(word))
-        images, lie = np.split(sandwich(ring, g.mat, both, g.inv_mat), 2)
+        g, g_inv = word_stack(alg, ring, [word])[:, 0] if word else (identity(ring, alg.dim),) * 2
+        images, lie = np.split(sandwich(ring, g, both, g_inv), 2)
         held = stack_equal(recover_family(alg, ring, images), lie)
         checks += len(sysm.roots)
         failures += [{"check": "recover-conjugated-family", "regime": regime, "trial": trial,

@@ -368,10 +368,12 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
                             "other": ring.element_to_json(t)})
 
     # commutator pattern at parameter 1; the law makes t -> table[(root, t)]
-    # a homomorphism, so the image at -1 is the inverse of the image at 1
+    # a homomorphism, so the image at -1 is the inverse of the image at 1; read
+    # from a float32 tier copy where there is one: its gathers take half the bytes
     pairs = [(r, s, chain_coefficients(alg, r, s))
              for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s)]
-    held = commutator_pattern_holds(alg, ring, table, pairs, [(ring.one, ring.one)])
+    tier = table.astype(stack_dtype(ring, alg.dim, carrier=True), copy=False)
+    held = commutator_pattern_holds(alg, ring, tier, pairs, [(ring.one, ring.one)])
     if not held.all():
         r, s, _ = pairs[int(np.argmin(held))]
         raise CertifyError("precheck", "commutator pattern fails",
@@ -851,14 +853,7 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     rng = random.Random(f"{system}|{ring_name}|{seed}")
-    split = crt_split(ring)
-    factors = split.factors
-
-    symmetries = diagram_symmetries(sysm)
-    deltas = [rng.choice(symmetries) for _ in factors]
-    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*(
-        graph_data(alg, delta).matrices(lf.ring) for lf, delta in zip(factors, deltas))))
-
+    deltas = [rng.choice(diagram_symmetries(sysm)) for _ in crt_split(ring).factors]
     rho = rng.choice(ring_automorphisms(ring))
     units = [u for u in ring.units()]
     word = []
@@ -871,8 +866,17 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
             word.append(("x", rng.choice(sysm.roots), ring.rand(rng)))
         else:
             word.append((kind, rng.choice(sysm.roots), rng.choice(units)))
-    g = from_word(alg, ring, tuple(word))
+    return forge_parts(system, ring, deltas, rho, from_word(alg, ring, tuple(word)))
 
+
+def forge_parts(system: str, ring: Ring, deltas, rho, g):
+    """The spec of lambda g x_root(rho t) g^-1 lambda^-1 at the spanning
+    parameters, lambda from one diagram symmetry per local factor, plus the
+    planted components."""
+    sysm, alg = group_for(system)
+    split = crt_split(ring)
+    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*(
+        graph_data(alg, delta).matrices(lf.ring) for lf, delta in zip(split.factors, deltas))))
     keys = list(itertools.product(sysm.roots, spanning_params(ring)))
     images = sandwich(ring, mat_mul(ring, lam, g.mat),
                       x_stack(alg, ring, [(root, rho(t)) for root, t in keys]),

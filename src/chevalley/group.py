@@ -32,10 +32,10 @@ root_stack holds x_root(t) for every root and every element of a finite ring
 (or every t of given parameters) as one stack (see linalg), root-major, in
 the rows of stack_rows; certify and every verify suite read it.
 commutator_pattern_holds is the one check of the commutator formula: for
-root pairs times parameters (t, u) it reads every factor, and the inverses
-at -t and -u, from such a stack at rows computed by row_ops.  The precheck
-runs it on its own table of the supplied images at t = u = 1, and the
-verify commutator suite on a root_stack at every (t, u).
+root pairs times parameters (t, u) it reads x_r and x_s at (t, u) and (-t, -u)
+and every chain factor from such a stack at rows computed by row_ops.  The
+precheck runs it on its own table of the supplied images at t = u = 1, and
+the verify commutator suite on a root_stack at every (t, u).
 """
 
 from __future__ import annotations
@@ -253,17 +253,21 @@ def root_stack(alg: AdjointAlgebra, ring: Ring, params=None):
 
 
 def commutator_rows(alg: AdjointAlgebra, ring: Ring, pairs, params):
-    """(sides, factors, lengths): the stack_rows commutator_pattern_holds reads,
-    as arrays over params: sides[q] those of x_r(t), x_s(u), x_r(-t), x_s(-u)
-    of pair q, then the chain factors pair by pair in coeffs order, lengths[q]
-    of them for pair q (x_r(0) for none).  Each is the row of x_root(C t^i u^j),
-    root position * |R| + linalg.positions of C t^i u^j from row_ops."""
-    scale, tu = row_ops(ring)[0], np.array(params, dtype=np.int64)   # (t, u) on axis 1
+    """(sides, opposite, factors, lengths): the stack_rows commutator_pattern_holds
+    reads, as arrays: sides[q] those of x_r(t), x_s(u) of pair q over params and
+    then the (-t, -u) they lack, opposite[k] the column of the k-th (-t, -u), then
+    the chain factors over params pair by pair in coeffs order, lengths[q] of them
+    for pair q (x_r(0) for none).  Each is the row of x_root(C t^i u^j), root
+    position * |R| + linalg.positions of C t^i u^j from row_ops."""
+    column = {tu: k for k, tu in enumerate(params)}
+    minus = [(ring.neg(t), ring.neg(u)) for t, u in params]
+    column.update((tu, len(column)) for tu in minus if tu not in column)
+    scale, tu = row_ops(ring)[0], np.array(list(column), dtype=np.int64)   # (t, u) on axis 1
     square = scale(tu, tu)
     powers = np.stack([tu ** 0, tu, square, scale(square, tu)])   # t^i and u^i
     base = {r: ring.size * k for k, r in enumerate(alg.system.roots)}
-    sides = [(base[x], c, 1 - k, k) for r, s, _ in pairs   # (base row, C, i, j)
-             for c in (1, -1) for k, x in enumerate((r, s))]
+    sides = [(base[x], 1, 1 - k, k) for r, s, _ in pairs   # (base row, C, i, j)
+             for k, x in enumerate((r, s))]
     chains = [[(base[tuple(i * a + j * b for a, b in zip(r, s))], c, i, j)
                for (i, j), c in coeffs.items()] or [(base[r], 0, 0, 0)]
               for r, s, coeffs in pairs]
@@ -271,8 +275,8 @@ def commutator_rows(alg: AdjointAlgebra, ring: Ring, pairs, params):
     g, c, i, j = np.fromiter(flat, dtype=np.int64).reshape(-1, 4).T
     value = scale(scale(powers[i, :, 0], powers[j, :, 1]), from_ints(ring, c, np.int64)[:, None])
     rows = g[:, None] + positions(ring, value)
-    return (rows[:len(sides)].reshape(len(pairs), 4, -1), rows[len(sides):],
-            np.array(list(map(len, chains))))
+    return (rows[:len(sides)].reshape(len(pairs), 2, -1), np.array([column[m] for m in minus]),
+            rows[len(sides):, :len(params)], np.array(list(map(len, chains))))
 
 
 def commutator_pattern_holds(alg: AdjointAlgebra, ring: Ring, stack, pairs, params) -> np.ndarray:
@@ -281,26 +285,28 @@ def commutator_pattern_holds(alg: AdjointAlgebra, ring: Ring, stack, pairs, para
 
     ``stack`` holds x_root(t) for every root and element in the rows of
     stack_rows (see ``linalg.stack_mul``), read at the commutator_rows, in
-    any storage tier: the chains stay in the stack's dtype.  The
-    left sides are three batched products, the right sides of all chains of
-    one length one batched product per factor past the first, the factors in
-    coeffs order (chain_coefficients gives chain_pairs order).
+    any storage tier: the chains stay in the stack's dtype.  The left sides
+    P(t, u) P(-t, -u), P(t, u) = x_r(t) x_s(u), are two batched products, the
+    right sides of all chains of one length one batched product per factor
+    past the first, the factors in coeffs order (chain_coefficients gives
+    chain_pairs order).
     """
-    sides, factors, lengths = commutator_rows(alg, ring, pairs, params)
+    sides, opposite, factors, lengths = commutator_rows(alg, ring, pairs, params)
     starts = np.cumsum(lengths) - lengths
 
     def product(rows):
-        out = stack[rows[0].ravel()]
+        out = stack[rows[0]]
         for more in rows[1:]:
-            out = stack_mul(ring, out, stack[more.ravel()])
-        return out.reshape(len(rows[0]), len(params), -1)
+            out = stack_mul(ring, out, stack[more])
+        return out
 
-    lhs = product(sides.transpose(1, 0, 2))
+    half = product(sides.transpose(1, 0, 2))   # P(t, u) per pair and column
+    lhs = stack_mul(ring, half[:, :len(params)], half[:, opposite])
     holds = np.empty((len(pairs), len(params)), dtype=bool)
     for length in set(lengths.tolist()):
         picked = np.flatnonzero(lengths == length)
-        holds[picked] = (lhs[picked] == product([factors[starts[picked] + j]
-                                                 for j in range(length)])).all(axis=2)
+        same = lhs[picked] == product([factors[starts[picked] + j] for j in range(length)])
+        holds[picked] = same.reshape(len(picked), len(params), -1).all(axis=2)
     return holds.ravel()
 
 

@@ -221,8 +221,8 @@ def _carried(a, b, mod: int):
 
 
 def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
-    """left m right for every matrix m of a stack, with the tuple matrices
-    left and right taken in the stack's dtype."""
+    """left m right for every matrix m of a stack, with left and right (tuple
+    matrices or arrays) taken in the stack's dtype."""
     left, right = (np.array(m, dtype=stack.dtype) for m in (left, right))
     return stack_mul(ring, stack_mul(ring, left, stack), right)
 

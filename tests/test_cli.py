@@ -407,6 +407,20 @@ def test_suites_multiply_tier_stacks_only(monkeypatch, suite, system, ring):
     assert seen and set(seen) == {(np.dtype(np.float32),) * 2}
 
 
+@pytest.mark.parametrize("system, ring", [("D4", "Z/2"), ("A3", "Z/3xZ/3")])
+def test_verify_recover_builds_no_tuple_matrix(monkeypatch, system, ring):
+    # warm, each trial's g and g^-1 come from word_stack as arrays and X_root
+    # from the memoised _recover_tables: no group element, no tuple matrix
+    cli.SUITES["recover"](system, ring, 0)
+    called = []
+    modules = (cli, group, linalg, recover)
+    for module, name in itertools.product(modules, ("from_word", "to_matrix")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
+    checks, failures = cli.SUITES["recover"](system, ring, 0)
+    assert checks and failures == [] and called == []
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_jacobi_table_sum_matches_bracket_dict(name):
     sysm, alg = group_for(name)

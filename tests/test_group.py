@@ -19,8 +19,9 @@ import random
 import numpy as np
 import pytest
 
+from chevalley import cli, group
 from chevalley.autos import graph_data
-from chevalley.decomposer import _weyl_elements
+from chevalley.decomposer import _weyl_elements, forge_random, precheck
 from chevalley.group import (
     _torus_diagonal,
     _x_pattern,
@@ -299,21 +300,51 @@ def test_commutator_rows_match_ring_arithmetic_at_one_over_z_1009():
 
 
 def assert_commutator_rows_match(name, ring, params):
+    # the sides run over params and then the negations they lack, in order of
+    # first need; opposite points every (t, u) at its (-t, -u)
     sysm, alg = group_for(name)
     rows = stack_rows(alg, ring)
     pairs = [(r, s, chain_coefficients(alg, r, s))
              for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s)]
-    sides, factors, lengths = commutator_rows(alg, ring, pairs, params)
+    sides, opposite, factors, lengths = commutator_rows(alg, ring, pairs, params)
+    minus = [(ring.neg(t), ring.neg(u)) for t, u in params]
+    extended = list(params) + [tu for tu in dict.fromkeys(minus) if tu not in params]
+    assert [extended[k] for k in opposite] == minus
     chains = np.split(factors, np.cumsum(lengths)[:-1])
     assert len(sides) == len(chains) == len(pairs)
     for (r, s, coeffs), side, chain in zip(pairs, sides, chains):
-        assert side.tolist() == [[rows[key] for key in keys] for keys in (
-            [(r, t) for t, _ in params], [(s, u) for _, u in params],
-            [(r, ring.neg(t)) for t, _ in params], [(s, ring.neg(u)) for _, u in params])]
+        assert side.tolist() == [[rows[(r, t)] for t, _ in extended],
+                                 [rows[(s, u)] for _, u in extended]]
         want = [[rows[(tuple(i * a + j * b for a, b in zip(r, s)),
                        ring.mul(ring.from_int(c), ring.mul(ring.power(t, i), ring.power(u, j))))]
                  for t, u in params] for (i, j), c in coeffs.items()]
         assert [f.tolist() for f in chain] == (want or [[rows[(r, ring.zero)]] * len(params)])
+
+
+@pytest.mark.parametrize("caller", ["suite", "precheck"])
+def test_commutator_left_side_takes_two_products(monkeypatch, caller):
+    # [x_r(t), x_s(u)] = P(t, u) P(-t, -u), P(t, u) = x_r(t) x_s(u).  Every A2
+    # chain has at most one factor, so the left sides are all group.stack_mul
+    # sees, batched over (pair, parameter): over Z/4 x Z/4, where every
+    # negation is a parameter, two products per root r; at the precheck's
+    # (1, 1), P at (-1, -1) too.  Both read float32 tier stacks
+    sysm, alg = group_for("A2")
+    assert {len(chain_coefficients(alg, r, s)) for r, s in itertools.permutations(sysm.roots, 2)
+            if r != sysm.negate(s)} == {0, 1}
+    spec = forge_random("A2", "Z/4", 0)
+    seen, clean = [], group.stack_mul
+
+    def spy(r, a, b):
+        seen.append((np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), a.dtype, b.dtype))
+        return clean(r, a, b)
+    monkeypatch.setattr(group, "stack_mul", spy)
+    if caller == "suite":
+        assert cli.SUITES["commutator"]("A2", "Z/4", 0)[1] == []
+        shapes = [(4, 16), (4, 16)] * len(sysm.roots)   # 4 pairs a root, 16 parameters
+    else:
+        precheck(spec, alg)
+        shapes = [(24, 2), (24, 1)]
+    assert seen == [(shape, np.dtype(np.float32), np.dtype(np.float32)) for shape in shapes]
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -3,8 +3,8 @@ every import in src and tests must be read, every definition in src must
 be reached from ``cli.main`` or the benchmark harness through the
 definitions that read it, only linalg names a float dtype, outside liealg
 only the one x_root(t) builder reads the divided powers, only the
-Certificate reads its matrices, and no table cli memoises reads data a
-planted defect sits in.
+Certificate reads its matrices, no table cli memoises reads data a planted
+defect sits in, and cli builds no group element or tuple matrix.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
@@ -220,11 +220,20 @@ def test_no_memoised_table_in_cli_reads_data_under_test():
 
     cached = [node for node in ast.parse((SRC / "cli.py").read_text()).body
               if isinstance(node, ast.FunctionDef) and is_cached(node)]
-    assert {"_law_tables", "_eq1_tables", "_weyl_tables"} <= {node.name for node in cached}
+    assert {"_law_tables", "_eq1_tables", "_weyl_tables", "_recover_tables"} <= {
+        node.name for node in cached}
     assert {node.name: sorted(reach(node) & UNDER_TEST) for node in cached} == {
         node.name: [] for node in cached}
     # the check sees a read two calls away
     assert {"root_stack", "x_stack"} <= reach(functions["_suite_weyl"][0])
+
+
+def test_cli_builds_no_group_element_or_tuple_matrix():
+    # the verify suites stay on arrays: cli calls neither from_word nor to_matrix
+    calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+             if isinstance(node, ast.Call)}
+    assert calls and not calls & {"from_word", "to_matrix"}
 
 
 def test_elements_multiply_as_words():
