@@ -22,24 +22,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
+import numpy as np
+
 from chevalley.liealg import AdjointAlgebra
-from chevalley.linalg import Matrix, mat_map, mat_mul, matrix
-from chevalley.rings import Ring, ring_make
+from chevalley.linalg import from_ints, frozen, stack_dtype
+from chevalley.rings import Ring
 from chevalley.roots import DiagramSymmetry
 
 
 @dataclass(eq=False)
 class GraphData:
-    """A diagram symmetry realized on the adjoint basis."""
+    """A diagram symmetry realized on the adjoint basis; its matrices over Z
+    are read-only object arrays, as in liealg."""
 
     delta: DiagramSymmetry
     eps: dict
-    lambda_z: Matrix
-    lambda_z_inv: Matrix
+    lambda_z: np.ndarray
+    lambda_z_inv: np.ndarray
 
-    def matrices(self, ring: Ring) -> Tuple[Matrix, Matrix]:
-        return (mat_map(ring.from_int, self.lambda_z),
-                mat_map(ring.from_int, self.lambda_z_inv))
+    @lru_cache(maxsize=None)
+    def matrices(self, ring: Ring) -> Tuple[np.ndarray, np.ndarray]:
+        """lambda and its inverse over a ring, read-only, once per ring."""
+        dtype = stack_dtype(ring, len(self.lambda_z))
+        return tuple(frozen(from_ints(ring, m, dtype)) for m in (self.lambda_z, self.lambda_z_inv))
 
 
 @lru_cache(maxsize=None)
@@ -56,30 +61,16 @@ def graph_data(alg: AdjointAlgebra, delta: DiagramSymmetry) -> GraphData:
     for gamma in system.positives:
         eps[tuple(-c for c in gamma)] = eps[gamma]
 
-    n = alg.dim
     nroots = len(system.roots)
-    rows = [[0] * n for _ in range(n)]
-    rows_inv = [[0] * n for _ in range(n)]
+    lam = np.zeros((alg.dim, alg.dim), dtype=np.int64)   # a signed permutation: lam^-1 = lam^T
     for root in system.roots:
-        i, j = system.root_index(delta.apply_root(root)), system.root_index(root)
-        rows[i][j] = eps[root]
-        rows_inv[j][i] = eps[root]
+        lam[system.root_index(delta.apply_root(root)), system.root_index(root)] = eps[root]
     for j in range(rank):
-        rows[nroots + perm[j]][nroots + j] = 1
-        rows_inv[nroots + j][nroots + perm[j]] = 1
-    lam, lam_inv = matrix(rows), matrix(rows_inv)
-
-    zz = ring_make("Z")
-
-    def zz_mul(a, b):
-        return mat_mul(zz, a, b)
-
+        lam[nroots + perm[j], nroots + j] = 1
     for root in system.roots:
-        lhs = zz_mul(zz_mul(lam, alg.x_mats[root]), lam_inv)
-        expect = tuple(tuple(eps[root] * v for v in row)
-                       for row in alg.x_mats[delta.apply_root(root)])
-        assert lhs == expect, root
+        lhs = lam @ alg.x_mats[root].astype(np.int64) @ lam.T
+        assert (lhs == eps[root] * alg.x_mats[delta.apply_root(root)]).all(), root
     for j in range(rank):
-        lhs = zz_mul(zz_mul(lam, alg.h_mats[j]), lam_inv)
-        assert lhs == alg.h_mats[perm[j]], j
-    return GraphData(delta, eps, lam, lam_inv)
+        lhs = lam @ alg.h_mats[j].astype(np.int64) @ lam.T
+        assert (lhs == alg.h_mats[perm[j]]).all(), j
+    return GraphData(delta, eps, *(frozen(m.astype(object)) for m in (lam, lam.T)))

@@ -29,12 +29,13 @@ from chevalley.group import (
     chain_coefficients,
     commutator_pattern_holds,
     group_for,
+    identity_element,
     root_stack,
     stack_rows,
     word_stack,
 )
-from chevalley.linalg import (as_exact, diagonal_sandwich, from_ints, identity, positions,
-                              row_ops, sandwich, stack_dtype, stack_equal, stack_mul)
+from chevalley.linalg import (as_exact, diagonal_sandwich, from_ints, frozen, positions, row_ops,
+                              sandwich, stack_dtype, stack_equal, stack_mul)
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name
@@ -89,16 +90,17 @@ def cmd_roots(args) -> int:
 def cmd_adjoint(args) -> int:
     sysm, alg = group_for(args.system)
     ring = ring_make(args.ring)
+
+    def over(m):
+        return ring.matrix_to_json(from_ints(ring, m, stack_dtype(ring, alg.dim)))
     doc = {
         "command": "adjoint",
         "system": sysm.name,
         "ring": ring.descriptor,
         "dimension": alg.dim,
         "basis": [list(r) for r in sysm.roots] + [["h", j] for j in range(sysm.rank)],
-        "x": [{"root": list(r), "matrix": ring.matrix_to_json(alg.x_matrix(r, ring))}
-              for r in sysm.roots],
-        "h": [{"index": j, "matrix": ring.matrix_to_json(alg.h_matrix(j, ring))}
-              for j in range(sysm.rank)],
+        "x": [{"root": list(r), "matrix": over(alg.x_mats[r])} for r in sysm.roots],
+        "h": [{"index": j, "matrix": over(alg.h_mats[j])} for j in range(sysm.rank)],
     }
     emit(doc, args.out)
     return 0
@@ -117,16 +119,8 @@ def cmd_adjoint(args) -> int:
 def _tier_stack(alg, ring, params=None):
     """root_stack in its storage tier (see linalg.stack_dtype): float32 over
     Z/n wherever every product of n x n matrices is exact in it."""
-    stack = root_stack(alg, ring, params)
-    if not ring.size:   # over Z entries grow: exact Python ints
-        return stack
-    return stack.astype(stack_dtype(ring, alg.dim, carrier=True), copy=False)
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return root_stack(alg, ring, params).astype(stack_dtype(ring, alg.dim, carrier=True),
+                                                copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -139,11 +133,10 @@ def _law_tables(alg, ring):
     laws = [(root, s, t) for root in alg.system.roots for s, t in pairs]
 
     def at(keys):
-        return np.array([rows[key] for key in keys], dtype=np.intp)
-    return (pairs,) + _read_only(at((r, s) for r, s, _ in laws), at((r, t) for r, _, t in laws),
-                                 at((r, ring.add(s, t)) for r, s, t in laws),
-                                 at((r, ring.zero) for r in alg.system.roots),
-                                 at((r, ring.neg(t)) for r, t in rows))
+        return frozen(np.array([rows[key] for key in keys], dtype=np.intp))
+    return (pairs, at((r, s) for r, s, _ in laws), at((r, t) for r, _, t in laws),
+            at((r, ring.add(s, t)) for r, s, t in laws),
+            at((r, ring.zero) for r in alg.system.roots), at((r, ring.neg(t)) for r, t in rows))
 
 
 def _suite_laws(system: str, ring_name: str, seed: int):
@@ -153,7 +146,7 @@ def _suite_laws(system: str, ring_name: str, seed: int):
     ring = ring_make(ring_name)
     stack = _tier_stack(alg, ring)
     pairs, at_s, at_t, at_sum, at_zero, at_neg = _law_tables(alg, ring)
-    eye = identity(ring, alg.dim)
+    eye = identity_element(alg, ring).mat
     law_held = stack_equal(stack_mul(ring, stack[at_s], stack[at_t]), stack[at_sum])
     zero_held = stack_equal(stack[at_zero], eye)
     neg_held = stack_equal(stack_mul(ring, stack, stack[at_neg]), eye)
@@ -187,7 +180,7 @@ def _eq1_tables(alg, ring):
         h, h_inv = (np.array([[ring.power(u, e * p) for p in pairings + [0] * sysm.rank]
                               for u in units], dtype=dtype) for e in (1, -1))
         want = base + positions(ring, scale(as_exact(h[:, :len(pairings), None]), elems))
-        tables.append((alpha,) + _read_only(h, h_inv, want.reshape(len(units), -1)))
+        tables.append((alpha, frozen(h), frozen(h_inv), frozen(want.reshape(len(units), -1))))
     return tuple(stack_rows(alg, ring)), units, tuple(tables)
 
 
@@ -223,9 +216,10 @@ def _weyl_tables(alg, ring):
         slots = list(map(alg._slot, gamma))
         base = np.array([sysm.root_index(g) * ring.size for g in gamma], dtype=np.intp)
         i, j = (np.array([slot[k] for slot, _ in slots], dtype=np.intp) for k in (0, 1))
-        tables.append(_read_only(base, i, j, from_ints(ring, [u for _, u in slots], np.int64)))
+        units = from_ints(ring, [u for _, u in slots], np.int64)
+        tables.append(tuple(map(frozen, (base, i, j, units))))
     at_one = np.arange(len(sysm.roots), dtype=np.intp) * ring.size + positions(ring, ring.one)
-    return _read_only(at_one)[0], tuple(tables)
+    return frozen(at_one), tuple(tables)
 
 
 def _suite_weyl(system: str, ring_name: str, seed: int):
@@ -325,8 +319,8 @@ def _suite_commutator(system: str, ring_name: str, seed: int):
 def _recover_tables(alg, ring):
     """X_root for every root, the integer adjoint matrices mapped into the
     ring in the storage tier of _tier_stack, as one read-only stack."""
-    return _read_only(from_ints(ring, [alg.x_mats[root] for root in alg.system.roots],
-                                stack_dtype(ring, alg.dim, carrier=True)))[0]
+    return frozen(from_ints(ring, [alg.x_mats[root] for root in alg.system.roots],
+                            stack_dtype(ring, alg.dim, carrier=True)))
 
 
 def _suite_recover(system: str, ring_name: str, seed: int):
@@ -353,7 +347,8 @@ def _suite_recover(system: str, ring_name: str, seed: int):
             root = rng.choice(sysm.roots)
             t = ring.rand(rng) if kind == "x" else rng.choice(units)
             word.append((kind, root, t))
-        g, g_inv = word_stack(alg, ring, [word])[:, 0] if word else (identity(ring, alg.dim),) * 2
+        g, g_inv = word_stack(alg, ring, [word])[:, 0] if word else (
+            identity_element(alg, ring).mat,) * 2
         images, lie = np.split(sandwich(ring, g, both, g_inv), 2)
         held = stack_equal(recover_family(alg, ring, images), lie)
         checks += len(sysm.roots)

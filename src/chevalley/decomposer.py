@@ -64,6 +64,7 @@ from chevalley.group import (
     commutator_pattern_holds,
     from_word,
     group_for,
+    identity_element,
     root_stack,
     stack_rows,
     torus_chi,
@@ -73,14 +74,12 @@ from chevalley.group import (
 )
 from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import (
-    Matrix,
     crt_combine,
+    crt_tables,
     from_ints,
-    identity,
+    frozen,
     local_invertible,
     local_nullspace,
-    mat_mul,
-    matrix,
     positions,
     residue_dtype,
     ring_invertible,
@@ -89,7 +88,6 @@ from chevalley.linalg import (
     stack_dtype,
     stack_equal,
     stack_mul,
-    to_matrix,
 )
 from chevalley.rings import (
     ProductRing,
@@ -134,15 +132,15 @@ def spanning_params(ring: Ring) -> Tuple:
 # the spec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismSpec:
     """Generator images of a would-be automorphism of the elementary group."""
 
     system: str
     ring: str
-    images: Tuple[Tuple[Tuple[Root, object], Matrix], ...]
+    images: Tuple[Tuple[Tuple[Root, object], np.ndarray], ...]
 
-    def image_dict(self) -> Dict[Tuple[Root, object], Matrix]:
+    def image_dict(self) -> Dict[Tuple[Root, object], np.ndarray]:
         return dict(self.images)
 
     def to_json(self) -> dict:
@@ -206,8 +204,10 @@ def spec_from_json(data: dict) -> AutomorphismSpec:
                 raise CertifyError("precheck", f"image matrix is not {alg.dim}x{alg.dim}",
                                    {"key": key, "row_lengths": lengths})
             held = _element_array(ring, raw)
-            images[(root, t)] = to_matrix(ring, held) if held is not None else matrix(
-                tuple(element(v, "matrix entry", {"key": key}) for v in row) for row in raw)
+            if held is None:
+                for v in itertools.chain.from_iterable(raw):
+                    element(v, "matrix entry", {"key": key})
+            images[(root, t)] = frozen(held)
         return AutomorphismSpec(system, ring_name, tuple(images.items()))
     except CertifyError:
         raise
@@ -216,9 +216,9 @@ def spec_from_json(data: dict) -> AutomorphismSpec:
 
 
 def _element_array(ring: Ring, raw):
-    """The dim x dim rows ``raw`` as an int64 array, or None unless every
-    entry is a JSON integer in the ring (over a product ring, a list of one
-    per factor): one type-set check, one shape check, one range check."""
+    """The dim x dim rows ``raw`` in the ring's stack_dtype, or None unless
+    every entry is a JSON integer in the ring (over a product ring, a list of
+    one per factor): one type-set check, one shape check, one range check."""
     entries, tops = list(itertools.chain.from_iterable(raw)), ring.size
     if isinstance(ring, ProductRing):   # a non-list entry puts None in the set
         entries = list(itertools.chain.from_iterable(
@@ -227,7 +227,7 @@ def _element_array(ring: Ring, raw):
     if {type(x) for x in entries} != {int}:
         return None
     try:
-        held = np.array(raw, dtype=np.int64)
+        held = np.array(raw, dtype=stack_dtype(ring, len(raw)))
     except (OverflowError, ValueError):   # past int64, or ragged entries
         return None
     fits = held.shape[2:] == np.shape(tops) and ((held >= 0) & (held < tops)).all()
@@ -248,10 +248,11 @@ def _in_ring(ring: Ring, v) -> bool:
     return all(0 <= x < f.size for f, x in pairs)
 
 
-def spec_from_elements(system: str, ring: Ring,
-                       table: Dict[Tuple[Root, object], Matrix]) -> AutomorphismSpec:
+def spec_from_elements(system: str, ring: Ring, table: Dict[Tuple[Root, object], np.ndarray]
+                       ) -> AutomorphismSpec:
     # a ring's elements are all ints or all tuples, so the keys sort as they are
-    items = tuple(sorted(table.items(), key=lambda kv: kv[0]))
+    items = tuple((key, frozen(np.asarray(m, dtype=stack_dtype(ring, len(m)))))
+                  for key, m in sorted(table.items(), key=lambda kv: kv[0]))
     return AutomorphismSpec(system, ring.descriptor, items)
 
 
@@ -313,7 +314,7 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     keys = [(root, g) for root in sysm.roots for g in span]
     at = {key: i for i, key in enumerate(keys)}
     images = np.array([provided[key] for key in keys], dtype=stack_dtype(ring, alg.dim))
-    eye = np.array(identity(ring, alg.dim), dtype=images.dtype)
+    eye = identity_element(alg, ring).mat
     powers = [np.broadcast_to(eye, images.shape), images]
     order = np.zeros(len(keys), dtype=int)
     for c in range(1, ring.size + 1):
@@ -407,13 +408,12 @@ def split_local(spec_table, alg: AdjointAlgebra, ring: Ring) -> List[FactorProbl
     must be trivial in all but one factor.  A factor's projection is a lookup
     of every entry's position in ring.elements() (``linalg.positions``).
     """
-    factors = crt_split(ring).factors
+    factors, projections, _ = crt_tables(ring)
     if len(factors) == 1:
         return [FactorProblem(0, 0, factors[0].ring, spec_table)]
 
     n = alg.dim
     codes = positions(ring, spec_table).reshape(len(alg.system.roots), -1, n, n)
-    projections = [np.array([lf.project(t) for t in ring.elements()]) for lf in factors]
     eye = np.eye(n, dtype=np.int64)
 
     def lifted(lf, ts):     # every root's image at lf.embed(t), for t in ts
@@ -516,29 +516,25 @@ def _weyl_elements(alg: AdjointAlgebra, ring: Ring) -> np.ndarray:
     last letter s), one batched product per BFS layer."""
     sysm = alg.system
     words = _weyl_words(sysm)
-    simple = np.array([weyl(alg, ring, sysm.simple(i), ring.one).inv_mat
-                       for i in range(sysm.rank)], dtype=stack_dtype(ring, alg.dim))
+    simple = np.stack([weyl(alg, ring, sysm.simple(i), ring.one).inv_mat for i in range(sysm.rank)])
     at = {word: q for q, word in enumerate(words)}
     out = np.empty((len(words),) + simple.shape[1:], dtype=simple.dtype)
-    out[0] = identity(ring, alg.dim)
+    out[0] = identity_element(alg, ring).mat
     lo = 1
     for _, layer in itertools.groupby(words[1:], key=len):   # BFS layers are runs
         layer = list(layer)
         out[lo:lo + len(layer)] = stack_mul(ring, simple[[w[-1] for w in layer]],
                                             out[[at[w[:-1]] for w in layer]])
         lo += len(layer)
-    out.flags.writeable = False
-    return out
+    return frozen(out)
 
 
 @lru_cache(maxsize=None)
 def _unit_inverses(ring: Ring) -> np.ndarray:
     """The inverse of every unit of Z/n or GF(q) at its own value, 0 at a
     non-unit."""
-    out = np.array([ring.inv(x) if ring.is_unit(x) else 0 for x in ring.elements()],
-                   dtype=np.int64)
-    out.flags.writeable = False
-    return out
+    return frozen(np.array([ring.inv(x) if ring.is_unit(x) else 0 for x in ring.elements()],
+                           dtype=np.int64))
 
 
 def _unit_lu(ring: Ring, stack):
@@ -572,7 +568,7 @@ def _fit_unipotent(alg: AdjointAlgebra, ring: Ring, target, sign: int):
     its root's slot of the target less the product so far, and each x_root(t)
     is one x_stack row multiplied in."""
     sysm = alg.system
-    acc = np.array(identity(ring, alg.dim), dtype=target.dtype)
+    acc = identity_element(alg, ring).mat.astype(target.dtype)
     tokens = []
     for beta in sysm.positives:
         root = beta if sign > 0 else sysm.negate(beta)
@@ -596,7 +592,7 @@ def _big_cell(alg: AdjointAlgebra, ring: Ring, word, lower, upper, m):
     simple = [sysm.root_index(sysm.simple(j)) for j in range(sysm.rank)]
     diagonal = np.diagonal(upper)
     chi = torus_chi(alg, ring, tuple(int(diagonal[q]) for q in simple))
-    if diagonal.tolist() != [row[i] for i, row in enumerate(chi.mat)]:
+    if not np.array_equal(diagonal, np.diagonal(chi.mat)):
         return None
     down = _fit_unipotent(alg, ring, lower, -1)
     if down is None:
@@ -607,7 +603,7 @@ def _big_cell(alg: AdjointAlgebra, ring: Ring, word, lower, upper, m):
         return None
     w = tuple(("w", sysm.simple(i), ring.one) for i in word)
     elem = from_word(alg, ring, w + down + chi.word + up)
-    if (scale(np.array(elem.mat, dtype=m.dtype), scalar) != m).any():
+    if (scale(elem.mat.astype(m.dtype), scalar) != m).any():
         return None
     return elem
 
@@ -624,7 +620,7 @@ def strictly_inner_element(alg: AdjointAlgebra, ring: Ring, m):
     sysm = alg.system
     perm = np.array(_weight_perm(sysm))
     back = np.argsort(perm)
-    m = np.array(m, dtype=stack_dtype(ring, alg.dim))
+    m = np.asarray(m, dtype=stack_dtype(ring, alg.dim))
     translates = stack_mul(ring, _weyl_elements(alg, ring), m)[:, perm[:, None], perm]
     lu = _unit_lu(ring, translates)
     if lu is None:
@@ -726,7 +722,7 @@ class FactorCertificate:
     rho: Tuple[Tuple[object, object], ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class Certificate:
     """The standard automorphism x_root(t) -> lambda C x_root(rho t) C^-1
     lambda^-1 and the per-factor data it was assembled from.  ``replay`` and
@@ -735,10 +731,10 @@ class Certificate:
     system: str
     ring: str
     factors: Tuple[FactorCertificate, ...]
-    lambda_mat: Matrix
-    lambda_inv: Matrix
-    conjugator: Matrix
-    conjugator_inv: Matrix
+    lambda_mat: np.ndarray
+    lambda_inv: np.ndarray
+    conjugator: np.ndarray
+    conjugator_inv: np.ndarray
     rho: Tuple[Tuple[object, object], ...]
     report: dict
 
@@ -748,14 +744,16 @@ class Certificate:
     def _compose(self, ring: Ring, stack):
         """(lambda C) m (C^-1 lambda^-1) for every matrix m of a stack, the two
         outer products folded once."""
-        return sandwich(ring, mat_mul(ring, self.lambda_mat, self.conjugator), stack,
-                        mat_mul(ring, self.conjugator_inv, self.lambda_inv))
+        return sandwich(ring, stack_mul(ring, self.lambda_mat, self.conjugator), stack,
+                        stack_mul(ring, self.conjugator_inv, self.lambda_inv))
 
-    def apply(self, alg: AdjointAlgebra, ring: Ring, root: Root, t) -> Matrix:
-        """The image of x_root(t) under the certified standard automorphism."""
-        inner = np.array([unipotent(alg, ring, root, self.rho_map()[t]).mat],
-                         dtype=stack_dtype(ring, alg.dim))
-        return to_matrix(ring, self._compose(ring, inner)[0])
+    def apply(self, alg: AdjointAlgebra, ring: Ring, root: Root, t) -> tuple:
+        """The image of x_root(t) under the certified standard automorphism, as
+        the tuple of row tuples ``Ring.element_from_json`` reads a spec's into."""
+        rows = self._compose(ring, unipotent(alg, ring, root, self.rho_map()[t]).mat).tolist()
+        if isinstance(ring, ProductRing):
+            return tuple(tuple(map(tuple, row)) for row in rows)
+        return tuple(map(tuple, rows))
 
     def replay(self, alg: AdjointAlgebra, ring: Ring, table, units) -> int:
         """Check that every image of a precheck table is the image of its
@@ -824,10 +822,9 @@ def certify(spec: AutomorphismSpec) -> Certificate:
     split = crt_split(ring)
     factors = split.factors
     by_target = sorted(matched, key=lambda found: found[0].target)
-    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*(
-        graph_data(alg, delta).matrices(problem.ring) for problem, delta, _, _ in by_target)))
-    conj = crt_combine(split, [c.mat for _, _, c, _ in by_target])
-    conj_inv = crt_combine(split, [c.inv_mat for _, _, c, _ in by_target])
+    lam, lam_inv, conj, conj_inv = (frozen(crt_combine(ring, parts)) for parts in zip(*(
+        graph_data(alg, delta).matrices(problem.ring) + (c.mat, c.inv_mat)
+        for problem, delta, c, _ in by_target)))
     rho_locals = [(factors[problem.index], dict(r)) for problem, _, _, r in by_target]
     rho = tuple((t, split.from_factors([r[lf.project(t)] for lf, r in rho_locals]))
                 for t in ring.elements())
@@ -874,14 +871,14 @@ def forge_parts(system: str, ring: Ring, deltas, rho, g):
     parameters, lambda from one diagram symmetry per local factor, plus the
     planted components."""
     sysm, alg = group_for(system)
-    split = crt_split(ring)
-    lam, lam_inv = (crt_combine(split, parts) for parts in zip(*(
-        graph_data(alg, delta).matrices(lf.ring) for lf, delta in zip(split.factors, deltas))))
+    lam, lam_inv = (frozen(crt_combine(ring, parts)) for parts in zip(*(
+        graph_data(alg, delta).matrices(lf.ring)
+        for lf, delta in zip(crt_tables(ring)[0], deltas))))
     keys = list(itertools.product(sysm.roots, spanning_params(ring)))
-    images = sandwich(ring, mat_mul(ring, lam, g.mat),
+    images = sandwich(ring, stack_mul(ring, lam, g.mat),
                       x_stack(alg, ring, [(root, rho(t)) for root, t in keys]),
-                      mat_mul(ring, g.inv_mat, lam_inv))
-    spec = spec_from_elements(system, ring, {k: to_matrix(ring, m) for k, m in zip(keys, images)})
+                      stack_mul(ring, g.inv_mat, lam_inv))
+    spec = spec_from_elements(system, ring, dict(zip(keys, images)))
     planted = {
         "lambda": lam,
         "lambda_inv": lam_inv,

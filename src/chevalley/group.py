@@ -1,9 +1,10 @@
 """Elements of the adjoint Chevalley group over a ring.
 
 An element carries its matrix, the matrix of its inverse (kept in lockstep so
-no inversion is ever needed for word-built elements), and the word of
-generators that produced it.  It has no product of its own: a product of
-elements is one word, built by from_word.  Words use four token kinds:
+no inversion is ever needed for word-built elements), both read-only arrays
+(see linalg), and the word of generators that produced it; elements compare
+and hash by the value of the matrix.  It has no product of its own: a
+product of elements is one word, built by from_word.  Words use four token kinds:
 
     ("x", root, t)     root element at parameter t
     ("w", root, t)     Weyl representative, t a unit
@@ -51,8 +52,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 import numpy as np
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import (Matrix, from_ints, identity, positions, row_ops, stack_dtype,
-                              stack_mul, to_matrix)
+from chevalley.linalg import from_ints, frozen, positions, row_ops, stack_dtype, stack_mul
 from chevalley.rings import Ring
 from chevalley.roots import Root
 
@@ -62,19 +62,21 @@ Token = Tuple
 @dataclass(frozen=True)
 class GroupElement:
     ring: Ring
-    mat: Matrix
-    inv_mat: Matrix
+    mat: np.ndarray
+    inv_mat: np.ndarray
     word: Tuple[Token, ...]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroupElement) and self.mat == other.mat
+        return isinstance(other, GroupElement) and np.array_equal(self.mat, other.mat)
 
-    def __hash__(self) -> int:
-        return hash(self.mat)
+    def __hash__(self) -> int:   # by value: over Z the bytes of an object array are pointers
+        return hash(tuple(self.mat.ravel().tolist()))
 
 
+@lru_cache(maxsize=None)
 def identity_element(alg: AdjointAlgebra, ring: Ring) -> GroupElement:
-    e = identity(ring, alg.dim)
+    """The identity, once per (algebra, ring): src's one identity matrix."""
+    e = frozen(from_ints(ring, np.eye(alg.dim, dtype=np.int64), stack_dtype(ring, alg.dim)))
     return GroupElement(ring, e, e, ())
 
 
@@ -88,10 +90,11 @@ def _x_pattern(alg: AdjointAlgebra):
     degree = np.zeros_like(full)
     for q, root in enumerate(roots):
         for k, dp in enumerate(alg.divided_powers(root), 1):
-            degree[q] += k * (np.array(dp) != 0)
-            full[q] += dp
+            degree[q] += k * (dp != 0)
+            full[q] += dp.astype(np.int64)
     constants, coefficient = np.unique(full, return_inverse=True)
-    return (4 * coefficient.reshape(full.shape) + degree).astype(np.int8), tuple(constants.tolist())
+    cell = frozen((4 * coefficient.reshape(full.shape) + degree).astype(np.int8))
+    return cell, tuple(constants.tolist())
 
 
 @lru_cache(maxsize=1 << 12)
@@ -107,14 +110,13 @@ def x_stack(alg: AdjointAlgebra, ring: Ring, keys):
     gather of every entry's pattern cell from the _x_column of each t."""
     roots, params = zip(*keys)
     column = {t: i for i, t in enumerate(dict.fromkeys(params))}
-    table = np.array([_x_column(alg, ring, t) for t in column],
-                     dtype=stack_dtype(ring, alg.dim) if ring.size else object)
+    table = np.array([_x_column(alg, ring, t) for t in column], dtype=stack_dtype(ring, alg.dim))
     cell = _x_pattern(alg)[0][list(map(alg.system.root_index, roots))]
     return table[np.array([column[t] for t in params])[:, None, None], cell]
 
 
 def unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
-    mat, inv = (to_matrix(ring, m) for m in x_stack(alg, ring, ((root, t), (root, ring.neg(t)))))
+    mat, inv = frozen(x_stack(alg, ring, ((root, t), (root, ring.neg(t)))))
     return GroupElement(ring, mat, inv, (("x", root, t),))
 
 
@@ -152,7 +154,7 @@ def word_stack(alg: AdjointAlgebra, ring: Ring, words):
             raise ValueError(f"unknown token kind {kind!r}")
     layout = "".join({"x": "x", "w": "xxx"}.get(kind, "d") for kind, _, _ in words[0])
     at_x, at_d = ([q for q, c in enumerate(layout) if c == f] for f in "xd")
-    dtype = stack_dtype(ring, n) if ring.size else object   # over Z entries grow
+    dtype = stack_dtype(ring, n)
     mats = np.zeros((len(words), len(layout), 2, n, n) + tail, dtype=dtype)
     if keys:
         mats[:, at_x] = x_stack(alg, ring, keys).reshape(mats[:, at_x].shape)
@@ -186,8 +188,8 @@ def from_word(alg: AdjointAlgebra, ring: Ring, tokens: Iterable[Token]) -> Group
     word = tuple((kind, root, t) for kind, root, t in tokens)
     if not word:
         return identity_element(alg, ring)
-    mat, inv = word_stack(alg, ring, [word])[:, 0]
-    return GroupElement(ring, to_matrix(ring, mat), to_matrix(ring, inv), word)
+    mat, inv = frozen(word_stack(alg, ring, [word])[:, 0])
+    return GroupElement(ring, mat, inv, word)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Fraction arithmetic and must land on integers, which the tests enforce
 together with |N| = p + 1 and the Jacobi identity.
 
 Basis order for the adjoint matrices is the root list of the system followed
-by the Cartan elements h_1..h_l, so dimension is |roots| + rank.
+by the Cartan elements h_1..h_l, so dimension is |roots| + rank.  The
+matrices are read-only object arrays over Z (see linalg), multiplied in int64.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Tuple
 
-from chevalley.linalg import Matrix, mat_map, mat_mul, matrix
-from chevalley.rings import Ring, ZRing, ring_make
-from chevalley.roots import Root, RootSystem, build_root_system
+import numpy as np
 
-ZZ = ring_make("Z")
+from chevalley.linalg import frozen
+from chevalley.roots import Root, RootSystem, build_root_system
 
 
 def _add(r: Root, s: Root) -> Root:
@@ -127,8 +127,8 @@ class AdjointAlgebra:
     system: RootSystem
     constants: StructureConstants
     coroots: Dict[Root, Tuple[int, ...]]
-    x_mats: Dict[Root, Matrix]
-    h_mats: Tuple[Matrix, ...]
+    x_mats: Dict[Root, np.ndarray]
+    h_mats: Tuple[np.ndarray, ...]
     dim: int
 
     # --- basic lookups ----------------------------------------------------
@@ -136,35 +136,23 @@ class AdjointAlgebra:
     def n_const(self, r: Root, s: Root) -> int:
         return self.constants.value(r, s)
 
-    def x_matrix(self, root: Root, ring: Ring | None = None) -> Matrix:
-        m = self.x_mats[root]
-        if ring is None or isinstance(ring, ZRing):
-            return m
-        return mat_map(ring.from_int, m)
-
-    def h_matrix(self, j: int, ring: Ring | None = None) -> Matrix:
-        m = self.h_mats[j]
-        if ring is None or isinstance(ring, ZRing):
-            return m
-        return mat_map(ring.from_int, m)
-
     # --- divided powers -----------------------------------------------------
 
     @lru_cache(maxsize=None)
-    def divided_powers(self, root: Root) -> Tuple[Matrix, ...]:
+    def divided_powers(self, root: Root) -> Tuple[np.ndarray, ...]:
         """(X, X^2/2, ...) up to nilpotency, exact over Z."""
-        x = self.x_mats[root]
-        out = [x]
+        x = self.x_mats[root].astype(np.int64)
+        out = [self.x_mats[root]]
         power = x
         k = 1
         while True:
-            power = mat_mul(ZZ, power, x)
+            power = power @ x
             k += 1
-            if all(all(v == 0 for v in row) for row in power):
+            if not power.any():
                 break
             f = factorial(k)
-            assert all(v % f == 0 for row in power for v in row), root
-            out.append(tuple(tuple(v // f for v in row) for row in power))
+            assert not (power % f).any(), root
+            out.append(frozen((power // f).astype(object)))
             assert k <= 3, root
         return tuple(out)
 
@@ -186,13 +174,11 @@ class AdjointAlgebra:
                 if not self.system.is_root(beta) or beta == _neg(gamma):
                     continue
                 # exp X - E is the sum of the divided powers of X
-                ug, ub = (tuple(tuple(map(sum, zip(*rows)))
-                                for rows in zip(*self.divided_powers(r)))
-                          for r in (gamma, beta))
-                prod = mat_mul(ZZ, ug, ub)
-                t = mat_mul(ZZ, prod, prod)
+                ug, ub = (sum(self.divided_powers(r)).astype(np.int64) for r in (gamma, beta))
+                prod = ug @ ub
+                t = prod @ prod
                 for c in (1, -1):
-                    if tuple(tuple(c * v for v in row) for row in t) == target:
+                    if (c * t == target).all():
                         found = (gamma, beta, c)
                         break
                 if found:
@@ -260,7 +246,7 @@ def build_algebra(kind: str, rank: int) -> AdjointAlgebra:
     dim = nroots + system.rank
     coroots = {r: _coroot_coords(system, r) for r in system.roots}
 
-    x_mats: Dict[Root, Matrix] = {}
+    x_mats: Dict[Root, np.ndarray] = {}
     for alpha in system.roots:
         rows = [[0] * dim for _ in range(dim)]
         for beta in system.roots:
@@ -276,7 +262,7 @@ def build_algebra(kind: str, rank: int) -> AdjointAlgebra:
             p = system.pairing(alpha, system.simple(j))
             if p:
                 rows[system.root_index(alpha)][nroots + j] = -p
-        x_mats[alpha] = matrix(rows)
+        x_mats[alpha] = frozen(np.array(rows, dtype=object))
 
     h_mats = []
     for j in range(system.rank):
@@ -284,6 +270,6 @@ def build_algebra(kind: str, rank: int) -> AdjointAlgebra:
         for beta in system.roots:
             i = system.root_index(beta)
             rows[i][i] = system.pairing(beta, system.simple(j))
-        h_mats.append(matrix(rows))
+        h_mats.append(frozen(np.array(rows, dtype=object)))
 
     return AdjointAlgebra(system, consts, coroots, x_mats, tuple(h_mats), dim)

@@ -1,11 +1,11 @@
 """Exact matrix arithmetic over ring handles.
 
-Matrices are tuples of row tuples of ring elements, so they hash and compare
-exactly.  A stack is the array form that batched code works on: a numpy
-array of elements with leading batch axes (over a product ring an element is
-the last axis, one entry per factor), stored as int64 (or object), or over
-Z/n in the float32 tier that ``stack_dtype(..., carrier=True)`` names, where
-every product the stack takes part in is exact in float32.
+A matrix is a read-only numpy array of elements in ``stack_dtype(ring, n)``:
+object (exact Python ints) over Z, and over a product ring with the factors
+on a last axis, one entry per factor.  A stack is the same array form with
+leading batch axes, stored as int64 (or object), or over Z/n in the float32
+tier that ``stack_dtype(..., carrier=True)`` names, where every product the
+stack takes part in is exact in float32.
 ``stack_mul`` is the one product kernel: int64 under ``residue_dtype`` over
 Z/n and over Z (exact object arrays past the guard), k^2 products of base-p
 digit planes over GF(p^k) (``field_matmul``), and one product per factor over
@@ -16,12 +16,12 @@ float32 holds exactly, and reduced in place, the delayed reduction of
 FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008); int64 operands
 are cast back once, tier stacks stay float32 from product to product.  It
 runs in blocks of batch matrices whose temporaries malloc keeps mapped from
-call to call.  Floats never leave this module as elements: ``to_matrix`` and
-``as_exact`` turn a tier stack back into integers.  ``mat_mul`` takes tuple
-matrices (over Z the guard reads their largest |entry| off the Python ints),
-``sandwich`` and ``diagonal_sandwich`` compute left m right over a stack,
-``row_ops``, the one element-wise arithmetic, scales and subtracts on stacks,
-``from_ints`` maps integers into a ring and ``positions`` elements to rows.
+call to call.  Floats never leave this module as elements: ``as_exact`` turns
+a tier stack back into integers.  ``sandwich`` and ``diagonal_sandwich``
+compute left m right over a stack, ``row_ops``, the one element-wise
+arithmetic, scales and subtracts on stacks, ``from_ints`` maps integers into
+a ring, ``positions`` elements to rows, and ``frozen`` makes an array
+read-only.
 
 Inversion, over a finite ring only, first splits the ring into local
 factors, then runs a Smith-style diagonalization per factor, and kernels are
@@ -33,36 +33,27 @@ the rows and columns a pivot changes.  The pivot is the row-major first entry
 of least p-valuation (over a field, the first nonzero entry), found by a mask
 of the rows that still hold a unit while one does and by a vectorised scan
 after that.  Z/p^k reduces mod p^k; GF(q) indexes the ``mul``/``sub`` arrays
-of ``ring_tables``.
+of ``ring_tables``; matrices cross the CRT through ``crt_tables``.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
-from itertools import chain
 from math import prod
 
 import numpy as np
 
-from chevalley.rings import (_IRREDUCIBLE, FieldTable, ProductRing, Ring, RingError, ZMod,
-                             ZRing, crt_split)
-
-Matrix = tuple  # tuple of row tuples
-
+from chevalley.rings import _IRREDUCIBLE, FieldTable, ProductRing, Ring, RingError, ZMod, crt_split
 
 # --------------------------------------------------------------------------
 # generic ops
 
 
-def matrix(rows) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def identity(ring: Ring, n: int) -> Matrix:
-    """The n x n identity, built once per (ring, n); matrices are immutable."""
-    z, o = ring.zero, ring.one
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+def frozen(a):
+    """``a`` made read-only in place, as every matrix and table kept is."""
+    a.flags.writeable = False
+    return a
 
 
 def residue_dtype(bound: int, inner: int, carrier: bool = False):
@@ -84,7 +75,8 @@ def ring_tables(ring: Ring):
     once per field for ``row_ops``; raises on any other ring."""
     if not isinstance(ring, FieldTable):
         raise RingError(f"ring_tables is for GF(p^k), k > 1, not {ring.descriptor}")
-    return np.array(ring._mul, dtype=np.int64), np.array(ring._add, dtype=np.int64)[:, ring._neg]
+    mul, add = (np.array(table, dtype=np.int64) for table in (ring._mul, ring._add))
+    return frozen(mul), frozen(add[:, ring._neg])
 
 
 def positions(ring: Ring, a):
@@ -127,16 +119,18 @@ def field_matmul(ring: FieldTable, a, b):
 
 
 def stack_dtype(ring: Ring, inner: int, carrier: bool = False):
-    """The dtype of exact arrays of elements of a finite ring whose products
-    sum ``inner`` terms: ``residue_dtype`` over Z/n, int64 over GF(p^k), and
-    over a product ring object if any factor needs it.  With ``carrier``, the
-    float32 tier over Z/n (over a product ring, when every factor takes it)
-    wherever ``residue_dtype`` names it: such a stack stays float32 through
-    ``stack_mul`` and ``row_ops``."""
+    """The dtype of exact arrays of elements of a ring whose products sum
+    ``inner`` terms: ``residue_dtype`` over Z/n, int64 over GF(p^k), object
+    over Z, and over a product ring object if any factor needs it.  With
+    ``carrier``, the float32 tier over Z/n (over a product ring, when every
+    factor takes it) wherever ``residue_dtype`` names it: such a stack stays
+    float32 through ``stack_mul`` and ``row_ops``."""
     if isinstance(ring, ProductRing):
         kinds = {stack_dtype(f, inner, carrier) for f in ring.factors}
         return object if object in kinds else kinds.pop() if len(kinds) == 1 else np.int64
-    return residue_dtype(ring.n, inner, carrier) if isinstance(ring, ZMod) else np.int64
+    if isinstance(ring, ZMod):
+        return residue_dtype(ring.n, inner, carrier)
+    return np.int64 if ring.size else object
 
 
 def _reduce(x, mod: int):
@@ -167,8 +161,8 @@ def stack_mul(ring: Ring, a, b):
     is x - n floor(x / n): x / n rounds by under half an ulp, less than 1/n
     there, and a quotient that is not an integer lies at least 1/n from one.
     Tier stacks past that guard take the integer path and come back float32.
-    2-D int64 products (``mat_mul``) stay on the integer path; a batch axis
-    of length one carries one."""
+    2-D int64 products stay on the integer path; a batch axis of length one
+    carries one."""
     if isinstance(ring, ProductRing):
         return np.stack([stack_mul(f, a[..., i], b[..., i])
                          for i, f in enumerate(ring.factors)], axis=-1)
@@ -220,10 +214,10 @@ def _carried(a, b, mod: int):
     return out.reshape(batch + (rows, cols))
 
 
-def sandwich(ring: Ring, left: Matrix, stack, right: Matrix):
-    """left m right for every matrix m of a stack, with left and right (tuple
-    matrices or arrays) taken in the stack's dtype."""
-    left, right = (np.array(m, dtype=stack.dtype) for m in (left, right))
+def sandwich(ring: Ring, left, stack, right):
+    """left m right for every matrix m of a stack, with the matrices left and
+    right taken in the stack's dtype."""
+    left, right = (m.astype(stack.dtype, copy=False) for m in (left, right))
     return stack_mul(ring, stack_mul(ring, left, stack), right)
 
 
@@ -239,10 +233,12 @@ def diagonal_sandwich(ring: Ring, left, stack, right):
 
 
 def from_ints(ring: Ring, a, dtype):
-    """An array of integers as the array of their images in a finite ring
-    (over a product ring with the factors on a new last axis)."""
+    """An array of integers as the array of their images in a ring (over a
+    product ring with the factors on a new last axis)."""
     if isinstance(ring, ProductRing):
         return np.stack([from_ints(f, a, dtype) for f in ring.factors], axis=-1)
+    if not ring.size:
+        return np.asarray(a, dtype=dtype)
     # over GF(p^k) the image of n is the constant polynomial n mod p, whose index is n mod p
     return np.asarray(a, dtype=dtype) % (ring.n if isinstance(ring, ZMod) else ring.p)
 
@@ -257,40 +253,6 @@ def as_exact(a):
     """An array of elements with integer entries: a float32 tier stack cast
     back to int64, any other array as it is."""
     return a.astype(np.int64) if a.dtype.kind == "f" else a
-
-
-def to_matrix(ring: Ring, a) -> Matrix:
-    """One array of elements back to a tuple matrix of Python ints."""
-    rows = as_exact(a).tolist()
-    if isinstance(ring, ProductRing):
-        return tuple(tuple(map(tuple, row)) for row in rows)
-    return tuple(map(tuple, rows))
-
-
-def mat_mul(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
-    if not (a and b):
-        return tuple(() for _ in a)
-    if isinstance(ring, ZRing):   # the bound is read off the Python ints
-        bound = max(map(abs, chain.from_iterable(chain(a, b))), default=0) + 1
-        dtype = residue_dtype(bound, len(b))
-    else:
-        dtype = stack_dtype(ring, len(b))
-    return to_matrix(ring, stack_mul(ring, np.array(a, dtype=dtype), np.array(b, dtype=dtype)))
-
-
-def mat_pow(ring: Ring, a: Matrix, n: int) -> Matrix:
-    out = identity(ring, len(a))
-    base = a
-    while n:
-        if n & 1:
-            out = mat_mul(ring, out, base)
-        base = mat_mul(ring, base, base)
-        n >>= 1
-    return out
-
-
-def mat_map(fn, a: Matrix) -> Matrix:
-    return tuple(tuple(fn(x) for x in row) for row in a)
 
 
 # --------------------------------------------------------------------------
@@ -440,38 +402,93 @@ def local_invertible(ring: Ring, a) -> bool:
     return len(pivots) == len(a) and not any(v for _, v in pivots)
 
 
-def local_invert(ring: Ring, a: Matrix):
+def local_invert(ring: Ring, a):
     """Inverse of a square matrix over a local ring, or None: Q D^-1 P for
     P A Q = D."""
     P, Q, pivots, diag = _eliminate(ring, a, with_p=True)
     if len(pivots) < len(a) or any(v for _, v in pivots):
         return None
     q_dinv = row_ops(ring)[0](Q, np.array([ring.inv(d) for d in diag], dtype=Q.dtype))
-    return mat_mul(ring, to_matrix(ring, q_dinv), to_matrix(ring, P))
+    dtype = stack_dtype(ring, len(a))
+    return stack_mul(ring, q_dinv.astype(dtype, copy=False), P.astype(dtype, copy=False))
 
 
 # --------------------------------------------------------------------------
 # composite rings via CRT
 
 
-def ring_invertible(ring: Ring, a: Matrix) -> bool:
+@lru_cache(maxsize=None)
+def crt_tables(ring: Ring):
+    """(factors, project, lift) of a finite ring: its crt_split factors; per
+    factor, the factor's element at every position of ring.elements(); and
+    every element, as one array, at the mixed-radix position of its
+    factors' elements."""
+    split = crt_split(ring)
+    elements = list(ring.elements())
+    project = tuple(frozen(np.array([lf.project(t) for t in elements])) for lf in split.factors)
+    lift = [split.from_factors(xs)
+            for xs in itertools.product(*(lf.ring.elements() for lf in split.factors))]
+    return split.factors, project, frozen(np.array(lift))
+
+
+def crt_project(ring: Ring, a) -> list:
+    """(local ring, matrix) per factor of crt_tables for a matrix over a
+    finite ring."""
+    factors, project, _ = crt_tables(ring)
+    codes = positions(ring, a)
+    return [(lf.ring, p[codes]) for lf, p in zip(factors, project)]
+
+
+def crt_combine(ring: Ring, parts):
+    """The matrix over a finite ring, in its stack_dtype, whose crt_project
+    has the matrices ``parts``."""
+    factors, _, lift = crt_tables(ring)
+    at = np.ravel_multi_index(tuple(positions(lf.ring, m) for lf, m in zip(factors, parts)),
+                              [lf.ring.size for lf in factors])
+    return lift[at].astype(stack_dtype(ring, len(at)), copy=False)
+
+
+def ring_invertible(ring: Ring, a) -> bool:
     """Whether a square matrix over a finite ring is invertible: the unit
     pivot test over every local factor."""
-    return all(local_invertible(f.ring, mat_map(f.project, a)) for f in crt_split(ring).factors)
+    return all(local_invertible(*part) for part in crt_project(ring, a))
 
 
-def ring_invert(ring: Ring, a: Matrix):
-    split = crt_split(ring)
-    parts = [local_invert(f.ring, mat_map(f.project, a)) for f in split.factors]
-    return None if None in parts else crt_combine(split, parts)
+# --------------------------------------------------------------------------
+# the forge's API: perfbench/forge.py imports these five names to build its
+# inputs, and nothing else in src calls them; they move to the tests'
+# oracles once the benchmark builds its inputs without them
 
 
-def crt_combine(split, parts) -> Matrix:
-    """Entrywise CRT recombination of one local matrix per factor of
-    ``split``; over a local ring, where from_factors is the identity, the
-    matrix itself."""
-    if len(parts) == 1:
-        return parts[0]
-    n = len(parts[0])
-    return tuple(tuple(split.from_factors([p[i][j] for p in parts]) for j in range(n))
-                 for i in range(n))
+def matrix(rows):
+    """Rows of ring elements as an array."""
+    return np.array(rows)
+
+
+@lru_cache(maxsize=None)
+def identity(ring: Ring, n: int):
+    """The n x n identity, built once per (ring, n)."""
+    return frozen(from_ints(ring, np.eye(n, dtype=np.int64), stack_dtype(ring, n)))
+
+
+def mat_mul(ring: Ring, a, b):
+    """a @ b for matrices given as arrays or nested sequences of elements."""
+    dtype = stack_dtype(ring, len(b))
+    return stack_mul(ring, np.asarray(a).astype(dtype), np.asarray(b).astype(dtype))
+
+
+def mat_pow(ring: Ring, a, n: int):
+    out = identity(ring, len(a))
+    base = a
+    while n:
+        if n & 1:
+            out = mat_mul(ring, out, base)
+        base = mat_mul(ring, base, base)
+        n >>= 1
+    return out
+
+
+def ring_invert(ring: Ring, a):
+    """The inverse of a square matrix over a finite ring, or None."""
+    parts = [local_invert(*part) for part in crt_project(ring, a)]
+    return None if any(m is None for m in parts) else crt_combine(ring, parts)

@@ -29,8 +29,9 @@ from typing import Optional
 
 import numpy as np
 
+from chevalley.group import identity_element
 from chevalley.liealg import AdjointAlgebra
-from chevalley.linalg import identity, row_ops, stack_mul
+from chevalley.linalg import row_ops, stack_mul
 from chevalley.rings import Ring
 from chevalley.roots import RootSystem
 
@@ -64,7 +65,7 @@ def recover_family(alg: AdjointAlgebra, ring: Ring, stack):
         raise ValueError(f"{len(stack)} images for the {len(system.roots)} roots "
                          f"of {system.name}")
     sub_mul = row_ops(ring)[1]
-    d = sub_mul(stack.copy(), ring.one, np.array(identity(ring, alg.dim), dtype=stack.dtype))
+    d = sub_mul(stack.copy(), ring.one, identity_element(alg, ring).mat.astype(stack.dtype))
     if regime == "half":
         d2 = stack_mul(ring, d, d)
         short = [i for i, root in enumerate(system.roots) if alg.nilpotency(root) == 4]

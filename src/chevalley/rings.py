@@ -1,8 +1,9 @@
 """Commutative ring handles: Z, Z/n, small field tables, finite products.
 
 Elements are plain hashable values (int for Z and Z/n, int index for field
-tables, tuples for products), so matrices over a ring are just nested tuples.
-Every handle is immutable, and ring_make builds one per descriptor.
+tables, tuples for products); matrices over a ring are arrays (see linalg),
+which the JSON encoders turn back into Python ints and lists.  Every handle
+is immutable, and ring_make builds one per descriptor.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 
 class RingError(ValueError):
@@ -166,10 +169,15 @@ class Ring:
 
     # json ---------------------------------------------------------------
     def element_to_json(self, a):
-        return list(a) if isinstance(a, tuple) else a
+        """An element, or a numpy scalar or array of one, as JSON values."""
+        if isinstance(a, tuple):
+            return list(a)
+        return a.tolist() if isinstance(a, (np.ndarray, np.generic)) else a
 
     def matrix_to_json(self, rows) -> list:
-        """Rows of elements, a matrix or a table of pairs, as JSON lists."""
+        """Rows of elements, a matrix (an array) or a table of pairs, as JSON lists."""
+        if isinstance(rows, np.ndarray):
+            return rows.tolist()
         return [[self.element_to_json(v) for v in row] for row in rows]
 
     def element_from_json(self, data):

@@ -1,5 +1,10 @@
 """Reference oracles that the tests compare the library against.
 
+Oracles work on tuple matrices, tuples of row tuples of Python values, which
+compare and hash exactly; ``tuples`` is the one conversion from the
+library's read-only arrays to that form, and the tests convert with it at
+their own boundary.
+
 Each one is a slow or independent construction of something the library
 computes another way: the localization of Z/n at a prime (for crt_split),
 the ring axioms checked on all pairs (for is_ring_automorphism, a lookup in
@@ -10,7 +15,7 @@ read from the table alone (for the matrices and the Jacobi checks), the
 Jacobi triples of ``verify jacobi`` one at a time on dicts of brackets, the
 fraction-free determinant and the matrix-vector product (for the
 elimination), root chains walked through the enumeration (for the
-pairing), and the tuple product of two group elements, the inverse of one
+pairing), and the product of two group elements, the inverse of one
 with its inverse word, and the conjugate and the commutator a b a^-1 b^-1
 built from them (for the commutator formula and the conjugation laws, which
 the library checks on root stacks; the library has no product of elements).
@@ -43,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from chevalley import linalg
 from chevalley.decomposer import (
     CertifyError,
     _additive_order,
@@ -53,16 +59,7 @@ from chevalley.decomposer import (
 )
 from chevalley.group import GroupElement, chain_coefficients, from_word, torus_chi, unipotent
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import (
-    Matrix,
-    _eliminate,
-    identity,
-    mat_mul,
-    matrix,
-    residue_dtype,
-    ring_invert,
-    ring_tables,
-)
+from chevalley.linalg import _eliminate, as_exact, residue_dtype, ring_tables
 from chevalley.recover import recovery_regime
 from chevalley.rings import (
     FieldTable,
@@ -74,6 +71,40 @@ from chevalley.rings import (
 from chevalley.roots import Root, RootSystem, build_root_system
 
 ZZ = ring_make("Z")
+
+# ---------------------------------------------------------------------------
+# the oracles' matrix form
+
+Matrix = tuple  # a tuple of row tuples of Python values
+
+
+def tuples(a) -> Matrix:
+    """A matrix, an array of elements (see linalg) or nested sequences, as a
+    tuple of row tuples of Python ints, each element over a product ring a
+    tuple of one per factor: the one conversion from the library's form to
+    the oracles'."""
+    def nest(x):
+        return tuple(map(nest, x)) if isinstance(x, list) else x
+    return nest(as_exact(np.asarray(a)).tolist())
+
+
+def matrix(rows) -> Matrix:
+    return tuples(rows)
+
+
+def identity(ring: Ring, n: int) -> Matrix:
+    return tuples(linalg.identity(ring, n))
+
+
+def mat_mul(ring: Ring, a, b) -> Matrix:
+    """a b as a tuple matrix, for tuple or array operands."""
+    return tuples(linalg.mat_mul(ring, a, b))
+
+
+def ring_invert(ring: Ring, a):
+    """The inverse of a as a tuple matrix, or None."""
+    inv = linalg.ring_invert(ring, a)
+    return None if inv is None else tuples(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +309,15 @@ def mat_scale(ring: Ring, c, a: Matrix) -> Matrix:
 
 
 def element_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """a b as tuple products: the matrices in order, the inverses in reverse
+    """a b as matrix products: the matrices in order, the inverses in reverse
     order, the words concatenated."""
     ring = a.ring
-    return GroupElement(ring, mat_mul(ring, a.mat, b.mat), mat_mul(ring, b.inv_mat, a.inv_mat),
-                        a.word + b.word)
+    return GroupElement(ring, linalg.mat_mul(ring, a.mat, b.mat),
+                        linalg.mat_mul(ring, b.inv_mat, a.inv_mat), a.word + b.word)
 
 
-def is_identity(ring: Ring, a: Matrix) -> bool:
-    return a == identity(ring, len(a))
+def is_identity(ring: Ring, a) -> bool:
+    return tuples(a) == identity(ring, len(a))
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -490,7 +521,7 @@ def precheck_loop(spec, alg: AdjointAlgebra):
         raise CertifyError("precheck", "decomposition needs a finite ring, "
                            f"got {spec.ring}")
     span = spanning_params(ring)
-    provided = spec.image_dict()
+    provided = {key: tuples(m) for key, m in spec.image_dict().items()}
 
     want = {(root, t) for root in sysm.roots for t in span}
     have = set(provided)
@@ -593,7 +624,7 @@ def residual_rho_loop(alg: AdjointAlgebra, ring: Ring, conj, table):
             resid = mat_mul(ring, mat_mul(ring, conj.inv_mat, table[(root, t)]), conj.mat)
             (i, j), unit = alg._slot(root)
             s = ring.mul(resid[i][j], ring.from_int(unit))
-            if resid != unipotent(alg, ring, root, s).mat:
+            if resid != tuples(unipotent(alg, ring, root, s).mat):
                 return None, {"reason": "residual is not a root element",
                               "key": _key_json(ring, (root, t))}
             if value is None:
@@ -618,7 +649,7 @@ def replay_loop(alg: AdjointAlgebra, ring: Ring, table, left, right, rho) -> int
         for t in ring.elements():
             inner = unipotent(alg, ring, root, rho[t]).mat
             expected = mat_mul(ring, mat_mul(ring, left, inner), right)
-            if expected != table[(root, t)]:
+            if expected != tuples(table[(root, t)]):
                 raise CertifyError("replay", "assembled automorphism does not "
                                    "reproduce an image",
                                    {"key": _key_json(ring, (root, t))})
@@ -668,10 +699,10 @@ def fit_unipotent_loop(alg: AdjointAlgebra, ring: Ring, target: Matrix, sign: in
     for beta in sysm.positives:
         root = beta if sign > 0 else sysm.negate(beta)
         (i, j), unit = alg._slot(root)
-        t = ring.mul(ring.sub(target[i][j], acc.mat[i][j]), ring.from_int(unit))
+        t = ring.mul(ring.sub(target[i][j], int(acc.mat[i, j])), ring.from_int(unit))
         if t != ring.zero:
             acc = element_mul(acc, unipotent(alg, ring, root, t))
-    return acc if acc.mat == target else None
+    return acc if tuples(acc.mat) == target else None
 
 
 def big_cell_loop(alg: AdjointAlgebra, ring: Ring, m: Matrix):
@@ -701,7 +732,7 @@ def big_cell_loop(alg: AdjointAlgebra, ring: Ring, m: Matrix):
     if any(not ring.is_unit(u) for u in units):
         return None
     chi = torus_chi(alg, ring, units)
-    if any(upper[i][i] != chi.mat[i][i] for i in range(n)):
+    if any(upper[i][i] != chi.mat[i, i] for i in range(n)):
         return None
     down = fit_unipotent_loop(alg, ring, lower, -1)
     if down is None:
@@ -710,7 +741,7 @@ def big_cell_loop(alg: AdjointAlgebra, ring: Ring, m: Matrix):
     if up is None:
         return None
     elem = element_mul(element_mul(down, chi), up)
-    return elem if mat_scale(ring, scalar, elem.mat) == m else None
+    return elem if mat_scale(ring, scalar, tuples(elem.mat)) == m else None
 
 
 def strictly_inner_loop(alg: AdjointAlgebra, ring: Ring, m: Matrix):

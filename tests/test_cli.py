@@ -13,8 +13,7 @@ from chevalley import cli, group, linalg, recover
 from chevalley.cli import main
 from chevalley.group import group_for
 from chevalley.liealg import AdjointAlgebra
-from chevalley.linalg import to_matrix
-from oracles import add_nested_bracket, bracket_dict, jacobi_loop
+from oracles import add_nested_bracket, bracket_dict, jacobi_loop, tuples
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -250,7 +249,7 @@ def corrupt_x_root(monkeypatch):
         if ring.descriptor != "Z":
             for q, (root, t) in enumerate(keys):
                 if root == alg.system.simple(0) and t == ring.one:
-                    out[q, 0, 0] = ring.add(to_matrix(ring, out[q])[0][0], ring.one)
+                    out[q, 0, 0] = ring.add(tuples(out[q])[0][0], ring.one)
         return out
     monkeypatch.setattr(group, "x_stack", corrupted)
 
@@ -410,11 +409,13 @@ def test_suites_multiply_tier_stacks_only(monkeypatch, suite, system, ring):
 @pytest.mark.parametrize("system, ring", [("D4", "Z/2"), ("A3", "Z/3xZ/3")])
 def test_verify_recover_builds_no_tuple_matrix(monkeypatch, system, ring):
     # warm, each trial's g and g^-1 come from word_stack as arrays and X_root
-    # from the memoised _recover_tables: no group element, no tuple matrix
+    # from the memoised _recover_tables: no group element, and none of the
+    # forge's matrix helpers
     cli.SUITES["recover"](system, ring, 0)
     called = []
     modules = (cli, group, linalg, recover)
-    for module, name in itertools.product(modules, ("from_word", "to_matrix")):
+    names = ("from_word", "identity", "mat_mul", "mat_pow", "matrix", "ring_invert")
+    for module, name in itertools.product(modules, names):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, lambda *args, name=name: called.append(name))
     checks, failures = cli.SUITES["recover"](system, ring, 0)

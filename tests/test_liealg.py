@@ -14,10 +14,10 @@ import random
 
 from chevalley.group import unipotent
 from chevalley.liealg import build_algebra
-from chevalley.linalg import identity, mat_mul, matrix
 from chevalley.rings import ring_make
 from chevalley.roots import build_root_system
-from oracles import a_series_model, bracket_dict, combination, det_bareiss, mat_sub
+from oracles import (a_series_model, bracket_dict, combination, det_bareiss, identity, mat_mul,
+                     mat_sub, matrix)
 
 ZZ = ring_make("Z")
 

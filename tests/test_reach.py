@@ -4,7 +4,9 @@ be reached from ``cli.main`` or the benchmark harness through the
 definitions that read it, only linalg names a float dtype, outside liealg
 only the one x_root(t) builder reads the divided powers, only the
 Certificate reads its matrices, no table cli memoises reads data a planted
-defect sits in, and cli builds no group element or tuple matrix.
+defect sits in, cli builds no group element, and src builds no tuple matrix
+outside the few places that must.  The forge's warm-up documents pass the
+benchmark's own checks.
 
 The tracer in perfbench/ only warns when one of its targets is missing, and
 the per-layer metrics of that target then drop out of the report unseen, so
@@ -17,6 +19,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +59,22 @@ def test_benchmark_and_exports_resolve(monkeypatch):
     assert callable(Certificate.apply)
     assert callable(RootSystem.height)
     assert [name for name in chevalley.__all__ if not hasattr(chevalley, name)] == []
+
+
+@pytest.mark.parametrize("workload", ["roundtrip-small", "roundtrip-rank3", "refusals",
+                                      "verify-suites"])
+def test_forged_warmup_operations_pass_the_benchmark_checks(monkeypatch, workload):
+    # the benchmark feeds the forge's matrices, built with linalg's forge API,
+    # into spec documents and compares Certificate.apply with tuples in
+    # run.apply_check: a forge that crashes on arrays, or an apply that
+    # returns one, fails every operation there and nowhere else
+    forge = load_bench_module(monkeypatch, "forge")
+    run = load_bench_module(monkeypatch, "run")
+    mods = run.load_chevalley()
+    ops, golden = forge.warmup_round(workload), run.golden_hashes(workload)["warmup"]
+    assert len(ops) == len(golden)
+    problems = [run.check(run.execute(op, mods), mods, sha) for op, sha in zip(ops, golden)]
+    assert problems == [[] for _ in ops]
 
 
 def unused_imports(path: Path) -> list:
@@ -229,11 +248,49 @@ def test_no_memoised_table_in_cli_reads_data_under_test():
 
 
 def test_cli_builds_no_group_element_or_tuple_matrix():
-    # the verify suites stay on arrays: cli calls neither from_word nor to_matrix
+    # the verify suites stay on arrays: cli calls from_word nowhere (and
+    # test_src_builds_no_tuple_matrix covers the tuples)
     calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
              for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
              if isinstance(node, ast.Call)}
-    assert calls and not calls & {"from_word", "to_matrix"}
+    assert calls and "from_word" not in calls
+
+
+def is_tuple_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+
+
+def tuple_matrix_builders(path: Path) -> set:
+    """The functions (Class.method for methods) of the module at path that
+    build a tuple of tuples: tuple(tuple(...)), tuple(tuple(...) for ...)
+    or tuple(map(tuple, ...))."""
+    def builds(node):
+        arg = node.args[0] if is_tuple_call(node) and node.args else None
+        return (is_tuple_call(arg)
+                or isinstance(arg, (ast.GeneratorExp, ast.ListComp)) and is_tuple_call(arg.elt)
+                or isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "map"
+                and getattr(arg.args[0], "id", None) == "tuple")
+
+    out = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        scopes = [(f"{node.name}.{item.name}", item) for item in node.body
+                  if isinstance(item, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else [
+            (getattr(node, "name", "<module>"), node)]
+        out |= {name for name, scope in scopes if any(map(builds, ast.walk(scope)))}
+    return out
+
+
+def test_src_builds_no_tuple_matrix():
+    # a matrix in src is a read-only array (see linalg); tuples of tuples are
+    # left only where they must be: Certificate.apply, which the benchmark's
+    # apply_check compares with tuples, the field tables of GF(p^k) and the
+    # Cartan matrix
+    assert {(p.stem, name) for p in sorted(SRC.glob("*.py"))
+            for name in tuple_matrix_builders(p)} == {
+        ("decomposer", "Certificate.apply"), ("rings", "FieldTable.__init__"),
+        ("roots", "cartan_matrix")}
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if re.search(r"\b(Matrix|mat_map|to_matrix)\b", p.read_text())] == []
 
 
 def test_elements_multiply_as_words():
