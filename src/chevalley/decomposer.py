@@ -59,9 +59,11 @@ import numpy as np
 
 from chevalley.autos import graph_data
 from chevalley.group import (
+    STACK_BUDGET,
     GroupElement,
     chain_coefficients,
     commutator_pattern_holds,
+    commutator_rows,
     from_word,
     group_for,
     identity_element,
@@ -76,6 +78,7 @@ from chevalley.liealg import AdjointAlgebra
 from chevalley.linalg import (
     crt_combine,
     crt_tables,
+    every_element,
     from_ints,
     frozen,
     local_invertible,
@@ -193,20 +196,20 @@ def spec_from_json(data: dict) -> AutomorphismSpec:
             if not (all(type(c) is int for c in root) and alg.system.is_root(root)):
                 raise CertifyError("precheck", f"{root} is not a root of {system}")
             t = element(entry["param"], "parameter", {"root": list(root)})
-            key = _key_json(ring, (root, t))
             if (root, t) in images:
                 raise CertifyError("precheck", "duplicate image for a (root, param) pair",
-                                   {"key": key})
+                                   {"key": _key_json(ring, (root, t))})
             raw = entry["matrix"]
             lengths = [len(row) if isinstance(row, list) else None
                        for row in raw] if isinstance(raw, list) else None
             if lengths != [alg.dim] * alg.dim:
                 raise CertifyError("precheck", f"image matrix is not {alg.dim}x{alg.dim}",
-                                   {"key": key, "row_lengths": lengths})
+                                   {"key": _key_json(ring, (root, t)), "row_lengths": lengths})
             held = _element_array(ring, raw)
             if held is None:
+                witness = {"key": _key_json(ring, (root, t))}
                 for v in itertools.chain.from_iterable(raw):
-                    element(v, "matrix entry", {"key": key})
+                    element(v, "matrix entry", witness)
             images[(root, t)] = frozen(held)
         return AutomorphismSpec(system, ring_name, tuple(images.items()))
     except CertifyError:
@@ -260,17 +263,45 @@ def spec_from_elements(system: str, ring: Ring, table: Dict[Tuple[Root, object],
 # precheck: orders, injectivity, commutator pattern; extends the table
 
 
-def _additive_order(ring: Ring, t) -> int:
-    k, acc = 1, t
-    while acc != ring.zero:
-        acc = ring.add(acc, t)
-        k += 1
-    return k
+@lru_cache(maxsize=None)
+def _precheck_plan(alg: AdjointAlgebra, ring: Ring):
+    """What the precheck reads that depends only on (algebra, ring), once:
+    (at, orders, layers, laws, law_rows, pairs, commutator).
+
+    ``at`` maps each supplied key (root, g) to its row, root-major in
+    spanning_params order, and orders holds the additive order of each g.
+    Per additive generator, in additive_coords order, a layer holds the key
+    rows of every root at it (a column) and every element's coefficient on it
+    (a row).  laws are the (root, s, t) of the one-parameter law over the
+    spanning parameters, law_rows the key rows of (root, s) and (root, t) and
+    the stack_rows row of (root, s + t).  pairs are the commutator pairs
+    (r, s, coeffs) with r != -s, and commutator their commutator_rows at
+    t = u = 1."""
+    sysm, span = alg.system, spanning_params(ring)
+    at = {key: q for q, key in enumerate(itertools.product(sysm.roots, span))}
+    orders = frozen(np.array([ring.additive_order(g) for _, g in at]))
+    column = np.arange(len(sysm.roots))[:, None] * len(span)
+    # the transpose puts a product ring's factors first, where additive_coords reads them
+    layers = tuple((frozen(column + span.index(g)), frozen(np.asarray(c)[None]))
+                   for g, c in ring.additive_coords(every_element(ring).T))
+    laws = tuple((root, s, t) for root in sysm.roots for s, t in itertools.product(span, repeat=2))
+    rows = stack_rows(alg, ring)
+    law_rows = tuple(frozen(np.array(x)) for x in zip(*(
+        (at[(root, s)], at[(root, t)], rows[(root, ring.add(s, t))]) for root, s, t in laws)))
+    pairs = tuple((r, s, chain_coefficients(alg, r, s))
+                  for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s))
+    commutator = tuple(map(frozen, commutator_rows(alg, ring, pairs, [(ring.one, ring.one)])))
+    return at, orders, layers, laws, law_rows, pairs, commutator
 
 
-# the entries |Phi| |R| n^2 of one root_stack, the size of every table certify
-# builds: the precheck refuses a ring past it before building anything that size
-STACK_BUDGET = 1 << 22
+def _first_repeat(blobs):
+    """(i, j) for the first j whose bytes equal those of an earlier i, or
+    None, from one dict keyed on the bytes of each item."""
+    rows = list(map(bytes, blobs))
+    first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))   # the earliest i of each
+    if len(first) < len(rows):
+        return next((first[row], j) for j, row in enumerate(rows) if first[row] != j)
+    return None
 
 
 def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
@@ -295,73 +326,65 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     if entries > STACK_BUDGET:
         raise CertifyError("precheck", "ring too large: its tables pass the entry budget",
                            {"entries": entries, "budget": STACK_BUDGET})
-    span = spanning_params(ring)
+    at, orders, layers, laws, law_rows, pairs, commutator = _precheck_plan(alg, ring)
     provided = spec.image_dict()
 
-    want = {(root, t) for root in sysm.roots for t in span}
-    have = set(provided)
-    if have != want:
-        missing = sorted(want - have)[:3]
-        extra = sorted(have - want)[:3]
+    if provided.keys() != at.keys():
+        missing = sorted(at.keys() - provided.keys())[:3]
+        extra = sorted(provided.keys() - at.keys())[:3]
         raise CertifyError(
             "precheck",
             "images must cover exactly the roots times the spanning parameters",
             {"missing": [_key_json(ring, k) for k in missing],
              "extra": [_key_json(ring, k) for k in extra]})
 
-    # the supplied images, root-major in span order, and their powers until
-    # each is the identity (its order) or the ring size is reached
-    keys = [(root, g) for root in sysm.roots for g in span]
-    at = {key: i for i, key in enumerate(keys)}
-    images = np.array([provided[key] for key in keys], dtype=stack_dtype(ring, alg.dim))
+    # the powers of the supplied images up to the largest additive order, by
+    # doubling (powers[c + have] = powers[c] powers[have], one batched product
+    # a step), until each has met the identity or passed its additive order;
+    # met is the first c >= 1 with image^c = 1 so far, or 0
+    images = np.array([provided[key] for key in at], dtype=stack_dtype(ring, alg.dim))
     eye = identity_element(alg, ring).mat
-    powers = [np.broadcast_to(eye, images.shape), images]
-    order = np.zeros(len(keys), dtype=int)
-    for c in range(1, ring.size + 1):
-        order[(order == 0) & stack_equal(powers[c], eye)] = c
-        if order.all() or c == ring.size:
-            break
-        powers.append(stack_mul(ring, powers[c], images))
-    for key, m in provided.items():
-        c = order[at[key]]
-        if not c and not ring_invertible(ring, m):
+    powers = np.empty((int(orders.max()) + 1,) + images.shape, dtype=images.dtype)
+    powers[0], powers[1] = eye, images
+    met, have = np.where(stack_equal(images, eye), 1, 0), 1
+    while ((met == 0) & (orders > have)).any():
+        step = min(have, len(powers) - 1 - have)
+        block = powers[have + 1:have + step + 1]
+        block[...] = stack_mul(ring, powers[1:step + 1], powers[have])
+        hit = stack_equal(block.reshape((-1,) + images.shape[1:]), eye).reshape(step, -1)
+        new = (met == 0) & hit.any(axis=0)
+        met[new] = have + 1 + hit.argmax(axis=0)[new]
+        have += step
+    bad = met != orders   # an image that never met the identity is singular or of larger order
+    if bad.any():
+        key = next(key for key in provided if bad[at[key]])
+        if not met[at[key]] and not ring_invertible(ring, provided[key]):
             raise CertifyError("precheck", "image matrix is not invertible",
                                {"key": _key_json(ring, key)})
-        if not c or _additive_order(ring, key[1]) != c:
-            raise CertifyError("precheck", "not bijective on parameters",
-                               {"key": _key_json(ring, key)})
+        raise CertifyError("precheck", "not bijective on parameters",
+                           {"key": _key_json(ring, key)})
 
-    # extend additively: the image at t is the product of the powers of the
-    # generators in additive_coords order, the same product for every root;
-    # layer j holds each t's j-th factor, or the identity past its last
-    elems = list(ring.elements())
-    coords = [[(span.index(g), c) for g, c in ring.additive_coords(t) if c] for t in elems]
-
-    def factor(f, j):
-        g, c = f[j] if j < len(f) else (0, 0)
-        return powers[c][g::len(span)]          # every root's image at g, to the c
-
+    # extend additively: the image at t is the product over the additive
+    # generators g of the image at g to t's coefficient on g, the same product
+    # for every root (over Z/n one gather from the powers)
     table = None
-    for j in range(max(map(len, coords))):
-        layer = np.stack([factor(f, j) for f in coords], axis=1)
+    for column, coefficients in layers:
+        layer = powers[coefficients, column]          # [root, t]
         table = layer if table is None else stack_mul(ring, table, layer)
-    for root, mats in zip(sysm.roots, table):
-        seen = {}
-        for t, m in zip(elems, map(repr, mats.tolist())):   # exact for any dtype
-            if m in seen:
-                raise CertifyError("precheck", "not bijective on parameters",
-                                   {"root": list(root),
-                                    "params": [ring.element_to_json(seen[m]),
-                                               ring.element_to_json(t)]})
-            seen[m] = t
+    # within the budget the table is int64, whose bytes compare as its values
+    flat = np.ascontiguousarray(table).reshape(len(sysm.roots), ring.size, -1)
+    for root, blobs in zip(sysm.roots, flat.view(np.dtype((np.void, flat[0, 0].nbytes)))):
+        repeat = _first_repeat(blobs[:, 0])
+        if repeat is not None:
+            raise CertifyError("precheck", "not bijective on parameters",
+                               {"root": list(root),
+                                "params": [ring.element_to_json(t)
+                                           for t in every_element(ring)[list(repeat)]]})
     table = table.reshape(-1, *images.shape[1:])
-    rows = stack_rows(alg, ring)
 
     # one-parameter law inside the provided set
-    laws = [(root, s, t) for root in sysm.roots for s, t in itertools.product(span, repeat=2)]
-    got = stack_mul(ring, images[[at[(root, s)] for root, s, _ in laws]],
-                    images[[at[(root, t)] for root, _, t in laws]])
-    held = stack_equal(got, table[[rows[(root, ring.add(s, t))] for root, s, t in laws]])
+    at_s, at_t, at_sum = law_rows
+    held = stack_equal(stack_mul(ring, images[at_s], images[at_t]), table[at_sum])
     if not held.all():
         root, s, t = laws[int(np.argmin(held))]
         raise CertifyError("precheck", "one-parameter law fails",
@@ -371,10 +394,8 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     # commutator pattern at parameter 1; the law makes t -> table[(root, t)]
     # a homomorphism, so the image at -1 is the inverse of the image at 1; read
     # from a float32 tier copy where there is one: its gathers take half the bytes
-    pairs = [(r, s, chain_coefficients(alg, r, s))
-             for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s)]
     tier = table.astype(stack_dtype(ring, alg.dim, carrier=True), copy=False)
-    held = commutator_pattern_holds(alg, ring, tier, pairs, [(ring.one, ring.one)])
+    held = commutator_pattern_holds(ring, tier, commutator)
     if not held.all():
         r, s, _ = pairs[int(np.argmin(held))]
         raise CertifyError("precheck", "commutator pattern fails",

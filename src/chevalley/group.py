@@ -17,14 +17,16 @@ equality means.  word_stack is the one word product, on arrays, for a list
 of words at once: the x factors (three per w token) from one x_stack, each
 torus token the diagonal of its character, the factors as a balanced tree of
 batched products; from_word is the group element of one word.  The torus
-diagonals are memoised per token, like the x_stack columns per parameter.
+diagonals are memoised per token, bounded at 4,096.
 
 x_root(t) is 1 + sum_k t^k D_k, D_k = X^k / k! for X = ad e_root (Steinberg,
 Lectures on Chevalley Groups, 1967, section 3).  D_k moves weight mu to
 mu + k root and basis vectors have weight a root or 0, so entry (i, j) is
 nonzero in at most one D_k, never on the diagonal: it is one term c t^k,
 k <= 3.  x_stack, the one builder of x_root(t), gathers any set of them from a
-per-algebra int8 pattern and a table of c t^k over the parameters asked for.
+per-algebra int8 pattern and a table of c t^k, over every element of a finite
+ring once per (algebra, ring), over Z (or a ring past STACK_BUDGET) over the
+parameters asked for.
 The chain constants of the commutator formula come in closed form from the
 structure constants (Carter, Simple Groups of Lie Type, 5.2), once per
 (algebra, r, s), shared read-only by the precheck and the verify suites.
@@ -47,16 +49,22 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
 from chevalley.liealg import AdjointAlgebra, build_algebra
-from chevalley.linalg import from_ints, frozen, positions, row_ops, stack_dtype, stack_mul
+from chevalley.linalg import (every_element, from_ints, frozen, positions, row_ops, stack_dtype,
+                              stack_mul)
 from chevalley.rings import Ring
 from chevalley.roots import Root
 
 Token = Tuple
+
+# the entries |Phi| |R| n^2 of one root_stack, the size of every table certify
+# builds: the precheck refuses a ring past it before building anything that
+# size, and x_stack tables every element of a finite ring only within it
+STACK_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -97,22 +105,38 @@ def _x_pattern(alg: AdjointAlgebra):
     return cell, tuple(constants.tolist())
 
 
-@lru_cache(maxsize=1 << 12)
-def _x_column(alg: AdjointAlgebra, ring: Ring, t) -> list:
-    """constant * t^k at 4 c + k, for every constant c of the pattern and k <= 3."""
-    powers = [ring.power(t, k) for k in range(4)]
-    return [ring.mul(c, p) for c in map(ring.from_int, _x_pattern(alg)[1]) for p in powers]
+def _x_columns(alg: AdjointAlgebra, ring: Ring, t):
+    """constant * t^k at column 4 c + k, for every constant c of the pattern
+    and k <= 3, for each element of the array t: two row_ops scalings for t^2
+    and t^3, one by the constants (over Z, products of Python ints)."""
+    scale = row_ops(ring)[0] if ring.size else np.multiply
+    constants = from_ints(ring, _x_pattern(alg)[1], t.dtype)
+    square = scale(t, t)
+    powers = np.stack([t ** 0, t, square, scale(square, t)], axis=1)
+    table = scale(constants[:, None], powers[:, None])   # [t, c, k]
+    return table.reshape((len(t), -1) + table.shape[3:])
+
+
+@lru_cache(maxsize=None)
+def _x_table(alg: AdjointAlgebra, ring: Ring):
+    """_x_columns of every element of a finite ring, in the order of
+    linalg.positions, once per (algebra, ring)."""
+    return frozen(_x_columns(alg, ring, every_element(ring).astype(stack_dtype(ring, alg.dim))))
 
 
 def x_stack(alg: AdjointAlgebra, ring: Ring, keys):
     """x_root(t) for every (root, t) of keys, in their order, as one stack
     (see linalg.stack_mul), exact Python ints in an object array over Z: one
-    gather of every entry's pattern cell from the _x_column of each t."""
+    gather of every entry's pattern cell from the row of t in _x_table, or
+    over Z and over a ring whose root_stack passes STACK_BUDGET, rings too
+    large to table whole, in the _x_columns of the parameters asked for."""
     roots, params = zip(*keys)
-    column = {t: i for i, t in enumerate(dict.fromkeys(params))}
-    table = np.array([_x_column(alg, ring, t) for t in column], dtype=stack_dtype(ring, alg.dim))
-    cell = _x_pattern(alg)[0][list(map(alg.system.root_index, roots))]
-    return table[np.array([column[t] for t in params])[:, None, None], cell]
+    t = np.array(params, dtype=stack_dtype(ring, alg.dim))
+    if ring.size and len(alg.system.roots) * ring.size * alg.dim ** 2 <= STACK_BUDGET:
+        table, at = _x_table(alg, ring), positions(ring, t)
+    else:
+        table, at = _x_columns(alg, ring, t), np.arange(len(t))
+    return table[at[:, None, None], _x_pattern(alg)[0][list(map(alg.system.root_index, roots))]]
 
 
 def unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
@@ -238,11 +262,13 @@ def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[i
     return MappingProxyType(out)
 
 
-def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Dict[Tuple[Root, object], int]:
+@lru_cache(maxsize=None)
+def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Mapping[Tuple[Root, object], int]:
     """(root, t) -> row, for stacks of one matrix per root and element of a
-    finite ring: root-major, the elements in ring.elements() order."""
-    return {key: i for i, key in
-            enumerate(itertools.product(alg.system.roots, ring.elements()))}
+    finite ring: root-major, the elements in ring.elements() order; read-only,
+    once per (algebra, ring)."""
+    keys = itertools.product(alg.system.roots, ring.elements())
+    return MappingProxyType(dict(zip(keys, itertools.count())))
 
 
 def root_stack(alg: AdjointAlgebra, ring: Ring, params=None):
@@ -281,19 +307,21 @@ def commutator_rows(alg: AdjointAlgebra, ring: Ring, pairs, params):
             rows[len(sides):, :len(params)], np.array(list(map(len, chains))))
 
 
-def commutator_pattern_holds(alg: AdjointAlgebra, ring: Ring, stack, pairs, params) -> np.ndarray:
+def commutator_pattern_holds(ring: Ring, stack, rows) -> np.ndarray:
     """Per (r, s, coeffs) of pairs and (t, u) of params, pair-major, whether
-    [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j), as a boolean array.
+    [x_r(t), x_s(u)] = prod x_(ir+js)(C_ij t^i u^j), as a boolean array, for
+    the commutator_rows(alg, ring, pairs, params) given as ``rows``.
 
     ``stack`` holds x_root(t) for every root and element in the rows of
-    stack_rows (see ``linalg.stack_mul``), read at the commutator_rows, in
-    any storage tier: the chains stay in the stack's dtype.  The left sides
+    stack_rows (see ``linalg.stack_mul``), read at those rows, in any
+    storage tier: the chains stay in the stack's dtype.  The left sides
     P(t, u) P(-t, -u), P(t, u) = x_r(t) x_s(u), are two batched products, the
     right sides of all chains of one length one batched product per factor
     past the first, the factors in coeffs order (chain_coefficients gives
     chain_pairs order).
     """
-    sides, opposite, factors, lengths = commutator_rows(alg, ring, pairs, params)
+    sides, opposite, factors, lengths = rows
+    pairs, params = len(sides), factors.shape[1]
     starts = np.cumsum(lengths) - lengths
 
     def product(rows):
@@ -303,12 +331,12 @@ def commutator_pattern_holds(alg: AdjointAlgebra, ring: Ring, stack, pairs, para
         return out
 
     half = product(sides.transpose(1, 0, 2))   # P(t, u) per pair and column
-    lhs = stack_mul(ring, half[:, :len(params)], half[:, opposite])
-    holds = np.empty((len(pairs), len(params)), dtype=bool)
+    lhs = stack_mul(ring, half[:, :params], half[:, opposite])
+    holds = np.empty((pairs, params), dtype=bool)
     for length in set(lengths.tolist()):
         picked = np.flatnonzero(lengths == length)
         same = lhs[picked] == product([factors[starts[picked] + j] for j in range(length)])
-        holds[picked] = same.reshape(len(picked), len(params), -1).all(axis=2)
+        holds[picked] = same.reshape(len(picked), params, -1).all(axis=2)
     return holds.ravel()
 
 

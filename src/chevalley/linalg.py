@@ -88,6 +88,16 @@ def positions(ring: Ring, a):
     return a
 
 
+def every_element(ring: Ring):
+    """Every element of a finite ring as one int64 array, in ring.elements()
+    order, the inverse of ``positions``: over a product ring the factors'
+    values on the last axis."""
+    every = np.arange(ring.size)
+    if isinstance(ring, ProductRing):
+        return np.stack(np.unravel_index(every, [f.size for f in ring.factors]), axis=-1)
+    return every
+
+
 def field_matmul(ring: FieldTable, a, b):
     """a @ b over GF(p^k) on int64 arrays of element indices (any shapes that
     ``@`` accepts).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -160,8 +160,15 @@ class Ring:
         cyclic; field tables and products override it."""
         return [self.one]
 
+    def additive_order(self, t) -> int:
+        """The least k >= 1 with k t = 0, in closed form: n / gcd(t, n) over
+        Z/n, p over GF(p^k) for t != 0, the lcm of the factors' over a product."""
+        raise NotImplementedError
+
     def additive_coords(self, t) -> list:
-        """t as (generator, integer coefficient) pairs over additive_generators."""
+        """t as (generator, integer coefficient) pairs over additive_generators.
+        t may be an array of elements, over a product ring one array per
+        factor on the first axis; each coefficient is then an array too."""
         return [(self.one, t)]
 
     def rand(self, rng):
@@ -225,6 +232,7 @@ class ZMod(Ring):
     def mul(self, a, b): return (a * b) % self.n
     def from_int(self, n): return n % self.n
     def is_unit(self, a): return gcd(a, self.n) == 1
+    def additive_order(self, t) -> int: return self.n // gcd(t, self.n)
 
     def inv(self, a):
         if not self.is_unit(a):
@@ -324,6 +332,7 @@ class FieldTable(Ring):
     def mul(self, a, b): return self._mul[a][b]
     def from_int(self, n): return n % self.p
     def is_unit(self, a): return a != 0
+    def additive_order(self, t) -> int: return self.p if t else 1
 
     def inv(self, a):
         if a == 0:
@@ -383,6 +392,9 @@ class ProductRing(Ring):
 
     def is_unit(self, a):
         return all(f.is_unit(x) for f, x in zip(self.factors, a))
+
+    def additive_order(self, t) -> int:
+        return lcm(*(f.additive_order(x) for f, x in zip(self.factors, t)))
 
     def inv(self, a):
         return tuple(f.inv(x) for f, x in zip(self.factors, a))
@@ -552,8 +564,10 @@ def is_ring_automorphism(ring: Ring, table: dict) -> bool:
     return tuple(sorted(table.items())) in [aut.table for aut in ring_automorphisms(ring)]
 
 
+@lru_cache(maxsize=None)
 def ring_automorphisms(ring: Ring) -> tuple[RingAut, ...]:
-    """All ring automorphisms; identity first, order deterministic."""
+    """All ring automorphisms; identity first, order deterministic; once per
+    ring handle."""
     if isinstance(ring, ZRing):
         return (RingAut(ring, (), "id"),)
     if isinstance(ring, ZMod):

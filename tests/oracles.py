@@ -8,7 +8,8 @@ their own boundary.
 Each one is a slow or independent construction of something the library
 computes another way: the localization of Z/n at a prime (for crt_split),
 the ring axioms checked on all pairs (for is_ring_automorphism, a lookup in
-the enumeration),
+the enumeration), the additive order by repeated addition (for
+Ring.additive_order, in closed form),
 the (l+1) by (l+1) model of the A series (for the bracket table), linear
 combinations of the adjoint basis matrices and the bracket of two elements
 read from the table alone (for the matrices and the Jacobi checks), the
@@ -51,7 +52,6 @@ import numpy as np
 from chevalley import linalg
 from chevalley.decomposer import (
     CertifyError,
-    _additive_order,
     _key_json,
     _weight_perm,
     _weyl_words,
@@ -541,7 +541,7 @@ def precheck_loop(spec, alg: AdjointAlgebra):
         if pw is None and ring_invert(ring, m) is None:
             raise CertifyError("precheck", "image matrix is not invertible",
                                {"key": _key_json(ring, (root, t))})
-        if pw is None or _additive_order(ring, t) != len(pw):
+        if pw is None or additive_order(ring, t) != len(pw):
             raise CertifyError("precheck", "not bijective on parameters",
                                {"key": _key_json(ring, (root, t))})
         powers[(root, t)] = pw
@@ -585,6 +585,16 @@ def precheck_loop(spec, alg: AdjointAlgebra):
             raise CertifyError("precheck", "commutator pattern fails",
                                {"roots": [list(r), list(s)]})
     return table
+
+
+def additive_order(ring: Ring, t) -> int:
+    """The order of t in the additive group, by repeated addition (for
+    ``Ring.additive_order``, which is in closed form)."""
+    k, acc = 1, t
+    while acc != ring.zero:
+        acc = ring.add(acc, t)
+        k += 1
+    return k
 
 
 def powers_upto(ring: Ring, m: Matrix, cap: int):

@@ -23,9 +23,9 @@ from chevalley.decomposer import (
     spec_from_json,
     strictly_inner_element,
 )
-from chevalley.group import from_word, group_for, root_stack, stack_rows, unipotent
+from chevalley.group import from_word, group_for, root_stack, stack_rows, torus_chi, unipotent
 from chevalley.linalg import stack_dtype
-from chevalley.rings import ring_automorphisms, ring_make
+from chevalley.rings import ProductRing, ring_automorphisms, ring_make
 from chevalley.roots import diagram_symmetries
 from oracles import (
     conjugate,
@@ -812,7 +812,7 @@ def test_round_trip_inverts_candidates_only_up_to_the_first_hit(monkeypatch):
 
 # --- the batched stages against the loop oracles ---------------------------------
 
-WITNESS_RINGS = ["Z/4", "Z/5", "F4", "F9", "Z/6", "Z/3xZ/3"]
+WITNESS_RINGS = ["Z/4", "Z/9", "Z/5", "F4", "F9", "Z/6", "Z/3xZ/3"]
 
 
 def outcome(fn, *args):
@@ -882,6 +882,69 @@ def test_precheck_reports_what_the_loop_oracle_reports(ring_name):
     if len(spanning_params(ring)) > 1:
         reached.add("one-parameter law fails")
     assert reached <= details, details
+
+
+def large_ring_plants(ring):
+    """(defect, images): honest A2 images over a large ring with one defect at
+    the fourth key, where three honest keys come before it in the loop: an
+    image of another root (a repeat across roots), one of order |R| - 1 (a
+    torus element chi(u, 1) for a generator u of the units of Z/p), the
+    identity, a singular matrix; over a product, the image at the second
+    generator made that at the first, so two parameters share an image."""
+    sysm, alg = group_for("A2")
+    honest = honest_table("A2", ring)
+    keys = list(honest)
+    if isinstance(ring, ProductRing):
+        root, (_, first, second) = sysm.roots[0], spanning_params(ring)
+        return [("repeated parameter", {**honest, (root, second): honest[(root, first)]})]
+    p = ring.size
+    u = next(u for u in range(2, p) if len({pow(u, k, p) for k in range(p - 1)}) == p - 1)
+    return [(defect, {**honest, keys[3]: m}) for defect, m in (
+        ("repeated image", honest[keys[2]]),
+        ("order |R| - 1", torus_chi(alg, ring, (u, 1)).mat),
+        ("order 1", identity(ring, alg.dim)),
+        ("singular", matrix([[ring.zero] * alg.dim] * alg.dim)))]
+
+
+@pytest.mark.parametrize("ring_name,want", [
+    ("Z/1009", {"repeated image": "commutator pattern fails",
+                "order |R| - 1": "not bijective on parameters",
+                "order 1": "not bijective on parameters",
+                "singular": "image matrix is not invertible"}),
+    ("Z/31xZ/31", {"repeated parameter": "not bijective on parameters"})])
+def test_precheck_reports_what_the_loop_oracle_reports_on_large_rings(ring_name, want):
+    # the doubling ladder meets the identity at |R| - 1 and 1, not only at
+    # powers of two, and a repeat among 961 parameters is named as the loop
+    # names it, (0, 1) against (1, 0)
+    ring = ring_make(ring_name)
+    sysm, alg = group_for("A2")
+    got = {}
+    for defect, images in large_ring_plants(ring):
+        spec = spec_from_elements("A2", ring, images)
+        result = outcome(lambda: as_dict(alg, ring, decomposer.precheck(spec, alg)))
+        assert result == outcome(precheck_loop, spec, alg), defect
+        got[defect] = result[1]
+    assert got == want
+
+
+def test_precheck_powers_take_logarithmically_many_products(monkeypatch):
+    # the orders of the A2/Z/1009 images by doubling: ceil(log2 1009) = 10
+    # batched products, none for the extension over Z/n, one for the law and
+    # two for the commutator pattern; the loop took one product per power
+    sysm, alg = group_for("A2")
+    spec = forge_random("A2", "Z/1009", 0)
+    calls = []
+    for module in (decomposer, group):
+        clean = module.stack_mul
+
+        def spy(ring, a, b, clean=clean):
+            calls.append(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+            return clean(ring, a, b)
+        monkeypatch.setattr(module, "stack_mul", spy)
+    decomposer.precheck(spec, alg)
+    assert len(calls) == 10 + 1 + 2 <= 2 * 10 + 3, calls
+    # each doubling multiplies every power so far by one image power
+    assert calls[:10] == [(min(2 ** k, 1009 - 2 ** k), 6) for k in range(10)]
 
 
 @pytest.mark.parametrize("ring_name", WITNESS_RINGS)

@@ -21,10 +21,11 @@ import pytest
 
 from chevalley import cli, group
 from chevalley.autos import graph_data
-from chevalley.decomposer import _weyl_elements, forge_random, precheck
+from chevalley.decomposer import _precheck_plan, _weyl_elements, forge_random, precheck
 from chevalley.group import (
     _torus_diagonal,
     _x_pattern,
+    _x_table,
     chain_coefficients,
     chain_pairs,
     commutator_pattern_holds,
@@ -282,7 +283,8 @@ def test_commutator_pattern_agrees_with_element_oracle(name, ring_name):
         if r == sysm.negate(s):
             continue
         coeffs = chain_coefficients(alg, r, s)
-        assert commutator_pattern_holds(alg, ring, stack, [(r, s, coeffs)], params).all(), (r, s)
+        rows = commutator_rows(alg, ring, [(r, s, coeffs)], params)
+        assert commutator_pattern_holds(ring, stack, rows).all(), (r, s)
         for t, u in rng.sample(params, min(16, len(params))):
             assert commutator_identity_holds(alg, ring, r, s, t, u, coeffs, x), (r, s, t, u)
 
@@ -359,7 +361,8 @@ def test_perturbed_chain_is_rejected_at_the_same_parameters(name, ring_name):
     for key in chain_coefficients(alg, r, s):
         coeffs = dict(chain_coefficients(alg, r, s))
         coeffs[key] += 1
-        holds = commutator_pattern_holds(alg, ring, stack, [(r, s, coeffs)], params)
+        rows = commutator_rows(alg, ring, [(r, s, coeffs)], params)
+        holds = commutator_pattern_holds(ring, stack, rows)
         got = {tu for tu, ok in zip(params, holds) if not ok}
         want = {(t, u) for t, u in params
                 if not commutator_identity_holds(alg, ring, r, s, t, u, coeffs, x)}
@@ -591,6 +594,20 @@ def test_x_stack_is_the_divided_power_sum(name, ring_name):
                                                  for root, t in keys]
 
 
+def test_x_stack_past_the_budget_tables_only_the_parameters_asked_for(monkeypatch):
+    # a ring whose root_stack passes STACK_BUDGET is never tabled whole: as
+    # over Z, x_stack computes c t^k for the parameters it is given, here in
+    # exact Python ints (n^2 passes int64)
+    sysm, alg = group_for("A2")
+    ring = ring_make("Z/1000000000000000003")
+    monkeypatch.setattr(group, "_x_table", None)
+    params = (0, 1, 2, ring.neg(1), 10 ** 17 + 7, 3 ** 30)
+    keys = list(zip(sysm.roots, params))
+    got = x_stack(alg, ring, keys)
+    assert got.dtype == object
+    assert [tuples(m) for m in got] == [dense_unipotent(alg, ring, root, t) for root, t in keys]
+
+
 def scalar_product(a, b):
     """Exact product on Python ints, skipping the zero entries of a."""
     n = len(b[0])
@@ -652,3 +669,13 @@ def test_tables_are_built_once_per_owner():
     assert _weyl_elements(alg, ring) is _weyl_elements(alg, ring)
     assert _x_pattern(alg) is _x_pattern(alg)
     assert ring_tables(ring_make("F4")) is ring_tables(ring_make("F4"))
+    # what depends only on (algebra, ring) and is read per call or per spec:
+    # x_stack's table of c t^k, the stack rows, the precheck's plan
+    assert _x_table(alg, ring) is _x_table(alg, ring_make("Z/4"))
+    assert stack_rows(alg, ring) is stack_rows(alg, ring_make("Z/4"))
+    assert _precheck_plan(alg, ring) is _precheck_plan(alg, ring_make("Z/4"))
+    with pytest.raises(TypeError):
+        stack_rows(alg, ring)[(sysm.roots[0], 0)] = 1
+    assert _x_table(alg, ring).flags.writeable is False
+    for table in _precheck_plan(alg, ring)[-1]:
+        assert table.flags.writeable is False

@@ -24,6 +24,7 @@ from chevalley.linalg import (
     CARRIER_BLOCK_BYTES,
     _eliminate,
     as_exact,
+    every_element,
     field_matmul,
     from_ints,
     local_invert,
@@ -923,6 +924,8 @@ def test_positions_are_the_order_of_elements(name):
     elems = list(ring.elements())
     assert positions(ring, elems).tolist() == list(range(ring.size))
     assert positions(ring, np.array(elems, dtype=np.float32)).dtype == np.int64   # a tier stack
+    # every_element is the inverse: the elements as one array, in this order
+    assert every_element(ring).tolist() == np.array(elems).tolist()
 
 
 @pytest.mark.parametrize("name", ["Z/4", "Z/5", "Z/1009", "Z/3xZ/3", "F4xZ/3", "Z"])

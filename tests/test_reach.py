@@ -3,7 +3,7 @@ every import in src and tests must be read, every definition in src must
 be reached from ``cli.main`` or the benchmark harness through the
 definitions that read it, only linalg names a float dtype, outside liealg
 only the one x_root(t) builder reads the divided powers, only the
-Certificate reads its matrices, no table cli memoises reads data a planted
+Certificate reads its matrices, the precheck reads no repr or tolist, no table cli memoises reads data a planted
 defect sits in, cli builds no group element, and src builds no tuple matrix
 outside the few places that must.  The forge's warm-up documents pass the
 benchmark's own checks.
@@ -178,12 +178,29 @@ def test_one_x_root_path(monkeypatch):
     modules = [p for p in sorted(SRC.glob("*.py")) if p.stem != "liealg"]
     assert {(p.stem, fn) for p in modules for fn in readers(p, "divided_powers")} == {
         ("group", "_x_pattern"), ("cli", "_suite_jacobi")}
-    assert {(p.stem, fn) for p in modules for name in ("_x_pattern", "_x_column")
-            for fn in readers(p, name)} == {("group", "x_stack"), ("group", "_x_column")}
+    assert {(p.stem, fn) for p in modules for fn in readers(p, "_x_pattern")} == {
+        ("group", "x_stack"), ("group", "_x_columns")}
     tracer = load_bench_module(monkeypatch, "tracer")
     layers = {layer for layer, *_ in tracer.TARGETS}
     assert {"group.unipotent", "group.from_word", "linalg.mat_mul"} <= layers
     assert {f"cli.verify.{suite}" for suite in cli.SUITES} <= layers
+
+
+def test_precheck_keys_no_matrix_on_python_values():
+    # the precheck checks injectivity on the bytes of each image and builds
+    # no element list: neither it nor a decomposer function it reaches reads
+    # repr or tolist (the loop form lives in tests/oracles.py)
+    functions = {node.name: node for node in ast.parse((SRC / "decomposer.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["precheck"]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            todo += names_read(functions[name])
+    assert {"precheck", "_precheck_plan", "_first_repeat"} <= reached
+    assert {name: sorted(names_read(functions[name]) & {"repr", "tolist"})
+            for name in reached} == {name: [] for name in reached}
 
 
 def test_only_the_certificate_reads_its_matrices():

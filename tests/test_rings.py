@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley.linalg import every_element
 from chevalley.rings import (
     FieldTable,
     ProductRing,
@@ -28,7 +29,7 @@ from chevalley.rings import (
     ring_automorphisms,
     ring_make,
 )
-from oracles import is_ring_automorphism_loop, localize_at_prime
+from oracles import additive_order, is_ring_automorphism_loop, localize_at_prime
 
 
 def test_ring_make_caches_and_parses():
@@ -343,6 +344,32 @@ def test_additive_coords_rebuild_every_element(name):
         for g, c in coords:
             acc = ring.add(acc, ring.mul(ring.from_int(c), g))
         assert acc == t
+
+
+@pytest.mark.parametrize("name", ["Z/5", "Z/9", "Z/12", "F4", "F8", "F9", "F16",
+                                  "Z/3xZ/3", "Z/6xF4", "Z/4xZ/6"])
+def test_additive_orders_and_coords_in_closed_form(name):
+    # Ring.additive_order against repeated addition, for every element, and
+    # additive_coords of every element at once (linalg.every_element, its
+    # transpose putting a product's factors first) against one at a time
+    ring = ring_make(name)
+    elements = list(ring.elements())
+    assert [ring.additive_order(t) for t in elements] == [
+        additive_order(ring, t) for t in elements]
+    at_once = ring.additive_coords(every_element(ring).T)
+    assert [g for g, _ in at_once] == ring.additive_generators()
+    assert [[int(c[q]) for _, c in at_once] for q in range(ring.size)] == [
+        [c for _, c in ring.additive_coords(t)] for t in elements]
+
+
+def test_ring_automorphisms_are_built_once_per_handle():
+    # one tuple per ring handle, in the order forge_random_parts draws from
+    for name in ("Z/4", "F9", "Z/3xZ/3"):
+        ring = ring_make(name)
+        auts = ring_automorphisms(ring)
+        assert ring_automorphisms(ring_make(name)) is auts
+        assert auts[0].is_identity
+        assert list(auts) == sorted(auts, key=lambda a: (not a.is_identity, a.table))
 
 
 def test_element_json_roundtrip():
