@@ -26,17 +26,19 @@ from chevalley.decomposer import (
     spec_from_json,
 )
 from chevalley.group import (
+    STACK_BUDGET,
     chain_coefficients,
     commutator_pattern_holds,
     commutator_rows,
     group_for,
     identity_element,
     root_stack,
-    stack_rows,
+    stack_entries,
+    stack_row,
     word_stack,
 )
-from chevalley.linalg import (as_exact, diagonal_sandwich, from_ints, frozen, positions, row_ops,
-                              sandwich, stack_dtype, stack_equal, stack_mul)
+from chevalley.linalg import (as_exact, diagonal_sandwich, every_element, from_ints, frozen,
+                              positions, row_ops, sandwich, stack_dtype, stack_equal, stack_mul)
 from chevalley.recover import recover_family, recovery_regime
 from chevalley.rings import ring_make
 from chevalley.roots import diagram_symmetries, system_from_name
@@ -93,7 +95,7 @@ def cmd_adjoint(args) -> int:
     ring = ring_make(args.ring)
 
     def over(m):
-        return ring.matrix_to_json(from_ints(ring, m, stack_dtype(ring, alg.dim)))
+        return from_ints(ring, m, stack_dtype(ring, alg.dim)).tolist()
     doc = {
         "command": "adjoint",
         "system": sysm.name,
@@ -117,6 +119,15 @@ def cmd_adjoint(args) -> int:
 # or root_stack, so a defect planted there shows on every call.
 
 
+def _within_budget(alg, ring, per_root) -> None:
+    """Raise UnsupportedCase over a finite ring whose root_stack, or a suite's
+    largest stack of per_root(ring) matrices a root, passes STACK_BUDGET."""
+    if ring.size and (stack_entries(alg, ring.size) > STACK_BUDGET
+                      or stack_entries(alg, per_root(ring)) > STACK_BUDGET):
+        raise UnsupportedCase(f"ring too large: {ring.descriptor} passes the stack budget "
+                              f"of {STACK_BUDGET} entries")
+
+
 def _tier_stack(alg, ring, params=None):
     """root_stack in its storage tier (see linalg.stack_dtype): float32 over
     Z/n wherever every product of n x n matrices is exact in it."""
@@ -129,15 +140,15 @@ def _law_tables(alg, ring):
     """(pairs, s, t, sum, zero, neg): every (s, t) of ring elements, and the
     root_stack rows of x_root(s), x_root(t) and x_root(s + t) for every root
     and pair, of x_root(0) for every root and of x_root(-t) for every row."""
-    rows = stack_rows(alg, ring)
-    pairs = tuple(itertools.product(ring.elements(), repeat=2))
-    laws = [(root, s, t) for root in alg.system.roots for s, t in pairs]
+    elements = list(ring.elements())
+    pairs = tuple(itertools.product(elements, repeat=2))
+    s, t = np.divmod(np.arange(len(pairs)), ring.size)   # the positions of each pair
+    roots = np.arange(len(alg.system.roots))[:, None]
 
-    def at(keys):
-        return frozen(np.array([rows[key] for key in keys], dtype=np.intp))
-    return (pairs, at((r, s) for r, s, _ in laws), at((r, t) for r, _, t in laws),
-            at((r, ring.add(s, t)) for r, s, t in laws),
-            at((r, ring.zero) for r in alg.system.roots), at((r, ring.neg(t)) for r, t in rows))
+    def at(where):
+        return frozen(stack_row(ring, roots, where).ravel())
+    return (pairs, at(s), at(t), at(positions(ring, [ring.add(*st) for st in pairs])),
+            at(positions(ring, ring.zero)), at(positions(ring, list(map(ring.neg, elements)))))
 
 
 def _suite_laws(system: str, ring_name: str, seed: int):
@@ -145,6 +156,7 @@ def _suite_laws(system: str, ring_name: str, seed: int):
     batched products over one root_stack."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
+    _within_budget(alg, ring, lambda ring: ring.size ** 2)
     stack = _tier_stack(alg, ring)
     pairs, at_s, at_t, at_sum, at_zero, at_neg = _law_tables(alg, ring)
     eye = identity_element(alg, ring).mat
@@ -166,60 +178,62 @@ def _suite_laws(system: str, ring_name: str, seed: int):
 
 @lru_cache(maxsize=None)
 def _eq1_tables(alg, ring):
-    """(keys, units, per root alpha (alpha, h, h_inv, want)): the (beta, t)
-    of the root_stack rows, the units u, the diagonals of h_alpha(u) and
-    h_alpha(u)^-1, u^(+-<beta,alpha>) on the root vectors, one row per u in
-    the stack's storage tier, and the rows of x_beta(u^<beta,alpha> t),
-    u-major, the positions of the row_ops products u^<beta,alpha> t."""
+    """(units, per root alpha (alpha, h, h_inv, want)): the units u, the
+    diagonals of h_alpha(u) and h_alpha(u)^-1, u^(+-<beta,alpha>) on the root
+    vectors, one row per u in the stack's storage tier, and the root_stack
+    rows of x_beta(u^<beta,alpha> t), u-major, the positions of the row_ops
+    products u^<beta,alpha> t."""
     sysm = alg.system
-    scale, elems = row_ops(ring)[0], np.array(list(ring.elements()), dtype=np.int64)
+    scale, elems = row_ops(ring)[0], every_element(ring)
     units, dtype = tuple(ring.units()), stack_dtype(ring, alg.dim, carrier=True)
-    base = np.arange(len(sysm.roots))[:, None] * ring.size
+    roots = np.arange(len(sysm.roots))[:, None]
     tables = []
     for alpha in sysm.roots:
         pairings = [sysm.pairing(beta, alpha) for beta in sysm.roots]
         h, h_inv = (np.array([[ring.power(u, e * p) for p in pairings + [0] * sysm.rank]
                               for u in units], dtype=dtype) for e in (1, -1))
-        want = base + positions(ring, scale(as_exact(h[:, :len(pairings), None]), elems))
+        want = stack_row(ring, roots, positions(ring, scale(as_exact(h[:, :len(pairings), None]),
+                                                            elems)))
         tables.append((alpha, frozen(h), frozen(h_inv), frozen(want.reshape(len(units), -1))))
-    return tuple(stack_rows(alg, ring)), units, tuple(tables)
+    return units, tuple(tables)
 
 
 def _suite_eq1(system: str, ring_name: str, seed: int):
     """h_alpha(u) x_beta(t) h_alpha(u)^-1 = x_beta(u^<beta,alpha> t), per
     alpha one diagonal_sandwich of a root_stack by the diagonals of
     h_alpha(u) for every unit u, against the rows of _eq1_tables."""
-    _, alg = group_for(system)
+    sysm, alg = group_for(system)
     ring = ring_make(ring_name)
+    _within_budget(alg, ring, lambda ring: ring.size * len(ring.units()))
     stack = _tier_stack(alg, ring)
-    keys, units, tables = _eq1_tables(alg, ring)
+    units, tables = _eq1_tables(alg, ring)
     failures = []
     for alpha, h, h_inv, want in tables:
         conj = diagonal_sandwich(ring, h, stack, h_inv)
         held = stack_equal(conj.reshape((want.size,) + stack.shape[1:]), stack[want.ravel()])
         for q in np.flatnonzero(~held):
-            (beta, t), u = keys[q % len(keys)], units[q // len(keys)]
-            failures.append({"check": "torus-conjugation",
-                             "alpha": list(alpha), "beta": list(beta),
-                             "u": ring.element_to_json(u), "t": ring.element_to_json(t)})
-    return len(tables) * len(units) * len(keys), failures
+            u, (beta, t) = q // len(stack), divmod(q % len(stack), ring.size)
+            failures.append({"check": "torus-conjugation", "alpha": list(alpha),
+                             "beta": list(sysm.roots[beta]), "u": ring.element_to_json(units[u]),
+                             "t": ring.element_to_json(every_element(ring)[t])})
+    return len(tables) * len(units) * len(stack), failures
 
 
 @lru_cache(maxsize=None)
 def _weyl_tables(alg, ring):
-    """(at_one, per root alpha (base, i, j, units)): the root_stack rows of
-    x_beta(1) and, for every beta, the base row of x_(s_alpha beta) and the
-    slot (row i, column j, unit) of s_alpha beta read for the sign."""
+    """(at_one, per root alpha (gamma, i, j, units)): the root_stack rows of
+    x_beta(1) and, for every beta, the position of s_alpha beta and its slot
+    (row i, column j, unit) read for the sign."""
     sysm = alg.system
     tables = []
     for alpha in sysm.roots:
         gamma = [sysm.reflect(beta, alpha) for beta in sysm.roots]
         slots = list(map(alg._slot, gamma))
-        base = np.array([sysm.root_index(g) * ring.size for g in gamma], dtype=np.intp)
+        at = np.array(list(map(sysm.root_index, gamma)))
         i, j = (np.array([slot[k] for slot, _ in slots], dtype=np.intp) for k in (0, 1))
         units = from_ints(ring, [u for _, u in slots], np.int64)
-        tables.append(tuple(map(frozen, (base, i, j, units))))
-    at_one = np.arange(len(sysm.roots), dtype=np.intp) * ring.size + positions(ring, ring.one)
+        tables.append(tuple(map(frozen, (at, i, j, units))))
+    at_one = stack_row(ring, np.arange(len(sysm.roots)), positions(ring, ring.one))
     return frozen(at_one), tuple(tables)
 
 
@@ -230,16 +244,16 @@ def _suite_weyl(system: str, ring_name: str, seed: int):
     t = 1, and the rows of x_{s_alpha beta}(sign * t) are row_ops products."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
-    scale, elems = row_ops(ring)[0], list(ring.elements())
-    values = np.array(elems, dtype=np.int64)
+    _within_budget(alg, ring, lambda ring: ring.size)
+    scale, values = row_ops(ring)[0], every_element(ring)
     stack = _tier_stack(alg, ring)
     checks, failures = 0, []
     at_one, tables = _weyl_tables(alg, ring)
     weyls = word_stack(alg, ring, [(("w", alpha, ring.one),) for alpha in sysm.roots])
-    for alpha, w, w_inv, (base, i, j, units) in zip(sysm.roots, *weyls, tables):
+    for alpha, w, w_inv, (gamma, i, j, units) in zip(sysm.roots, *weyls, tables):
         conj = sandwich(ring, w, stack, w_inv)
         sign = scale(as_exact(conj[at_one, i, j]), units)
-        rows = base[:, None] + positions(ring, scale(sign[:, None], values))
+        rows = stack_row(ring, gamma[:, None], positions(ring, scale(sign[:, None], values)))
         held = stack_equal(conj, stack[rows.ravel()]).reshape(len(sign), -1)
         for beta, square, ok in zip(sysm.roots, positions(ring, scale(sign, sign)), held):
             checks += 1
@@ -247,10 +261,10 @@ def _suite_weyl(system: str, ring_name: str, seed: int):
                 failures.append({"check": "weyl-sign-not-unit",
                                  "alpha": list(alpha), "beta": list(beta)})
                 continue
-            checks += len(elems)
+            checks += len(values)
             failures += [{"check": "weyl-conjugation",
                           "alpha": list(alpha), "beta": list(beta),
-                          "t": ring.element_to_json(elems[k])}
+                          "t": ring.element_to_json(values[k])}
                          for k in np.flatnonzero(~ok)]
     return checks, failures
 
@@ -301,6 +315,7 @@ def _suite_commutator(system: str, ring_name: str, seed: int):
     """The commutator formula at every (r, s, t, u), one batch per r."""
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
+    _within_budget(alg, ring, lambda ring: ring.size ** 2)
     params = list(itertools.product(ring.elements(), repeat=2))
     stack = _tier_stack(alg, ring)
     checks, failures = 0, []

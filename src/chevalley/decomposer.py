@@ -26,7 +26,9 @@ waste time but cannot produce a false certificate.  Failures carry the stage
 name and a witness.
 
 Tables are stacks (see linalg), one image per root and ring element in the
-rows of ``group.stack_rows``, built per certify and dropped.  The precheck's
+rows of ``group.stack_row``, built per certify and dropped.  A parameter map
+rho is a read-only int64 position array: rho[linalg.positions(t)] is the
+position of rho(t), per factor and over the whole ring.  The precheck's
 checks, the twist, the residual ring map and the replay are each a few
 batched products on them, and report the first failure an image-by-image
 loop would have met.  Match stays on arrays from the first nullspace to the
@@ -68,9 +70,9 @@ from chevalley.group import (
     group_for,
     identity_element,
     root_stack,
-    stack_rows,
+    stack_entries,
+    stack_row,
     torus_chi,
-    unipotent,
     weyl,
     x_stack,
 )
@@ -153,7 +155,7 @@ class AutomorphismSpec:
             "ring": self.ring,
             "images": [
                 {"root": list(root), "param": ring.element_to_json(t),
-                 "matrix": ring.matrix_to_json(m)}
+                 "matrix": m.tolist()}
                 for (root, t), m in self.images
             ],
         }
@@ -274,7 +276,7 @@ def _precheck_plan(alg: AdjointAlgebra, ring: Ring):
     rows of every root at it (a column) and every element's coefficient on it
     (a row).  laws are the (root, s, t) of the one-parameter law over the
     spanning parameters, law_rows the key rows of (root, s) and (root, t) and
-    the stack_rows row of (root, s + t).  pairs are the commutator pairs
+    the stack_row of (root, s + t).  pairs are the commutator pairs
     (r, s, coeffs) with r != -s, and commutator their commutator_rows at
     t = u = 1."""
     sysm, span = alg.system, spanning_params(ring)
@@ -285,9 +287,10 @@ def _precheck_plan(alg: AdjointAlgebra, ring: Ring):
     layers = tuple((frozen(column + span.index(g)), frozen(np.asarray(c)[None]))
                    for g, c in ring.additive_coords(every_element(ring).T))
     laws = tuple((root, s, t) for root in sysm.roots for s, t in itertools.product(span, repeat=2))
-    rows = stack_rows(alg, ring)
     law_rows = tuple(frozen(np.array(x)) for x in zip(*(
-        (at[(root, s)], at[(root, t)], rows[(root, ring.add(s, t))]) for root, s, t in laws)))
+        (at[(root, s)], at[(root, t)], stack_row(ring, sysm.root_index(root),
+                                                 positions(ring, ring.add(s, t))))
+        for root, s, t in laws)))
     pairs = tuple((r, s, chain_coefficients(alg, r, s))
                   for r, s in itertools.permutations(sysm.roots, 2) if r != sysm.negate(s))
     commutator = tuple(map(frozen, commutator_rows(alg, ring, pairs, [(ring.one, ring.one)])))
@@ -309,7 +312,7 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
 
     Returns the extended table: a stack of arrays of elements (see
     ``linalg.stack_mul``) with the image of x_root(t) for every root and
-    every t in the ring, in the rows of ``group.stack_rows``.  Raises
+    every t in the ring, in the rows of ``group.stack_row``.  Raises
     CertifyError("precheck", ...) on any violation, first of all when that
     table would pass STACK_BUDGET entries.  Only matrices are built:
     no check reads an inverse.  Every check runs on all images at once and
@@ -322,7 +325,7 @@ def precheck(spec: AutomorphismSpec, alg: Optional[AdjointAlgebra] = None):
     if not getattr(ring, "size", None):
         raise CertifyError("precheck", "decomposition needs a finite ring, "
                            f"got {spec.ring}")
-    entries = len(sysm.roots) * ring.size * alg.dim ** 2
+    entries = stack_entries(alg, ring.size)
     if entries > STACK_BUDGET:
         raise CertifyError("precheck", "ring too large: its tables pass the entry budget",
                            {"entries": entries, "budget": STACK_BUDGET})
@@ -670,31 +673,31 @@ def _twist_table(alg, ring, table, gd):
 
 
 def _residual_rho(alg: AdjointAlgebra, ring: Ring, conj: GroupElement, table, units):
-    """Parameter map of the residual, or an error detail dict.
+    """Parameter map of the residual, a position array, or an error detail dict.
 
     The residuals conj^-1 m conj of every image of the table are two batched
     products; each must be the root element of ``units`` (a root_stack) at
     the parameter read off its slot by row_ops, its own position over a local
     ring.  The first failure is reported in (t, root) order.
     """
-    sysm, size, n = alg.system, ring.size, alg.dim
-    resid = sandwich(ring, conj.inv_mat, table, conj.mat).reshape(-1, size, n, n)
+    sysm, n = alg.system, alg.dim
+    resid = sandwich(ring, conj.inv_mat, table, conj.mat).reshape(-1, ring.size, n, n)
     slots, scalars = zip(*map(alg._slot, sysm.roots))
     (i, j), q = np.array(slots).T, np.arange(len(sysm.roots))
     params = row_ops(ring)[0](resid[q, :, i, j], from_ints(ring, scalars, np.int64)[:, None])
-    is_root = (resid == units[q[:, None] * size + params]).all(axis=(2, 3))
+    is_root = (resid == units[stack_row(ring, q[:, None], params)]).all(axis=(2, 3))
     bad = ~is_root | (params != params[0])
     if bad.any():
         t, r = divmod(int(np.argmax(bad.T)), len(sysm.roots))
         return None, {"reason": "parameter image differs across roots" if is_root[r, t]
                       else "residual is not a root element",
                       "key": _key_json(ring, (sysm.roots[r], t))}
-    rho = dict(enumerate(params[0].tolist()))
+    rho = frozen(params[0].astype(np.int64))
     if rho[ring.one] != ring.one:
         return None, {"reason": "residual moves the unit parameter"}
     if not is_ring_automorphism(ring, rho):
         return None, {"reason": "parameter map is not a ring automorphism"}
-    return tuple(rho.items()), None
+    return rho, None
 
 
 def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
@@ -707,7 +710,7 @@ def _match_local(alg: AdjointAlgebra, ring: Ring, table, problem_tag, units):
     are the basis rows that pass the unit pivot test, in basis order.
     """
     sysm = alg.system
-    at_one = np.arange(len(sysm.roots)) * ring.size + positions(ring, ring.one)
+    at_one = stack_row(ring, np.arange(len(sysm.roots)), positions(ring, ring.one))
     deepest = CertifyError("match", "no diagram symmetry admits a strictly "
                            "inner intertwiner", {"factor": problem_tag})
     for delta in diagram_symmetries(sysm):
@@ -740,7 +743,7 @@ class FactorCertificate:
     target_idempotent: object
     delta: Tuple[int, ...]
     conjugator_word: Tuple
-    rho: Tuple[Tuple[object, object], ...]
+    rho: np.ndarray            # a position array over the local ring
 
 
 @dataclass(eq=False)
@@ -756,11 +759,8 @@ class Certificate:
     lambda_inv: np.ndarray
     conjugator: np.ndarray
     conjugator_inv: np.ndarray
-    rho: Tuple[Tuple[object, object], ...]
+    rho: np.ndarray
     report: dict
-
-    def rho_map(self) -> dict:
-        return dict(self.rho)
 
     def _compose(self, ring: Ring, stack):
         """(lambda C) m (C^-1 lambda^-1) for every matrix m of a stack, the two
@@ -771,7 +771,8 @@ class Certificate:
     def apply(self, alg: AdjointAlgebra, ring: Ring, root: Root, t) -> tuple:
         """The image of x_root(t) under the certified standard automorphism, as
         the tuple of row tuples ``Ring.element_from_json`` reads a spec's into."""
-        rows = self._compose(ring, unipotent(alg, ring, root, self.rho_map()[t]).mat).tolist()
+        image = every_element(ring)[self.rho[positions(ring, t)]]
+        rows = self._compose(ring, x_stack(alg, ring, [(root, image)])[0]).tolist()
         if isinstance(ring, ProductRing):
             return tuple(tuple(map(tuple, row)) for row in rows)
         return tuple(map(tuple, rows))
@@ -781,13 +782,14 @@ class Certificate:
         generator, composed over ``units``, the ring's root_stack, at once.
         Returns the number of images replayed, or raises at the first
         mismatch in (root, t) order."""
-        rows, rho = stack_rows(alg, ring), self.rho_map()
-        inner = units[[rows[(root, rho[t])] for root, t in rows]]
+        roots = alg.system.roots
+        inner = units[stack_row(ring, np.arange(len(roots))[:, None], self.rho).ravel()]
         held = stack_equal(self._compose(ring, inner), table)
         if not held.all():
+            r, t = divmod(int(np.argmin(held)), ring.size)
             raise CertifyError("replay", "assembled automorphism does not "
                                "reproduce an image",
-                               {"key": _key_json(ring, list(rows)[int(np.argmin(held))])})
+                               {"key": _key_json(ring, (roots[r], every_element(ring)[t]))})
         return len(held)
 
     def to_json(self) -> dict:
@@ -802,21 +804,28 @@ class Certificate:
                 "delta": list(fc.delta),
                 "conjugator_word": [_token_json(fring, tok)
                                     for tok in fc.conjugator_word],
-                "rho": fring.matrix_to_json(fc.rho),
+                "rho": _rho_json(fring, fc.rho),
             })
         return {
             "system": self.system,
             "ring": self.ring,
             "factors": factors,
             "global": {
-                "lambda": ring.matrix_to_json(self.lambda_mat),
-                "lambda_inv": ring.matrix_to_json(self.lambda_inv),
-                "conjugator": ring.matrix_to_json(self.conjugator),
-                "conjugator_inv": ring.matrix_to_json(self.conjugator_inv),
-                "rho": ring.matrix_to_json(self.rho),
+                "lambda": self.lambda_mat.tolist(),
+                "lambda_inv": self.lambda_inv.tolist(),
+                "conjugator": self.conjugator.tolist(),
+                "conjugator_inv": self.conjugator_inv.tolist(),
+                "rho": _rho_json(ring, self.rho),
             },
             "report": self.report,
         }
+
+
+def _rho_json(ring: Ring, rho) -> list:
+    """A position array as the [t, rho(t)] pair of every element, in
+    ring.elements() order."""
+    every = every_element(ring)
+    return np.stack([every, every[rho]], axis=1).tolist()
 
 
 def _token_json(ring: Ring, token) -> list:
@@ -839,16 +848,16 @@ def certify(spec: AutomorphismSpec) -> Certificate:
                                                problem.index, units)))
 
     # reassemble over the whole ring through the idempotents; factor data is
-    # found at its source, placed at its target's slot
-    split = crt_split(ring)
-    factors = split.factors
+    # found at its source, placed at its target's slot; rho(t) is the lift
+    # of the factors' images of its projections, one gather
+    factors, project, lift = crt_tables(ring)
     by_target = sorted(matched, key=lambda found: found[0].target)
     lam, lam_inv, conj, conj_inv = (frozen(crt_combine(ring, parts)) for parts in zip(*(
         graph_data(alg, delta).matrices(problem.ring) + (c.mat, c.inv_mat)
         for problem, delta, c, _ in by_target)))
-    rho_locals = [(factors[problem.index], dict(r)) for problem, _, _, r in by_target]
-    rho = tuple((t, split.from_factors([r[lf.project(t)] for lf, r in rho_locals]))
-                for t in ring.elements())
+    rho = frozen(positions(ring, lift[np.ravel_multi_index(
+        [r[project[problem.index]] for problem, _, _, r in by_target],
+        [lf.ring.size for lf in factors])]))
     cert = Certificate(spec.system, spec.ring, tuple(
         FactorCertificate(problem.ring.descriptor, factors[problem.index].idempotent,
                           factors[problem.target].idempotent, delta.perm, c.word, r)
@@ -889,22 +898,25 @@ def forge_random_parts(system: str, ring_name: str, seed: int):
 
 def forge_parts(system: str, ring: Ring, deltas, rho, g):
     """The spec of lambda g x_root(rho t) g^-1 lambda^-1 at the spanning
-    parameters, lambda from one diagram symmetry per local factor, plus the
-    planted components."""
+    parameters, lambda from one diagram symmetry per local factor and rho a
+    position array, plus the planted components, their rho as (t, rho(t))
+    pairs."""
     sysm, alg = group_for(system)
     lam, lam_inv = (frozen(crt_combine(ring, parts)) for parts in zip(*(
         graph_data(alg, delta).matrices(lf.ring)
         for lf, delta in zip(crt_tables(ring)[0], deltas))))
-    keys = list(itertools.product(sysm.roots, spanning_params(ring)))
+    span, every = spanning_params(ring), every_element(ring)
+    keys = list(itertools.product(sysm.roots, span))
+    moved = every[rho[positions(ring, span)]]
     images = sandwich(ring, stack_mul(ring, lam, g.mat),
-                      x_stack(alg, ring, [(root, rho(t)) for root, t in keys]),
+                      x_stack(alg, ring, [(root, t) for root in sysm.roots for t in moved]),
                       stack_mul(ring, g.inv_mat, lam_inv))
     spec = spec_from_elements(system, ring, dict(zip(keys, images)))
     planted = {
         "lambda": lam,
         "lambda_inv": lam_inv,
         "conjugator": g,
-        "rho": tuple((t, rho(t)) for t in ring.elements()),
+        "rho": tuple(zip(every, every[rho])),
         "deltas": tuple(d.perm for d in deltas),
     }
     return spec, planted

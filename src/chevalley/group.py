@@ -23,17 +23,17 @@ x_root(t) is 1 + sum_k t^k D_k, D_k = X^k / k! for X = ad e_root (Steinberg,
 Lectures on Chevalley Groups, 1967, section 3).  D_k moves weight mu to
 mu + k root and basis vectors have weight a root or 0, so entry (i, j) is
 nonzero in at most one D_k, never on the diagonal: it is one term c t^k,
-k <= 3.  x_stack, the one builder of x_root(t), gathers any set of them from a
-per-algebra int8 pattern and a table of c t^k, over every element of a finite
-ring once per (algebra, ring), over Z (or a ring past STACK_BUDGET) over the
-parameters asked for.
+k <= 3.  _x_gather, the one builder of x_root(t) (x_stack's for (root, t) keys,
+root_stack's at root positions), gathers any set of them from a per-algebra
+int8 pattern and a table of c t^k, over every element of a finite ring once
+per (algebra, ring), over Z (or a ring past STACK_BUDGET) over the parameters
+asked for.
 The chain constants of the commutator formula come in closed form from the
 structure constants (Carter, Simple Groups of Lie Type, 5.2), once per
 (algebra, r, s), shared read-only by the precheck and the verify suites.
 
-root_stack holds x_root(t) for every root and every element of a finite ring
-(or every t of given parameters) as one stack (see linalg), root-major, in
-the rows of stack_rows; certify and every verify suite read it.
+root_stack holds x_root(t) for every root and element of a finite ring (or
+given t), root-major, x_root(t) at row stack_row: root position * |R| + position of t.
 commutator_pattern_holds is the one check of the commutator formula: for
 root pairs times parameters (t, u) it reads x_r and x_s at (t, u) and (-t, -u)
 and every chain factor from such a stack at rows computed by row_ops.  The
@@ -62,9 +62,14 @@ from chevalley.roots import Root
 Token = Tuple
 
 # the entries |Phi| |R| n^2 of one root_stack, the size of every table certify
-# builds: the precheck refuses a ring past it before building anything that
-# size, and x_stack tables every element of a finite ring only within it
+# builds: the precheck and the verify suites refuse a ring past it before
+# building, and x_stack tables every element of a finite ring only within it
 STACK_BUDGET = 1 << 22
+
+
+def stack_entries(alg: AdjointAlgebra, per_root: int) -> int:
+    """The entries of a stack of per_root n x n matrices for every root."""
+    return len(alg.system.roots) * per_root * alg.dim ** 2
 
 
 @dataclass(frozen=True)
@@ -126,17 +131,22 @@ def _x_table(alg: AdjointAlgebra, ring: Ring):
 
 def x_stack(alg: AdjointAlgebra, ring: Ring, keys):
     """x_root(t) for every (root, t) of keys, in their order, as one stack
-    (see linalg.stack_mul), exact Python ints in an object array over Z: one
-    gather of every entry's pattern cell from the row of t in _x_table, or
-    over Z and over a ring whose root_stack passes STACK_BUDGET, rings too
-    large to table whole, in the _x_columns of the parameters asked for."""
+    (see linalg.stack_mul), exact Python ints in an object array over Z."""
     roots, params = zip(*keys)
-    t = np.array(params, dtype=stack_dtype(ring, alg.dim))
-    if ring.size and len(alg.system.roots) * ring.size * alg.dim ** 2 <= STACK_BUDGET:
+    return _x_gather(alg, ring, list(map(alg.system.root_index, roots)), params)
+
+
+def _x_gather(alg: AdjointAlgebra, ring: Ring, at_root, params):
+    """x_root(t) for the root at each position of at_root and the element t
+    of params beside it: one gather of every entry's pattern cell from the
+    row of t in _x_table, or over Z and over a ring whose root_stack passes
+    STACK_BUDGET in the _x_columns of the parameters asked for."""
+    t = np.asarray(params, dtype=stack_dtype(ring, alg.dim))
+    if ring.size and stack_entries(alg, ring.size) <= STACK_BUDGET:
         table, at = _x_table(alg, ring), positions(ring, t)
     else:
         table, at = _x_columns(alg, ring, t), np.arange(len(t))
-    return table[at[:, None, None], _x_pattern(alg)[0][list(map(alg.system.root_index, roots))]]
+    return table[at[:, None, None], _x_pattern(alg)[0][at_root]]
 
 
 def unipotent(alg: AdjointAlgebra, ring: Ring, root: Root, t) -> GroupElement:
@@ -262,47 +272,46 @@ def chain_coefficients(alg: AdjointAlgebra, r: Root, s: Root) -> Mapping[Tuple[i
     return MappingProxyType(out)
 
 
-@lru_cache(maxsize=None)
-def stack_rows(alg: AdjointAlgebra, ring: Ring) -> Mapping[Tuple[Root, object], int]:
-    """(root, t) -> row, for stacks of one matrix per root and element of a
-    finite ring: root-major, the elements in ring.elements() order; read-only,
-    once per (algebra, ring)."""
-    keys = itertools.product(alg.system.roots, ring.elements())
-    return MappingProxyType(dict(zip(keys, itertools.count())))
+def stack_row(ring: Ring, root, t):
+    """The row of x_root(t) in a root_stack of every element of a finite
+    ring, from the position of the root in the system and the position of t
+    (linalg.positions), numpy-broadcast over arrays of either."""
+    return np.asarray(root) * ring.size + t
 
 
 def root_stack(alg: AdjointAlgebra, ring: Ring, params=None):
     """The matrix of x_root(t) for every root and every t of ``params``, by
-    default every element of a finite ring, as one x_stack, root-major: by
-    default in the row order of stack_rows, and at params = (ring.one,) one
-    row per root."""
-    params = tuple(ring.elements() if params is None else params)
-    return x_stack(alg, ring, itertools.product(alg.system.roots, params))
+    default every element of a finite ring, as one gather, root-major: by
+    default in the rows of stack_row, and at params = (ring.one,) one row per
+    root."""
+    nroots, dtype = len(alg.system.roots), stack_dtype(ring, alg.dim)
+    t = every_element(ring) if params is None else np.array(params, dtype=dtype)
+    return _x_gather(alg, ring, np.repeat(np.arange(nroots), len(t)), np.concatenate([t] * nroots))
 
 
 def commutator_rows(alg: AdjointAlgebra, ring: Ring, pairs, params):
-    """(sides, opposite, factors, lengths): the stack_rows commutator_pattern_holds
+    """(sides, opposite, factors, lengths): the stack rows commutator_pattern_holds
     reads, as arrays: sides[q] those of x_r(t), x_s(u) of pair q over params and
     then the (-t, -u) they lack, opposite[k] the column of the k-th (-t, -u), then
     the chain factors over params pair by pair in coeffs order, lengths[q] of them
-    for pair q (x_r(0) for none).  Each is the row of x_root(C t^i u^j), root
-    position * |R| + linalg.positions of C t^i u^j from row_ops."""
+    for pair q (x_r(0) for none).  Each is the stack_row of x_root(C t^i u^j),
+    at the linalg.positions of C t^i u^j from row_ops."""
     column = {tu: k for k, tu in enumerate(params)}
     minus = [(ring.neg(t), ring.neg(u)) for t, u in params]
     column.update((tu, len(column)) for tu in minus if tu not in column)
     scale, tu = row_ops(ring)[0], np.array(list(column), dtype=np.int64)   # (t, u) on axis 1
     square = scale(tu, tu)
     powers = np.stack([tu ** 0, tu, square, scale(square, tu)])   # t^i and u^i
-    base = {r: ring.size * k for k, r in enumerate(alg.system.roots)}
-    sides = [(base[x], 1, 1 - k, k) for r, s, _ in pairs   # (base row, C, i, j)
+    at = alg.system.root_index
+    sides = [(at(x), 1, 1 - k, k) for r, s, _ in pairs   # (root position, C, i, j)
              for k, x in enumerate((r, s))]
-    chains = [[(base[tuple(i * a + j * b for a, b in zip(r, s))], c, i, j)
-               for (i, j), c in coeffs.items()] or [(base[r], 0, 0, 0)]
+    chains = [[(at(tuple(i * a + j * b for a, b in zip(r, s))), c, i, j)
+               for (i, j), c in coeffs.items()] or [(at(r), 0, 0, 0)]
               for r, s, coeffs in pairs]
     flat = itertools.chain.from_iterable(itertools.chain(sides, *chains))
     g, c, i, j = np.fromiter(flat, dtype=np.int64).reshape(-1, 4).T
     value = scale(scale(powers[i, :, 0], powers[j, :, 1]), from_ints(ring, c, np.int64)[:, None])
-    rows = g[:, None] + positions(ring, value)
+    rows = stack_row(ring, g[:, None], positions(ring, value))
     return (rows[:len(sides)].reshape(len(pairs), 2, -1), np.array([column[m] for m in minus]),
             rows[len(sides):, :len(params)], np.array(list(map(len, chains))))
 
@@ -313,7 +322,7 @@ def commutator_pattern_holds(ring: Ring, stack, rows) -> np.ndarray:
     the commutator_rows(alg, ring, pairs, params) given as ``rows``.
 
     ``stack`` holds x_root(t) for every root and element in the rows of
-    stack_rows (see ``linalg.stack_mul``), read at those rows, in any
+    stack_row (see ``linalg.stack_mul``), read at those rows, in any
     storage tier: the chains stay in the stack's dtype.  The left sides
     P(t, u) P(-t, -u), P(t, u) = x_r(t) x_s(u), are two batched products, the
     right sides of all chains of one length one batched product per factor

@@ -92,6 +92,8 @@ def every_element(ring: Ring):
     """Every element of a finite ring as one int64 array, in ring.elements()
     order, the inverse of ``positions``: over a product ring the factors'
     values on the last axis."""
+    if not ring.size:
+        raise RingError(f"{ring.descriptor} is not finite")
     every = np.arange(ring.size)
     if isinstance(ring, ProductRing):
         return np.stack(np.unravel_index(every, [f.size for f in ring.factors]), axis=-1)

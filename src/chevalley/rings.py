@@ -181,12 +181,6 @@ class Ring:
             return list(a)
         return a.tolist() if isinstance(a, (np.ndarray, np.generic)) else a
 
-    def matrix_to_json(self, rows) -> list:
-        """Rows of elements, a matrix (an array) or a table of pairs, as JSON lists."""
-        if isinstance(rows, np.ndarray):
-            return rows.tolist()
-        return [[self.element_to_json(v) for v in row] for row in rows]
-
     def element_from_json(self, data):
         if isinstance(data, list):
             return tuple(self.factors[i].element_from_json(v) for i, v in enumerate(data))
@@ -522,37 +516,10 @@ def crt_split(ring: Ring) -> CrtSplit:
 # ring automorphisms
 
 
-@dataclass(frozen=True)
-class RingAut:
-    ring: Ring
-    table: tuple  # pairs (x, image) sorted, the full graph of the map
-    name: str
-
-    def __call__(self, x):
-        if not self.table:
-            # empty table marks the identity on an infinite ring
-            return x
-        m = self.__dict__.get("_map")
-        if m is None:
-            m = dict(self.table)
-            object.__setattr__(self, "_map", m)
-        return m[x]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(x == y for x, y in self.table)
-
-    def same_map(self, other: "RingAut") -> bool:
-        return self.table == other.table
-
-
-def _aut_from_fn(ring: Ring, fn, name: str) -> RingAut:
-    pairs = tuple(sorted((x, fn(x)) for x in ring.elements()))
-    return RingAut(ring, pairs, name)
-
-
-def is_ring_automorphism(ring: Ring, table: dict) -> bool:
-    """Whether a parameter table is one of ring_automorphisms(ring).
+def is_ring_automorphism(ring: Ring, rho) -> bool:
+    """Whether a parameter map, as a position array (rho[i] the position of
+    the image of the element at position i, see linalg.positions), is one of
+    ring_automorphisms(ring).
 
     Called on local factors only, Z/p^k and GF(p^k), where that enumeration
     is complete: a ring map of Z/p^k fixes 1 and so everything, and the
@@ -561,42 +528,36 @@ def is_ring_automorphism(ring: Ring, table: dict) -> bool:
     """
     if not ring.is_local:
         raise RingError(f"{ring.descriptor} is not a local ring")
-    return tuple(sorted(table.items())) in [aut.table for aut in ring_automorphisms(ring)]
+    return any(np.array_equal(rho, aut) for aut in ring_automorphisms(ring))
 
 
 @lru_cache(maxsize=None)
-def ring_automorphisms(ring: Ring) -> tuple[RingAut, ...]:
-    """All ring automorphisms; identity first, order deterministic; once per
-    ring handle."""
-    if isinstance(ring, ZRing):
-        return (RingAut(ring, (), "id"),)
+def ring_automorphisms(ring: Ring) -> tuple:
+    """All ring automorphisms of a finite ring as read-only int64 position
+    arrays (see is_ring_automorphism), identity first: over GF(p^k) the
+    Frobenius powers in order, over a product by their images; once per ring
+    handle."""
     if isinstance(ring, ZMod):
-        return (_aut_from_fn(ring, lambda x: x, "id"),)
-    if isinstance(ring, FieldTable):
-        out = []
-        for i in range(ring.k):
-            out.append(_aut_from_fn(ring, lambda x, i=i: ring.power(x, ring.p ** i),
-                                    "id" if i == 0 else f"frob^{i}"))
-        return tuple(out)
-    if isinstance(ring, ProductRing):
-        per_factor = [ring_automorphisms(f) for f in ring.factors]
-        m = len(ring.factors)
-        out = []
-        for perm in itertools.permutations(range(m)):
-            if any(ring.factors[perm[i]].descriptor != ring.factors[i].descriptor
-                   for i in range(m)):
+        out = [np.arange(ring.n)]
+    elif isinstance(ring, FieldTable):
+        out = [np.array([ring.power(x, ring.p ** i) for x in ring.elements()])
+               for i in range(ring.k)]
+    elif isinstance(ring, ProductRing):
+        # factor j of the image of an element is its factor perm[j] moved by combo[j]
+        sizes = [f.size for f in ring.factors]
+        digits = np.unravel_index(np.arange(ring.size), sizes)
+        found = {}
+        for perm in itertools.permutations(range(len(sizes))):
+            if any(ring.factors[k].descriptor != f.descriptor for k, f in zip(perm, ring.factors)):
                 continue
-            for combo in itertools.product(*per_factor):
-                def fn(x, perm=perm, combo=combo):
-                    # factor j of the image comes from factor perm^-1(j)... with
-                    # equal descriptors we can read it as x[perm[j]] twisted.
-                    return tuple(combo[j](x[perm[j]]) for j in range(m))
-                name = f"perm{perm}+" + ",".join(c.name for c in combo)
-                out.append(_aut_from_fn(ring, fn, name))
-        dedup: list[RingAut] = []
-        for aut in out:
-            if not any(aut.same_map(o) for o in dedup):
-                dedup.append(aut)
-        dedup.sort(key=lambda a: (not a.is_identity, a.table))
-        return tuple(dedup)
-    raise RingError(f"no automorphism enumeration for {ring.descriptor}")
+            for combo in itertools.product(*map(ring_automorphisms, ring.factors)):
+                image = np.ravel_multi_index(
+                    [aut[digits[k]] for k, aut in zip(perm, combo)], sizes)
+                found.setdefault(image.tobytes(), image)
+        identity = np.arange(ring.size)
+        out = sorted(found.values(), key=lambda a: (not np.array_equal(a, identity), a.tolist()))
+    else:
+        raise RingError(f"no automorphism enumeration for {ring.descriptor}")
+    for aut in out:
+        aut.flags.writeable = False
+    return tuple(out)

@@ -9,7 +9,9 @@ Each one is a slow or independent construction of something the library
 computes another way: the localization of Z/n at a prime (for crt_split),
 the ring axioms checked on all pairs (for is_ring_automorphism, a lookup in
 the enumeration), the additive order by repeated addition (for
-Ring.additive_order, in closed form),
+Ring.additive_order, in closed form), parameter maps and stack rows as
+dicts and the global rho one element at a time through from_factors (for
+the position arrays of rho, ``group.stack_row`` and certify's one gather),
 the (l+1) by (l+1) model of the A series (for the bracket table), linear
 combinations of the adjoint basis matrices and the bracket of two elements
 read from the table alone (for the matrices and the Jacobi checks), the
@@ -66,6 +68,7 @@ from chevalley.rings import (
     Ring,
     RingError,
     ZMod,
+    crt_split,
     ring_make,
 )
 from chevalley.roots import Root, RootSystem, build_root_system
@@ -167,6 +170,44 @@ def is_ring_automorphism_loop(ring: Ring, table: dict) -> bool:
             if table[ring.mul(a, b)] != ring.mul(table[a], table[b]):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# parameter maps and stack rows as dicts, and the global rho element by element
+
+
+def rho_table(ring: Ring, rho) -> dict:
+    """A position array rho (``rho[i]`` the position of the image of the
+    element at position i) as the dict t -> rho(t) over ring.elements()."""
+    elements = list(ring.elements())
+    return {t: elements[i] for t, i in zip(elements, np.asarray(rho).tolist())}
+
+
+def rho_array(ring: Ring, pairs):
+    """The images of (t, rho(t)) pairs, the t in ring.elements() order (or a
+    first run of them, for a partial table), as a position array."""
+    return linalg.positions(ring, [image for _, image in pairs])
+
+
+@lru_cache(maxsize=None)
+def stack_rows(alg: AdjointAlgebra, ring: Ring) -> dict:
+    """(root, t) -> row of a root_stack, root-major, the elements in
+    ring.elements() order: ``group.stack_row`` as a dict."""
+    return dict(zip(itertools.product(alg.system.roots, ring.elements()), itertools.count()))
+
+
+def global_rho_loop(ring: Ring, cert) -> np.ndarray:
+    """The global rho of a certificate from its factors' maps, t by t through
+    CrtSplit.from_factors: each factor's map, found at its source idempotent,
+    moves the source's projection of t into its target's slot (the loop
+    ``certify`` ran before its one gather through ``crt_tables``)."""
+    split = crt_split(ring)
+    at = {lf.idempotent: k for k, lf in enumerate(split.factors)}
+    slots = sorted((at[fc.target_idempotent], at[fc.source_idempotent],
+                    rho_table(ring_make(fc.ring), fc.rho)) for fc in cert.factors)
+    images = [split.from_factors([r[split.factors[j].project(t)] for _, j, r in slots])
+              for t in ring.elements()]
+    return linalg.positions(ring, images)
 
 
 # --------------------------------------------------------------------------
@@ -647,12 +688,13 @@ def residual_rho_loop(alg: AdjointAlgebra, ring: Ring, conj, table):
         return None, {"reason": "residual moves the unit parameter"}
     if not is_ring_automorphism_loop(ring, rho):
         return None, {"reason": "parameter map is not a ring automorphism"}
-    return tuple(rho.items()), None
+    return rho_array(ring, rho.items()), None
 
 
 def replay_loop(alg: AdjointAlgebra, ring: Ring, table, left, right, rho) -> int:
     """The replay of ``Certificate.replay`` one image at a time, on a dict
-    table: every image must be left x_root(rho t) right."""
+    table and a dict rho (``rho_table``): every image must be left
+    x_root(rho t) right."""
     sysm = alg.system
     replayed = 0
     for root in sysm.roots:

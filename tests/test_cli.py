@@ -74,6 +74,32 @@ def test_verify_recover_unsupported_combination_exits_2(tmp_path, capsys):
     assert "B2" in capsys.readouterr().err
 
 
+# A2: 6 roots, 8 x 8 matrices, so 4,194,304 entries are 10,922 matrices a root
+@pytest.mark.parametrize("suite,ring", [
+    ("laws", "Z/3001"), ("laws", "Z/105"), ("commutator", "Z/1009"), ("commutator", "Z/105"),
+    ("eq1", "Z/127"), ("weyl", "Z/10923")])
+def test_verify_refuses_a_ring_past_the_stack_budget(monkeypatch, tmp_path, capsys, suite, ring):
+    # laws and commutator count |R|^2 matrices a root, eq1 |units| |R| and
+    # weyl |R|; an explicitly requested case past the budget exits 2 before
+    # any stack is built
+    built = []
+    monkeypatch.setattr(cli, "root_stack", lambda *args: built.append(args))
+    out = tmp_path / "never.json"
+    code = main(["verify", suite, "--system", "A2", "--ring", ring, "--out", str(out)])
+    assert (code, out.exists(), built) == (2, False, [])
+    assert "ring too large" in capsys.readouterr().err
+
+
+def test_stack_budget_admits_the_rings_just_inside_it():
+    _, alg = group_for("A2")
+    laws, eq1 = (lambda ring: ring.size ** 2), (lambda ring: ring.size * len(ring.units()))
+    for ring, per_root in (("Z/104", laws), ("Z/101", eq1), ("Z/10922", lambda ring: ring.size)):
+        cli._within_budget(alg, cli.ring_make(ring), per_root)
+    for ring, per_root in (("Z/105", laws), ("Z/127", eq1), ("Z/10923", eq1)):
+        with pytest.raises(cli.UnsupportedCase, match="ring too large"):
+            cli._within_budget(alg, cli.ring_make(ring), per_root)
+
+
 def test_forge_then_decompose_round_trip(tmp_path):
     spec_file = tmp_path / "spec.json"
     cert_file = tmp_path / "cert.json"
@@ -235,23 +261,24 @@ def test_verify_recover_off_the_default_matrix_matches_golden_hash(ring, capsys)
 def corrupt_x_root(monkeypatch):
     """x_r(1) for the first simple root r, over every finite ring, with 1
     added to its (0, 0) entry; r is (1, 0) in rank 2 and (1, 0, 0) in A3.
-    The defect sits in group.x_stack, the one builder of x_root(t), so every
-    key (r, 1) it is asked for carries it: in root_stack, in the x factors of
-    the w tokens of word_stack, and in the inverse key (r, -t) where -t = 1.
-    Z is spared, so the defect sits only in the finite rings the suites run
-    over; no suite builds x_r(t) over Z (the chain constants come from the
-    structure constants), so sparing it moves no recorded count."""
-    clean = group.x_stack
+    The defect sits in group._x_gather, the one builder of x_root(t) that
+    x_stack and root_stack both call, so every (r, 1) it is asked for
+    carries it: in root_stack, in the x factors of the w tokens of
+    word_stack, and in the inverse key (r, -t) where -t = 1.  Z is spared,
+    so the defect sits only in the finite rings the suites run over; no
+    suite builds x_r(t) over Z (the chain constants come from the structure
+    constants), so sparing it moves no recorded count."""
+    clean = group._x_gather
 
-    def corrupted(alg, ring, keys):
-        keys = list(keys)
-        out = clean(alg, ring, keys)
+    def corrupted(alg, ring, at_root, params):
+        out = clean(alg, ring, at_root, params)
         if ring.descriptor != "Z":
-            for q, (root, t) in enumerate(keys):
-                if root == alg.system.simple(0) and t == ring.one:
-                    out[q, 0, 0] = ring.add(tuples(out[q])[0][0], ring.one)
+            hit = ((np.asarray(at_root) == alg.system.root_index(alg.system.simple(0)))
+                   & (linalg.positions(ring, params) == linalg.positions(ring, ring.one)))
+            for q in np.flatnonzero(hit):
+                out[q, 0, 0] = ring.add(tuples(out[q])[0][0], ring.one)
         return out
-    monkeypatch.setattr(group, "x_stack", corrupted)
+    monkeypatch.setattr(group, "_x_gather", corrupted)
 
 
 def wrong_chain_coefficient(monkeypatch):

@@ -16,6 +16,7 @@ from chevalley.decomposer import (
     Certificate,
     CertifyError,
     certify,
+    forge_parts,
     forge_random,
     forge_random_parts,
     spanning_params,
@@ -23,12 +24,13 @@ from chevalley.decomposer import (
     spec_from_json,
     strictly_inner_element,
 )
-from chevalley.group import from_word, group_for, root_stack, stack_rows, torus_chi, unipotent
+from chevalley.group import from_word, group_for, root_stack, torus_chi, unipotent
 from chevalley.linalg import stack_dtype
-from chevalley.rings import ProductRing, ring_automorphisms, ring_make
+from chevalley.rings import ProductRing, crt_split, ring_automorphisms, ring_make
 from chevalley.roots import diagram_symmetries
 from oracles import (
     conjugate,
+    global_rho_loop,
     identity,
     is_identity,
     local_diag,
@@ -39,7 +41,10 @@ from oracles import (
     precheck_loop,
     replay_loop,
     residual_rho_loop,
+    rho_array,
+    rho_table,
     ring_invert,
+    stack_rows,
     strictly_inner_loop,
     tuples,
 )
@@ -61,10 +66,11 @@ def honest_table(system, ring):
 
 
 def standard_image(alg, ring, m, delta=None, g=None, rho=None):
-    """L (g rho(m) g^-1) L^-1 on one matrix: rho entrywise, then conjugation
-    by the group element g, then by the graph matrix L of delta."""
+    """L (g rho(m) g^-1) L^-1 on one matrix: rho (a position array)
+    entrywise, then conjugation by the group element g, then by the graph
+    matrix L of delta."""
     if rho is not None:
-        m = tuple(tuple(map(rho, row)) for row in tuples(m))
+        m = tuple(tuple(map(rho_table(ring, rho).__getitem__, row)) for row in tuples(m))
     if g is not None:
         m = mat_mul(ring, mat_mul(ring, g.mat, m), g.inv_mat)
     if delta is not None:
@@ -96,7 +102,7 @@ def test_identity_spec_gives_trivial_components():
     ring = ring_make("Z/5")
     cert = certify(spec_from_elements("A2", ring, honest_table("A2", ring)))
     assert is_identity(ring, cert.lambda_mat)
-    assert all(a == b for a, b in cert.rho)
+    assert np.array_equal(cert.rho, np.arange(ring.size))
     assert all(cert.apply(alg, ring, r, t) == tuples(unipotent(alg, ring, r, t).mat)
                for r in sysm.roots for t in ring.elements())
     assert cert.factors[0].delta == tuple(range(sysm.rank))
@@ -104,11 +110,12 @@ def test_identity_spec_gives_trivial_components():
 
 @pytest.mark.parametrize("system,ring_name", ROUND_TRIP_CONFIGS)
 def test_round_trip_recovers_planted_components(system, ring_name):
+    ring = ring_make(ring_name)
     for seed in range(8):
         spec, planted = forge_random_parts(system, ring_name, seed)
         cert = certify(spec)
         assert np.array_equal(cert.lambda_mat, planted["lambda"]), (system, ring_name, seed)
-        assert cert.rho == planted["rho"], (system, ring_name, seed)
+        assert np.array_equal(cert.rho, rho_array(ring, planted["rho"])), (system, ring_name, seed)
         # the conjugator is only determined up to the center, so compare by
         # action: certify already replayed every generator image exactly
         assert cert.report["generators_replayed"] > 0
@@ -116,18 +123,19 @@ def test_round_trip_recovers_planted_components(system, ring_name):
 
 @pytest.mark.parametrize("system,ring_name", [("B3", "Z/3"), ("C3", "Z/3")])
 def test_rank3_round_trip_recovers_planted_components(system, ring_name):
+    ring = ring_make(ring_name)
     for seed in range(3):
         spec, planted = forge_random_parts(system, ring_name, seed)
         cert = certify(spec)
         assert np.array_equal(cert.lambda_mat, planted["lambda"]), (system, ring_name, seed)
-        assert cert.rho == planted["rho"], (system, ring_name, seed)
+        assert np.array_equal(cert.rho, rho_array(ring, planted["rho"])), (system, ring_name, seed)
 
 
 def test_d4_round_trip_recovers_planted_components():
     spec, planted = forge_random_parts("D4", "Z/2", 0)
     cert = certify(spec)
     assert np.array_equal(cert.lambda_mat, planted["lambda"])
-    assert cert.rho == planted["rho"]
+    assert np.array_equal(cert.rho, rho_array(ring_make("Z/2"), planted["rho"]))
 
 
 @pytest.mark.parametrize("system,ring_name", [
@@ -138,15 +146,15 @@ def test_round_trip_without_recovery_regime(system, ring_name):
         spec, planted = forge_random_parts(system, ring_name, seed)
         cert = certify(spec)
         assert np.array_equal(cert.lambda_mat, planted["lambda"])
-        assert cert.rho == planted["rho"]
+        assert np.array_equal(cert.rho, rho_array(ring_make(ring_name), planted["rho"]))
 
 
 def test_product_ring_factor_transport():
-    transported = 0
+    transported, ring = 0, ring_make("Z/3xZ/3")
     for seed in range(12):
         spec, planted = forge_random_parts("A2", "Z/3xZ/3", seed)
         cert = certify(spec)
-        assert cert.rho == planted["rho"]
+        assert np.array_equal(cert.rho, rho_array(ring, planted["rho"]))
         assert np.array_equal(cert.lambda_mat, planted["lambda"])
         if [f.source_idempotent for f in cert.factors] != \
            [f.target_idempotent for f in cert.factors]:
@@ -155,10 +163,43 @@ def test_product_ring_factor_transport():
     assert transported >= 2
 
 
+@pytest.mark.parametrize("rho_index", range(8))
+def test_f4xf4_round_trips_every_ring_automorphism_and_delta(rho_index):
+    """Frobenius on either factor and the factor swap, each of the 8 ring
+    automorphisms of F4 x F4 under every diagram symmetry per factor,
+    through forge_parts: certify finds the planted rho, lambda and deltas."""
+    sysm, alg = group_for("A2")
+    ring = ring_make("F4xF4")
+    auts, idempotents = ring_automorphisms(ring), [lf.idempotent for lf in crt_split(ring).factors]
+    assert len(auts) == 8
+    g = from_word(alg, ring, (("x", (1, 1), (2, 3)), ("h", (0, 1), (2, 1))))
+    for deltas in itertools.product(diagram_symmetries(sysm), repeat=2):
+        spec, planted = forge_parts("A2", ring, deltas, auts[rho_index], g)
+        cert = certify(spec)
+        assert np.array_equal(cert.rho, auts[rho_index])
+        assert np.array_equal(cert.rho, rho_array(ring, planted["rho"]))
+        assert np.array_equal(cert.rho, global_rho_loop(ring, cert))
+        assert np.array_equal(cert.lambda_mat, planted["lambda"])
+        by_target = sorted(cert.factors, key=lambda fc: idempotents.index(fc.target_idempotent))
+        assert [fc.delta for fc in by_target] == [delta.perm for delta in deltas]
+
+
+@pytest.mark.parametrize("ring_name", ["Z/6", "Z/3xZ/3", "F4xF4"])
+def test_global_rho_is_the_from_factors_loop(ring_name):
+    # certify's one gather through crt_tables against the element-by-element
+    # CrtSplit.from_factors loop it replaced; every rho is a read-only int64 array
+    ring = ring_make(ring_name)
+    for seed in range(6):
+        cert = certify(forge_random("A2", ring_name, seed))
+        assert np.array_equal(cert.rho, global_rho_loop(ring, cert)), seed
+        for rho in [cert.rho] + [fc.rho for fc in cert.factors]:
+            assert rho.dtype == np.int64 and not rho.flags.writeable
+
+
 def test_fully_loaded_standard_automorphism_over_f4():
     sysm, alg = group_for("A2")
     ring = ring_make("F4")
-    frob = next(a for a in ring_automorphisms(ring) if not a.is_identity)
+    frob = ring_automorphisms(ring)[1]
     g = from_word(alg, ring, (("x", (1, 1), 3), ("w", (1, 0), 1),
                               ("h", (0, 1), 2), ("x", (0, -1), 2)))
     table = {(r, t): standard_image(alg, ring, unipotent(alg, ring, r, t).mat,
@@ -167,7 +208,7 @@ def test_fully_loaded_standard_automorphism_over_f4():
     cert = certify(spec_from_elements("A2", ring, table))
     fc = cert.factors[0]
     assert fc.delta == (1, 0)
-    assert dict(fc.rho) == dict(frob.table)
+    assert np.array_equal(fc.rho, frob) and np.array_equal(cert.rho, frob)
     assert len(fc.conjugator_word) > 0
 
 
@@ -179,7 +220,7 @@ def test_pure_graph_swap_detected():
              for r in sysm.roots for t in spanning_params(ring)}
     cert = certify(spec_from_elements("A2", ring, table))
     assert cert.factors[0].delta == (1, 0)
-    assert all(a == b for a, b in cert.rho)
+    assert np.array_equal(cert.rho, np.arange(ring.size))
 
 
 def test_recomposition_stability():
@@ -947,6 +988,12 @@ def test_precheck_powers_take_logarithmically_many_products(monkeypatch):
     assert calls[:10] == [(min(2 ** k, 1009 - 2 ** k), 6) for k in range(10)]
 
 
+def listed(found):
+    """A (rho, error) pair with rho, a position array or None, as a list."""
+    rho, err = found
+    return (None if rho is None else rho.tolist()), err
+
+
 @pytest.mark.parametrize("ring_name", WITNESS_RINGS)
 def test_residual_rho_reports_what_the_loop_oracle_reports(ring_name):
     ring = ring_make(ring_name)
@@ -983,7 +1030,7 @@ def test_residual_rho_reports_what_the_loop_oracle_reports(ring_name):
             stack = as_stack(local, [table[key] for key in rows])
             got = decomposer._residual_rho(alg, local, conj, stack, units)
             want = residual_rho_loop(alg, local, conj, table)
-            assert got == want, (problem.index, defect, where)
+            assert listed(got) == listed(want), (problem.index, defect, where)
             reasons.add(want[1]["reason"] if want[1] else "ok")
         assert {"ok", "residual is not a root element",
                 "parameter image differs across roots"} <= reasons, reasons
@@ -998,7 +1045,7 @@ def test_replay_reports_what_the_loop_oracle_reports(ring_name):
     table = decomposer.precheck(spec, alg)
     left = mat_mul(ring, cert.lambda_mat, cert.conjugator)
     right = mat_mul(ring, cert.conjugator_inv, cert.lambda_inv)
-    rho, rows, units = cert.rho_map(), stack_rows(alg, ring), root_stack(alg, ring)
+    rho, rows, units = rho_table(ring, cert.rho), stack_rows(alg, ring), root_stack(alg, ring)
     keys = list(rows)
     for wrong in [()] + [(key,) for key in spots(keys)] + [(keys[0], keys[-1])]:
         planted = table.copy()
@@ -1049,19 +1096,18 @@ def test_certify_replays_the_certificate_it_returns(monkeypatch, system, ring_na
 
 def mutants(ring, cert):
     """(field, copy of cert) with one entry of lambda, lambda^-1, C and C^-1
-    changed in turn, then one rho pair."""
+    changed in turn, then one image of rho."""
     def bumped(m):
         rows = [list(row) for row in m]
         i, j = len(rows) // 2, 1
         rows[i][j] = ring.add(rows[i][j], ring.one)
         return np.array(rows, dtype=m.dtype)
 
-    rho = list(cert.rho)
-    t, value = rho[len(rho) // 2]
-    rho[len(rho) // 2] = (t, ring.add(value, ring.one))
+    rho, elements, mid = cert.rho.copy(), list(ring.elements()), len(cert.rho) // 2
+    rho[mid] = linalg.positions(ring, ring.add(elements[rho[mid]], ring.one))
     return [(field, dataclasses.replace(cert, **{field: bumped(getattr(cert, field))}))
             for field in ("lambda_mat", "lambda_inv", "conjugator", "conjugator_inv")
-            ] + [("rho", dataclasses.replace(cert, rho=tuple(rho)))]
+            ] + [("rho", dataclasses.replace(cert, rho=rho))]
 
 
 @pytest.mark.parametrize("system,ring_name,seed", CERTIFIED)
@@ -1071,7 +1117,7 @@ def test_replay_refuses_every_mutated_certificate(system, ring_name, seed):
         left = mat_mul(ring, mutant.lambda_mat, mutant.conjugator)
         right = mat_mul(ring, mutant.conjugator_inv, mutant.lambda_inv)
         want = outcome(replay_loop, alg, ring, as_dict(alg, ring, table), left, right,
-                       mutant.rho_map())
+                       rho_table(ring, mutant.rho))
         assert want[0] == "replay", field
         assert outcome(mutant.replay, alg, ring, table, units) == want, field
     assert cert.replay(alg, ring, table, units) == len(alg.system.roots) * ring.size

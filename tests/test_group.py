@@ -33,7 +33,7 @@ from chevalley.group import (
     from_word,
     group_for,
     root_stack,
-    stack_rows,
+    stack_row,
     torus_chi,
     unipotent,
     weyl,
@@ -41,12 +41,12 @@ from chevalley.group import (
     x_stack,
 )
 from chevalley.liealg import build_algebra
-from chevalley.linalg import diagonal_sandwich, ring_tables, sandwich, stack_dtype
+from chevalley.linalg import diagonal_sandwich, positions, ring_tables, sandwich, stack_dtype
 from chevalley.rings import ring_make
 from chevalley.roots import DiagramSymmetry, diagram_symmetries
 from oracles import (commutator, conjugate, dense_unipotent, det_bareiss, element_mul, h_element,
-                     identity, inverse, is_identity, mat_mul, token_matrices, torus_alpha_loop,
-                     tuples, word_fold)
+                     identity, inverse, is_identity, mat_mul, stack_rows, token_matrices,
+                     torus_alpha_loop, tuples, word_fold)
 
 ZZ = ring_make("Z")
 
@@ -267,6 +267,11 @@ def test_root_table_holds_every_unipotent():
         for root in sysm.roots:
             for t in ring.elements():
                 assert np.array_equal(stack[rows[(root, t)]], unipotent(alg, ring, root, t).mat)
+                assert stack_row(ring, sysm.root_index(root), positions(ring, t)) == rows[(root, t)]
+        # broadcast over root positions and element positions at once
+        every = np.arange(ring.size)
+        assert stack_row(ring, np.arange(len(sysm.roots))[:, None], every).ravel().tolist() == [
+            rows[key] for key in rows]
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -670,12 +675,9 @@ def test_tables_are_built_once_per_owner():
     assert _x_pattern(alg) is _x_pattern(alg)
     assert ring_tables(ring_make("F4")) is ring_tables(ring_make("F4"))
     # what depends only on (algebra, ring) and is read per call or per spec:
-    # x_stack's table of c t^k, the stack rows, the precheck's plan
+    # x_stack's table of c t^k, the precheck's plan
     assert _x_table(alg, ring) is _x_table(alg, ring_make("Z/4"))
-    assert stack_rows(alg, ring) is stack_rows(alg, ring_make("Z/4"))
     assert _precheck_plan(alg, ring) is _precheck_plan(alg, ring_make("Z/4"))
-    with pytest.raises(TypeError):
-        stack_rows(alg, ring)[(sysm.roots[0], 0)] = 1
     assert _x_table(alg, ring).flags.writeable is False
     for table in _precheck_plan(alg, ring)[-1]:
         assert table.flags.writeable is False

@@ -3,7 +3,8 @@ every import in src and tests must be read, every definition in src must
 be reached from ``cli.main`` or the benchmark harness through the
 definitions that read it, only linalg names a float dtype, outside liealg
 only the one x_root(t) builder reads the divided powers, only the
-Certificate reads its matrices, the precheck reads no repr or tolist, no table cli memoises reads data a planted
+Certificate reads its matrices, the precheck reads no repr or tolist,
+certify walks no element for rho, no table cli memoises reads data a planted
 defect sits in, cli builds no group element, and src builds no tuple matrix
 outside the few places that must.  The forge's warm-up documents pass the
 benchmark's own checks.
@@ -171,15 +172,18 @@ def readers(path: Path, name: str) -> set:
 
 
 def test_one_x_root_path(monkeypatch):
-    # every x_root(t) comes from group.x_stack, where test_cli.corrupt_x_root
-    # plants its defect: outside liealg, the divided powers are read only by
-    # the pattern x_stack gathers from and by verify jacobi's integrality
-    # recheck, so no second builder can step around the defect
+    # every x_root(t) comes from group._x_gather (through x_stack or
+    # root_stack), where test_cli.corrupt_x_root plants its defect: outside
+    # liealg, the divided powers are read only by the pattern it gathers from
+    # and by verify jacobi's integrality recheck, so no second builder can
+    # step around the defect
     modules = [p for p in sorted(SRC.glob("*.py")) if p.stem != "liealg"]
     assert {(p.stem, fn) for p in modules for fn in readers(p, "divided_powers")} == {
         ("group", "_x_pattern"), ("cli", "_suite_jacobi")}
     assert {(p.stem, fn) for p in modules for fn in readers(p, "_x_pattern")} == {
-        ("group", "x_stack"), ("group", "_x_columns")}
+        ("group", "_x_gather"), ("group", "_x_columns")}
+    assert {(p.stem, fn) for p in modules for fn in readers(p, "_x_gather")} == {
+        ("group", "x_stack"), ("group", "root_stack")}
     tracer = load_bench_module(monkeypatch, "tracer")
     layers = {layer for layer, *_ in tracer.TARGETS}
     assert {"group.unipotent", "group.from_word", "linalg.mat_mul"} <= layers
@@ -203,6 +207,32 @@ def test_precheck_keys_no_matrix_on_python_values():
             for name in reached} == {name: [] for name in reached}
 
 
+def test_rho_is_gathered_not_walked():
+    # rho is one position array: certify builds the global one by a gather
+    # through crt_tables, the replay and apply index it, and the residual
+    # reads it off the residuals; none of them, nor a Certificate method they
+    # call on self, walks ring.elements(), calls CrtSplit.from_factors or
+    # builds a dict of rho (the loop forms live in tests/oracles.py)
+    tree = ast.parse((SRC / "decomposer.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    certificate = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "Certificate")
+    functions.update((f"Certificate.{item.name}", item) for item in certificate.body
+                     if isinstance(item, ast.FunctionDef))
+
+    def walks(fn):
+        calls = [sub.func for sub in ast.walk(fn) if isinstance(sub, ast.Call)]
+        names = {getattr(f, "id", None) or getattr(f, "attr", None) for f in calls}
+        found = sorted(names & {"elements", "from_factors", "dict"})
+        found += ["{...}"] * any(isinstance(sub, ast.DictComp) for sub in ast.walk(fn))
+        return found + [hit for f in calls if getattr(f, "value", None) is not None
+                        and getattr(f.value, "id", None) == "self"
+                        for hit in walks(functions[f"Certificate.{f.attr}"])]
+
+    names = ("certify", "Certificate.replay", "Certificate.apply", "_residual_rho")
+    assert {name: walks(functions[name]) for name in names} == {name: [] for name in names}
+
+
 def test_only_the_certificate_reads_its_matrices():
     # lambda C x_root(rho t) C^-1 lambda^-1 is composed in one place, the
     # Certificate's methods (its class body holds only fields besides them):
@@ -221,7 +251,7 @@ def test_ring_tables_stay_in_linalg():
             for fn in readers(p, "ring_tables")} == {("linalg", "row_ops")}
 
 
-UNDER_TEST = {"bracket_basis", "chain_coefficients", "x_stack", "root_stack"}
+UNDER_TEST = {"bracket_basis", "chain_coefficients", "x_stack", "_x_gather", "root_stack"}
 
 
 def is_cached(node) -> bool:
@@ -230,7 +260,7 @@ def is_cached(node) -> bool:
 
 
 def test_no_memoised_table_in_cli_reads_data_under_test():
-    # tests/test_cli.py plants its defects in these four; a table memoised per
+    # tests/test_cli.py plants its defects in these; a table memoised per
     # (algebra, ring) that read one would keep the clean value and hide the
     # defect on every later call.  Reads are followed through every call to a
     # function or method of src, by name
@@ -261,7 +291,7 @@ def test_no_memoised_table_in_cli_reads_data_under_test():
     assert {node.name: sorted(reach(node) & UNDER_TEST) for node in cached} == {
         node.name: [] for node in cached}
     # the check sees a read two calls away
-    assert {"root_stack", "x_stack"} <= reach(functions["_suite_weyl"][0])
+    assert {"root_stack", "x_stack", "_x_gather"} <= reach(functions["_suite_weyl"][0])
 
 
 def test_cli_builds_no_group_element_or_tuple_matrix():
