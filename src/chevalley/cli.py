@@ -245,8 +245,8 @@ def _suite_weyl(system: str, ring_name: str, seed: int):
     sysm, alg = group_for(system)
     ring = ring_make(ring_name)
     _within_budget(alg, ring, lambda ring: ring.size)
-    scale, values = row_ops(ring)[0], every_element(ring)
     stack = _tier_stack(alg, ring)
+    scale, values = row_ops(ring)[0], every_element(ring)
     checks, failures = 0, []
     at_one, tables = _weyl_tables(alg, ring)
     weyls = word_stack(alg, ring, [(("w", alpha, ring.one),) for alpha in sysm.roots])

@@ -28,8 +28,12 @@ factors, then runs a Smith-style diagonalization per factor, and kernels are
 taken over one local factor at a time, as the rows of one array.  The unit
 pivot test (``local_invertible``, per factor ``ring_invertible``) needs no
 inverse.  Over Z/p^k and GF(q) the elimination is array-native: it keeps A
-and Q (and P only when a caller needs it) as numpy arrays and updates only
-the rows and columns a pivot changes.  The pivot is the row-major first entry
+and Q (and P only when a caller needs it) as numpy arrays, in the narrowest
+signed integer type that holds every x - c y for x, c, y in [0, q) (int8
+while q^2 < 2^7, int16 while q^2 < 2^15, else ``residue_dtype``), the
+smallest exact word of FFLAS-FFPACK, and updates only the rows and columns a
+pivot changes; Q is kept by rows, as its transpose, so its column swaps and
+updates are row operations.  The pivot is the row-major first entry
 of least p-valuation (over a field, the first nonzero entry), found by a mask
 of the rows that still hold a unit while one does and by a vectorised scan
 after that.  Z/p^k reduces mod p^k; GF(q) indexes the ``mul``/``sub`` arrays
@@ -316,6 +320,12 @@ def _eliminate(ring: Ring, a, with_p: bool):
     that only need kernels skip P.  Over GF(q), where k = 1, the pivot is the
     first nonzero entry and every valuation is 0.
 
+    The input is reduced once; A, P and Q are then held in int8 while
+    q^2 < 2^7 and int16 while q^2 < 2^15 (q = |R|), where every x - c y
+    for x, c, y in [0, q) fits, else in ``residue_dtype(q, 1)``.  Q is
+    built as its transpose QT, so a column swap or update of Q is a
+    contiguous row operation on QT, and Q is returned as the view QT.T.
+
     Rows at or past t are zero left of column t, so while some row there
     holds a unit, the row-major first entry of least valuation is the first
     unit of the first such row.  A mask of the rows that hold a unit follows
@@ -332,12 +342,13 @@ def _eliminate(ring: Ring, a, with_p: bool):
 
     m = len(a)
     n = len(a[0]) if m else 0
-    dtype = residue_dtype(ring.size, 1)
-    A = np.array(a, dtype=dtype).reshape(m, n)
-    A %= ring.size
+    q = ring.size
+    wide = residue_dtype(q, 1)
+    dtype = next((t for t in (np.int8, np.int16) if q * q <= np.iinfo(t).max), wide)
+    A = (np.array(a, dtype=wide).reshape(m, n) % q).astype(dtype, copy=False)
     has_unit = units(A).any(axis=1)
     P = np.eye(m, dtype=dtype) if with_p else None
-    Q = np.eye(n, dtype=dtype)
+    QT = np.eye(n, dtype=dtype)
     pivots = []
     for t in range(min(m, n)):
         held = np.flatnonzero(has_unit[t:])
@@ -356,7 +367,7 @@ def _eliminate(ring: Ring, a, with_p: bool):
                 P[[t, bi]] = P[[bi, t]]
         if bj != t:
             A[:, [t, bj]] = A[:, [bj, t]]
-            Q[:, [t, bj]] = Q[:, [bj, t]]
+            QT[[t, bj]] = QT[[bj, t]]
         pv = p ** bv
         u_inv = ring.inv(int(A[t, t]) // pv)
         A[t] = scale(A[t], u_inv)
@@ -374,16 +385,16 @@ def _eliminate(ring: Ring, a, with_p: bool):
                 P[rows] = sub_mul(P[rows], mult[rows, None], P[t])
         # clear row t: column t of A is now p^bv e_t, so in A only row t
         # changes, to p^bv e_t (p^bv divides the whole row); Q takes the
-        # full column update
+        # full column update, as rows of QT
         multc = A[t] // pv
         multc[t] = 0
         cols = np.flatnonzero(multc)
         if cols.size:
             A[t, cols] = 0
-            Q[:, cols] = sub_mul(Q[:, cols], Q[:, t, None], multc[cols])
+            QT[cols] = sub_mul(QT[cols], multc[cols, None], QT[t])
         pivots.append((t, bv))
     diag = tuple(int(A[i, i]) for i, _ in pivots)
-    return P, Q, tuple(pivots), diag
+    return P, QT.T, tuple(pivots), diag
 
 
 def local_nullspace(ring: Ring, a) -> np.ndarray:

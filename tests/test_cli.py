@@ -90,6 +90,14 @@ def test_verify_refuses_a_ring_past_the_stack_budget(monkeypatch, tmp_path, caps
     assert "ring too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["laws", "eq1", "weyl", "commutator"])
+def test_verify_over_z_exits_2_as_not_finite(tmp_path, capsys, suite):
+    out = tmp_path / "never.json"
+    code = main(["verify", suite, "--system", "A2", "--ring", "Z", "--out", str(out)])
+    assert (code, out.exists()) == (2, False)
+    assert "Z is not finite" in capsys.readouterr().err
+
+
 def test_stack_budget_admits_the_rings_just_inside_it():
     _, alg = group_for("A2")
     laws, eq1 = (lambda ring: ring.size ** 2), (lambda ring: ring.size * len(ring.units()))

@@ -962,13 +962,21 @@ def mask_cases(ring, rng):
             yield matrix(deep)
 
 
-@pytest.mark.parametrize("name", ["Z/3", "Z/4", "Z/8", "Z/9", "F4", "F9"])
+# the last and first local rings of each type the elimination holds A, P and
+# Q in (every x - c y for x, c, y in [0, q) must fit): int8 to Z/11, int16
+# from Z/13 (and F16) to Z/181, Z/169 not a field, int64 from Z/191
+ELIMINATION_TYPES = {"Z/11": np.int8, "Z/13": np.int16, "Z/169": np.int16, "Z/181": np.int16,
+                     "Z/191": np.int64, "F16": np.int16}
+
+
+@pytest.mark.parametrize("name", ["Z/3", "Z/4", "Z/8", "Z/9", "F4", "F9", *ELIMINATION_TYPES])
 def test_unit_mask_elimination_matches_the_full_scan(name):
     ring = ring_make(name)
     rng = random.Random(name + "mask")
     for a in mask_cases(ring, rng):
         for with_p in (False, True):
             got = _eliminate(ring, a, with_p)
+            assert got[1].dtype == ELIMINATION_TYPES.get(name, got[1].dtype), (name, a)
             want = eliminate_scan(ring, a, with_p)
             assert got[2:] == want[2:], (name, a)          # pivots and diagonal
             assert np.array_equal(got[1], want[1]), (name, a)
