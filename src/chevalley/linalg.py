@@ -28,16 +28,16 @@ factors, then runs a Smith-style diagonalization per factor, and kernels are
 taken over one local factor at a time, as the rows of one array.  The unit
 pivot test (``local_invertible``, per factor ``ring_invertible``) needs no
 inverse.  Over Z/p^k and GF(q) the elimination is array-native: it keeps A
-and Q (and P only when a caller needs it) as numpy arrays, in the narrowest
-signed integer type that holds every x - c y for x, c, y in [0, q) (int8
-while q^2 < 2^7, int16 while q^2 < 2^15, else ``residue_dtype``), the
-smallest exact word of FFLAS-FFPACK, and updates only the rows and columns a
-pivot changes; Q is kept by rows, as its transpose, so its column swaps and
-updates are row operations.  The pivot is the row-major first entry
-of least p-valuation (over a field, the first nonzero entry), found by a mask
-of the rows that still hold a unit while one does and by a vectorised scan
-after that.  Z/p^k reduces mod p^k; GF(q) indexes the ``mul``/``sub`` arrays
-of ``ring_tables``; matrices cross the CRT through ``crt_tables``.
+and Q (and P only when a caller needs it) as numpy arrays, in int8 where
+every x - c y for x, c, y in [0, q) fits (q^2 < 2^7: Z/2 to Z/11, F4, F8,
+F9), the smallest exact word of FFLAS-FFPACK, else in ``residue_dtype``, and
+updates only the rows and columns a pivot changes; Q is kept by rows, as its
+transpose, so its column swaps and updates are row operations.  The pivot is
+the row-major first entry of least p-valuation (over a field, the first
+nonzero entry), found by a mask of the rows that still hold a unit while one
+does and by a vectorised scan after that.  Z/p^k reduces mod p^k; GF(q)
+indexes the ``mul``/``sub`` arrays of ``ring_tables``; matrices cross the
+CRT through ``crt_tables``.
 """
 
 from __future__ import annotations
@@ -321,10 +321,10 @@ def _eliminate(ring: Ring, a, with_p: bool):
     first nonzero entry and every valuation is 0.
 
     The input is reduced once; A, P and Q are then held in int8 while
-    q^2 < 2^7 and int16 while q^2 < 2^15 (q = |R|), where every x - c y
-    for x, c, y in [0, q) fits, else in ``residue_dtype(q, 1)``.  Q is
-    built as its transpose QT, so a column swap or update of Q is a
-    contiguous row operation on QT, and Q is returned as the view QT.T.
+    q^2 < 2^7 (q = |R|), where every x - c y for x, c, y in [0, q) fits,
+    else in ``residue_dtype(q, 1)``.  Q is built as its transpose QT, so a
+    column swap or update of Q is a contiguous row operation on QT, and Q is
+    returned as the view QT.T.
 
     Rows at or past t are zero left of column t, so while some row there
     holds a unit, the row-major first entry of least valuation is the first
@@ -344,7 +344,7 @@ def _eliminate(ring: Ring, a, with_p: bool):
     n = len(a[0]) if m else 0
     q = ring.size
     wide = residue_dtype(q, 1)
-    dtype = next((t for t in (np.int8, np.int16) if q * q <= np.iinfo(t).max), wide)
+    dtype = np.int8 if q * q <= np.iinfo(np.int8).max else wide
     A = (np.array(a, dtype=wide).reshape(m, n) % q).astype(dtype, copy=False)
     has_unit = units(A).any(axis=1)
     P = np.eye(m, dtype=dtype) if with_p else None
@@ -402,7 +402,10 @@ def local_nullspace(ring: Ring, a) -> np.ndarray:
     rows, as the rows of one array.
 
     With P A Q = D, they are the columns of Q past the pivots and, for a
-    pivot of valuation v > 0, p^(k-v) times its column.
+    pivot of valuation v > 0, p^(k-v) times its column.  They come back in
+    the elimination's type (int8 while q^2 < 2^7), in which a sum of
+    products, as in a matrix product, wraps: cast them before any
+    arithmetic but ``row_ops``, as the decomposer does.
     """
     _, q, pivots, _ = _eliminate(ring, a, with_p=False)
     p, k = ring.residue_char, ring.nil_degree
